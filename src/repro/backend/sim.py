@@ -30,18 +30,11 @@ from typing import (
     Tuple,
 )
 
-from repro.config import (
-    _UNSET,
-    BACKEND_LEGACY_FIELDS,
-    BackendConfig,
-    NetworkConfig,
-    warn_deprecated_kwarg,
-)
+from repro.config import BackendConfig
 from repro.dpss.client import DpssClient
 from repro.netlogger.events import Tags
 from repro.protocol.messages import TILE_WIRE_OVERHEAD
 from repro.netlogger.logger import NetLogger
-from repro.netsim.tcp import TcpParams
 from repro.simcore.fluid import FluidResource, FluidTask
 from repro.simcore.pipeline import Pipeline, PipelineSummary
 from repro.simcore.sync import SimBarrier
@@ -94,7 +87,7 @@ class BackEndTiming:
     #: striped mode: k-of-n straggler shares cancelled mid-flight
     stripe_cancels: int = 0
     #: wall seconds of every DPSS slab read, across all PEs (the
-    #: distribution behind the stripe suite's p99 gate)
+    #: distribution behind ``CampaignResult.read_p99``)
     read_seconds: List[float] = field(default_factory=list)
     #: (rank, frame) slabs served from the shared render cache --
     #: each one skipped its DPSS read and its render leg entirely
@@ -147,57 +140,7 @@ class SimBackEnd:
         #: shared per-server health tracker handed to every PE's DPSS
         #: client (striped mode); None = no read biasing
         health: Optional["HealthTracker"] = None,
-        # -- deprecated knob-per-kwarg spelling (one release of grace) --
-        n_timesteps: Optional[int] = _UNSET,
-        overlapped: bool = _UNSET,
-        overlap_depth: int = _UNSET,
-        mpi_only_overlap: bool = _UNSET,
-        interconnect_rate: float = _UNSET,
-        axis: int = _UNSET,
-        overlap_render_share: float = _UNSET,
-        overlap_ingest_factor: float = _UNSET,
-        load_jitter_cv: float = _UNSET,
-        geometry_bytes_per_frame: Optional[float] = _UNSET,
-        tcp_params: Optional[TcpParams] = _UNSET,
-        seed: int = _UNSET,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("n_timesteps", n_timesteps),
-                ("overlapped", overlapped),
-                ("overlap_depth", overlap_depth),
-                ("mpi_only_overlap", mpi_only_overlap),
-                ("interconnect_rate", interconnect_rate),
-                ("axis", axis),
-                ("overlap_render_share", overlap_render_share),
-                ("overlap_ingest_factor", overlap_ingest_factor),
-                ("load_jitter_cv", load_jitter_cv),
-                ("geometry_bytes_per_frame", geometry_bytes_per_frame),
-                ("tcp_params", tcp_params),
-                ("seed", seed),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if config is not None:
-                raise ValueError(
-                    "pass either config= or the deprecated per-knob "
-                    "kwargs, not both"
-                )
-            for name in legacy:
-                target = (
-                    "config=BackendConfig(network=NetworkConfig(tcp=...))"
-                    if name == "tcp_params"
-                    else f"config=BackendConfig({name}=...)"
-                )
-                warn_deprecated_kwarg("SimBackEnd", name, target)
-            tcp = legacy.pop("tcp_params", None)
-            network_config = NetworkConfig(
-                tcp=tcp if tcp is not None else TcpParams()
-            )
-            assert set(legacy) <= set(BACKEND_LEGACY_FIELDS)
-            config = BackendConfig(network=network_config, **legacy)
         self.config = config if config is not None else BackendConfig()
 
         if not pe_hosts:

@@ -9,10 +9,6 @@ Installed as the ``visapult`` console script::
     visapult campaign sc99-flaky --stripe 4+1
     visapult serve-sim sc99-multiviewer --viewers 6 --scaled
     visapult serve-sim sc99-serve10k --sessions 2000 --flow-classes on
-    visapult bench --quick --check
-    visapult bench --suite shard --quick --check
-    visapult bench --suite stripe --quick --check
-    visapult bench --suite kernels --quick --check
     visapult lint
     visapult check src/repro --json CHECK_findings.json
     visapult iperf --wan esnet --streams 8
@@ -63,6 +59,21 @@ def _result_to_payload(result):
     return result_payload("campaign", result.metrics_dict())
 
 
+def _tile_flags_error(args) -> Optional[str]:
+    """Why ``--tiles`` / ``--tile-size`` cannot be honoured, if so."""
+    if args.tile_size is None:
+        return None
+    if not args.tiles:
+        return "--tile-size requires --tiles"
+    from repro.config import TileConfig
+
+    try:
+        TileConfig(tile_size=args.tile_size)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def cmd_campaign(args) -> int:
     from repro.config import ExperimentConfig
     from repro.core import run_campaign
@@ -104,6 +115,10 @@ def cmd_campaign(args) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
+    tile_error = _tile_flags_error(args)
+    if tile_error is not None:
+        print(tile_error, file=sys.stderr)
+        return 2
     try:
         config = experiment.to_campaign_config()
     except KeyError as exc:
@@ -199,6 +214,10 @@ def cmd_serve(args) -> int:
     except KeyError as exc:
         print(f"{exc.args[0]}; try 'visapult list'", file=sys.stderr)
         return 2
+    tile_error = _tile_flags_error(args)
+    if tile_error is not None:
+        print(tile_error, file=sys.stderr)
+        return 2
     if isinstance(config, ShardCampaign):
         return _serve_shard(args, config)
     if not isinstance(config, ServiceCampaign):
@@ -269,56 +288,6 @@ def cmd_serve(args) -> int:
         _write_payload(
             args.json, _result_to_payload(result), "service metrics"
         )
-    return 0
-
-
-def cmd_bench(args) -> int:
-    import json
-
-    if args.suite == "render":
-        from repro.core import bench_render as suite_mod
-
-        results = suite_mod.run_suite(quick=args.quick)
-        default_baseline = "benchmarks/perf/baseline_render.json"
-    elif args.suite == "shard":
-        from repro.core import bench_shard as suite_mod  # type: ignore[no-redef]
-
-        results = suite_mod.run_suite(quick=args.quick)
-        default_baseline = "benchmarks/perf/baseline_shard.json"
-    elif args.suite == "stripe":
-        from repro.core import bench_stripe as suite_mod  # type: ignore[no-redef]
-
-        results = suite_mod.run_suite(quick=args.quick)
-        default_baseline = "benchmarks/perf/baseline_stripe.json"
-    elif args.suite == "kernels":
-        from repro.core import bench_kernels as suite_mod  # type: ignore[no-redef]
-
-        results = suite_mod.run_suite(quick=args.quick)
-        default_baseline = "benchmarks/perf/baseline_kernels.json"
-    else:
-        from repro.core import bench as suite_mod  # type: ignore[no-redef]
-
-        results = suite_mod.run_suite(quick=args.quick, e2e=not args.no_e2e)
-        default_baseline = "benchmarks/perf/baseline.json"
-    print(suite_mod.summary(results))
-    if args.output is not None:
-        suite_mod.write_results(results, args.output)
-        print(f"benchmark results -> {args.output}")
-    if args.check:
-        baseline_path = args.baseline or default_baseline
-        try:
-            with open(baseline_path) as fh:
-                baseline = json.load(fh)
-        except OSError as exc:
-            print(f"cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        failures = suite_mod.check_regression(results, baseline)
-        if failures:
-            print("benchmark regressions vs baseline:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            return 1
-        print(f"no benchmark regression vs {baseline_path}")
     return 0
 
 
@@ -531,33 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shard campaigns: total offered sessions "
                         "(alias of --viewers)")
     p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
-        "bench", help="run the performance benchmark suites"
-    )
-    p.add_argument("--suite", choices=["fluid", "render", "shard",
-                                       "stripe", "kernels"],
-                   default="fluid",
-                   help="fluid: allocator speedups; render: tile wire "
-                        "savings + compositing + orbit cache; shard: "
-                        "flow-class aggregation vs per-session flows; "
-                        "stripe: parity-read overhead + flaky-drill "
-                        "p99 read latency vs the fault-free baseline; "
-                        "kernels: vectorized raycast/raster/fairshare "
-                        "vs scalar oracles + calendar-vs-heap events")
-    p.add_argument("--quick", action="store_true",
-                   help="small workloads (CI-sized; scaled e2e campaign)")
-    p.add_argument("--no-e2e", action="store_true",
-                   help="skip the end-to-end sc99-multiviewer benchmark "
-                        "(fluid suite only)")
-    p.add_argument("--output", default=None, metavar="PATH",
-                   help="write results JSON (e.g. BENCH_fluid.json)")
-    p.add_argument("--check", action="store_true",
-                   help="fail if gated metrics regress >25%% vs baseline")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="baseline floors JSON for --check (default: the "
-                        "suite's benchmarks/perf baseline)")
-    p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser(
         "lint", help="check project invariants (VIS1xx rules)"

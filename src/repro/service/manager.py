@@ -37,7 +37,6 @@ from repro.config import (
     StripeConfig,
     TileConfig,
     TopologyConfig,
-    warn_deprecated_kwarg,
 )
 from repro.core.campaign import CampaignConfig
 from repro.core.platforms import (
@@ -94,9 +93,6 @@ class ServiceCampaign:
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     cache: CacheConfig = field(default_factory=CacheConfig)
-    #: deprecated flat knob -- pass ``topology`` with a site-level
-    #: ``dpss_cache_bytes`` instead (kept as a shim for one release)
-    dpss_cache_bytes: float = 0.0
     #: overrides ``base.seed`` for the whole service run when set
     seed: Optional[int] = None
     #: the serving fabric; ``None`` means the historical single local
@@ -106,17 +102,6 @@ class ServiceCampaign:
     topology: Optional[TopologyConfig] = None
 
     def __post_init__(self):
-        if self.dpss_cache_bytes != 0.0:
-            if self.topology is not None:
-                raise ValueError(
-                    "pass dpss_cache_bytes through the topology's "
-                    "SiteSpec, not both"
-                )
-            warn_deprecated_kwarg(
-                "ServiceCampaign",
-                "dpss_cache_bytes",
-                "topology=TopologyConfig.single_site(dpss_cache_bytes=...)",
-            )
         if self.topology is not None and len(self.topology.sites) != 1:
             raise ValueError(
                 f"ServiceCampaign runs one full-world site; got "
@@ -129,7 +114,7 @@ class ServiceCampaign:
         """The effective (single) site spec this campaign serves from."""
         if self.topology is not None:
             return self.topology.sites[0]
-        return SiteSpec(name="local", dpss_cache_bytes=self.dpss_cache_bytes)
+        return SiteSpec(name="local")
 
     @property
     def effective_seed(self) -> int:

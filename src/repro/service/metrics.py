@@ -24,8 +24,8 @@ RESULT_SCHEMA_VERSION = 1
 def result_payload(kind: str, metrics: Any, **sections: Any) -> Dict[str, Any]:
     """The one versioned JSON envelope every runner emits.
 
-    ``campaign --json``, ``serve-sim --json`` and the shard bench all
-    route through here, so downstream tooling can dispatch on
+    ``campaign --json`` and ``serve-sim --json`` (full-world and shard)
+    all route through here, so downstream tooling can dispatch on
     ``schema_version`` + ``kind`` instead of sniffing key shapes.
     Extra keyword sections land at the top level; objects exposing
     ``to_dict`` are serialised through it, ``None`` sections are

@@ -1,17 +1,15 @@
-"""Consolidated-config tests: dataclasses, shims, JSON, the facade."""
+"""Consolidated-config tests: dataclasses, JSON, the facade."""
 
 import json
 
 import pytest
 
 from repro.config import (
-    BackendConfig,
     ExperimentConfig,
     NetworkConfig,
 )
 from repro.core.campaign import (
     CampaignConfig,
-    build_session,
     campaign_names,
     named_campaign,
 )
@@ -30,120 +28,23 @@ class TestNetworkConfig:
         assert cfg.policy == RequestPolicy()
 
 
-class TestDeprecationShims:
-    def _world(self):
-        from repro.dpss import DpssDataset, DpssMaster, DpssServer
-        from repro.netsim import Host, Link, Network
-        from repro.util.units import MB, mbps
+def test_removed_kwargs_are_type_errors():
+    """PR 13 removed the per-knob kwargs; config= is the only spelling."""
+    from repro.netsim import Host, Network
+    from repro.service import ServiceCampaign
+    from repro.util.units import mbps
+    from repro.viewer.sim import SimViewer
 
-        net = Network()
-        net.add_host(Host("client", nic_rate=mbps(1000)))
-        net.add_host(Host("master", nic_rate=mbps(100)))
-        lan = net.add_link(Link("lan", rate=mbps(1000), latency=0.0002))
-        net.add_route("client", "master", [lan])
-        master = DpssMaster(net.host("master"))
-        net.add_host(Host("s0", nic_rate=mbps(1000)))
-        srv = DpssServer(net.host("s0"), n_disks=2, disk_rate=10 * MB)
-        srv.attach(net)
-        master.add_server(srv)
-        net.add_route("s0", "client", [lan])
-        master.register_dataset(DpssDataset("ds", size=1 * MB))
-        return net, master
-
-    def test_client_legacy_tcp_params_warns_and_folds(self):
-        from repro.dpss import DpssClient
-
-        net, master = self._world()
-        params = TcpParams(slow_start=False)
-        with pytest.warns(DeprecationWarning, match="tcp_params"):
-            client = DpssClient(net, "client", master, tcp_params=params)
-        assert client.config == NetworkConfig(tcp=params)
-
-    def test_client_rejects_both_forms(self):
-        from repro.dpss import DpssClient
-
-        net, master = self._world()
-        with pytest.raises(ValueError, match="not both"):
-            DpssClient(
-                net, "client", master,
-                config=NetworkConfig(),
-                tcp_params=TcpParams(),
-            )
-
-    def test_viewer_legacy_tcp_params_warns(self):
-        from repro.netsim import Network, Host
-        from repro.util.units import mbps
-        from repro.viewer.sim import SimViewer
-
-        net = Network()
-        net.add_host(Host("viewer", nic_rate=mbps(100)))
-        params = TcpParams(slow_start=False)
-        with pytest.warns(DeprecationWarning, match="tcp_params"):
-            viewer = SimViewer(net, "viewer", tcp_params=params)
-        assert viewer.config.tcp == params
-
-    def test_backend_legacy_kwargs_warn_and_match_config(self):
-        from repro.backend.sim import SimBackEnd
-        from repro.viewer.sim import SimViewer
-
-        cfg = CampaignConfig.lan_e4500(overlapped=False).with_changes(
-            shape=(64, 32, 32), dataset_timesteps=8, n_timesteps=2,
+    net = Network()
+    net.add_host(Host("viewer", nic_rate=mbps(100)))
+    with pytest.raises(TypeError):
+        SimViewer(net, "viewer", tcp_params=TcpParams())
+    with pytest.raises(TypeError):
+        ServiceCampaign(
+            name="flat",
+            base=CampaignConfig.sc99_showfloor(),
+            dpss_cache_bytes=1.0,
         )
-        net, backend, viewer, daemon = build_session(cfg)
-        fresh_viewer = SimViewer(net, "viewer")
-        with pytest.warns(DeprecationWarning) as record:
-            legacy = SimBackEnd(
-                net, backend.pe_hosts, backend.master, backend.meta.name,
-                fresh_viewer, backend.meta, daemon=daemon,
-                overlapped=True, overlap_depth=3,
-            )
-        messages = [str(w.message) for w in record]
-        assert any("overlapped" in m for m in messages)
-        assert any("overlap_depth" in m for m in messages)
-        assert legacy.config == BackendConfig(
-            overlapped=True, overlap_depth=3
-        )
-
-    def test_backend_rejects_both_forms(self):
-        from repro.backend.sim import SimBackEnd
-
-        cfg = CampaignConfig.lan_e4500(overlapped=False).with_changes(
-            shape=(64, 32, 32), dataset_timesteps=8, n_timesteps=2,
-        )
-        net, backend, viewer, daemon = build_session(cfg)
-        with pytest.raises(ValueError, match="not both"):
-            SimBackEnd(
-                net, backend.pe_hosts, backend.master, backend.meta.name,
-                viewer, backend.meta, daemon=daemon,
-                config=BackendConfig(), overlapped=True,
-            )
-
-    def test_service_flat_dpss_cache_warns_and_folds(self):
-        from repro.service import ServiceCampaign
-        from repro.util.units import MB
-
-        base = CampaignConfig.sc99_showfloor()
-        with pytest.warns(DeprecationWarning, match="dpss_cache_bytes"):
-            svc = ServiceCampaign(
-                name="legacy", base=base, dpss_cache_bytes=64 * MB
-            )
-        assert svc.site.dpss_cache_bytes == 64 * MB
-
-    def test_service_rejects_both_forms(self):
-        from repro.config import TopologyConfig
-        from repro.service import ServiceCampaign
-        from repro.util.units import MB
-
-        base = CampaignConfig.sc99_showfloor()
-        with pytest.raises(ValueError, match="not both"):
-            ServiceCampaign(
-                name="legacy",
-                base=base,
-                dpss_cache_bytes=64 * MB,
-                topology=TopologyConfig.single_site(
-                    dpss_cache_bytes=64 * MB
-                ),
-            )
 
 
 class TestCampaignRegistry:

@@ -265,3 +265,46 @@ class TestUnstripedParity:
         assert delivered["hedged"] == pytest.approx(delivered["off"])
         assert delivered["eager"] == pytest.approx(delivered["off"])
         assert results["off"].nbytes == results["hedged"].nbytes
+
+
+class TestFlakyDrillTail:
+    """PR 9's headline, on the whole ``sc99-flaky`` campaign: a slow or
+    crashed server costs a reconstruction, not a timeout+retry round
+    trip, so the p99 DPSS read stays at the fault-free figure. Every
+    quantity here is simulated, hence exact and host-independent."""
+
+    SLOWBURN = FaultPlan.of(
+        [ServerSlowdown(at=0.2, duration=30.0, server="dpss1", factor=0.02)]
+    )
+
+    @pytest.fixture(scope="class")
+    def drill(self):
+        from repro.core.campaign import named_campaign, run_campaign
+
+        flaky = named_campaign("sc99-flaky").with_changes(n_timesteps=4)
+        clean = flaky.with_changes(faults=None, policy=None)
+        striped = StripeConfig.from_spec("4+1")
+        return {
+            "clean": run_campaign(clean),
+            "clean_striped": run_campaign(clean.with_changes(stripe=striped)),
+            "flaky": run_campaign(flaky),
+            "flaky_striped": run_campaign(flaky.with_changes(stripe=striped)),
+            "slowburn_striped": run_campaign(
+                flaky.with_changes(faults=self.SLOWBURN, stripe=striped)
+            ),
+        }
+
+    def test_flaky_striped_tail_stays_at_the_clean_baseline(self, drill):
+        assert drill["flaky_striped"].read_p99 <= 1.25 * drill["clean"].read_p99
+        assert drill["flaky_striped"].retries == 0
+
+    def test_reconstruct_beats_retry_on_the_tail(self, drill):
+        assert drill["flaky"].retries > 0
+        assert drill["flaky"].read_p99 >= 2.0 * drill["flaky_striped"].read_p99
+
+    def test_hedged_reads_are_free_when_nothing_fails(self, drill):
+        assert drill["clean"].read_p99 >= 0.9 * drill["clean_striped"].read_p99
+
+    def test_single_slow_server_is_fully_masked(self, drill):
+        assert drill["slowburn_striped"].reconstructions > 0
+        assert drill["slowburn_striped"].degraded_frames == 0

@@ -1,7 +1,8 @@
 """Integration tests: the live Visapult pipeline on localhost sockets."""
 
+import threading
+
 import numpy as np
-import pytest
 
 from repro.datagen import (
     CombustionConfig,
@@ -13,18 +14,23 @@ from repro.live import LiveBackEnd, LiveViewer
 from repro.netlogger import NetLogDaemon, EventLog, Tags
 
 
-def make_source(shape=(24, 24, 24), steps=3):
+def make_source(shape=(24, 24, 24), steps=3, on_materialise=None):
     cfg = CombustionConfig(shape=shape)
     meta = TimeSeriesMeta(name="live", shape=shape, n_timesteps=steps)
-    return SyntheticTimeSeries(meta, lambda t: combustion_field(t, cfg),
-                               dt=0.5)
+
+    def field(t):
+        if on_materialise is not None:
+            on_materialise()
+        return combustion_field(t, cfg)
+
+    return SyntheticTimeSeries(meta, field, dt=0.5)
 
 
 def run_pipeline(
     n_pes=2, steps=3, overlapped=False, with_depth=False,
-    send_grid=False, feedback=False, daemon=None,
+    send_grid=False, feedback=False, daemon=None, on_materialise=None,
 ):
-    source = make_source(steps=steps)
+    source = make_source(steps=steps, on_materialise=on_materialise)
     viewer = LiveViewer(
         send_axis_feedback=feedback, frame_size=64,
         use_depth_meshes=with_depth, daemon=daemon,
@@ -88,23 +94,40 @@ class TestOverlappedPipeline:
         )
 
     def test_overlapped_netlogger_shows_pipeline(self):
+        """The Appendix B prefetch, as ``_run_overlapped`` guarantees it
+        (not as the thread scheduler happens to time it): the load of
+        frame N+1 is requested after BE_FRAME_START(N) and joined before
+        BE_FRAME_START(N+1), so it lies wholly inside frame N's
+        lifeline, and it runs on the reader thread, not the PE's."""
         daemon = NetLogDaemon()
-        run_pipeline(n_pes=2, steps=4, overlapped=True, daemon=daemon)
-        log = EventLog(daemon.sorted_events())
-        # Load for frame N+1 starts before frame N's heavy send ends
-        # somewhere in the run (the Appendix B overlap).
-        loads = {
-            (e.get("rank"), e.get("frame")): e.ts
-            for e in log.filter(event=Tags.BE_LOAD_START).events
-        }
-        heavies = {
-            (e.get("rank"), e.get("frame")): e.ts
-            for e in log.filter(event=Tags.BE_HEAVY_END).events
-        }
-        assert any(
-            loads.get((rank, frame + 1), float("inf")) < heavies[(rank, frame)]
-            for (rank, frame) in heavies
+        loaders = set()
+        run_pipeline(
+            n_pes=2, steps=4, overlapped=True, daemon=daemon,
+            on_materialise=lambda: loaders.add(
+                threading.current_thread().name
+            ),
         )
+        log = EventLog(daemon.sorted_events())
+
+        def stamps(tag):
+            return {
+                (e.get("rank"), e.get("frame")): e.ts
+                for e in log.filter(event=tag).events
+            }
+
+        frame_start = stamps(Tags.BE_FRAME_START)
+        load_start = stamps(Tags.BE_LOAD_START)
+        load_end = stamps(Tags.BE_LOAD_END)
+        assert len(frame_start) == len(load_start) == len(load_end) == 8
+        for rank in range(2):
+            for frame in range(3):
+                assert (
+                    frame_start[rank, frame]
+                    <= load_start[rank, frame + 1]
+                    <= load_end[rank, frame + 1]
+                    <= frame_start[rank, frame + 1]
+                )
+        assert loaders and loaders <= {"reader-0", "reader-1"}
 
 
 class TestExtensions:

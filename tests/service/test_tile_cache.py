@@ -1,6 +1,8 @@
 """Tile-keyed render cache: mixed-size budgets, per-tile coalescing,
 and cross-frustum reuse (DESIGN.md section 13)."""
 
+import math
+
 from repro.service import CacheConfig, RenderCache
 from repro.simcore import Environment
 from repro.volren.tiles import TileGrid
@@ -150,13 +152,17 @@ class TestOverlappingFrusta:
     FRUSTUM_A = (0.0, 0.0, 0.75, 1.0)
     FRUSTUM_B = (0.25, 0.0, 1.0, 1.0)
 
+    @staticmethod
+    def view(cache, grid, frame, frustum):
+        for tid in grid.tiles_in_rect(*frustum):
+            key = tile_key(grid, frame, tid)
+            if cache.begin(key, tile=tid).status == "lead":
+                cache.publish(key, tile_bytes(grid, tid))
+
     def drive(self, cache, frames):
         for frame in range(frames):
             for frustum in (self.FRUSTUM_A, self.FRUSTUM_B):
-                for tid in self.GRID.tiles_in_rect(*frustum):
-                    key = tile_key(self.GRID, frame, tid)
-                    if cache.begin(key, tile=tid).status == "lead":
-                        cache.publish(key, tile_bytes(self.GRID, tid))
+                self.view(cache, self.GRID, frame, frustum)
 
     def test_cold_pass_hits_only_the_shared_tiles(self):
         _, cache = make_cache(1 << 24)
@@ -181,6 +187,30 @@ class TestOverlappingFrusta:
         warm_ratio = warm_hits / warm_lookups
         assert warm_ratio == 1.0
         assert warm_ratio > cold_ratio
+
+    def test_orbiting_frusta_share_cold_and_replay_perfectly(self):
+        """PR 6's orbit-cache floor: two viewers orbit a quarter turn
+        apart over a 128^2 / 16 px grid; the trailing one hits tiles
+        the leading one rendered, and a replayed orbit never misses."""
+        grid = TileGrid(width=128, height=128, tile_size=16)
+        steps, span = 8, 0.6
+        _, cache = make_cache(1 << 24)
+
+        def orbit():
+            for step in range(steps):
+                for phase in (0.0, math.pi / 2.0):
+                    lo = (1.0 - span) * 0.5 * (
+                        1.0 + math.cos(2.0 * math.pi * step / steps + phase)
+                    )
+                    self.view(cache, grid, step, (lo, 0.0, lo + span, 1.0))
+
+        orbit()
+        cold_hits, cold_lookups = cache.stats.hits, cache.stats.lookups
+        orbit()
+        warm_hits = cache.stats.hits - cold_hits
+        warm_lookups = cache.stats.lookups - cold_lookups
+        assert 0 < cold_hits < cold_lookups
+        assert warm_hits == warm_lookups == cold_lookups > 0
 
     def test_disjoint_frusta_share_nothing(self):
         _, cache = make_cache(1 << 24)

@@ -81,66 +81,30 @@ class TestServeSim:
         assert "unknown campaign" in capsys.readouterr().err
 
 
-class TestBench:
-    def test_quick_micro_suite_writes_json(self, capsys, tmp_path, monkeypatch):
-        # tiny workloads: this exercises the plumbing, not the numbers
-        import repro.core.bench as bench
+class TestTileFlags:
+    """Bad tile flags exit 2 with one line, like a bad --stripe."""
 
-        def fast_suite(*, quick, e2e):
-            assert quick and not e2e
-            return {
-                "suite": "fluid-allocator",
-                "quick": True,
-                "benchmarks": {
-                    "disjoint_sessions": {
-                        "oracle_s": 1.0, "incremental_s": 0.2, "speedup": 5.0
-                    }
-                },
-            }
-
-        monkeypatch.setattr(bench, "run_suite", fast_suite)
-        json_path = tmp_path / "BENCH_fluid.json"
-        code = main(["bench", "--quick", "--no-e2e",
-                     "--output", str(json_path)])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "disjoint_sessions" in out and "5.00x" in out
-        import json
-
-        payload = json.loads(json_path.read_text())
-        assert payload["benchmarks"]["disjoint_sessions"]["speedup"] == 5.0
-
-    def test_check_fails_on_regression(self, capsys, tmp_path, monkeypatch):
-        import repro.core.bench as bench
-
-        monkeypatch.setattr(
-            bench,
-            "run_suite",
-            lambda *, quick, e2e: {
-                "benchmarks": {
-                    "disjoint_sessions": {
-                        "oracle_s": 1.0, "incremental_s": 1.0, "speedup": 1.0
-                    }
-                }
-            },
-        )
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"disjoint_sessions": 5.0}\n')
-        code = main(["bench", "--quick", "--no-e2e", "--check",
-                     "--baseline", str(baseline)])
-        assert code == 1
-        assert "regressions" in capsys.readouterr().err
-
-    def test_check_missing_baseline(self, capsys, tmp_path, monkeypatch):
-        import repro.core.bench as bench
-
-        monkeypatch.setattr(
-            bench, "run_suite", lambda *, quick, e2e: {"benchmarks": {}}
-        )
-        code = main(["bench", "--no-e2e", "--check",
-                     "--baseline", str(tmp_path / "absent.json")])
-        assert code == 2
-        assert "cannot read baseline" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["campaign", "lan_e4500", "--scaled", "--frames", "1",
+              "--tiles", "--tile-size", "0"], "tile_size must be >= 1"),
+            (["campaign", "lan_e4500", "--scaled", "--frames", "1",
+              "--tile-size", "0"], "--tile-size requires --tiles"),
+            (["serve-sim", "sc99-multiviewer", "--tiles",
+              "--tile-size", "0"], "tile_size must be >= 1"),
+            (["serve-sim", "sc99-multiviewer", "--tile-size", "8"],
+             "--tile-size requires --tiles"),
+            (["serve-sim", "sc99-serve10k", "--tile-size", "8"],
+             "--tile-size requires --tiles"),
+        ],
+    )
+    def test_rejected_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert captured.err.count("\n") == 1  # one line, no traceback
 
 
 class TestIperf:
@@ -193,6 +157,13 @@ class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        # the in-package perf suites were retired for bench/run.py
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
