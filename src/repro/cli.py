@@ -38,39 +38,29 @@ def cmd_list(_args) -> int:
     return 0
 
 
-def _write_payload(path: str, payload, label: str) -> None:
+def _write_payload(path: str, payload) -> None:
     import json
 
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    print(f"{label} -> {path}")
+    print(f"{payload['kind']} metrics -> {path}")
 
 
-def _result_to_payload(result):
-    """The versioned JSON envelope for any campaign result kind."""
-    from repro.service.metrics import result_payload
-
-    if hasattr(result, "to_payload"):  # ShardResult
-        return result.to_payload()
-    service = getattr(result, "service", None)
-    if service is not None:  # ServiceResult
-        return result_payload("service", service)
-    return result_payload("campaign", result.metrics_dict())
-
-
-def _tile_flags_error(args) -> Optional[str]:
-    """Why ``--tiles`` / ``--tile-size`` cannot be honoured, if so."""
-    if args.tile_size is None:
-        return None
-    if not args.tiles:
-        return "--tile-size requires --tiles"
-    from repro.config import TileConfig
-
-    try:
-        TileConfig(tile_size=args.tile_size)
-    except ValueError as exc:
-        return str(exc)
+def _resolved(args, resolve):
+    """``resolve()``'s campaign config, or ``None`` after one stderr
+    line saying why the flags cannot be honoured (exit 2, no
+    traceback)."""
+    if args.tile_size is not None and not args.tiles:
+        error = "--tile-size requires --tiles"
+    else:
+        try:
+            return resolve()
+        except KeyError as exc:
+            error = f"{exc.args[0]}; try 'visapult list'"
+        except ValueError as exc:
+            error = str(exc)
+    print(error, file=sys.stderr)
     return None
 
 
@@ -107,22 +97,8 @@ def cmd_campaign(args) -> int:
         tile_size=args.tile_size,
         stripe=args.stripe,
     )
-    if args.stripe is not None:
-        from repro.config import StripeConfig
-
-        try:
-            StripeConfig.from_spec(args.stripe)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    tile_error = _tile_flags_error(args)
-    if tile_error is not None:
-        print(tile_error, file=sys.stderr)
-        return 2
-    try:
-        config = experiment.to_campaign_config()
-    except KeyError as exc:
-        print(f"{exc.args[0]}; try 'visapult list'", file=sys.stderr)
+    config = _resolved(args, experiment.to_campaign_config)
+    if config is None:
         return 2
     result = run_campaign(
         config,
@@ -132,7 +108,7 @@ def cmd_campaign(args) -> int:
     )
     print(result.summary())
     if args.json is not None:
-        _write_payload(args.json, _result_to_payload(result), "result")
+        _write_payload(args.json, result.to_payload())
     if args.nlv and hasattr(result, "event_log"):
         print()
         print(lifeline_plot(result.event_log, width=args.width))
@@ -148,146 +124,57 @@ def cmd_campaign(args) -> int:
     return 0
 
 
-def _serve_shard(args, config) -> int:
-    """serve-sim over a :class:`~repro.service.shard.ShardCampaign`."""
-    from repro.config import FlowClassConfig, named_topology
-    from repro.core import run_campaign
-
-    for flag in ("scaled", "no_cache", "tiles", "stripe"):
-        if getattr(args, flag):
-            print(
-                f"--{flag.replace('_', '-')} applies to full-world "
-                "service campaigns, not shard campaigns",
-                file=sys.stderr,
-            )
-            return 2
-    if args.topology is not None:
-        from dataclasses import replace
-
-        try:
-            topology = named_topology(args.topology)
-        except KeyError as exc:
-            print(f"{exc.args[0]}; try 'visapult list'", file=sys.stderr)
-            return 2
-        # Profiles pinned to sites the new topology lacks fall back
-        # to round-robin homing.
-        known = set(topology.site_names)
-        profiles = tuple(
-            replace(p, region=None)
-            if p.region is not None and p.region not in known
-            else p
-            for p in config.workload.profiles
-        )
-        config = config.with_changes(
-            topology=topology,
-            workload=config.workload.with_changes(profiles=profiles),
-        )
-    if args.flow_classes is not None:
-        config = config.with_changes(
-            flow_classes=FlowClassConfig(
-                enabled=args.flow_classes == "on"
-            )
-        )
-    sessions = args.sessions if args.sessions is not None else args.viewers
-    if sessions is not None:
-        config = config.with_changes(
-            workload=config.workload.with_changes(n_viewers=sessions)
-        )
-    if args.frames is not None:
-        config = config.with_changes(frames=args.frames)
-    if args.seed is not None:
-        config = config.with_changes(seed=args.seed)
-    result = run_campaign(config, ulm_path=args.ulm)
-    print(result.summary())
-    if args.json is not None:
-        _write_payload(args.json, result.to_payload(), "shard metrics")
-    return 0
-
-
 def cmd_serve(args) -> int:
-    from repro.core import named_campaign, run_campaign
+    from repro.config import ExperimentConfig
+    from repro.core import CampaignConfig, run_campaign
     from repro.service import CacheConfig, ServiceCampaign
-    from repro.service.shard import ShardCampaign
 
-    try:
-        config = named_campaign(args.name)
-    except KeyError as exc:
-        print(f"{exc.args[0]}; try 'visapult list'", file=sys.stderr)
-        return 2
-    tile_error = _tile_flags_error(args)
-    if tile_error is not None:
-        print(tile_error, file=sys.stderr)
-        return 2
-    if isinstance(config, ShardCampaign):
-        return _serve_shard(args, config)
-    if not isinstance(config, ServiceCampaign):
-        print(
-            f"{args.name!r} is a single-session campaign; "
-            "use 'visapult campaign'",
-            file=sys.stderr,
-        )
-        return 2
-    if (
-        args.topology is not None
-        or args.flow_classes is not None
-        or args.sessions is not None
-    ):
-        print(
-            f"{args.name!r} is a full-world service campaign; "
-            "--topology/--flow-classes/--sessions apply to shard "
-            "campaigns (try sc99-serve10k)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.viewers is not None:
-        config = config.with_changes(
-            workload=config.workload.with_changes(n_viewers=args.viewers)
-        )
-    if args.frames is not None:
-        config = config.with_changes(
-            base=config.base.with_changes(n_timesteps=args.frames)
-        )
-    if args.scaled:
-        frames = args.frames or config.base.n_timesteps
-        config = config.with_changes(
-            base=config.base.with_changes(
-                shape=(160, 64, 64), dataset_timesteps=max(frames, 8)
+    experiment = ExperimentConfig(
+        campaign=args.name,
+        frames=args.frames,
+        scaled=args.scaled,
+        seed=args.seed,
+        tiles=args.tiles,
+        tile_size=args.tile_size,
+        stripe=args.stripe,
+        topology=args.topology,
+        flow_classes=(
+            None if args.flow_classes is None
+            else args.flow_classes == "on"
+        ),
+    )
+
+    def resolve():
+        config = experiment.to_campaign_config()
+        if isinstance(config, CampaignConfig):
+            raise ValueError(
+                f"{args.name!r} is a single-session campaign; "
+                "use 'visapult campaign'"
             )
-        )
-    if args.no_cache:
-        config = config.with_changes(cache=CacheConfig(enabled=False))
-    if args.tiles:
-        from repro.config import TileConfig
+        # The two CLI-only flags: the population size and the cache.
+        viewers = args.sessions if args.sessions is not None else args.viewers
+        if viewers is not None:
+            config = config.with_changes(
+                workload=config.workload.with_changes(n_viewers=viewers)
+            )
+        if args.no_cache:
+            if not isinstance(config, ServiceCampaign):
+                raise ValueError(
+                    "--no-cache applies to full-world service campaigns, "
+                    "not shard campaigns"
+                )
+            config = config.with_changes(cache=CacheConfig(enabled=False))
+        return config
 
-        tiles = TileConfig(
-            enabled=True,
-            **({"tile_size": args.tile_size}
-               if args.tile_size is not None else {}),
-        )
-        config = config.with_changes(
-            base=config.base.with_changes(tiles=tiles)
-        )
-    if args.stripe is not None:
-        from repro.config import StripeConfig
-
-        try:
-            stripe = StripeConfig.from_spec(args.stripe)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        config = config.with_changes(
-            base=config.base.with_changes(stripe=stripe)
-        )
-    if args.seed is not None:
-        config = config.with_changes(seed=args.seed)
+    config = _resolved(args, resolve)
+    if config is None:
+        return 2
     result = run_campaign(
         config, ulm_path=args.ulm, alloc_stats=args.alloc_stats
     )
     print(result.summary())
     if args.json is not None:
-        _write_payload(
-            args.json, _result_to_payload(result), "service metrics"
-        )
+        _write_payload(args.json, result.to_payload())
     return 0
 
 
@@ -497,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "sessions into flow classes (on) or run the "
                         "per-session oracle allocator (off)")
     p.add_argument("--sessions", type=int, default=None,
-                   help="shard campaigns: total offered sessions "
-                        "(alias of --viewers)")
+                   help="total offered sessions (alias of --viewers)")
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser(

@@ -226,8 +226,7 @@ class SiteSpec:
     and a :class:`SiteSpec` names one such point of presence. Rates
     are bytes/s; ``max_sessions``/``queue_depth`` drive the site's
     Icarus-style admission gate (``None`` = unlimited slots);
-    ``cache_bytes`` sizes the site's edge render cache (0 = off);
-    ``dpss_cache_bytes`` warms the site's DPSS block servers.
+    ``cache_bytes`` sizes the site's edge render cache (0 = off).
     """
 
     name: str
@@ -236,13 +235,11 @@ class SiteSpec:
     max_sessions: Optional[int] = None
     queue_depth: int = 0
     cache_bytes: float = 0.0
-    dpss_cache_bytes: float = 0.0
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("site name must be non-empty")
-        for attr in ("dpss_rate", "edge_rate", "cache_bytes",
-                     "dpss_cache_bytes"):
+        for attr in ("dpss_rate", "edge_rate", "cache_bytes"):
             if getattr(self, attr) < 0:
                 raise ValueError(
                     f"{attr} must be >= 0, got {getattr(self, attr)}"
@@ -571,12 +568,6 @@ class ExperimentConfig:
             out["flow_classes"] = self.flow_classes
         return json.dumps(out, indent=indent)
 
-    def _stripe_config(self) -> Optional[StripeConfig]:
-        """The StripeConfig implied by the JSON-level stripe spec."""
-        if self.stripe is None:
-            return None
-        return StripeConfig.from_spec(self.stripe)
-
     def _tile_config(self) -> Optional[TileConfig]:
         """The TileConfig implied by the JSON-level tile knobs."""
         if not self.tiles and self.tile_size is None:
@@ -587,15 +578,51 @@ class ExperimentConfig:
         return TileConfig(**kwargs)
 
     def to_campaign_config(self):
-        """Resolve to a concrete :class:`~repro.core.campaign.CampaignConfig`."""
+        """Resolve to the concrete campaign config the registry names:
+        a :class:`~repro.core.campaign.CampaignConfig`, a
+        :class:`~repro.service.ServiceCampaign` or a
+        :class:`~repro.service.shard.ShardCampaign`, overrides applied.
+
+        The one override resolver -- ``visapult campaign``,
+        ``visapult serve-sim`` and :func:`repro.api.run_experiment` all
+        come through here. A knob the campaign kind cannot honour is
+        refused by name with a :class:`ValueError`.
+        """
         from repro.core.campaign import named_campaign
 
         config = named_campaign(self.campaign, overlapped=self.overlapped)
+        changes: Dict[str, Any] = {}
         if hasattr(config, "flow_classes"):
-            # A shard campaign: topology-first knobs apply directly.
-            changes: Dict[str, Any] = {}
+            # A shard campaign models flows, not pipelines: the
+            # single-session knobs have nothing to act on.
+            ignored = [
+                name
+                for name in ("scaled", "tiles", "tile_size", "faults",
+                             "policy", "stripe")
+                if getattr(self, name) is not None
+                and getattr(self, name) is not False
+            ]
+            if ignored:
+                raise ValueError(
+                    f"campaign {self.campaign!r} is a shard campaign; "
+                    f"{', '.join(ignored)} "
+                    f"{'applies' if len(ignored) == 1 else 'apply'} to "
+                    f"single-session and service campaigns only"
+                )
             if self.topology is not None:
-                changes["topology"] = named_topology(self.topology)
+                topology = named_topology(self.topology)
+                changes["topology"] = topology
+                # Profiles pinned to sites the new topology lacks fall
+                # back to round-robin homing.
+                known = set(topology.site_names)
+                changes["workload"] = config.workload.with_changes(
+                    profiles=tuple(
+                        replace(p, region=None)
+                        if p.region is not None and p.region not in known
+                        else p
+                        for p in config.workload.profiles
+                    )
+                )
             if self.flow_classes is not None:
                 changes["flow_classes"] = FlowClassConfig(
                     enabled=self.flow_classes
@@ -604,57 +631,25 @@ class ExperimentConfig:
                 changes["seed"] = self.seed
             if self.frames is not None:
                 changes["frames"] = self.frames
-            if self.stripe is not None:
-                raise ValueError(
-                    f"campaign {self.campaign!r} is a shard campaign; "
-                    f"striping applies to single-session and service "
-                    f"campaigns only"
-                )
             return config.with_changes(**changes) if changes else config
         if self.topology is not None or self.flow_classes is not None:
             raise ValueError(
                 f"campaign {self.campaign!r} is not a shard campaign; "
                 f"topology/flow_classes apply to shard campaigns only"
             )
-        if not hasattr(config, "n_timesteps"):
-            # A service campaign: the single-session knobs apply to its
-            # base config, the seed to the service run as a whole.
-            base_changes: Dict[str, Any] = {}
-            if self.frames is not None:
-                base_changes["n_timesteps"] = self.frames
-            if self.scaled:
-                base_changes["shape"] = (160, 64, 64)
-                base_changes["dataset_timesteps"] = max(
-                    self.frames if self.frames is not None
-                    else config.base.n_timesteps,
-                    8,
-                )
-            if self.faults is not None:
-                base_changes["faults"] = self.faults
-            if self.policy is not None:
-                base_changes["policy"] = self.policy
-            tiles = self._tile_config()
-            if tiles is not None:
-                base_changes["tiles"] = tiles
-            stripe = self._stripe_config()
-            if stripe is not None:
-                base_changes["stripe"] = stripe
-            if base_changes:
-                config = config.with_changes(
-                    base=config.base.with_changes(**base_changes)
-                )
-            if self.seed is not None:
-                config = config.with_changes(seed=self.seed)
-            return config
-        changes: Dict[str, Any] = {}
-        frames = self.frames if self.frames is not None else config.n_timesteps
+        # The single-session knobs apply to a CampaignConfig directly
+        # and to a service campaign's base; the seed goes to whichever
+        # the run as a whole derives from.
+        base = getattr(config, "base", config)
         if self.frames is not None:
             changes["n_timesteps"] = self.frames
         if self.scaled:
             changes["shape"] = (160, 64, 64)
-            changes["dataset_timesteps"] = max(frames, 8)
-        if self.seed is not None:
-            changes["seed"] = self.seed
+            changes["dataset_timesteps"] = max(
+                self.frames if self.frames is not None
+                else base.n_timesteps,
+                8,
+            )
         if self.faults is not None:
             changes["faults"] = self.faults
         if self.policy is not None:
@@ -662,7 +657,10 @@ class ExperimentConfig:
         tiles = self._tile_config()
         if tiles is not None:
             changes["tiles"] = tiles
-        stripe = self._stripe_config()
-        if stripe is not None:
-            changes["stripe"] = stripe
+        if self.stripe is not None:
+            changes["stripe"] = StripeConfig.from_spec(self.stripe)
+        if base is not config and changes:
+            changes = {"base": base.with_changes(**changes)}
+        if self.seed is not None:
+            changes["seed"] = self.seed
         return config.with_changes(**changes) if changes else config

@@ -5,12 +5,21 @@ path, a compute platform running the back end, and a viewer. The named
 constructors below correspond to the experiments of sections 4.1-4.4;
 :func:`run_campaign` wires everything onto a fresh simulator, runs the
 frame loop, and returns a :class:`~repro.core.report.CampaignResult`.
+
+This module owns construction of the full-fidelity world, for one
+viewer or many: :func:`build_world` builds the shared half (DPSS site,
+WAN, PE pool, dataset, fault injector), :func:`attach_session` adds
+one viewer and its back end, and :func:`run_observed` wraps a run in
+the sanitizer / allocator-stats / ULM observers. A one-viewer campaign
+(:func:`build_session`) is one world plus one ``attach_session``; the
+serving layer (:mod:`repro.service.manager`) calls the same two
+functions once per admitted session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.backend.sim import SimBackEnd
 from repro.config import (
@@ -32,6 +41,7 @@ from repro.core.platforms import (
 from repro.core.report import CampaignResult
 from repro.datagen.timeseries import TimeSeriesMeta
 from repro.dpss.blocks import DpssDataset
+from repro.dpss.health import HealthTracker
 from repro.dpss.master import DpssMaster
 from repro.dpss.server import DpssServer
 from repro.faults.injector import FaultInjector
@@ -44,12 +54,17 @@ from repro.faults.plan import (
 )
 from repro.faults.policy import RequestPolicy
 from repro.netlogger.daemon import NetLogDaemon
+from repro.netlogger.events import Tags
+from repro.netlogger.logger import NetLogger
 from repro.netsim.host import Host
 from repro.netsim.link import Link
 from repro.netsim.tcp import TcpParams
 from repro.netsim.topology import Network
 from repro.util.units import KIB, mbps
 from repro.viewer.sim import SimViewer
+
+if TYPE_CHECKING:  # pragma: no cover - repro.service imports this module
+    from repro.service.cache import RenderCache
 
 #: the paper's combustion dataset: 640x256x256 floats, 265 steps
 PAPER_SHAPE: Tuple[int, int, int] = (640, 256, 256)
@@ -294,12 +309,43 @@ def named_campaign(name: str, *, overlapped: bool = False):
     return factory(overlapped)
 
 
-def build_session(config: CampaignConfig):
-    """Construct the simulated world for a campaign.
+@dataclass
+class World:
+    """The shared half of a campaign: one DPSS site, WAN and PE pool.
 
-    Returns ``(network, backend, viewer, daemon)`` ready to run;
-    :func:`run_campaign` is the one-call wrapper.
+    Every viewer session -- the campaign's one, or each of a service's
+    N -- binds to the same world through :func:`attach_session`.
     """
+
+    config: CampaignConfig
+    net: Network
+    daemon: NetLogDaemon
+    master: DpssMaster
+    dpss_lan: Link
+    wan: Link
+    pe_hosts: List[Host]
+    #: the enabled stripe config, or ``None`` for the unstriped site
+    stripe: Optional[StripeConfig]
+    policy: Optional[RequestPolicy]
+    health: Optional[HealthTracker]
+
+
+def _wan_link(name: str, spec: WanSpec, *, monitor: bool = False) -> Link:
+    return Link(
+        name,
+        rate=spec.rate,
+        latency=spec.latency,
+        efficiency=spec.efficiency,
+        background_rate=spec.background_rate,
+        monitor=monitor,
+    )
+
+
+def build_world(config: CampaignConfig) -> World:
+    """Construct what every session of a campaign shares: the DPSS
+    site, the WAN, the PE pool and its routes, the registered dataset,
+    the request-policy default, the health tracker and the fault
+    injector. Viewers come later, one :func:`attach_session` each."""
     net = Network()
     daemon = NetLogDaemon()
 
@@ -337,16 +383,7 @@ def build_session(config: CampaignConfig):
         master.add_server(server)
 
     # --- WAN ----------------------------------------------------------
-    wan = net.add_link(
-        Link(
-            config.wan.name,
-            rate=config.wan.rate,
-            latency=config.wan.latency,
-            efficiency=config.wan.efficiency,
-            background_rate=config.wan.background_rate,
-            monitor=True,
-        )
-    )
+    wan = net.add_link(_wan_link(config.wan.name, config.wan, monitor=True))
 
     # --- compute platform ----------------------------------------------
     plat = config.platform
@@ -382,29 +419,6 @@ def build_session(config: CampaignConfig):
         for i in range(n_servers):
             net.add_route(f"dpss{i}", host, [dpss_lan, wan])
 
-    # --- viewer ---------------------------------------------------------
-    viewer_host = net.add_host(Host("viewer", nic_rate=mbps(100.0)))
-    if config.viewer_remote:
-        vwan_spec = config.viewer_wan or config.wan
-        viewer_wan = net.add_link(
-            Link(
-                f"viewer-{vwan_spec.name}",
-                rate=vwan_spec.rate,
-                latency=vwan_spec.latency,
-                efficiency=vwan_spec.efficiency,
-                background_rate=vwan_spec.background_rate,
-            )
-        )
-        viewer_links = [viewer_wan]
-    else:
-        viewer_lan = net.add_link(
-            Link("viewer-lan", rate=mbps(1000.0), latency=0.0001)
-        )
-        viewer_links = [viewer_lan]
-    for host in dict.fromkeys(h.name for h in pe_hosts):
-        net.add_route(host, "viewer", viewer_links)
-    net.add_route("dpss-master", "viewer", [dpss_lan, wan])
-
     # --- dataset ---------------------------------------------------------
     # A non-empty fault plan turns on dataset replication so failovers
     # and hedged reads have somewhere to go; an empty (or absent) plan
@@ -422,16 +436,11 @@ def build_session(config: CampaignConfig):
         stripe=stripe,
     )
 
-    # --- endpoints ---------------------------------------------------------
-    tcp = TcpParams(max_window=config.wan.tcp_window)
     policy = config.policy
     if policy is None and active_faults is not None:
         policy = RequestPolicy()
     health = None
     if stripe is not None:
-        from repro.dpss.health import HealthTracker
-        from repro.netlogger.logger import NetLogger
-
         health = HealthTracker(
             now=lambda: net.env.now,
             half_life=stripe.health_half_life,
@@ -440,45 +449,11 @@ def build_session(config: CampaignConfig):
                 clock=lambda: net.env.now, daemon=daemon,
             ),
         )
-    viewer = SimViewer(
-        net, "viewer", daemon=daemon,
-        config=NetworkConfig(tcp=TcpParams(max_window=1024 * KIB)),
-    )
-    backend = SimBackEnd(
-        net,
-        pe_hosts,
-        master,
-        meta.name,
-        viewer,
-        meta,
-        daemon=daemon,
-        render_cost=plat.render_cost_model(),
-        config=BackendConfig(
-            n_timesteps=config.n_timesteps,
-            overlapped=config.overlapped,
-            overlap_depth=config.overlap_depth,
-            mpi_only_overlap=config.mpi_only_overlap,
-            overlap_render_share=(
-                plat.overlap_render_share if config.overlapped else 1.0
-            ),
-            overlap_ingest_factor=(
-                plat.overlap_ingest_factor if config.overlapped else 1.0
-            ),
-            load_jitter_cv=(
-                plat.overlap_jitter_cv if config.overlapped else 0.0
-            ),
-            seed=config.seed,
-            network=NetworkConfig(
-                tcp=tcp, policy=policy,
-                stripe=stripe if stripe is not None else StripeConfig(),
-            ),
-            tiles=config.tiles if config.tiles is not None else TileConfig(),
-        ),
-        health=health,
-    )
 
     # --- faults ----------------------------------------------------------
     if active_faults is not None:
+        # Aliases resolve when a fault fires, so the viewer's last-mile
+        # link can be named before attach_session adds it.
         aliases = {"wan": config.wan.name}
         if config.viewer_remote:
             vspec = config.viewer_wan or config.wan
@@ -493,7 +468,115 @@ def build_session(config: CampaignConfig):
             injector.observers.append(health.observe_fault)
         injector.start()
         net.fault_injector = injector
-    return net, backend, viewer, daemon
+    return World(
+        config=config, net=net, daemon=daemon, master=master,
+        dpss_lan=dpss_lan, wan=wan, pe_hosts=pe_hosts, stripe=stripe,
+        policy=policy, health=health,
+    )
+
+
+def attach_session(
+    world: World,
+    *,
+    viewer_name: str,
+    viewer_wan: Optional[WanSpec],
+    n_timesteps: int,
+    seed: int,
+    tiles: Optional[TileConfig],
+    reserved_rate: float = 0.0,
+    render_cache: Optional["RenderCache"] = None,
+    session: Optional[str] = None,
+) -> Tuple[SimViewer, SimBackEnd]:
+    """Attach one viewer (host, last-mile link, routes) to ``world``
+    and bind a back end for it to the shared PE pool.
+
+    ``viewer_wan=None`` puts the viewer on a LAN next to the back end;
+    ``session`` labels the back end's NetLogger progs in multi-session
+    runs; ``reserved_rate`` is the session's QoS floor on DPSS reads.
+    """
+    config, net, daemon = world.config, world.net, world.daemon
+    net.add_host(Host(viewer_name, nic_rate=mbps(100.0)))
+    if viewer_wan is None:
+        viewer_link = net.add_link(
+            Link(f"{viewer_name}-lan", rate=mbps(1000.0), latency=0.0001)
+        )
+    else:
+        viewer_link = net.add_link(
+            _wan_link(f"{viewer_name}-{viewer_wan.name}", viewer_wan)
+        )
+    for host in dict.fromkeys(h.name for h in world.pe_hosts):
+        net.add_route(host, viewer_name, [viewer_link])
+    net.add_route("dpss-master", viewer_name, [world.dpss_lan, world.wan])
+
+    viewer = SimViewer(
+        net, viewer_name, daemon=daemon,
+        config=NetworkConfig(tcp=TcpParams(max_window=1024 * KIB)),
+    )
+    plat = config.platform
+    meta = config.meta
+    backend = SimBackEnd(
+        net,
+        world.pe_hosts,
+        world.master,
+        meta.name,
+        viewer,
+        meta,
+        daemon=daemon,
+        render_cost=plat.render_cost_model(),
+        config=BackendConfig(
+            n_timesteps=n_timesteps,
+            overlapped=config.overlapped,
+            overlap_depth=config.overlap_depth,
+            mpi_only_overlap=config.mpi_only_overlap,
+            overlap_render_share=(
+                plat.overlap_render_share if config.overlapped else 1.0
+            ),
+            overlap_ingest_factor=(
+                plat.overlap_ingest_factor if config.overlapped else 1.0
+            ),
+            load_jitter_cv=(
+                plat.overlap_jitter_cv if config.overlapped else 0.0
+            ),
+            seed=seed,
+            network=NetworkConfig(
+                tcp=TcpParams(max_window=config.wan.tcp_window),
+                policy=world.policy,
+                reserved_rate=reserved_rate,
+                stripe=(
+                    world.stripe
+                    if world.stripe is not None
+                    else StripeConfig()
+                ),
+            ),
+            tiles=tiles if tiles is not None else TileConfig(),
+        ),
+        render_cache=render_cache,
+        session=session,
+        health=world.health,
+    )
+    return viewer, backend
+
+
+def build_session(config: CampaignConfig):
+    """Construct the simulated world for a one-viewer campaign.
+
+    Returns ``(network, backend, viewer, daemon)`` ready to run;
+    :func:`run_campaign` is the one-call wrapper.
+    """
+    world = build_world(config)
+    viewer, backend = attach_session(
+        world,
+        viewer_name="viewer",
+        viewer_wan=(
+            (config.viewer_wan or config.wan)
+            if config.viewer_remote
+            else None
+        ),
+        n_timesteps=config.n_timesteps,
+        seed=config.seed,
+        tiles=config.tiles,
+    )
+    return world.net, backend, viewer, world.daemon
 
 
 def attach_alloc_logger(net, daemon, *, sample_every: int = 200):
@@ -505,9 +588,6 @@ def attach_alloc_logger(net, daemon, *, sample_every: int = 200):
     that emits the end-of-run ``ALLOC_SUMMARY``; call it after the run,
     before writing ULM.
     """
-    from repro.netlogger.events import Tags
-    from repro.netlogger.logger import NetLogger
-
     logger = NetLogger(
         "scheduler", "alloc", clock=lambda: net.env.now, daemon=daemon
     )
@@ -528,6 +608,51 @@ def attach_alloc_logger(net, daemon, *, sample_every: int = 200):
         )
 
     return finalize
+
+
+def run_observed(
+    net: Network,
+    daemon: NetLogDaemon,
+    start: Callable[[], Any],
+    reduce: Callable[[], Any],
+    *,
+    sanitize: bool,
+    ulm_path: Optional[str],
+    alloc_stats: bool,
+) -> Any:
+    """Run ``start()``'s process to completion under the optional pure
+    observers, then ``reduce()`` the result.
+
+    The one place the sanitizer, the ``ALLOC_*`` logger and the ULM
+    writer are wired, for one viewer or N. Reduction comes before
+    ``sanitizer.report()`` so ``event_log`` matches the unsanitized run
+    exactly; the ``SAN_*`` events land in the daemon afterwards.
+    """
+    sanitizer = None
+    if sanitize:
+        from repro.analysis import attach_sanitizer
+
+        sanitizer = attach_sanitizer(
+            net.env,
+            logger=NetLogger(
+                "sanitizer",
+                "sanitizer",
+                clock=lambda: net.env.now,
+                daemon=daemon,
+            ),
+        )
+    finish_alloc = (
+        attach_alloc_logger(net, daemon) if alloc_stats else None
+    )
+    net.run(until=start())
+    if finish_alloc is not None:
+        finish_alloc()
+    if ulm_path is not None:
+        daemon.write_ulm(ulm_path)
+    result = reduce()
+    if sanitizer is not None:
+        result.sanitizer_findings = list(sanitizer.report().findings)
+    return result
 
 
 def run_campaign(
@@ -566,32 +691,12 @@ def run_campaign(
             alloc_stats=alloc_stats,
         )
     net, backend, viewer, daemon = build_session(config)
-    sanitizer = None
-    if sanitize:
-        from repro.analysis import attach_sanitizer
-        from repro.netlogger.logger import NetLogger
-
-        sanitizer = attach_sanitizer(
-            net.env,
-            logger=NetLogger(
-                "sanitizer",
-                "sanitizer",
-                clock=lambda: net.env.now,
-                daemon=daemon,
-            ),
-        )
-    finish_alloc = (
-        attach_alloc_logger(net, daemon) if alloc_stats else None
+    return run_observed(
+        net,
+        daemon,
+        backend.run,
+        lambda: CampaignResult.from_run(config, net, backend, viewer, daemon),
+        sanitize=sanitize,
+        ulm_path=ulm_path,
+        alloc_stats=alloc_stats,
     )
-    done = backend.run()
-    net.run(until=done)
-    if finish_alloc is not None:
-        finish_alloc()
-    if ulm_path is not None:
-        daemon.write_ulm(ulm_path)
-    result = CampaignResult.from_run(config, net, backend, viewer, daemon)
-    if sanitizer is not None:
-        # Reduce results first so event_log matches the unsanitized
-        # run exactly; the SAN_* events land in the daemon afterwards.
-        result.sanitizer_findings = list(sanitizer.report().findings)
-    return result

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Type, TypeVar
 
 import numpy as np
 
@@ -16,6 +16,24 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.netlogger.daemon import NetLogDaemon
     from repro.netsim.topology import Network
     from repro.viewer.sim import SimViewer
+
+
+_R = TypeVar("_R", bound="CampaignResult")
+
+#: per-feature counters :class:`~repro.backend.sim.BackEndTiming` and
+#: :class:`CampaignResult` carry under the same name; a result's value
+#: is the sum over the run's back ends
+FEATURE_COUNTERS = (
+    "retries",
+    "hedges",
+    "hedges_abandoned",
+    "reconstructions",
+    "parity_bytes",
+    "stripe_cancels",
+    "tiles_full",
+    "tiles_ref",
+    "tile_bytes_saved",
+)
 
 
 @dataclass
@@ -86,6 +104,33 @@ class CampaignResult:
         viewer: "SimViewer",
         daemon: "NetLogDaemon",
     ) -> "CampaignResult":
+        """Reduce a finished one-viewer run."""
+        return cls.reduce(
+            config,
+            network,
+            daemon,
+            [backend],
+            total_time=backend.timing.total_time,
+            n_frames=config.n_timesteps,
+            viewer_frames_complete=viewer.complete_frames(backend.n_pes),
+        )
+
+    @classmethod
+    def reduce(
+        cls: Type[_R],
+        config: "CampaignConfig",
+        network: "Network",
+        daemon: "NetLogDaemon",
+        backends: Sequence["SimBackEnd"],
+        *,
+        total_time: float,
+        n_frames: int,
+        viewer_frames_complete: int,
+        **extra: Any,
+    ) -> _R:
+        """Reduce the merged event stream and the back ends' timings of
+        a finished run -- one back end for a campaign, one per admitted
+        session for a service. ``extra`` carries a subclass's fields."""
         log = EventLog(daemon.events)
         per_frame_load = log.per_frame_load_times()
         per_frame_render = log.per_frame_render_times()
@@ -100,7 +145,7 @@ class CampaignResult:
 
         # Aggregate goodput while data was moving: bytes loaded over
         # the union span of load activity per frame, averaged.
-        bytes_per_frame = backend.meta.bytes_per_timestep
+        bytes_per_frame = config.meta.bytes_per_timestep
         load_rates = [
             bytes_per_frame / t for t in per_frame_load.values() if t > 0
         ]
@@ -109,11 +154,6 @@ class CampaignResult:
             if load_rates
             else 0.0
         )
-
-        wan_series = []
-        wan_link = network.links.get(config.wan.name)
-        if wan_link is not None:
-            wan_series = wan_link.resource.utilization_timeseries()
 
         inject_ts = [
             e.ts for e in log.events if e.event == "FAULT_INJECT"
@@ -124,10 +164,25 @@ class CampaignResult:
         ]
         recovery = max(fault_ts) - min(inject_ts) if inject_ts else 0.0
 
+        # Back-end timings add up by name: the two byte totals are
+        # renamed on the result, the feature counters keep their names.
+        totals: Dict[str, Any] = dict.fromkeys(
+            ("bytes_sent_to_viewer", "bytes_loaded") + FEATURE_COUNTERS, 0
+        )
+        reads: List[float] = []
+        # a frame is degraded per session: (session, frame) pairs
+        degraded = set()
+        for backend in backends:
+            timing = backend.timing
+            for name in totals:
+                totals[name] += getattr(timing, name)
+            reads += timing.read_seconds
+            for frame in timing.degraded_frames:
+                degraded.add((backend.session, frame))
         return cls(
             config=config,
-            total_time=backend.timing.total_time,
-            n_frames=config.n_timesteps,
+            total_time=total_time,
+            n_frames=n_frames,
             mean_load=float(loads.mean()),
             std_load=float(loads.std()),
             mean_render=float(renders.mean()),
@@ -136,29 +191,21 @@ class CampaignResult:
             wan_capacity_mbps=bytes_per_sec_to_mbps(
                 config.wan.usable_capacity
             ),
-            backend_to_viewer_bytes=backend.timing.bytes_sent_to_viewer,
-            dpss_to_backend_bytes=backend.timing.bytes_loaded,
-            viewer_frames_complete=viewer.complete_frames(backend.n_pes),
+            backend_to_viewer_bytes=totals.pop("bytes_sent_to_viewer"),
+            dpss_to_backend_bytes=totals.pop("bytes_loaded"),
+            viewer_frames_complete=viewer_frames_complete,
             event_log=log,
             per_frame_load=per_frame_load,
             per_frame_render=per_frame_render,
-            wan_utilization_series=wan_series,
-            degraded_frames=len(backend.timing.degraded_frames),
-            retries=backend.timing.retries,
-            hedges=backend.timing.hedges,
-            recovery_seconds=recovery,
-            tiles_full=backend.timing.tiles_full,
-            tiles_ref=backend.timing.tiles_ref,
-            tile_bytes_saved=backend.timing.tile_bytes_saved,
-            hedges_abandoned=backend.timing.hedges_abandoned,
-            reconstructions=backend.timing.reconstructions,
-            parity_bytes=backend.timing.parity_bytes,
-            stripe_cancels=backend.timing.stripe_cancels,
-            read_p99=(
-                float(np.percentile(backend.timing.read_seconds, 99))
-                if backend.timing.read_seconds
-                else 0.0
+            wan_utilization_series=(
+                network.links[config.wan.name]
+                .resource.utilization_timeseries()
             ),
+            degraded_frames=len(degraded),
+            recovery_seconds=recovery,
+            read_p99=float(np.percentile(reads, 99)) if reads else 0.0,
+            **totals,
+            **extra,
         )
 
     # -- derived -----------------------------------------------------------
@@ -187,35 +234,26 @@ class CampaignResult:
         return self.total_time / self.n_frames if self.n_frames else 0.0
 
     def metrics_dict(self) -> Dict[str, float]:
-        """Flat JSON-ready numbers for the versioned result payload
-        (:func:`repro.service.metrics.result_payload`)."""
-        return {
-            "total_time": self.total_time,
-            "n_frames": self.n_frames,
-            "seconds_per_timestep": self.seconds_per_timestep,
-            "mean_load": self.mean_load,
-            "std_load": self.std_load,
-            "mean_render": self.mean_render,
-            "std_render": self.std_render,
-            "load_throughput_mbps": self.load_throughput_mbps,
-            "wan_capacity_mbps": self.wan_capacity_mbps,
-            "wan_utilization": self.wan_utilization,
-            "backend_to_viewer_bytes": self.backend_to_viewer_bytes,
-            "dpss_to_backend_bytes": self.dpss_to_backend_bytes,
-            "viewer_frames_complete": self.viewer_frames_complete,
-            "degraded_frames": self.degraded_frames,
-            "retries": self.retries,
-            "hedges": self.hedges,
-            "recovery_seconds": self.recovery_seconds,
-            "tiles_full": self.tiles_full,
-            "tiles_ref": self.tiles_ref,
-            "tile_bytes_saved": self.tile_bytes_saved,
-            "hedges_abandoned": self.hedges_abandoned,
-            "reconstructions": self.reconstructions,
-            "parity_bytes": self.parity_bytes,
-            "stripe_cancels": self.stripe_cancels,
-            "read_p99": self.read_p99,
+        """Flat JSON-ready numbers for the versioned result payload:
+        every scalar field plus the derived properties."""
+        out = {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.type in ("int", "float")
         }
+        out.update(
+            seconds_per_timestep=self.seconds_per_timestep,
+            wan_utilization=self.wan_utilization,
+            traffic_asymmetry=self.traffic_asymmetry,
+        )
+        return out
+
+    def to_payload(self) -> Dict[str, Any]:
+        """The versioned JSON envelope (schema_version + kind=campaign)."""
+        # Lazy: repro.service imports this module for CampaignResult.
+        from repro.service.metrics import result_payload
+
+        return result_payload("campaign", self.metrics_dict())
 
     def summary(self) -> str:
         """A human-readable result block."""

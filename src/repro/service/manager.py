@@ -1,19 +1,20 @@
-"""The multi-viewer serving layer: shared world, session manager, runner.
+"""The multi-viewer serving layer: session manager, result, runner.
 
 One :class:`ServiceCampaign` multiplexes many viewer sessions over a
-*shared* pool of back-end PEs and one DPSS site. Each admitted session
-gets its own :class:`~repro.viewer.sim.SimViewer` (on its own host,
-behind its profile's WAN) and its own
+*shared* pool of back-end PEs and one DPSS site. Construction of that
+world belongs to :mod:`repro.core.campaign`: the manager calls
+:func:`~repro.core.campaign.build_world` once and
+:func:`~repro.core.campaign.attach_session` per admitted session, so
+each session gets its own :class:`~repro.viewer.sim.SimViewer` (on its
+own host, behind its profile's WAN) and its own
 :class:`~repro.backend.sim.SimBackEnd` bound to the shared PE hosts,
-so cross-session contention for PE NICs, CPUs, the WAN, and the DPSS
+and cross-session contention for PE NICs, CPUs, the WAN, and the DPSS
 disk pools resolves in the fluid model exactly where the paper's
-single-session contention did. Sharing happens at two layers:
-
-- the **DPSS block cache** (``dpss_cache_bytes``) serves one session's
-  blocks to the next without a disk read;
-- the **render cache** (:class:`~repro.service.cache.RenderCache`)
-  serves one session's finished slab textures to the next, skipping
-  the DPSS read *and* the render leg.
+single-session contention did. What this module owns is admission,
+the session lifecycle, and the shared
+:class:`~repro.service.cache.RenderCache`, which serves one session's
+finished slab textures to the next, skipping the DPSS read *and* the
+render leg.
 
 A single-viewer workload with the cache disabled reproduces the
 single-session :func:`~repro.core.campaign.run_campaign` event stream
@@ -25,41 +26,22 @@ multiplexing to do.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.backend.sim import SimBackEnd
-from repro.config import (
-    BackendConfig,
-    NetworkConfig,
-    SiteSpec,
-    StripeConfig,
-    TileConfig,
-    TopologyConfig,
+from repro.config import TileConfig
+from repro.core.campaign import (
+    CampaignConfig,
+    attach_session,
+    build_world,
+    run_observed,
 )
-from repro.core.campaign import CampaignConfig
-from repro.core.platforms import (
-    DPSS_DISK_RATE,
-    DPSS_DISKS_PER_SERVER,
-    DPSS_N_SERVERS,
-    DPSS_SERVER_NIC,
-    Wans,
-)
+from repro.core.platforms import Wans
 from repro.core.report import CampaignResult
-from repro.dpss.blocks import DpssDataset
-from repro.dpss.master import DpssMaster
-from repro.dpss.server import DpssServer
-from repro.faults.injector import FaultInjector
-from repro.faults.policy import RequestPolicy
-from repro.netlogger.analysis import EventLog
-from repro.netlogger.daemon import NetLogDaemon
 from repro.netlogger.events import Tags
 from repro.netlogger.logger import NetLogger
-from repro.netsim.host import Host
-from repro.netsim.link import Link
-from repro.netsim.tcp import TcpParams
-from repro.netsim.topology import Network
 from repro.service.admission import (
     AdmissionPolicy,
     QueueFull,
@@ -67,11 +49,11 @@ from repro.service.admission import (
     TokenBucket,
 )
 from repro.service.cache import CacheConfig, CacheStats, RenderCache
-from repro.service.metrics import ServiceMetrics, SessionRecord
+from repro.service.metrics import ServiceMetrics, SessionRecord, result_payload
 from repro.service.workload import ViewerProfile, WorkloadSpec
 from repro.simcore.process import Process
 from repro.util.rng import spawn_rngs
-from repro.util.units import KIB, MB, bytes_per_sec_to_mbps, mbps
+from repro.util.units import MB
 from repro.viewer.sim import SimViewer
 
 #: seed stride between sessions: distinct, collision-free streams while
@@ -95,26 +77,6 @@ class ServiceCampaign:
     cache: CacheConfig = field(default_factory=CacheConfig)
     #: overrides ``base.seed`` for the whole service run when set
     seed: Optional[int] = None
-    #: the serving fabric; ``None`` means the historical single local
-    #: site. A full-world ServiceCampaign stays single-site -- the
-    #: lightweight multi-site model is
-    #: :class:`repro.service.shard.ShardCampaign`.
-    topology: Optional[TopologyConfig] = None
-
-    def __post_init__(self):
-        if self.topology is not None and len(self.topology.sites) != 1:
-            raise ValueError(
-                f"ServiceCampaign runs one full-world site; got "
-                f"{len(self.topology.sites)} sites -- use "
-                f"repro.service.shard.ShardCampaign for multi-site runs"
-            )
-
-    @property
-    def site(self) -> SiteSpec:
-        """The effective (single) site spec this campaign serves from."""
-        if self.topology is not None:
-            return self.topology.sites[0]
-        return SiteSpec(name="local")
 
     @property
     def effective_seed(self) -> int:
@@ -162,8 +124,11 @@ class SessionManager:
 
     def __init__(self, config: ServiceCampaign):
         self.config = config
-        self.net = Network()
-        self.daemon = NetLogDaemon()
+        self.world = build_world(config.base)
+        self.net = self.world.net
+        self.daemon = self.world.daemon
+        self.wan = self.world.wan
+        self.meta = config.base.meta
         self.records: List[SessionRecord] = []
         self.backends: List[SimBackEnd] = []
         self.viewers: List[SimViewer] = []
@@ -199,139 +164,6 @@ class SessionManager:
         self._rngs = spawn_rngs(
             config.effective_seed + 7, 1 + config.workload.n_viewers
         )
-        self._build_world()
-
-    # -- shared world ------------------------------------------------
-    def _build_world(self) -> None:
-        """The DPSS site, WAN, and PE pool every session shares.
-
-        Mirrors :func:`repro.core.campaign.build_session` except that
-        the DPSS block caches may be warm (``dpss_cache_bytes``) and
-        the viewer side is attached per session at admission time.
-        """
-        config = self.config
-        base = config.base
-        net = self.net
-        self.dpss_lan = net.add_link(
-            Link("dpss-lan", rate=mbps(2000.0), latency=0.0001)
-        )
-        master_host = net.add_host(
-            Host("dpss-master", nic_rate=mbps(100.0))
-        )
-        self.master = DpssMaster(master_host)
-        stripe = (
-            base.stripe
-            if base.stripe is not None and base.stripe.enabled
-            else None
-        )
-        self._stripe = stripe
-        n_servers = (
-            max(DPSS_N_SERVERS, stripe.width)
-            if stripe is not None
-            else DPSS_N_SERVERS
-        )
-        self._n_servers = n_servers
-        for i in range(n_servers):
-            h = net.add_host(Host(f"dpss{i}", nic_rate=DPSS_SERVER_NIC))
-            server = DpssServer(
-                h,
-                n_disks=DPSS_DISKS_PER_SERVER,
-                disk_rate=DPSS_DISK_RATE,
-                cache_bytes=config.site.dpss_cache_bytes,
-            )
-            server.attach(net)
-            self.master.add_server(server)
-
-        self.wan = net.add_link(
-            Link(
-                base.wan.name,
-                rate=base.wan.rate,
-                latency=base.wan.latency,
-                efficiency=base.wan.efficiency,
-                background_rate=base.wan.background_rate,
-                monitor=True,
-            )
-        )
-
-        plat = base.platform
-        if plat.cluster:
-            self.pe_hosts = [
-                net.add_host(
-                    Host(
-                        f"pe{i}",
-                        nic_rate=plat.nic_rate,
-                        n_cpus=plat.n_cpus,
-                        shared_cpu_io=plat.shared_cpu_io,
-                    )
-                )
-                for i in range(base.n_pes)
-            ]
-        else:
-            smp = net.add_host(
-                Host(
-                    plat.name,
-                    nic_rate=plat.nic_rate,
-                    n_cpus=plat.n_cpus,
-                    shared_cpu_io=plat.shared_cpu_io,
-                )
-            )
-            self.pe_hosts = [smp] * base.n_pes
-        self._pe_host_names = sorted({h.name for h in self.pe_hosts})
-        for host in self._pe_host_names:
-            net.add_route("dpss-master", host, [self.dpss_lan, self.wan])
-            for i in range(n_servers):
-                net.add_route(
-                    f"dpss{i}", host, [self.dpss_lan, self.wan]
-                )
-
-        self._active_faults = base.faults if base.faults else None
-        self.meta = base.meta
-        self.master.register_dataset(
-            DpssDataset(
-                name=self.meta.name,
-                size=float(self.meta.total_bytes),
-                block_size=64 * KIB,
-            ),
-            # Parity is the failover when striped; replicas otherwise.
-            replicas=(
-                2
-                if self._active_faults is not None and stripe is None
-                else 1
-            ),
-            stripe=stripe,
-        )
-        self.health = None
-        if stripe is not None:
-            from repro.dpss.health import HealthTracker
-
-            self.health = HealthTracker(
-                now=lambda: net.env.now,
-                half_life=stripe.health_half_life,
-                logger=NetLogger(
-                    "dpss-client",
-                    "health",
-                    clock=lambda: net.env.now,
-                    daemon=self.daemon,
-                ),
-            )
-        self._policy: Optional[RequestPolicy] = base.policy
-        if self._policy is None and self._active_faults is not None:
-            self._policy = RequestPolicy()
-        if self._active_faults is not None:
-            injector = FaultInjector(
-                net,
-                self.master,
-                self._active_faults,
-                daemon=self.daemon,
-                link_aliases={"wan": base.wan.name},
-            )
-            # Only the striped path feeds health; the observer hook is
-            # left unattached otherwise so unstriped runs keep their
-            # historical ULM stream byte-for-byte.
-            if self.health is not None:
-                injector.observers.append(self.health.observe_fault)
-            injector.start()
-            net.fault_injector = injector
 
     # -- per-session wiring ------------------------------------------
     def _session_seed(self, sid: int) -> int:
@@ -352,85 +184,23 @@ class SessionManager:
         self, sid: int, profile: ViewerProfile
     ) -> Tuple[SimViewer, SimBackEnd]:
         """Attach one viewer host + WAN and bind a back end to the pool."""
-        config = self.config
-        base = config.base
-        net = self.net
-        viewer_name = f"viewer{sid}"
-        net.add_host(Host(viewer_name, nic_rate=mbps(100.0)))
-        wspec = profile.wan
-        if wspec is None:
-            vlink = net.add_link(
-                Link(
-                    f"{viewer_name}-lan",
-                    rate=mbps(1000.0),
-                    latency=0.0001,
-                )
-            )
-        else:
-            vlink = net.add_link(
-                Link(
-                    f"{viewer_name}-{wspec.name}",
-                    rate=wspec.rate,
-                    latency=wspec.latency,
-                    efficiency=wspec.efficiency,
-                    background_rate=wspec.background_rate,
-                )
-            )
-        for host in self._pe_host_names:
-            net.add_route(host, viewer_name, [vlink])
-        net.add_route(
-            "dpss-master", viewer_name, [self.dpss_lan, self.wan]
-        )
-        viewer = SimViewer(
-            net,
-            viewer_name,
-            daemon=self.daemon,
-            config=NetworkConfig(tcp=TcpParams(max_window=1024 * KIB)),
-        )
-        plat = base.platform
-        reserved = config.admission.fair_share_rate * profile.weight
-        tiles = base.tiles if base.tiles is not None else TileConfig()
+        tiles = self.config.base.tiles
         if profile.frustum is not None:
-            tiles = tiles.with_changes(frustum=profile.frustum)
-        backend = SimBackEnd(
-            net,
-            self.pe_hosts,
-            self.master,
-            self.meta.name,
-            viewer,
-            self.meta,
-            daemon=self.daemon,
-            render_cost=plat.render_cost_model(),
-            config=BackendConfig(
-                n_timesteps=self._session_frames(profile),
-                overlapped=base.overlapped,
-                overlap_depth=base.overlap_depth,
-                mpi_only_overlap=base.mpi_only_overlap,
-                overlap_render_share=(
-                    plat.overlap_render_share if base.overlapped else 1.0
-                ),
-                overlap_ingest_factor=(
-                    plat.overlap_ingest_factor if base.overlapped else 1.0
-                ),
-                load_jitter_cv=(
-                    plat.overlap_jitter_cv if base.overlapped else 0.0
-                ),
-                seed=self._session_seed(sid),
-                network=NetworkConfig(
-                    tcp=TcpParams(max_window=base.wan.tcp_window),
-                    policy=self._policy,
-                    reserved_rate=reserved,
-                    stripe=(
-                        self._stripe
-                        if self._stripe is not None
-                        else StripeConfig()
-                    ),
-                ),
-                tiles=tiles,
+            tiles = (tiles or TileConfig()).with_changes(
+                frustum=profile.frustum
+            )
+        viewer, backend = attach_session(
+            self.world,
+            viewer_name=f"viewer{sid}",
+            viewer_wan=profile.wan,
+            n_timesteps=self._session_frames(profile),
+            seed=self._session_seed(sid),
+            tiles=tiles,
+            reserved_rate=(
+                self.config.admission.fair_share_rate * profile.weight
             ),
             render_cache=self.cache,
             session=f"s{sid}",
-            health=self.health,
         )
         self.viewers.append(viewer)
         self.backends.append(backend)
@@ -569,6 +339,10 @@ class ServiceResult(CampaignResult):
     cache_stats: Optional[CacheStats] = None
     campaign: Optional[ServiceCampaign] = None
 
+    def to_payload(self) -> Dict[str, Any]:
+        """The versioned JSON envelope (schema_version + kind=service)."""
+        return result_payload("service", self.service)
+
     def summary(self) -> str:
         """Human-readable service block over the campaign aggregates."""
         svc = self.campaign
@@ -612,110 +386,28 @@ def _reduce(
     total_time: float,
 ) -> ServiceResult:
     """Aggregate one finished service run into a :class:`ServiceResult`."""
-    log = EventLog(manager.daemon.events)
-    loads = np.array([s.duration for s in log.load_spans()] or [0.0])
-    renders = np.array(
-        [s.duration for s in log.render_spans()] or [0.0]
-    )
-    per_frame_load = log.per_frame_load_times()
-    per_frame_render = log.per_frame_render_times()
-    bytes_per_frame = manager.meta.bytes_per_timestep
-    load_rates = [
-        bytes_per_frame / t for t in per_frame_load.values() if t > 0
-    ]
-    load_mbps = (
-        float(np.mean([bytes_per_sec_to_mbps(r) for r in load_rates]))
-        if load_rates
-        else 0.0
-    )
-    inject_ts = [e.ts for e in log.events if e.event == "FAULT_INJECT"]
-    fault_ts = [
-        e.ts
-        for e in log.events
-        if e.event.startswith(("FAULT_", "RETRY_"))
-    ]
-    recovery = max(fault_ts) - min(inject_ts) if inject_ts else 0.0
-    metrics = ServiceMetrics.from_records(
-        manager.records,
+    frames = sum(r.frames for r in manager.records)
+    result = ServiceResult.reduce(
+        config.base,
+        manager.net,
+        manager.daemon,
+        manager.backends,
         total_time=total_time,
-        cache_hit_ratio=manager.cache_stats.hit_ratio,
-        tiles_full=sum(b.timing.tiles_full for b in manager.backends),
-        tiles_ref=sum(b.timing.tiles_ref for b in manager.backends),
-        tile_bytes_saved=sum(
-            b.timing.tile_bytes_saved for b in manager.backends
-        ),
-    )
-    degraded: set = set()
-    for backend in manager.backends:
-        degraded.update(
-            (backend.session, frame)
-            for frame in backend.timing.degraded_frames
-        )
-    return ServiceResult(
-        config=config.base,
-        total_time=total_time,
-        n_frames=metrics.frames_delivered,
-        mean_load=float(loads.mean()),
-        std_load=float(loads.std()),
-        mean_render=float(renders.mean()),
-        std_render=float(renders.std()),
-        load_throughput_mbps=load_mbps,
-        wan_capacity_mbps=bytes_per_sec_to_mbps(
-            config.base.wan.usable_capacity
-        ),
-        backend_to_viewer_bytes=sum(
-            b.timing.bytes_sent_to_viewer for b in manager.backends
-        ),
-        dpss_to_backend_bytes=sum(
-            b.timing.bytes_loaded for b in manager.backends
-        ),
-        viewer_frames_complete=metrics.frames_delivered,
-        event_log=log,
-        per_frame_load=per_frame_load,
-        per_frame_render=per_frame_render,
-        wan_utilization_series=(
-            manager.wan.resource.utilization_timeseries()
-        ),
-        degraded_frames=len(degraded),
-        retries=sum(b.timing.retries for b in manager.backends),
-        hedges=sum(b.timing.hedges for b in manager.backends),
-        recovery_seconds=recovery,
-        tiles_full=sum(b.timing.tiles_full for b in manager.backends),
-        tiles_ref=sum(b.timing.tiles_ref for b in manager.backends),
-        tile_bytes_saved=sum(
-            b.timing.tile_bytes_saved for b in manager.backends
-        ),
-        hedges_abandoned=sum(
-            b.timing.hedges_abandoned for b in manager.backends
-        ),
-        reconstructions=sum(
-            b.timing.reconstructions for b in manager.backends
-        ),
-        parity_bytes=sum(
-            b.timing.parity_bytes for b in manager.backends
-        ),
-        stripe_cancels=sum(
-            b.timing.stripe_cancels for b in manager.backends
-        ),
-        read_p99=(
-            float(
-                np.percentile(
-                    [
-                        s
-                        for b in manager.backends
-                        for s in b.timing.read_seconds
-                    ],
-                    99,
-                )
-            )
-            if any(b.timing.read_seconds for b in manager.backends)
-            else 0.0
-        ),
-        service=metrics,
+        n_frames=frames,
+        viewer_frames_complete=frames,
         sessions=list(manager.records),
         cache_stats=manager.cache_stats,
         campaign=config,
     )
+    result.service = ServiceMetrics.from_records(
+        manager.records,
+        total_time=total_time,
+        cache_hit_ratio=manager.cache_stats.hit_ratio,
+        tiles_full=result.tiles_full,
+        tiles_ref=result.tiles_ref,
+        tile_bytes_saved=result.tile_bytes_saved,
+    )
+    return result
 
 
 def run_service_campaign(
@@ -727,39 +419,18 @@ def run_service_campaign(
 ) -> ServiceResult:
     """Build and run a multi-viewer service campaign to completion.
 
-    Mirrors :func:`repro.core.campaign.run_campaign`: ``sanitize``
-    attaches the concurrency sanitizer as a pure observer,
-    ``alloc_stats`` adds sampled ``ALLOC_*`` allocator counters (also
-    a pure observer), and ``ulm_path`` writes the merged, time-sorted
-    ULM event stream.
+    The observers are :func:`repro.core.campaign.run_campaign`'s:
+    ``sanitize`` attaches the concurrency sanitizer, ``alloc_stats``
+    adds sampled ``ALLOC_*`` allocator counters, and ``ulm_path``
+    writes the merged, time-sorted ULM event stream.
     """
     manager = SessionManager(config)
-    sanitizer = None
-    if sanitize:
-        from repro.analysis import attach_sanitizer
-
-        sanitizer = attach_sanitizer(
-            manager.net.env,
-            logger=NetLogger(
-                "sanitizer",
-                "sanitizer",
-                clock=lambda: manager.net.env.now,
-                daemon=manager.daemon,
-            ),
-        )
-    finish_alloc = None
-    if alloc_stats:
-        from repro.core.campaign import attach_alloc_logger
-
-        finish_alloc = attach_alloc_logger(manager.net, manager.daemon)
-    done = manager.run()
-    manager.net.run(until=done)
-    total_time = manager.net.env.now
-    if finish_alloc is not None:
-        finish_alloc()
-    if ulm_path is not None:
-        manager.daemon.write_ulm(ulm_path)
-    result = _reduce(config, manager, total_time)
-    if sanitizer is not None:
-        result.sanitizer_findings = list(sanitizer.report().findings)
-    return result
+    return run_observed(
+        manager.net,
+        manager.daemon,
+        manager.run,
+        lambda: _reduce(config, manager, manager.net.env.now),
+        sanitize=sanitize,
+        ulm_path=ulm_path,
+        alloc_stats=alloc_stats,
+    )

@@ -9,7 +9,7 @@ sessions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
@@ -181,28 +181,9 @@ class ServiceMetrics:
         )
 
     def to_dict(self) -> Dict[str, float]:
-        """Flat JSON-ready form (the CI benchmark artifact)."""
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "total_time": self.total_time,
-            "frames_delivered": self.frames_delivered,
-            "aggregate_frame_rate": self.aggregate_frame_rate,
-            "sessions_per_second": self.sessions_per_second,
-            "cache_hit_ratio": self.cache_hit_ratio,
-            "tiles_full": self.tiles_full,
-            "tiles_ref": self.tiles_ref,
-            "tile_bytes_saved": self.tile_bytes_saved,
-            "mean_session_frame_rate": self.mean_session_frame_rate,
-            "admission_p50": self.admission_p50,
-            "admission_p95": self.admission_p95,
-            "admission_p99": self.admission_p99,
-            "ttff_p50": self.ttff_p50,
-            "ttff_p95": self.ttff_p95,
-            "ttff_p99": self.ttff_p99,
-        }
+        """Flat JSON-ready form (the CI benchmark artifact): every
+        field."""
+        return asdict(self)
 
     def summary(self) -> str:
         """A human-readable service block."""
@@ -249,20 +230,8 @@ class SiteMetrics:
         return self.cache_hits / lookups if lookups else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        """Flat JSON-ready form."""
-        return {
-            "name": self.name,
-            "offered": self.offered,
-            "served": self.served,
-            "spilled_out": self.spilled_out,
-            "spilled_in": self.spilled_in,
-            "queued": self.queued,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_ratio": self.cache_hit_ratio,
-        }
+        """Flat JSON-ready form: every field plus the hit ratio."""
+        return {**asdict(self), "cache_hit_ratio": self.cache_hit_ratio}
 
 
 @dataclass

@@ -29,7 +29,9 @@ class TestNetworkConfig:
 
 
 def test_removed_kwargs_are_type_errors():
-    """PR 13 removed the per-knob kwargs; config= is the only spelling."""
+    """PR 13 removed the per-knob kwargs (config= is the only
+    spelling); PR 14 the two options no caller set."""
+    from repro.config import SiteSpec, TopologyConfig
     from repro.netsim import Host, Network
     from repro.service import ServiceCampaign
     from repro.util.units import mbps
@@ -45,6 +47,14 @@ def test_removed_kwargs_are_type_errors():
             base=CampaignConfig.sc99_showfloor(),
             dpss_cache_bytes=1.0,
         )
+    with pytest.raises(TypeError):
+        ServiceCampaign(
+            name="flat",
+            base=CampaignConfig.sc99_showfloor(),
+            topology=TopologyConfig.single_site(),
+        )
+    with pytest.raises(TypeError):
+        SiteSpec(name="s", dpss_cache_bytes=1.0)
 
 
 class TestCampaignRegistry:
@@ -125,6 +135,50 @@ class TestExperimentConfig:
         assert isinstance(cfg, ShardCampaign)
         assert cfg.flow_classes.enabled is False
         assert cfg.seed == 3 and cfg.frames == 2
+
+    def test_shard_topology_swap_rehomes_pinned_profiles(self):
+        """Profiles pinned to sites the new topology lacks fall back to
+        round-robin homing -- in the resolver, so the JSON form works
+        as the CLI form does -- and the result runs."""
+        from repro import api
+        from repro.service.shard import ShardCampaign
+
+        exp = ExperimentConfig.from_json(json.dumps({
+            "campaign": "sc99-serve10k", "topology": "sc99-wan",
+        }))
+        cfg = exp.to_campaign_config()
+        assert isinstance(cfg, ShardCampaign)
+        assert cfg.topology.site_names == ("lbl", "anl", "showfloor")
+        assert all(p.region is None for p in cfg.workload.profiles)
+        small = cfg.with_changes(
+            workload=cfg.workload.with_changes(n_viewers=60)
+        )
+        result = api.run_experiment(small)
+        assert result.metrics.service.completed == 60
+        assert set(result.metrics.sites) == {"lbl", "anl", "showfloor"}
+
+    @pytest.mark.parametrize(
+        "knobs, named",
+        [
+            ({"scaled": True}, "scaled applies"),
+            ({"tiles": True}, "tiles applies"),
+            ({"tile_size": 16}, "tile_size applies"),
+            ({"stripe": "4+1"}, "stripe applies"),
+            ({"policy": RequestPolicy()}, "policy applies"),
+            (
+                {"faults": FaultPlan.of([
+                    ServerCrash(at=1.0, duration=2.0, server="dpss0")
+                ]), "scaled": True},
+                "scaled, faults apply",
+            ),
+        ],
+    )
+    def test_single_session_knobs_refused_on_shard_campaigns(
+        self, knobs, named
+    ):
+        exp = ExperimentConfig(campaign="sc99-serve10k", **knobs)
+        with pytest.raises(ValueError, match=named):
+            exp.to_campaign_config()
 
     def test_topology_knob_rejected_on_non_shard_campaigns(self):
         exp = ExperimentConfig(campaign="lan_e4500", topology="sc99-wan")

@@ -115,6 +115,6 @@ class TestTopologyValidation:
             SiteLink("a", "a", mbps(100.0))
 
     def test_single_site_helper_overrides(self):
-        topo = TopologyConfig.single_site(dpss_cache_bytes=1024.0)
+        topo = TopologyConfig.single_site(cache_bytes=1024.0)
         assert topo.site_names == ("local",)
-        assert topo.sites[0].dpss_cache_bytes == 1024.0
+        assert topo.sites[0].cache_bytes == 1024.0

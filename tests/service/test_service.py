@@ -9,8 +9,10 @@ degraded slabs are never published into the shared cache.
 
 import pytest
 
+from repro.config import StripeConfig, TileConfig
 from repro.core import run_campaign
 from repro.core.campaign import CampaignConfig, named_campaign
+from repro.core.platforms import Wans
 from repro.faults import FaultPlan, RequestPolicy, ServerCrash
 from repro.service import (
     CacheConfig,
@@ -52,16 +54,47 @@ def normalize_service_ulm(text):
     return "\n".join(lines) + "\n"
 
 
+def _flaky(**changes):
+    return CampaignConfig.sc99_flaky(n_timesteps=4).with_changes(**changes)
+
+
+#: one base per feature the shared builder wires
+PARITY_BASES = {
+    "fault-free": lambda: tiny_base(),
+    "flaky": _flaky,
+    "flaky-stripe-tiles": lambda: _flaky(
+        stripe=StripeConfig.from_spec("4+1"),
+        tiles=TileConfig(enabled=True),
+    ),
+    "overlapped": lambda: CampaignConfig.lan_e4500(
+        overlapped=True, n_timesteps=3
+    ).with_changes(shape=(160, 64, 64), dataset_timesteps=8),
+    "remote-viewer": lambda: tiny_base(
+        viewer_remote=True, viewer_wan=Wans.ESNET
+    ),
+}
+
+
 class TestSingleViewerParity:
+    @pytest.mark.parametrize("case", sorted(PARITY_BASES))
     def test_single_session_reproduces_the_campaign_byte_for_byte(
-        self, tmp_path
+        self, tmp_path, case
     ):
-        base = tiny_base()
-        run_campaign(base, ulm_path=str(tmp_path / "plain.ulm"))
+        base = PARITY_BASES[case]()
+        plain_result = run_campaign(
+            base, ulm_path=str(tmp_path / "plain.ulm")
+        )
+        # The service takes the viewer's last mile from the profile.
+        profile = ViewerProfile(
+            name="default",
+            wan=base.viewer_wan if base.viewer_remote else None,
+        )
         svc = ServiceCampaign(
             name="parity",
             base=base,
-            workload=WorkloadSpec(mode="open", n_viewers=1),
+            workload=WorkloadSpec(
+                mode="open", n_viewers=1, profiles=(profile,)
+            ),
             cache=CacheConfig(enabled=False),
         )
         result = run_service_campaign(
@@ -72,6 +105,7 @@ class TestSingleViewerParity:
             (tmp_path / "svc.ulm").read_text()
         )
         assert service == plain
+        assert result.metrics_dict() == plain_result.metrics_dict()
         assert result.service.completed == 1
         assert result.viewer_frames_complete == base.n_timesteps
 
@@ -228,6 +262,36 @@ class TestIntegration:
         result = run_service_campaign(tiny_service())
         payload = json.dumps(result.service.to_dict())
         assert "aggregate_frame_rate" in payload
+
+    def test_result_dicts_are_derived_from_the_dataclass_fields(self):
+        """No hand-kept key list can drop a field (``queued`` was)."""
+        import json
+        from dataclasses import fields
+
+        from repro.core.report import CampaignResult
+        from repro.service import ServiceMetrics, SiteMetrics
+
+        result = run_service_campaign(tiny_service())
+        assert set(result.service.to_dict()) == {
+            f.name for f in fields(ServiceMetrics)
+        }
+        assert set(SiteMetrics(name="lbl").to_dict()) == {
+            f.name for f in fields(SiteMetrics)
+        } | {"cache_hit_ratio"}
+        scalars = {
+            f.name for f in fields(CampaignResult)
+            if f.type in ("int", "float")
+        }
+        derived = {
+            name for name, attr in vars(CampaignResult).items()
+            if isinstance(attr, property)
+        }
+        assert len(derived) == 3
+        assert set(result.metrics_dict()) == scalars | derived
+        payload = result.to_payload()
+        assert payload["kind"] == "service"
+        assert payload["metrics"]["queued"] == result.service.queued
+        json.dumps(payload)
 
     def test_mpi_only_overlap_rejects_the_shared_cache(self):
         config = tiny_service(

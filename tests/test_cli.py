@@ -1,5 +1,7 @@
 """Tests for the visapult command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -62,7 +64,7 @@ class TestServeSim:
         metrics = payload["metrics"]
         assert metrics["offered"] == 3
         assert {"aggregate_frame_rate", "cache_hit_ratio",
-                "ttff_p95"} <= metrics.keys()
+                "ttff_p95", "queued"} <= metrics.keys()
 
     def test_no_cache_flag(self, capsys):
         code = main(
@@ -79,6 +81,77 @@ class TestServeSim:
     def test_unknown_name(self, capsys):
         assert main(["serve-sim", "nope"]) == 2
         assert "unknown campaign" in capsys.readouterr().err
+
+
+FLAKY_PLAN = str(
+    Path(__file__).resolve().parents[1] / "examples/plans/sc99_flaky.json"
+)
+
+
+def assert_refused(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert captured.err.count("\n") == 1  # one line, no traceback
+
+
+class TestRefusals:
+    """A flag the campaign cannot honour, or a bad value, exits 2 with
+    one line and no traceback -- never a silent no-op."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["campaign", "sc99-serve10k", "--tiles"], "tiles applies"),
+            (["campaign", "sc99-serve10k", "--scaled"], "scaled applies"),
+            (["campaign", "sc99-serve10k", "--stripe", "4+1"],
+             "stripe applies"),
+            (["campaign", "sc99-serve10k", "--frames", "1", "--faults",
+              FLAKY_PLAN], "faults"),
+            (["campaign", "lan_e4500", "--frames", "0"],
+             "n_timesteps must be >= 1"),
+            (["campaign", "lan_e4500", "--stripe", "bogus"],
+             "stripe spec must look like"),
+            (["serve-sim", "sc99-serve10k", "--frames", "0"],
+             "frames must be >= 1"),
+            (["serve-sim", "sc99-serve10k", "--tiles"], "tiles applies"),
+            (["serve-sim", "sc99-serve10k", "--no-cache"],
+             "--no-cache applies to full-world"),
+            (["serve-sim", "sc99-serve10k", "--topology", "nope"],
+             "unknown topology"),
+            (["serve-sim", "sc99-multiviewer", "--topology", "sc99-wan"],
+             "shard campaigns only"),
+        ],
+    )
+    def test_rejected_with_one_line(self, capsys, argv, message):
+        assert_refused(capsys, argv, message)
+
+    def test_cli_and_json_forms_resolve_to_the_same_shard_campaign(
+        self, monkeypatch
+    ):
+        import repro.core
+        from repro.config import ExperimentConfig
+
+        seen = []
+
+        class Ran:
+            def summary(self):
+                return ""
+
+        def fake_run(config, **kw):
+            seen.append(config)
+            return Ran()
+
+        monkeypatch.setattr(repro.core, "run_campaign", fake_run)
+        argv = ["serve-sim", "sc99-serve10k", "--topology", "sc99-wan",
+                "--flow-classes", "off", "--frames", "3", "--seed", "2"]
+        assert main(argv) == 0
+        experiment = ExperimentConfig(
+            campaign="sc99-serve10k", topology="sc99-wan",
+            flow_classes=False, frames=3, seed=2,
+        )
+        assert seen == [experiment.to_campaign_config()]
 
 
 class TestTileFlags:
@@ -100,11 +173,7 @@ class TestTileFlags:
         ],
     )
     def test_rejected_with_one_line(self, capsys, argv, message):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert message in captured.err
-        assert captured.err.count("\n") == 1  # one line, no traceback
+        assert_refused(capsys, argv, message)
 
 
 class TestIperf:
