@@ -10,10 +10,13 @@ disk, server, and network level" (section 2). The architecture
 - :class:`~repro.dpss.server.DpssServer` -- block servers with
   parallel disk pools and their own NICs;
 - :class:`~repro.dpss.client.DpssClient` -- the client library
-  (``dpss_open/read/lseek/close``); "the DPSS client library is
+  (``dpss_open/read/write/lseek/close``); "the DPSS client library is
   multi-threaded, where the number of client threads is equal to the
   number of DPSS servers" -- each server gets its own TCP stream and
-  requests proceed in parallel.
+  requests proceed in parallel. The client owns *transport*; what a
+  read fetches and what it does when a server stops answering is a
+  *strategy*: :mod:`~repro.dpss.fanout` (one share per server) or
+  :mod:`~repro.dpss.redundant` (k-of-n over parity stripes).
 
 Datasets are striped round-robin across servers in fixed-size logical
 blocks (:mod:`~repro.dpss.blocks`); servers keep a block-level RAM

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.util.units import KIB
 from repro.util.validation import check_positive
@@ -99,13 +99,10 @@ class BlockMap:
 
     def replica_servers(self, block: int) -> List[str]:
         """All servers holding a logical block, primary first."""
-        if not 0 <= block < self.dataset.n_blocks:
-            raise IndexError(
-                f"block {block} outside [0, {self.dataset.n_blocks})"
-            )
+        primary = self.server_of_block(block)
         if self.stripe is not None:
             # Parity, not copies: the only literal holder is the owner.
-            return [self.stripe.server_of_block(block)]
+            return [primary]
         n = len(self.server_names)
         return [
             self.server_names[(block + j) % n] for j in range(self.replicas)
@@ -128,6 +125,32 @@ class BlockMap:
         )
         return range(first, last)
 
+    def shares(
+        self, offset: float, nbytes: float,
+        place: Optional[Callable[[int], str]] = None,
+    ) -> Tuple[Dict[str, Tuple[int, float]], Dict[str, List[int]]]:
+        """Group the blocks of a range by the server that serves them.
+
+        Returns ``(plan, blocks_of)``: ``plan`` as :meth:`plan_read`
+        gives it and ``blocks_of`` the logical blocks each server
+        serves. ``place(block)`` picks the server: the static primary
+        (:meth:`server_of_block`) by default, the master's live
+        placement when it plans around dead servers.
+        """
+        if place is None:
+            place = self.server_of_block
+        bs = self.dataset.block_size
+        plan: Dict[str, Tuple[int, float]] = {}
+        blocks_of: Dict[str, List[int]] = {}
+        for block in self.blocks_for_range(offset, nbytes):
+            lo = max(block * bs, offset)
+            hi = min((block + 1) * bs, offset + nbytes, self.dataset.size)
+            server = place(block)
+            n, b = plan.get(server, (0, 0.0))
+            plan[server] = (n + 1, b + max(hi - lo, 0.0))
+            blocks_of.setdefault(server, []).append(block)
+        return plan, blocks_of
+
     def plan_read(
         self, offset: float, nbytes: float
     ) -> Dict[str, Tuple[int, float]]:
@@ -138,13 +161,4 @@ class BlockMap:
         a logical block request (Figure 7's "logical to physical block
         lookup").
         """
-        blocks = self.blocks_for_range(offset, nbytes)
-        out: Dict[str, Tuple[int, float]] = {}
-        bs = self.dataset.block_size
-        for block in blocks:
-            lo = max(block * bs, offset)
-            hi = min((block + 1) * bs, offset + nbytes, self.dataset.size)
-            server = self.server_of_block(block)
-            n, b = out.get(server, (0, 0.0))
-            out[server] = (n + 1, b + max(hi - lo, 0.0))
-        return out
+        return self.shares(offset, nbytes)[0]

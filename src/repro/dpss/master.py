@@ -156,20 +156,10 @@ class DpssMaster:
         striping -- this consults live server state, re-balancing
         lookups away from dead servers when the dataset has replicas.
         """
-        blocks = block_map.blocks_for_range(offset, nbytes)
-        bs = block_map.dataset.block_size
-        plan: Dict[str, Tuple[int, float]] = {}
-        per_server_blocks: Dict[str, List[int]] = {}
-        for block in blocks:
-            lo = max(block * bs, offset)
-            hi = min(
-                (block + 1) * bs, offset + nbytes, block_map.dataset.size
-            )
-            server = self.place_block(block_map, block)
-            n, b = plan.get(server, (0, 0.0))
-            plan[server] = (n + 1, b + max(hi - lo, 0.0))
-            per_server_blocks.setdefault(server, []).append(block)
-        return plan, per_server_blocks
+        return block_map.shares(
+            offset, nbytes,
+            place=lambda block: self.place_block(block_map, block),
+        )
 
     def failover_server(
         self, block_map: BlockMap, server_name: str

@@ -57,6 +57,25 @@ def test_removed_kwargs_are_type_errors():
         SiteSpec(name="s", dpss_cache_bytes=1.0)
 
 
+def test_removed_client_names_fail_loudly():
+    """PR 15 split ``dpss/client.py``: ``client.config`` is the one
+    spelling of the wire knobs and the read strategy is not pluggable."""
+    from repro.dpss import DpssClient, DpssMaster
+    from repro.netsim import Host, Network
+    from repro.util.units import mbps
+
+    net = Network()
+    net.add_host(Host("pe", nic_rate=mbps(100)))
+    client = DpssClient(net, "pe", DpssMaster(net.host("pe")))
+    for name in ("tcp_params", "compression", "policy"):
+        with pytest.raises(AttributeError):
+            getattr(client, name)
+    with pytest.raises(AttributeError):
+        DpssClient.requestor_cls
+    with pytest.raises(ImportError):
+        from repro.dpss.client import RedundantReadRequestor  # noqa: F401
+
+
 class TestCampaignRegistry:
     def test_names_stable(self):
         assert campaign_names() == [

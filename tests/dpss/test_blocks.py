@@ -4,8 +4,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dpss import BlockMap, DpssDataset
-from repro.util.units import KIB, MB
+from repro.dpss import BlockMap, DpssDataset, DpssMaster, DpssServer
+from repro.netsim import Host
+from repro.util.units import KIB, MB, mbps
+
+
+def check_shares(bm, offset, nbytes):
+    """``shares`` is the one planner: ``plan_read`` is its first half
+    and the master's live plan is ``shares`` under its own placement."""
+    plan, blocks_of = bm.shares(offset, nbytes)
+    assert plan == bm.plan_read(offset, nbytes)
+    assert {s: len(ids) for s, ids in blocks_of.items()} == {
+        s: n for s, (n, _) in plan.items()
+    }
+    assert sorted(b for ids in blocks_of.values() for b in ids) == list(
+        bm.blocks_for_range(offset, nbytes)
+    )
+    # A master with the first server down plans around it.
+    names = bm.server_names
+    master = DpssMaster(Host("master", nic_rate=mbps(100)))
+    for name in names:
+        master.add_server(DpssServer(
+            Host(name, nic_rate=mbps(100)), n_disks=1, disk_rate=MB
+        ))
+    master.servers[names[0]].online = False
+    mirrored = BlockMap(bm.dataset, names, replicas=min(2, len(names)))
+    live, live_blocks = master.plan_read(mirrored, offset, nbytes)
+    assert (live, live_blocks) == mirrored.shares(
+        offset, nbytes, place=lambda b: master.place_block(mirrored, b)
+    )
+    assert sum(b for _, b in live.values()) == pytest.approx(nbytes)
+    if len(names) > 1:
+        assert names[0] not in live
 
 
 class TestDataset:
@@ -59,6 +89,7 @@ class TestBlockMap:
     def test_plan_read_balances_bytes(self):
         ds = DpssDataset("d", size=8 * MB, block_size=64 * KIB)
         bm = BlockMap(ds, [f"s{i}" for i in range(4)])
+        check_shares(bm, 0, 8 * MB)
         plan = bm.plan_read(0, 8 * MB)
         per_server = [b for _, b in plan.values()]
         assert sum(per_server) == pytest.approx(8 * MB)
@@ -67,6 +98,7 @@ class TestBlockMap:
     def test_plan_read_partial_blocks(self):
         ds = DpssDataset("d", size=4 * 64 * KIB, block_size=64 * KIB)
         bm = BlockMap(ds, ["s0", "s1"])
+        check_shares(bm, 32 * KIB, 64 * KIB)
         plan = bm.plan_read(32 * KIB, 64 * KIB)
         total = sum(b for _, b in plan.values())
         assert total == pytest.approx(64 * KIB)
@@ -94,6 +126,7 @@ class TestBlockMap:
         nbytes = min(frac_len * ds.size, ds.size - offset)
         if nbytes <= 0:
             return
+        check_shares(bm, offset, nbytes)
         plan = bm.plan_read(offset, nbytes)
         assert sum(b for _, b in plan.values()) == pytest.approx(nbytes)
         # Block counts are consistent with the range.

@@ -1,6 +1,6 @@
 """Redundant k-of-n reads end to end through the simulated client.
 
-These drive the :class:`~repro.dpss.client.RedundantReadRequestor`
+These drive the :class:`~repro.dpss.redundant.RedundantRead`
 over a live simulated network: eager and hedged policies, mid-read
 crashes, straggler cancellation, double-fault deliver-absent, health
 biasing, and the striped write path.

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.config import NetworkConfig
-from repro.dpss import DpssClient, DpssDataset, DpssMaster, DpssServer
+from repro.config import NetworkConfig, StripeConfig
+from repro.dpss import (
+    CompressionModel,
+    DpssClient,
+    DpssDataset,
+    DpssMaster,
+    DpssServer,
+    ServerUnavailable,
+)
 from repro.faults import (
     FaultInjector,
     FaultPlan,
@@ -17,12 +24,13 @@ from repro.faults import (
 from repro.netlogger.daemon import NetLogDaemon
 from repro.netlogger.logger import NetLogger
 from repro.netsim import Host, Link, Network, TcpParams
-from repro.util.units import MB, mbps
+from repro.util.units import KIB, MB, mbps
 
 N_SERVERS = 4
 
 
-def build(policy=None, replicas=2, seed=11):
+def build(policy=None, replicas=2, seed=11, stripe=None, compression=None,
+          slow_start=False):
     """A 4-server DPSS site with an instrumented client."""
     net = Network()
     daemon = NetLogDaemon()
@@ -38,7 +46,7 @@ def build(policy=None, replicas=2, seed=11):
         master.add_server(srv)
         net.add_route(f"s{i}", "client", [lan])
     master.register_dataset(
-        DpssDataset("ds", size=16 * MB), replicas=replicas
+        DpssDataset("ds", size=16 * MB), replicas=replicas, stripe=stripe
     )
     logger = NetLogger(
         "client", "dpss-client", clock=lambda: net.env.now, daemon=daemon
@@ -46,7 +54,8 @@ def build(policy=None, replicas=2, seed=11):
     client = DpssClient(
         net, "client", master,
         config=NetworkConfig(
-            tcp=TcpParams(slow_start=False), policy=policy
+            tcp=TcpParams(slow_start=slow_start), policy=policy,
+            compression=compression, stripe=stripe or StripeConfig(),
         ),
         logger=logger,
         rng=np.random.default_rng(seed),
@@ -211,3 +220,130 @@ class TestCapacityRestoration:
         assert net2.env.now == pytest.approx(clean_done, abs=1e-9)
         assert injector.injected == injector.cleared == 3
         assert master2.servers["s0"].online
+
+
+#: strategy -> (build kwargs, crash (at, server) or None, what the
+#: case must exercise); every read is 8 MB issued at t=1.0
+ACCOUNTING_CASES = {
+    "fail-fast": (dict(policy=None), None, lambda s: s.complete),
+    "policy-give-up": (
+        dict(policy=RequestPolicy(timeout=0.5, max_retries=1), replicas=1),
+        (0.5, "s1"),
+        lambda s: s.missing_bytes > 0 and "s1" not in s.per_server_bytes,
+    ),
+    "policy-failover": (
+        dict(policy=TestRetryAndFailover.POLICY),
+        (1.01, "s0"),
+        lambda s: s.complete and s.retries > 0
+        and "s0" not in s.per_server_bytes,
+    ),
+    "stripe-hedged": (
+        dict(stripe=StripeConfig(enabled=True, n_data=3), replicas=1),
+        (0.5, "s1"),
+        lambda s: s.complete and s.reconstructed_bytes > 0,
+    ),
+    "stripe-eager": (
+        dict(
+            stripe=StripeConfig(enabled=True, n_data=3, read_policy="eager"),
+            replicas=1,
+        ),
+        (0.5, "s1"),
+        lambda s: s.complete and s.reconstructed_bytes > 0,
+    ),
+}
+
+
+class TestReadAccounting:
+    @pytest.mark.parametrize("case", sorted(ACCOUNTING_CASES))
+    def test_delivered_bytes_are_conserved(self, case):
+        """ROADMAP aim 3: every delivered byte is booked to the server
+        that served it or to reconstruction, and to nothing else."""
+        kwargs, crash, exercised = ACCOUNTING_CASES[case]
+        net, master, client, handle, daemon = build(**kwargs)
+        if crash is not None:
+            at, server = crash
+            inject(net, master, daemon,
+                   ServerCrash(at=at, duration=60.0, server=server))
+        stats = read_at(net, client, handle, 8 * MB, t=1.0)
+        assert exercised(stats)
+        assert (
+            sum(stats.per_server_bytes.values()) + stats.reconstructed_bytes
+            == pytest.approx(stats.nbytes - stats.missing_bytes)
+        )
+
+    def test_winning_hedge_is_credited_with_its_own_cache_hits(self):
+        policy = RequestPolicy(timeout=None, max_retries=0, hedge_after=0.05)
+        net, master, client, handle, _ = build(policy=policy)
+        s0 = master.servers["s0"]
+        # With s0 down the master plans block 0 onto its replica, so
+        # only s1's cache is warm when s0 comes back (crawling).
+        s0.online = False
+        read_at(net, client, handle, 64 * KIB, t=0.0)
+        s0.online = True
+        net.sched.set_capacity(s0.disks, 1e4)
+        client.lseek(handle, 0)
+        stats = read_at(net, client, handle, 64 * KIB, t=0.0)
+        assert stats.hedges == 1 and stats.hedges_abandoned == 0
+        assert stats.cache_hit_blocks == stats.total_blocks == 1
+        assert stats.per_server_bytes == {"s1": 64 * KIB}
+
+    def test_inflate_is_charged_for_delivered_bytes_only(self):
+        """compression x policy: a share the policy gave up on is never
+        inflated; the fail-fast read inflates everything it asked for."""
+        model = CompressionModel(ratio=2.0, decompress_rate=100 * MB)
+        net, master, client, handle, _ = build(
+            policy=RequestPolicy(timeout=0.5, max_retries=0), replicas=1,
+            compression=model,
+        )
+        master.servers["s1"].online = False
+        stats = read_at(net, client, handle, 8 * MB, t=0.0)
+        delivered = 8 * MB - stats.missing_bytes
+        assert 0 < delivered < 8 * MB
+        assert stats.decompress_seconds == pytest.approx(
+            model.decompress_seconds(delivered)
+        )
+        assert stats.wire_bytes == pytest.approx(model.wire_bytes(delivered))
+
+        net, master, client, handle, _ = build(compression=model)
+        stats = read_at(net, client, handle, 8 * MB, t=0.0)
+        assert stats.decompress_seconds == pytest.approx(
+            model.decompress_seconds(8 * MB)
+        )
+
+    def test_fail_fast_ignores_replicas(self):
+        """The static plan is the fail-fast contract: without a policy
+        an offline primary raises even though a replica holds the data."""
+        net, master, client, handle, _ = build(policy=None, replicas=2)
+        master.servers["s0"].online = False
+        ev = client.read(handle, 8 * MB)
+        with pytest.raises(ServerUnavailable, match="offline"):
+            net.run(until=ev)
+
+
+class TestConnectionPool:
+    def test_sequential_reads_reuse_one_connection_per_server(self):
+        net, master, client, handle, _ = build(slow_start=True)
+        read_at(net, client, handle, 4 * MB, t=0.0)
+        first = {key: list(pool) for key, pool in client._pool.items()}
+        assert sorted(first) == [("read", f"s{i}") for i in range(N_SERVERS)]
+        assert all(len(pool) == 1 for pool in first.values())
+        warm = {key: pool[0].cwnd for key, pool in first.items()}
+        assert all(w > TcpParams().init_cwnd for w in warm.values())
+        read_at(net, client, handle, 4 * MB, t=0.0)
+        assert client._pool == first  # the same connection objects
+        for key, (conn,) in first.items():
+            # cwnd carried over: the window never fell back to init_cwnd
+            assert conn.cwnd >= warm[key] and len(conn.history) == 2
+
+    def test_a_hedge_grows_the_pool_by_one_and_the_next_read_reuses_it(self):
+        # Every share is still in flight at 10 ms, so each is hedged onto
+        # its replica holder while that holder's own share is running.
+        policy = RequestPolicy(timeout=30.0, max_retries=0, hedge_after=0.01)
+        net, master, client, handle, _ = build(policy=policy)
+        assert read_at(net, client, handle, 8 * MB, t=0.0).hedges == N_SERVERS
+        grown = {key: list(pool) for key, pool in client._pool.items()}
+        assert sorted(grown) == [("read", f"s{i}") for i in range(N_SERVERS)]
+        assert all(len(pool) == 2 for pool in grown.values())
+        assert read_at(net, client, handle, 8 * MB, t=0.0).hedges == N_SERVERS
+        assert client._pool == grown  # reused, not grown again
+        assert not client._leased
