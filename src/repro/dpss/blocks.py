@@ -93,6 +93,10 @@ class BlockMap:
             raise IndexError(
                 f"block {block} outside [0, {self.dataset.n_blocks})"
             )
+        return self._place(block)
+
+    def _place(self, block: int) -> str:
+        """:meth:`server_of_block` for a block known to be in range."""
         if self.stripe is not None:
             return self.stripe.server_of_block(block)
         return self.server_names[block % len(self.server_names)]
@@ -137,12 +141,22 @@ class BlockMap:
         (:meth:`server_of_block`) by default, the master's live
         placement when it plans around dead servers.
         """
+        blocks = self.blocks_for_range(offset, nbytes)
         if place is None:
-            place = self.server_of_block
+            # One range check instead of one per block: the size check
+            # above has 1e-6 of slack, which can reach one block past
+            # the end of a dataset that is a whole number of blocks.
+            n_blocks = self.dataset.n_blocks
+            if blocks.stop > n_blocks:
+                raise IndexError(
+                    f"block {max(blocks.start, n_blocks)} outside "
+                    f"[0, {n_blocks})"
+                )
+            place = self._place
         bs = self.dataset.block_size
         plan: Dict[str, Tuple[int, float]] = {}
         blocks_of: Dict[str, List[int]] = {}
-        for block in self.blocks_for_range(offset, nbytes):
+        for block in blocks:
             lo = max(block * bs, offset)
             hi = min((block + 1) * bs, offset + nbytes, self.dataset.size)
             server = place(block)

@@ -6,8 +6,9 @@ The model captures the two TCP effects the paper's campaigns surface:
    visibly slower; "after the first time step's worth of data was
    loaded and the TCP window fully opened, we were able to steadily
    consume in excess of 100 Mbps" (section 4.4.2). The congestion
-   window doubles each RTT from ``init_cwnd`` until ``max_window``;
-   the flow's rate cap is ``cwnd / rtt`` throughout.
+   window doubles each RTT from ``init_cwnd`` until ``ssthresh``, then
+   grows one MSS per RTT until ``max_window``; the flow's rate cap is
+   ``cwnd / rtt`` throughout.
 2. **Window/RTT ceiling** -- on high-latency paths a single stream
    cannot exceed ``max_window / rtt`` even on an idle link, which is
    why a single iperf stream saw ~100 Mbps over ESnet while Visapult's
@@ -15,6 +16,12 @@ The model captures the two TCP effects the paper's campaigns surface:
 
 Connections are persistent: the congestion window survives across
 ``send`` calls, so only the first transfer pays the ramp.
+
+A send does not tick. The window is a step function of time
+(:class:`_WindowSchedule`) handed to the transfer's fluid task; the
+allocator reads it when it solves and wakes for a step only while the
+window is what holds the flow back (DESIGN.md section 12.6). The send
+process itself just waits for the transfer to finish.
 """
 
 from __future__ import annotations
@@ -78,6 +85,42 @@ class TransferStats:
         return self.nbytes / self.duration if self.duration > 0 else float("inf")
 
 
+class _WindowSchedule:
+    """One send's congestion window as a step function of time.
+
+    Steps sit on the lattice ``t_k = t_(k-1) + rtt`` accumulated from
+    the instant the transfer was submitted (``t_0 + k * rtt`` rounds
+    differently). Implements
+    :class:`~repro.simcore.fluid.CapSchedule`; the window itself lives
+    on the connection, which outlasts the send.
+    """
+
+    __slots__ = ("conn", "next_at")
+
+    def __init__(self, conn: "TcpConnection", start: float):
+        self.conn = conn
+        self.next_at = start + conn.route.rtt
+
+    def advance(self, now: float) -> float:
+        conn = self.conn
+        params = conn.params
+        while self.next_at <= now:
+            if conn._cwnd < params.ssthresh:
+                # Slow start: exponential growth per RTT.
+                grown = conn._cwnd * 2.0
+            else:
+                # Congestion avoidance: one MSS per RTT -- the slow
+                # climb that makes the first timestep over a long-RTT
+                # path visibly laggard (Figure 17).
+                grown = conn._cwnd + params.mss
+            conn._cwnd = min(grown, params.max_window)
+            if conn._cwnd < params.max_window:
+                self.next_at += conn.route.rtt
+            else:
+                self.next_at = float("inf")
+        return conn._rate_cap()
+
+
 class TcpConnection:
     """A persistent, simulated TCP stream between two hosts.
 
@@ -127,7 +170,18 @@ class TcpConnection:
     @property
     def cwnd(self) -> float:
         """Current congestion window in bytes."""
+        self._sync_window()
         return self._cwnd
+
+    def _sync_window(self) -> None:
+        """Apply the window steps due by now; call before reading ``_cwnd``.
+
+        While a send's window is still opening ``_cwnd`` lags the
+        schedule its fluid task carries.
+        """
+        task = self._current_task
+        if task is not None and task.schedule is not None:
+            task.schedule.advance(self.network.env.now)
 
     def _rate_cap(self) -> float:
         rtt = max(self.route.rtt, 1e-9)
@@ -139,6 +193,7 @@ class TcpConnection:
         check_non_negative("cap", cap)
         self.host_cap = cap if cap > 0 else 1e-9
         if self._current_task is not None:
+            self._sync_window()
             self.network.sched.set_cap(self._current_task, self._rate_cap())
 
     def send(self, nbytes: float, *, label: str = "tcp") -> Event:
@@ -192,27 +247,22 @@ class TcpConnection:
                 cap=self._rate_cap(),
                 floor=self.reserved_rate,
             )
+            if self.params.slow_start and self._cwnd < self.params.max_window:
+                task.schedule = _WindowSchedule(self, env.now)
             self._current_task = task
-            done = sched.submit(task)
-
-            while not done.processed:
-                if self.params.slow_start and self._cwnd < self.params.max_window:
-                    tick = env.timeout(rtt)
-                    yield env.any_of([done, tick])
-                    if done.processed:
-                        break
-                    if self._cwnd < self.params.ssthresh:
-                        # Slow start: exponential growth per RTT.
-                        grown = self._cwnd * 2.0
-                    else:
-                        # Congestion avoidance: one MSS per RTT -- the
-                        # slow climb that makes the first timestep over
-                        # a long-RTT path visibly laggard (Figure 17).
-                        grown = self._cwnd + self.params.mss
-                    self._cwnd = min(grown, self.params.max_window)
-                    sched.set_cap(task, self._rate_cap())
-                else:
-                    yield done
+            yield sched.submit(task)
+            if task.schedule is not None:
+                # Once, so the persistent window carries to the next send.
+                task.schedule.advance(env.now)
+                if task.schedule.next_at != float("inf"):
+                    # A send that finished with its window still opening
+                    # used to be resumed through the AnyOf it shared with
+                    # its RTT timer, one queue hop after the transfer's
+                    # done event. Other processes resumed at this instant
+                    # kept their place relative to that hop (two
+                    # same-DATE lines in unstriped sc99-flaky swap
+                    # without it), so it stays.
+                    yield env.timeout(0.0)
             self._current_task = None
             sent = env.now
             # Last byte still has to propagate to the receiver.

@@ -78,6 +78,21 @@ class Environment:
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
+    def timeout_at(self, when: float, value: Any = None) -> Event:
+        """An event firing at absolute time ``when``, exactly.
+
+        ``timeout(when - now)`` fires at ``now + (when - now)``, which
+        can round one ulp away from ``when``; a caller that accumulated
+        ``when`` itself (a fixed-period lattice) schedules it here.
+        """
+        if when < self._now:
+            raise ValueError(f"when={when!r} is in the past (now={self._now!r})")
+        event = Event(self)
+        event._ok = True
+        event._value = value
+        heapq.heappush(self._queue, (when, 1, next(self._counter), event))
+        return event
+
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a new process starting now."""
         return Process(self, generator)

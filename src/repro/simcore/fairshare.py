@@ -23,20 +23,27 @@ not by mixing units inside one allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
-
-import numpy as np
+from typing import Dict, Iterable, List, Mapping
 
 _EPS = 1e-12
 _REL = 1e-9
 
-#: Default engine for :func:`fill_rates` when ``vectorized`` is ``None``:
-#: the coefficient-matrix path for components with at least this many
-#: flows, the dict-walking scalar oracle below it.  Set
-#: ``DEFAULT_VECTORIZED = False`` to force the oracle everywhere (the
-#: parity suites do exactly that).
-DEFAULT_VECTORIZED = True
-_VEC_MIN_FLOWS = 24
+
+def cap_binds(rate: float, cap: float, floor: float = 0.0) -> bool:
+    """Whether ``cap`` held a flow back in the solve that gave it ``rate``.
+
+    The negation of progressive filling's own tests: a flow that ends a
+    solve strictly inside its cap (by both ``_EPS`` and ``_REL``) never
+    supplied a round's ``dt`` and never froze at cap, so *raising* its
+    cap reproduces every round -- and every rate -- bit for bit. A
+    floor is granted as ``min(floor, cap)`` before filling starts, so
+    a reserved flow always counts as bound.
+    """
+    return (
+        floor > 0
+        or rate + _EPS >= cap
+        or rate >= cap - _REL * max(1.0, cap)
+    )
 
 
 @dataclass(frozen=True)
@@ -111,10 +118,7 @@ def max_min_allocation(
 
 
 def fill_rates(
-    flows: List[FlowSpec],
-    res_by_name: Mapping[str, ResourceSpec],
-    *,
-    vectorized: Optional[bool] = None,
+    flows: List[FlowSpec], res_by_name: Mapping[str, ResourceSpec]
 ) -> Dict[str, float]:
     """Progressive-filling core of :func:`max_min_allocation`.
 
@@ -124,28 +128,7 @@ def fill_rates(
     only needs the resources actually referenced by ``flows``: filling
     is separable across disjoint resource components, so restricting
     the inputs to one component yields that component's rates exactly.
-
-    ``vectorized`` selects the engine: ``True`` builds the flow x
-    resource coefficient matrix once and runs each progressive-filling
-    round as array ops, ``False`` is the original dict-walking loop
-    (kept as the pinned oracle), and ``None`` (default) picks the
-    matrix path for components big enough to amortise its setup.  Both
-    engines produce bitwise-identical rates for finite inputs: every
-    reduction in the matrix path is either a strict left fold
-    (``np.add.accumulate``) or an order-insensitive min, mirroring the
-    oracle's iteration order exactly.
     """
-    if vectorized is None:
-        vectorized = DEFAULT_VECTORIZED and len(flows) >= _VEC_MIN_FLOWS
-    if vectorized:
-        return _fill_rates_matrix(flows, res_by_name)
-    return _fill_rates_scalar(flows, res_by_name)
-
-
-def _fill_rates_scalar(
-    flows: List[FlowSpec], res_by_name: Mapping[str, ResourceSpec]
-) -> Dict[str, float]:
-    """Reference progressive filling (dict walks; the pinned oracle)."""
     rates: Dict[str, float] = {f.name: 0.0 for f in flows}
     residual = {r.name: float(r.capacity) for r in res_by_name.values()}
 
@@ -230,98 +213,3 @@ def _fill_rates_scalar(
         active = still_active
 
     return rates
-
-
-def _fill_rates_matrix(
-    flows: List[FlowSpec], res_by_name: Mapping[str, ResourceSpec]
-) -> Dict[str, float]:
-    """Progressive filling over a dense flow x resource coefficient matrix.
-
-    The matrix is built once per solve; each filling round is then a
-    handful of array ops instead of O(flows x usage) dict traffic.
-    Bitwise parity with :func:`_fill_rates_scalar` holds because the
-    only order-sensitive reduction — per-resource demand, which the
-    oracle accumulates flow-by-flow — is computed as a strict left fold
-    (``np.add.accumulate`` down the flow axis; padding zeros are exact
-    no-ops for the non-negative partial sums), while every min
-    reduction is order-insensitive and every other update is
-    elementwise.  The floors phase runs the oracle's own loop (it
-    interleaves clamped residual updates per reserved flow and is not a
-    hot path), just against the arrays.
-    """
-    nflows = len(flows)
-    if nflows == 0:
-        return {}
-    col = {rname: j for j, rname in enumerate(res_by_name)}
-    caps_r = np.array(
-        [float(res_by_name[rname].capacity) for rname in col], dtype=np.float64
-    )
-    # A_raw keeps every usage entry (the floors phase has no epsilon
-    # filter); A_eff zeroes coefficients <= _EPS, mirroring the
-    # ``coeff > _EPS`` guards of the filling loop.
-    a_raw = np.zeros((nflows, len(col)), dtype=np.float64)
-    for i, f in enumerate(flows):
-        for rname, coeff in f.usage.items():
-            a_raw[i, col[rname]] = coeff
-    a_eff = np.where(a_raw > _EPS, a_raw, 0.0)
-    caps_f = np.array([float(f.cap) for f in flows], dtype=np.float64)
-    rates = np.zeros(nflows, dtype=np.float64)
-    residual = caps_r.copy()
-
-    # -- phase 1: grant QoS reservations (floors) ------------------------
-    reserved = [
-        (i, f) for i, f in enumerate(flows) if f.floor > _EPS and f.cap > _EPS
-    ]
-    if reserved:
-        scale = 1.0
-        demand_r: Dict[str, float] = {}
-        for _i, f in reserved:
-            grant = min(f.floor, f.cap)
-            for rname, coeff in f.usage.items():
-                demand_r[rname] = demand_r.get(rname, 0.0) + coeff * grant
-        for rname, d in demand_r.items():
-            if d > residual[col[rname]] + _EPS:
-                scale = min(scale, float(residual[col[rname]]) / d)
-        for i, f in reserved:
-            grant = min(f.floor, f.cap) * scale
-            rates[i] = grant
-            for rname, coeff in f.usage.items():
-                j = col[rname]
-                residual[j] = max(float(residual[j]) - coeff * grant, 0.0)
-
-    # -- phase 2: max-min fill the remainder ------------------------------
-    blocked = ((a_eff > 0.0) & (residual <= _EPS)).any(axis=1)
-    active = np.flatnonzero((caps_f > rates + _EPS) & ~blocked)
-    # f.cap - _REL * max(1.0, f.cap), as the oracle recomputes per round
-    # (NaN for infinite caps; the comparison below is then False, same
-    # as the oracle's Python comparison, so silence the invalid-op
-    # warning numpy would raise where plain floats do not).
-    with np.errstate(invalid="ignore"):
-        cap_edge = caps_f - _REL * np.maximum(1.0, caps_f)
-    sat_edge = _REL * np.maximum(1.0, caps_r)
-
-    while active.size:
-        a_act = a_eff[active]
-        # Left-fold demand per resource in flow order (== oracle order).
-        demand = np.add.accumulate(a_act, axis=0)[-1]
-        used = demand > _EPS
-
-        dt = float((caps_f[active] - rates[active]).min())
-        if used.any():
-            dt = min(dt, float((residual[used] / demand[used]).min()))
-        dt = max(dt, 0.0)
-
-        rates[active] += dt
-        residual[used] = np.maximum(residual[used] - dt * demand[used], 0.0)
-
-        sat = used & (residual <= sat_edge)
-        with np.errstate(invalid="ignore"):
-            at_cap = rates[active] >= cap_edge[active]
-        on_sat = (a_act[:, sat] > 0.0).any(axis=1)
-        frozen = at_cap | on_sat
-        if not frozen.any():  # pragma: no cover - same guard as the oracle
-            break
-        rates[active[at_cap]] = caps_f[active[at_cap]]
-        active = active[~frozen]
-
-    return {f.name: float(rates[i]) for i, f in enumerate(flows)}

@@ -30,7 +30,7 @@ two modes are bitwise identical -- parity tests pin this.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -38,12 +38,18 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Protocol,
     Set,
     Tuple,
 )
 
 from repro.simcore.events import Event, SimulationError
-from repro.simcore.fairshare import FlowSpec, ResourceSpec, fill_rates
+from repro.simcore.fairshare import (
+    FlowSpec,
+    ResourceSpec,
+    cap_binds,
+    fill_rates,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.env import Environment
@@ -67,6 +73,24 @@ AllocObserver = Callable[[str, Dict[str, float]], None]
 
 #: ``FluidTask.on_rate`` callback: (task, old rate, new rate, now).
 RateObserver = Callable[["FluidTask", float, float, float], None]
+
+
+class CapSchedule(Protocol):
+    """A task's cap as a non-decreasing step function of time.
+
+    The scheduler pulls from it lazily (DESIGN.md section 12.6): every
+    solve first brings the schedules of its component up to ``now``,
+    and a step gets a wake of its own only while the cap binds.
+    Between solves ``task.cap`` may therefore lag the schedule; it can
+    only lag *low*, on a flow whose rate the cap was not holding back.
+    """
+
+    #: time of the next step; ``inf`` once the schedule is exhausted
+    next_at: float
+
+    def advance(self, now: float) -> float:
+        """Apply every step due by ``now``; return the cap there."""
+        ...
 
 
 class FluidResource:
@@ -156,6 +180,9 @@ class FluidTask:
         #: to its members at exactly the instants the allocator banks.
         #: Observers must not mutate the scheduler synchronously.
         self.on_rate: Optional[RateObserver] = None
+        #: optional :class:`CapSchedule` raising ``cap`` over time (a
+        #: TCP window opening); attach before :meth:`submit`.
+        self.schedule: Optional[CapSchedule] = None
         # -- scheduler-internal bookkeeping (meaningful while active) --
         self._seq = 0  # global submit order; orders flows in a solve
         self._synced_at = 0.0  # sim time `remaining` was last banked at
@@ -164,6 +191,7 @@ class FluidTask:
         self._eta_stale = False  # remaining moved without a rate change
         self._flow: Optional[FlowSpec] = None  # cached solver spec
         self._fcap: Optional[float] = None  # cached finite-cap stand-in
+        self._step_at = float("inf")  # schedule step a wake is armed for
 
     @property
     def progressed(self) -> float:
@@ -189,18 +217,11 @@ class AllocStats:
     completions: int = 0
     wakes_scheduled: int = 0  # timeouts actually pushed into the queue
     stale_wakes: int = 0  # superseded timeouts that fired dead
+    cap_steps: int = 0  # binding cap-schedule steps applied at their wake
+    solves_elided: int = 0  # set_cap calls that raised a slack cap
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "events": self.events,
-            "components_solved": self.components_solved,
-            "flows_touched": self.flows_touched,
-            "resources_touched": self.resources_touched,
-            "max_component_flows": self.max_component_flows,
-            "completions": self.completions,
-            "wakes_scheduled": self.wakes_scheduled,
-            "stale_wakes": self.stale_wakes,
-        }
+        return asdict(self)
 
 
 # ETA heap entry: (eta, push id, task, eta seq, horizon, banked-at).
@@ -214,8 +235,8 @@ class _Component:
     """A connected set of resources and the flows crossing them.
 
     Snapshots are cached between topology changes: cap/capacity churn
-    (the dominant event stream -- every TCP window update) re-solves a
-    component without re-deriving connectivity. ``tasks`` is ordered
+    (a binding TCP window step, a NIC derated by a busy CPU) re-solves
+    a component without re-deriving connectivity. ``tasks`` is ordered
     by submit sequence so solves see flows in the same order the
     historical global recompute did.
     """
@@ -325,8 +346,15 @@ class FluidScheduler:
             raise ValueError(f"cap must be >= 0, got {cap}")
         if task.name not in self._active:
             return  # already finished; harmless
+        old = task.cap
         task.cap = float(cap)
         task._flow = None
+        if cap >= old and not cap_binds(task.rate, old, task.floor):
+            # Raising a cap that was not holding the flow back cannot
+            # change any rate (section 12.6): record it for the next
+            # solve and skip this one.
+            self.stats.solves_elided += 1
+            return
         self._touch_task(task)
         self._after_change()
 
@@ -649,6 +677,9 @@ class FluidScheduler:
 
     def _solve(self, comp: _Component, now: float) -> None:
         """Recompute one component's rates and refresh changed ETAs."""
+        for task in comp.tasks:
+            if task.schedule is not None:
+                self._sync_cap(task, task.schedule, now)
         flows = [self._flow_of(t) for t in comp.tasks]
         res_specs = {rname: self._spec_of(rname) for rname in comp.resources}
         rates = fill_rates(flows, res_specs)
@@ -663,6 +694,8 @@ class FluidScheduler:
                     task.on_rate(task, old, rate, now)
             elif task._eta_stale:
                 self._refresh_eta(task, now)
+            if task.schedule is not None:
+                self._arm_step(task, task.schedule)
 
     def _solve_floating(self, task: FluidTask, now: float) -> None:
         """A task with no positive coefficients is its own component.
@@ -670,6 +703,8 @@ class FluidScheduler:
         Progressive filling trivially drives it to its cap (or the
         finite sentinel when uncapped); no resources are consumed.
         """
+        if task.schedule is not None:
+            self._sync_cap(task, task.schedule, now)
         rate = task.cap if task.cap != float("inf") else _CAP_SENTINEL
         if rate != task.rate:
             self._bank(task)
@@ -682,6 +717,55 @@ class FluidScheduler:
             self._refresh_eta(task, now)
         if task._eta <= now:
             self._complete(task, now)
+        elif task.schedule is not None:
+            self._arm_step(task, task.schedule)
+
+    # -- cap schedules --------------------------------------------------------
+    @staticmethod
+    def _sync_cap(task: FluidTask, schedule: CapSchedule, now: float) -> None:
+        """Bring ``task.cap`` up to its schedule before a solve reads it.
+
+        The schedule is asked every time: its owner may have advanced
+        it already (reading a TCP window does) without telling us.
+        """
+        cap = schedule.advance(now)
+        if cap != task.cap:
+            task.cap = cap
+            task._flow = None
+
+    def _arm_step(self, task: FluidTask, schedule: CapSchedule) -> None:
+        """Wake at ``task``'s next schedule step if its cap binds now.
+
+        A step of a slack cap needs no wake: the next solve of the
+        component picks it up through :meth:`_sync_cap`. Step wakes
+        are timeouts of their own, at the step's absolute time; they
+        never share the completion wake, whose relative-delay
+        arithmetic depends on the instant it was armed at.
+        """
+        when = schedule.next_at
+        if (
+            when == task._step_at
+            or when == float("inf")
+            or not cap_binds(task.rate, task.cap, task.floor)
+        ):
+            return
+        task._step_at = when
+        wake = self.env.timeout_at(when)
+        wake.callbacks.append(lambda _ev: self._on_step(task, schedule, when))
+
+    def _on_step(
+        self, task: FluidTask, schedule: CapSchedule, when: float
+    ) -> None:
+        if (
+            self._active.get(task.name) is not task
+            or schedule.next_at != when
+            or not cap_binds(task.rate, task.cap, task.floor)
+        ):
+            # Finished; or a solve at this instant took the step; or a
+            # solve since left the cap slack, and the next one syncs it.
+            return
+        self.stats.cap_steps += 1
+        self.set_cap(task, schedule.advance(when))
 
     def _refresh_eta(self, task: FluidTask, now: float) -> None:
         """Recompute the absolute completion estimate after a change.

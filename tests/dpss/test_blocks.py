@@ -20,6 +20,10 @@ def check_shares(bm, offset, nbytes):
     assert sorted(b for ids in blocks_of.values() for b in ids) == list(
         bm.blocks_for_range(offset, nbytes)
     )
+    # The loop places blocks unchecked; the checked public lookup agrees.
+    assert all(
+        bm.server_of_block(b) == s for s, ids in blocks_of.items() for b in ids
+    )
     # A master with the first server down plans around it.
     names = bm.server_names
     master = DpssMaster(Host("master", nic_rate=mbps(100)))
@@ -67,6 +71,15 @@ class TestBlockMap:
         bm = BlockMap(ds, ["s0"])
         with pytest.raises(IndexError):
             bm.server_of_block(1)
+
+    def test_shares_checks_the_range_once(self):
+        """The size check's 1e-6 of slack reaches one block past a
+        whole-block dataset; ``shares`` refuses it like the per-block
+        lookup it no longer calls."""
+        ds = DpssDataset("d", size=2 * 64 * KIB, block_size=64 * KIB)
+        bm = BlockMap(ds, ["s0", "s1"])
+        with pytest.raises(IndexError, match=r"block 2 outside \[0, 2\)"):
+            bm.shares(64 * KIB, 64 * KIB + 5e-7)
 
     def test_blocks_for_range(self):
         ds = DpssDataset("d", size=10 * 64 * KIB, block_size=64 * KIB)

@@ -15,6 +15,7 @@ import repro.simcore.fluid as fluid
 from repro.core import CampaignConfig, run_campaign
 from repro.core.campaign import named_campaign
 from repro.netlogger import ALLOC_TAGS, Tags, declared_tags, lifeline_plot
+from tests.quick import quick_campaign
 
 
 def _tiny_single():
@@ -74,3 +75,16 @@ def test_alloc_stats_off_by_default(tmp_path):
     path = tmp_path / "quiet.ulm"
     run_campaign(_tiny_single(), ulm_path=str(path))
     assert "ALLOC_" not in path.read_text()
+
+
+def test_alloc_summary_counts_window_steps():
+    """E5's slow first frame over ESnet, as one number in the log: the
+    window was still opening, so binding cap steps were applied."""
+    result = run_campaign(quick_campaign("esnet_anl", True), alloc_stats=True)
+    (summary,) = result.event_log.filter(event=Tags.ALLOC_SUMMARY).events
+    assert summary.get("cap_steps") > 0
+    assert summary.get("solves_elided") >= 0
+    # A LAN window opens inside the first round trips: next to nothing.
+    lan = run_campaign(quick_campaign("lan_e4500", True), alloc_stats=True)
+    (lan_summary,) = lan.event_log.filter(event=Tags.ALLOC_SUMMARY).events
+    assert lan_summary.get("cap_steps") < summary.get("cap_steps")

@@ -404,3 +404,26 @@ def test_determinism_same_seed_same_trace():
         return trace
 
     assert build() == build()
+
+
+def test_timeout_at_fires_at_the_exact_absolute_time():
+    """``now + (when - now)`` can round an ulp away from ``when``."""
+    now, when = 0.9909626251286945, 3.4028523500198804
+    assert now + (when - now) != when
+    env = Environment(initial_time=now)
+    fired = []
+
+    def waiter(env):
+        value = yield env.timeout_at(when, "v")
+        fired.append((env.now, value))
+
+    env.process(waiter(env))
+    env.run()
+    assert fired == [(when, "v")]
+
+
+def test_timeout_at_rejects_the_past():
+    env = Environment(initial_time=2.0)
+    with pytest.raises(ValueError):
+        env.timeout_at(1.0)
+    env.timeout_at(2.0)  # now is fine

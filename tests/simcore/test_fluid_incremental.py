@@ -278,7 +278,7 @@ def test_alloc_stats_count_the_hot_path():
     assert set(stats.to_dict()) == {
         "events", "components_solved", "flows_touched",
         "resources_touched", "max_component_flows", "completions",
-        "wakes_scheduled", "stale_wakes",
+        "wakes_scheduled", "stale_wakes", "cap_steps", "solves_elided",
     }
 
 
@@ -354,3 +354,95 @@ def test_completion_event_value_is_finish_time():
     value = env.run(until=done)
     assert value == pytest.approx(10.0)
     assert isinstance(done, Event)
+
+
+# ---------------------------------------------------------------------------
+# cap schedules: solve only when an allocation can change
+# ---------------------------------------------------------------------------
+
+class _Doubling:
+    """A ``CapSchedule``: ``cap`` doubles every ``period`` up to ``top``."""
+
+    def __init__(self, period: float, cap: float, top: float):
+        self.period, self.cap, self.top = period, cap, top
+        self.next_at = period
+
+    def advance(self, now: float) -> float:
+        while self.next_at <= now:
+            self.cap = min(self.cap * 2.0, self.top)
+            self.next_at = (
+                self.next_at + self.period if self.cap < self.top
+                else float("inf")
+            )
+        return self.cap
+
+
+def _scheduled_task(res, work, schedule):
+    task = FluidTask("t", work=work, usage={res: 1.0}, cap=schedule.cap)
+    task.schedule = schedule
+    return task
+
+
+def test_slack_schedule_costs_no_event_and_no_solve():
+    env = Environment()
+    sched = FluidScheduler(env)
+    res = sched.add_resource(FluidResource("r", 10.0))
+    task = _scheduled_task(res, 100.0, _Doubling(0.5, 20.0, 5120.0))
+    done = sched.submit(task)
+    assert len(env._queue) == 1  # the completion wake, no step wake
+    env.run(until=done)
+    assert env.now == 10.0
+    assert sched.stats.cap_steps == 0
+    assert sched.stats.components_solved == 1
+    # Nobody asked: the cap the solve saw is still on the task.
+    assert task.cap == 20.0
+
+
+def test_binding_schedule_steps_on_its_own_lattice():
+    env = Environment()
+    sched = FluidScheduler(env)
+    res = sched.add_resource(FluidResource("r", 100.0))
+    task = _scheduled_task(res, 100.0, _Doubling(1.0, 10.0, 40.0))
+    seen = []
+    task.on_rate = lambda t, old, new, now: seen.append((now, new))
+    env.run(until=sched.submit(task))
+    # 10/s for 1 s, 20/s for 1 s, then 40/s for the remaining 70.
+    assert seen == [(0.0, 10.0), (1.0, 20.0), (2.0, 40.0)]
+    assert env.now == 3.75
+    assert sched.stats.cap_steps == 2
+
+
+def test_solve_reads_every_schedule_of_the_component():
+    env = Environment()
+    sched = FluidScheduler(env)
+    res = sched.add_resource(FluidResource("r", 10.0))
+    slack = _scheduled_task(res, 1000.0, _Doubling(0.25, 16.0, 64.0))
+    sched.submit(slack)
+    short = FluidTask("short", work=5.0, usage={res: 1.0})
+    env.run(until=sched.submit(short))
+    # 5 each until `short` left at t=1; its completion re-solved the
+    # component with the schedule brought up to now.
+    assert env.now == 1.0
+    assert slack.cap == 64.0 and slack.rate == 10.0
+    assert sched.stats.cap_steps == 0
+
+
+def test_set_cap_elides_only_raises_of_a_slack_cap():
+    env = Environment()
+    sched = FluidScheduler(env)
+    res = sched.add_resource(FluidResource("r", 10.0))
+    a = FluidTask("a", work=1e6, usage={res: 1.0}, cap=100.0)
+    b = FluidTask("b", work=1e6, usage={res: 1.0}, cap=100.0)
+    sched.submit(a)
+    sched.submit(b)
+    solved = sched.stats.components_solved
+    sched.set_cap(a, 200.0)  # 5 of 100: slack, raised
+    assert (a.cap, a.rate, b.rate) == (200.0, 5.0, 5.0)
+    assert sched.stats.solves_elided == 1
+    assert sched.stats.components_solved == solved
+    sched.set_cap(a, 3.0)  # lowered: must solve
+    assert (a.rate, b.rate) == (3.0, 7.0)
+    sched.set_cap(a, 4.0)  # raised, but it was binding: must solve
+    assert (a.rate, b.rate) == (4.0, 6.0)
+    assert sched.stats.solves_elided == 1
+    assert sched.stats.components_solved == solved + 2
