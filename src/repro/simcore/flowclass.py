@@ -34,15 +34,24 @@ member) -- parity tests pin the two modes against each other.
 Within one class, members complete in fixed order (all members
 progress at the shared per-member rate, so relative order is set by
 remaining work at join time); the pool tracks that order with a
-cumulative-progress threshold heap, so a member join/complete costs
-O(log members) plus one O(members-in-class) banking sweep per bitwise
-rate change -- never a per-session flow in the solver.
+cumulative-progress threshold heap, and only its head ever needs a
+completion estimate. A bitwise rate change is therefore O(1): it
+appends one segment (change time, outgoing rate, and the product
+``old * (t_n - t_(n-1))`` every member already in the class loses) to
+the class's log. A member is brought up to date only when it heads the
+order, by replaying the segments it has not seen -- the same
+subtractions in the same order, so each member folds each segment of
+its lifetime exactly once (DESIGN.md section 15.1 has the exactness
+argument, ``tests/oracles/eager_flowclass.py`` the per-change sweep
+this replaced). Join / complete stay O(log members); the log is
+dropped when the class drains.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from array import array
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro.simcore.events import Event
@@ -92,41 +101,50 @@ class _Member:
         "work",
         "remaining",
         "synced_at",
-        "eta",
-        "eta_horizon",
-        "eta_anchor",
-        "eta_seq",
+        "seen",
         "seq",
         "active",
         "done",
         "state",
     )
 
-    def __init__(self, name: str, work: float, now: float, seq: int):
+    def __init__(
+        self, name: str, work: float, now: float, seq: int,
+        state: "_ClassState", done: Event,
+    ):
         self.name = name
         self.work = work
-        self.remaining = work
+        self.remaining = work  # as of ``synced_at``
         self.synced_at = now
-        self.eta = float("inf")
-        self.eta_horizon = float("inf")
-        self.eta_anchor = now
-        self.eta_seq = 0  # bumped at each refresh; lazy heap deletion
+        #: segments of ``state``'s log already folded into ``remaining``
+        self.seen = len(state.seg_prod)
         self.seq = seq  # global admit order; breaks completion ties
         self.active = True
-        self.done: Optional[Event] = None
-        self.state: Optional["_ClassState"] = None
+        self.done = done
+        self.state = state
 
 
 class _ClassState:
     """Live members and the aggregate flow of one class."""
 
-    __slots__ = ("spec", "agg", "members", "order", "progress", "p_synced", "rate")
+    __slots__ = (
+        "spec",
+        "agg",
+        "members",
+        "order",
+        "progress",
+        "p_synced",
+        "rate",
+        "epoch",
+        "seg_t",
+        "seg_rate",
+        "seg_prod",
+    )
 
     def __init__(self, spec: FlowClass):
         self.spec = spec
         self.agg: Optional[FluidTask] = None
-        #: admit order preserved (dict insertion); banking sweeps walk
-        #: this, so both pool modes see members deterministically.
+        #: live members by name (duplicate check, member count ``k``)
         self.members: Dict[str, _Member] = {}
         #: completion-order heap keyed by the cumulative per-member
         #: progress at which each member finishes (progress-at-join +
@@ -136,6 +154,17 @@ class _ClassState:
         self.progress = 0.0  # cumulative per-member work served
         self.p_synced = 0.0
         self.rate = 0.0  # mirror of agg.rate (per-member)
+        #: rate changes so far, never reset: a wake-heap entry is live
+        #: only in the epoch it was pushed in.
+        self.epoch = 0
+        #: segment log, one entry per rate change since the class last
+        #: activated: the change time, the rate that ended there, and
+        #: ``rate * (t - previous change)`` -- what a member that sat
+        #: through the whole segment lost in it. Unboxed: a busy class
+        #: logs thousands of segments.
+        self.seg_t = array("d")
+        self.seg_rate = array("d")
+        self.seg_prod = array("d")
 
 
 @dataclass
@@ -145,22 +174,17 @@ class FlowClassStats:
     classes: int = 0  # aggregate flows created (class activations)
     members_submitted: int = 0
     members_completed: int = 0
-    disaggregations: int = 0  # banking sweeps (aggregate rate changes)
+    disaggregations: int = 0  # aggregate rate changes (segments logged)
     wakes_scheduled: int = 0
     stale_wakes: int = 0
+    replays: int = 0  # members brought up to date from the segment log
+    fold_steps: int = 0  # segments those replays folded, in total
 
     def to_dict(self) -> Dict[str, int]:
-        return {
-            "classes": self.classes,
-            "members_submitted": self.members_submitted,
-            "members_completed": self.members_completed,
-            "disaggregations": self.disaggregations,
-            "wakes_scheduled": self.wakes_scheduled,
-            "stale_wakes": self.stale_wakes,
-        }
+        return asdict(self)
 
 
-# Pool wake-heap entry: (eta, push id, member, eta seq, horizon,
+# Pool wake-heap entry: (eta, push id, member, class epoch, horizon,
 # anchor) -- same shape and arming discipline as the fluid ETA heap.
 _HeapEntry = Tuple[float, int, _Member, int, float, float]
 
@@ -213,25 +237,30 @@ class FlowClassPool:
         """
         if work < 0:
             raise ValueError(f"work must be >= 0, got {work}")
-        self.stats.members_submitted += 1
         if not self.aggregate:
             task = FluidTask(
                 name, work, spec.usage, cap=spec.cap, floor=spec.floor
             )
-            return self.sched.submit(task)
+            done = self.sched.submit(task)
+            self.stats.members_submitted += 1
+            return done
         now = self.env.now
         if work <= _WORK_EPS:
             done = Event(self.env)
             done.succeed(now)
+            self.stats.members_submitted += 1
             self.stats.members_completed += 1
             return done
         state = self._state_of(spec)
+        if name in state.members:
+            raise ValueError(f"duplicate member name {name!r}")
+        # Counted once nothing can refuse the member any more, so
+        # submitted == completed balances at the end of every run.
+        self.stats.members_submitted += 1
         self._seq_ids += 1
-        member = _Member(name, float(work), now, self._seq_ids)
-        member.done = Event(self.env)
-        member.state = state
-        if member.name in state.members:
-            raise ValueError(f"duplicate member name {member.name!r}")
+        member = _Member(
+            name, float(work), now, self._seq_ids, state, Event(self.env)
+        )
         # Sync cumulative progress to now so the ordering threshold is
         # comparable with members admitted at other instants.
         if state.agg is not None:
@@ -239,10 +268,11 @@ class FlowClassPool:
             if dt > 0:
                 state.progress += state.rate * dt
         state.p_synced = now
-        state.members[member.name] = member
+        state.members[name] = member
         heapq.heappush(
             state.order, (state.progress + member.work, member.seq, member)
         )
+        epoch = state.epoch
         if state.agg is None:
             agg = FluidTask(
                 f"fc:{spec.name}",
@@ -264,10 +294,9 @@ class FlowClassPool:
             agg.cap = self._member_cap(state)
             self.sched.set_usage(agg, self._scaled_usage(state))
         # If the solve left the per-member rate bitwise unchanged (a
-        # cap-pinned class with slack), no banking sweep ran and the
-        # new member has no ETA yet: anchor one at the standing rate.
-        if member.active and member.eta_seq == 0:
-            self._refresh_member(member, state.rate, self.env.now)
+        # cap-pinned class with slack), no segment closed and nothing
+        # queued the head: the new member may be it.
+        if state.epoch == epoch:
             self._push_head(state)
             self._arm_wake()
         return member.done
@@ -324,58 +353,72 @@ class FlowClassPool:
     def _on_agg_rate(
         self, state: _ClassState, old: float, new: float, now: float
     ) -> None:
-        """Bank every member at the outgoing rate; re-anchor ETAs.
+        """Log the segment served at ``old``; re-anchor the head's ETA.
 
-        Runs from inside the allocator's solve (the ``on_rate`` hook),
-        so it must not mutate the scheduler -- it only touches pool
-        state and arms the pool's own wake timeout.
+        Members catch up from the log when they head the completion
+        order (:meth:`_sync`). Runs from inside the allocator's solve
+        (the ``on_rate`` hook), so it must not mutate the scheduler --
+        it only touches pool state and arms the pool's own wake timeout.
         """
         state.rate = new
         dt = now - state.p_synced
         if dt > 0:
             state.progress += old * dt
         state.p_synced = now
-        for member in state.members.values():
-            mdt = now - member.synced_at
-            if mdt > 0:
-                member.remaining = max(member.remaining - old * mdt, 0.0)
-            member.synced_at = now
-            self._refresh_member(member, new, now)
+        seg_t = state.seg_t
+        # A member reads the product only of a segment it sat through
+        # whole, so the first entry of a log is never read.
+        state.seg_prod.append(old * (now - seg_t[-1]) if seg_t else 0.0)
+        seg_t.append(now)
+        state.seg_rate.append(old)
+        state.epoch += 1
         self.stats.disaggregations += 1
         self._push_head(state)
         self._arm_wake()
 
-    def _refresh_member(self, member: _Member, rate: float, now: float) -> None:
-        member.eta_seq += 1
-        if rate > 0:
-            horizon = member.remaining / rate
-            member.eta = now + horizon
-            member.eta_horizon = horizon
-            member.eta_anchor = now
-        else:
-            member.eta = float("inf")
+    def _sync(self, member: _Member, state: _ClassState) -> None:
+        """Bank ``member`` through every segment it has not seen.
+
+        The subtractions a per-change sweep would have made, in its
+        order: the segment the member joined (or was last synced) in
+        ends ``seg_t - synced_at`` later, every further one costs the
+        shared product. No step raises ``remaining``, so one clip at
+        the end equals a clip at every step.
+        """
+        first = member.seen
+        n = len(state.seg_prod)
+        if first == n:
+            return
+        remaining = member.remaining
+        dt = state.seg_t[first] - member.synced_at
+        if dt > 0:
+            remaining -= state.seg_rate[first] * dt
+        for lost in state.seg_prod[first + 1:]:
+            remaining -= lost
+        member.remaining = remaining if remaining > 0.0 else 0.0
+        member.synced_at = state.seg_t[-1]
+        member.seen = n
+        self.stats.replays += 1
+        self.stats.fold_steps += n - first
 
     def _push_head(self, state: _ClassState) -> None:
         """Queue the class's next completion on the pool wake heap."""
         order = state.order
         while order and not order[0][2].active:
             heapq.heappop(order)
-        if not order:
+        if not order or not state.rate > 0:
             return
         head = order[0][2]
-        if head.eta == float("inf"):
-            return
+        self._sync(head, state)
+        # ``remaining`` was measured at ``synced_at`` -- the last rate
+        # change, or the join if none came since -- and the rate has
+        # been ``state.rate`` from then on: that instant is the anchor.
+        t0 = head.synced_at
+        horizon = head.remaining / state.rate
         self._push_ids += 1
         heapq.heappush(
             self._heap,
-            (
-                head.eta,
-                self._push_ids,
-                head,
-                head.eta_seq,
-                head.eta_horizon,
-                head.eta_anchor,
-            ),
+            (t0 + horizon, self._push_ids, head, state.epoch, horizon, t0),
         )
 
     def _arm_wake(self) -> None:
@@ -389,14 +432,14 @@ class FlowClassPool:
         """
         heap = self._heap
         while heap:
-            _eta, _pid, member, eta_seq, _horizon, _t0 = heap[0]
-            if member.active and member.eta_seq == eta_seq:
+            _eta, _pid, member, epoch, _horizon, _t0 = heap[0]
+            if member.active and member.state.epoch == epoch:
                 break
             heapq.heappop(heap)
         if not heap:
             self._next_wake = float("inf")
             return
-        eta, _pid, _member, _eseq, horizon, t0 = heap[0]
+        eta, _pid, _member, _epoch, horizon, t0 = heap[0]
         if eta >= self._next_wake:
             return
         self._wake_token += 1
@@ -415,8 +458,8 @@ class FlowClassPool:
         now = self.env.now
         heap = self._heap
         while heap:
-            eta, _pid, member, eta_seq, _horizon, _t0 = heap[0]
-            if not (member.active and member.eta_seq == eta_seq):
+            eta, _pid, member, epoch, _horizon, _t0 = heap[0]
+            if not (member.active and member.state.epoch == epoch):
                 heapq.heappop(heap)
                 continue
             if eta > now:
@@ -427,13 +470,10 @@ class FlowClassPool:
 
     def _complete_member(self, member: _Member, now: float) -> None:
         state = member.state
-        assert state is not None  # set at admit time
         member.active = False
-        member.eta_seq += 1
         member.remaining = 0.0
         del state.members[member.name]
         self.stats.members_completed += 1
-        assert member.done is not None  # set at admit time
         member.done.succeed(now)
         if not state.members:
             agg = state.agg
@@ -441,6 +481,9 @@ class FlowClassPool:
             state.rate = 0.0
             state.order = []
             state.progress = 0.0
+            # Every reader of the log is gone; the next activation
+            # starts a fresh one at index 0.
+            del state.seg_t[:], state.seg_rate[:], state.seg_prod[:]
             if agg is not None:
                 agg.on_rate = None  # no members left to disaggregate to
                 self.sched.withdraw(agg)
@@ -449,6 +492,6 @@ class FlowClassPool:
             assert agg is not None  # members imply a live aggregate
             agg.cap = self._member_cap(state)
             self.sched.set_usage(agg, self._scaled_usage(state))
-            # If the per-member rate survived bitwise, no sweep ran and
-            # the next head still needs queueing.
+            # If the per-member rate survived bitwise, no segment closed
+            # and the next head still needs queueing.
             self._push_head(state)
