@@ -23,7 +23,7 @@ buffer, the staged-pipeline credits, the live-mode locks).
 """
 
 from repro.analysis.findings import CATEGORY_TAGS, Finding, SanitizerReport
-from repro.analysis.lint import LintFinding, lint_file, lint_source, run_lint
+from repro.analysis.lint import lint_file, lint_source, run_lint
 from repro.analysis.staticbase import CheckFinding
 from repro.analysis.check import CheckResult, run_check
 from repro.analysis.sanitizer import SimSanitizer, attach_sanitizer
@@ -48,7 +48,6 @@ __all__ = [
     "disable_thread_sanitizer",
     "thread_sanitizer",
     "named_lock",
-    "LintFinding",
     "lint_source",
     "lint_file",
     "run_lint",

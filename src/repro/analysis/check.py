@@ -36,6 +36,7 @@ from repro._version import __version__
 from repro.analysis import dataflow, typestate
 from repro.analysis.staticbase import (
     CheckFinding,
+    default_target,
     ParsedModule,
     filter_findings,
     iter_python_files,
@@ -129,13 +130,6 @@ class CheckResult:
             ],
             "stale_baseline": list(self.stale_baseline),
         }
-
-
-def default_target() -> str:
-    """The installed package tree, the default thing checked."""
-    import repro
-
-    return os.path.dirname(os.path.abspath(repro.__file__))
 
 
 def analyze_paths(

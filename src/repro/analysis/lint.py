@@ -28,9 +28,13 @@ from __future__ import annotations
 
 import ast
 import os
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.analysis.staticbase import (
+    CheckFinding,
+    default_target,
+    iter_python_files,
+)
 from repro.netlogger.events import TAG_PREFIXES, declared_tags
 
 #: packages (path components under ``repro/``) that run in simulated
@@ -52,20 +56,6 @@ WALL_CLOCK_ATTRS = frozenset(
         "process_time",
     }
 )
-
-
-@dataclass(frozen=True)
-class LintFinding:
-    """One rule violation at a source location."""
-
-    path: str
-    line: int
-    col: int
-    code: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.line}:{self.col} {self.code} {self.message}"
 
 
 def _is_sim_only(path: str) -> bool:
@@ -96,7 +86,7 @@ class _Visitor(ast.NodeVisitor):
         self.path = path
         self.sim_only = _is_sim_only(path)
         self.tags = tags
-        self.findings: List[LintFinding] = []
+        self.findings: List[CheckFinding] = []
         #: module-level functions and (class, method) definitions, for
         #: resolving what ``env.process(f(...))`` actually launches
         self.functions: Dict[str, ast.FunctionDef] = {}
@@ -106,7 +96,7 @@ class _Visitor(ast.NodeVisitor):
 
     def _add(self, node: ast.AST, code: str, message: str) -> None:
         self.findings.append(
-            LintFinding(
+            CheckFinding(
                 path=self.path,
                 line=getattr(node, "lineno", 0),
                 col=getattr(node, "col_offset", 0) + 1,
@@ -271,13 +261,13 @@ class _Visitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_source(source: str, path: str) -> List[LintFinding]:
+def lint_source(source: str, path: str) -> List[CheckFinding]:
     """Lint one module's source text."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
         return [
-            LintFinding(
+            CheckFinding(
                 path=path,
                 line=exc.lineno or 0,
                 col=(exc.offset or 0),
@@ -291,44 +281,18 @@ def lint_source(source: str, path: str) -> List[LintFinding]:
     return visitor.findings
 
 
-def lint_file(path: str) -> List[LintFinding]:
+def lint_file(path: str) -> List[CheckFinding]:
     """Lint one file on disk."""
     with open(path, "r", encoding="utf-8") as fh:
         return lint_source(fh.read(), path)
 
 
-def _iter_python_files(paths: Iterable[str]) -> List[str]:
-    files: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for dirpath, dirnames, filenames in os.walk(path):
-                dirnames.sort()
-                dirnames[:] = [
-                    d for d in dirnames if d != "__pycache__"
-                ]
-                files.extend(
-                    os.path.join(dirpath, f)
-                    for f in sorted(filenames)
-                    if f.endswith(".py")
-                )
-        else:
-            files.append(path)
-    return files
-
-
-def default_target() -> str:
-    """The package source tree, the default thing ``visapult lint`` checks."""
-    import repro
-
-    return os.path.dirname(os.path.abspath(repro.__file__))
-
-
-def run_lint(paths: Optional[Sequence[str]] = None) -> List[LintFinding]:
+def run_lint(paths: Optional[Sequence[str]] = None) -> List[CheckFinding]:
     """Lint ``paths`` (files or directories); defaults to the package."""
     if not paths:
         paths = [default_target()]
-    findings: List[LintFinding] = []
-    for path in _iter_python_files(paths):
+    findings: List[CheckFinding] = []
+    for path in iter_python_files(paths):
         findings.extend(lint_file(path))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings

@@ -1,13 +1,16 @@
-"""Shared plumbing for the VIS2xx static analyzers (``visapult check``).
+"""Shared plumbing for the static analyzers (``visapult lint`` / ``check``).
 
-The dataflow (:mod:`~repro.analysis.dataflow`) and typestate
-(:mod:`~repro.analysis.typestate`) passes both reduce to
-:class:`CheckFinding` records over parsed modules.  This module holds
+The VIS1xx linter (:mod:`~repro.analysis.lint`) and the VIS2xx dataflow
+(:mod:`~repro.analysis.dataflow`) and typestate
+(:mod:`~repro.analysis.typestate`) passes all reduce to
+:class:`CheckFinding` records over source files.  This module holds
 the pieces they share:
 
 - :class:`CheckFinding` -- one rule violation at a source location,
   with a location-tolerant :attr:`~CheckFinding.fingerprint` used for
   baseline matching.
+- :func:`iter_python_files` / :func:`default_target` -- the one file
+  walker and the one default thing to examine.
 - :class:`ParsedModule` -- a parsed source file plus its allowlist
   pragmas, handed to every pass so each file is read and parsed once.
 - the ``# vis: allow[VIS2xx]`` pragma scanner.  A pragma on a finding's
@@ -38,7 +41,7 @@ _COMMENT_ONLY_RE = re.compile(r"^\s*#")
 
 @dataclass(frozen=True)
 class CheckFinding:
-    """One VIS2xx rule violation at a source location."""
+    """One VIS1xx/VIS2xx rule violation at a source location."""
 
     path: str
     line: int
@@ -166,6 +169,13 @@ def parse_module(path: str, source: Optional[str] = None) -> ParsedModule:
         tree=tree,
         allow=scan_allow_pragmas(source),
     )
+
+
+def default_target() -> str:
+    """The package source tree: what is examined when no path is given."""
+    import repro
+
+    return os.path.dirname(os.path.abspath(repro.__file__))
 
 
 def iter_python_files(paths: Iterable[str]) -> List[str]:

@@ -35,7 +35,6 @@ from repro.backend.sim import SimBackEnd
 from repro.config import (
     BackendConfig,
     ExperimentConfig,
-    FlowClassConfig,
     NetworkConfig,
     SiteLink,
     SiteSpec,
@@ -91,7 +90,6 @@ __all__ = [
     "ExperimentConfig",
     "FaultPlan",
     "FlowClass",
-    "FlowClassConfig",
     "FlowClassPool",
     "HealthTracker",
     "NetworkConfig",

@@ -8,7 +8,6 @@ Installed as the ``visapult`` console script::
     visapult campaign --faults examples/plans/sc99_flaky.json --sanitize
     visapult campaign sc99-flaky --stripe 4+1
     visapult serve-sim sc99-multiviewer --viewers 6 --scaled
-    visapult serve-sim sc99-serve10k --sessions 2000 --flow-classes on
     visapult lint
     visapult check src/repro --json CHECK_findings.json
     visapult iperf --wan esnet --streams 8
@@ -138,10 +137,6 @@ def cmd_serve(args) -> int:
         tile_size=args.tile_size,
         stripe=args.stripe,
         topology=args.topology,
-        flow_classes=(
-            None if args.flow_classes is None
-            else args.flow_classes == "on"
-        ),
     )
 
     def resolve():
@@ -379,10 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topology", default=None, metavar="NAME",
                    help="shard campaigns: serve over this named "
                         "multi-site topology (see 'visapult list')")
-    p.add_argument("--flow-classes", choices=["on", "off"], default=None,
-                   help="shard campaigns: aggregate same-profile "
-                        "sessions into flow classes (on) or run the "
-                        "per-session oracle allocator (off)")
     p.add_argument("--sessions", type=int, default=None,
                    help="total offered sessions (alias of --viewers)")
     p.set_defaults(fn=cmd_serve)

@@ -16,7 +16,7 @@ back end. This module gathers them:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults.plan import FaultPlan
@@ -352,24 +352,6 @@ class TopologyConfig:
         return cls(sites=(SiteSpec(name="local").with_changes(**site_changes),))
 
 
-@dataclass(frozen=True)
-class FlowClassConfig:
-    """Allocator aggregation mode for the sharded serving layer.
-
-    ``enabled=True`` aggregates same-profile sessions into one fluid
-    flow per class (allocator cost scales with profile count);
-    ``enabled=False`` is the per-session oracle -- one flow per
-    session, PR 5 style -- which parity tests pin the aggregate mode
-    against bitwise.
-    """
-
-    enabled: bool = True
-
-    def with_changes(self, **changes: Any) -> "FlowClassConfig":
-        """A copy with the given fields replaced."""
-        return replace(self, **changes)
-
-
 def _sc99_wan_topology() -> TopologyConfig:
     """Three paper sites: the LBL DPSS, ANL, and the SC99 floor."""
     return TopologyConfig(
@@ -497,10 +479,6 @@ class ExperimentConfig:
     #: named multi-site topology for shard campaigns (``visapult list``
     #: of :func:`topology_names`); ``None`` keeps the campaign default
     topology: Optional[str] = None
-    #: flow-class aggregation override for shard campaigns; ``None``
-    #: keeps the campaign default, ``False`` forces the per-session
-    #: oracle allocator
-    flow_classes: Optional[bool] = None
 
     def with_changes(self, **changes: Any) -> "ExperimentConfig":
         """A copy with the given fields replaced."""
@@ -516,6 +494,13 @@ class ExperimentConfig:
         if not isinstance(data, dict) or "campaign" not in data:
             raise ValueError(
                 "experiment JSON must be an object with a 'campaign' key"
+            )
+        accepted = [f.name for f in fields(cls)]
+        unknown = [key for key in data if key not in accepted]
+        if unknown:
+            raise ValueError(
+                f"unknown experiment key(s) {', '.join(map(repr, unknown))}; "
+                f"accepted keys: {', '.join(accepted)}"
             )
         faults = data.get("faults")
         if faults is not None and not isinstance(faults, FaultPlan):
@@ -533,7 +518,6 @@ class ExperimentConfig:
             tile_size=data.get("tile_size"),
             stripe=data.get("stripe"),
             topology=data.get("topology"),
-            flow_classes=data.get("flow_classes"),
         )
 
     @classmethod
@@ -564,18 +548,7 @@ class ExperimentConfig:
             out["stripe"] = self.stripe
         if self.topology is not None:
             out["topology"] = self.topology
-        if self.flow_classes is not None:
-            out["flow_classes"] = self.flow_classes
         return json.dumps(out, indent=indent)
-
-    def _tile_config(self) -> Optional[TileConfig]:
-        """The TileConfig implied by the JSON-level tile knobs."""
-        if not self.tiles and self.tile_size is None:
-            return None
-        kwargs: Dict[str, Any] = {"enabled": self.tiles}
-        if self.tile_size is not None:
-            kwargs["tile_size"] = self.tile_size
-        return TileConfig(**kwargs)
 
     def to_campaign_config(self):
         """Resolve to the concrete campaign config the registry names:
@@ -589,10 +562,11 @@ class ExperimentConfig:
         refused by name with a :class:`ValueError`.
         """
         from repro.core.campaign import named_campaign
+        from repro.service.shard import ShardCampaign
 
         config = named_campaign(self.campaign, overlapped=self.overlapped)
         changes: Dict[str, Any] = {}
-        if hasattr(config, "flow_classes"):
+        if isinstance(config, ShardCampaign):
             # A shard campaign models flows, not pipelines: the
             # single-session knobs have nothing to act on.
             ignored = [
@@ -623,20 +597,18 @@ class ExperimentConfig:
                         for p in config.workload.profiles
                     )
                 )
-            if self.flow_classes is not None:
-                changes["flow_classes"] = FlowClassConfig(
-                    enabled=self.flow_classes
-                )
             if self.seed is not None:
                 changes["seed"] = self.seed
             if self.frames is not None:
                 changes["frames"] = self.frames
             return config.with_changes(**changes) if changes else config
-        if self.topology is not None or self.flow_classes is not None:
+        if self.topology is not None:
             raise ValueError(
                 f"campaign {self.campaign!r} is not a shard campaign; "
-                f"topology/flow_classes apply to shard campaigns only"
+                f"topology applies to shard campaigns only"
             )
+        if self.tile_size is not None and not self.tiles:
+            raise ValueError("tile_size applies only with tiles")
         # The single-session knobs apply to a CampaignConfig directly
         # and to a service campaign's base; the seed goes to whichever
         # the run as a whole derives from.
@@ -654,9 +626,9 @@ class ExperimentConfig:
             changes["faults"] = self.faults
         if self.policy is not None:
             changes["policy"] = self.policy
-        tiles = self._tile_config()
-        if tiles is not None:
-            changes["tiles"] = tiles
+        if self.tiles:
+            size = {} if self.tile_size is None else {"tile_size": self.tile_size}
+            changes["tiles"] = TileConfig(enabled=True, **size)
         if self.stripe is not None:
             changes["stripe"] = StripeConfig.from_spec(self.stripe)
         if base is not config and changes:

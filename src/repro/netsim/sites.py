@@ -56,15 +56,10 @@ class SiteFabric:
         *,
         env: Optional[Environment] = None,
         sched: Optional[FluidScheduler] = None,
-        incremental: Optional[bool] = None,
     ):
         self.topology = topology
         self.env = env if env is not None else Environment()
-        self.sched = (
-            sched
-            if sched is not None
-            else FluidScheduler(self.env, incremental=incremental)
-        )
+        self.sched = sched if sched is not None else FluidScheduler(self.env)
         self.dpss: Dict[str, FluidResource] = {}
         self.edge: Dict[str, FluidResource] = {}
         self._links: Dict[Tuple[str, str], FluidResource] = {}

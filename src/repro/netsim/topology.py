@@ -37,14 +37,9 @@ class Network:
     backbone, per-node cluster NICs).
     """
 
-    def __init__(
-        self,
-        env: Optional[Environment] = None,
-        *,
-        incremental: Optional[bool] = None,
-    ):
+    def __init__(self, env: Optional[Environment] = None):
         self.env = env if env is not None else Environment()
-        self.sched = FluidScheduler(self.env, incremental=incremental)
+        self.sched = FluidScheduler(self.env)
         self.hosts: Dict[str, Host] = {}
         self.links: Dict[str, Link] = {}
         self._routes: Dict[Tuple[str, str], Route] = {}

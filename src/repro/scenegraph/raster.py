@@ -6,16 +6,16 @@ are depth-sorted and painted back-to-front (exactly how the IBRAVR
 viewer composites slab textures on graphics hardware); line sets draw
 on top, as the AMR grid overlay does.
 
-Two engines share one setup stage (traversal, a single batched
-projection of every triangle vertex and line endpoint, the painter's
-depth sort): the default ``vectorized=True`` evaluates edge functions
-and barycentric interpolation as array ops over each triangle's
-bounding-box pixel grid, while ``vectorized=False`` is the pinned
-per-pixel reference walk.  They are bitwise identical because both
-apply the same float64 edge/barycentric expressions and the same
-float32 texture/blend operations per pixel — the grid just evaluates
-them for all pixels at once — and each triangle touches a pixel at most
-once, so within-triangle ordering cannot matter.
+After one setup stage (traversal, a single batched projection of every
+triangle vertex and line endpoint, the painter's depth sort) each
+triangle's edge functions and barycentric interpolation are evaluated
+as array ops over its bounding-box pixel grid.  The per-pixel walk this
+replaced lives in ``tests/oracles/scalar_kernels.py``; the parity tests
+swap it in for :func:`_raster_triangle` behind the same setup stage
+and require bitwise-equal framebuffers: both apply the same
+float64 edge/barycentric expressions and the same float32 texture/blend
+operations per pixel, and each triangle touches a pixel at most once,
+so within-triangle ordering cannot matter.
 """
 
 from __future__ import annotations
@@ -37,13 +37,8 @@ def render(
     height: int = 256,
     *,
     background=(0.0, 0.0, 0.0, 0.0),
-    vectorized: bool = True,
 ) -> np.ndarray:
-    """Rasterize ``scene`` into an (H, W, 4) premultiplied RGBA image.
-
-    ``vectorized=False`` selects the per-pixel reference rasterizer
-    (bitwise identical to the default grid engine, far slower).
-    """
+    """Rasterize ``scene`` into an (H, W, 4) premultiplied RGBA image."""
     if width < 1 or height < 1:
         raise ValueError("viewport must be at least 1x1")
     frame = np.empty((height, width, 4), dtype=np.float32)
@@ -66,8 +61,8 @@ def render(
             lines.append((world, node.color))
 
     if worlds:
-        # One projection call for every vertex: both engines must see
-        # identical screen coordinates (batched matvecs are not
+        # One projection call for every vertex: the test oracle must
+        # see identical screen coordinates (batched matvecs are not
         # guaranteed bit-stable across batch sizes, so per-triangle
         # calls could not serve as a shared reference).
         flat = np.concatenate(worlds, axis=0)
@@ -75,9 +70,8 @@ def render(
         depths = camera.view_depth(flat).reshape(-1, 3).mean(axis=1)
         # Painter's algorithm: farthest first so nearer quads blend over.
         order = np.argsort(-depths, kind="stable")
-        raster_tri = _raster_triangle if vectorized else _raster_triangle_scalar
         for i in order:
-            raster_tri(frame, projs[i], uv_list[i], textures[i])
+            _raster_triangle(frame, projs[i], uv_list[i], textures[i])
 
     for world_segments, color in lines:
         endpoints = camera.project(
@@ -91,9 +85,9 @@ def render(
 def _triangle_bbox(
     proj: np.ndarray, width: int, height: int
 ) -> Tuple[float, int, int, int, int]:
-    """Signed area and clipped integer bounding box shared by both engines."""
+    """Signed area and clipped integer bounding box of one triangle."""
     p0, p1, p2 = proj[:, :2]
-    area = _edge(p0, p1, p2)
+    area = _edge_grid(p0, p1, p2)
     lo_x = max(int(np.floor(min(p0[0], p1[0], p2[0]))), 0)
     hi_x = min(int(np.ceil(max(p0[0], p1[0], p2[0]))) + 1, width)
     lo_y = max(int(np.floor(min(p0[1], p1[1], p2[1]))), 0)
@@ -140,37 +134,6 @@ def _raster_triangle(
     region[inside] = texels + dest * (1.0 - alpha)
 
 
-def _raster_triangle_scalar(
-    frame: np.ndarray,
-    proj: np.ndarray,
-    uvs: np.ndarray,
-    texture: Texture2D,
-) -> None:
-    """Per-pixel reference rasterizer (the pinned oracle)."""
-    height, width = frame.shape[:2]
-    area, lo_x, hi_x, lo_y, hi_y = _triangle_bbox(proj, width, height)
-    if abs(area) < 1e-12:
-        return
-    if lo_x >= hi_x or lo_y >= hi_y:
-        return
-    p0, p1, p2 = proj[:, :2]
-
-    for y in range(lo_y, hi_y):
-        for x in range(lo_x, hi_x):
-            pt = np.array([x + 0.5, y + 0.5])
-            w0 = _edge_grid(p1, p2, pt) / area
-            w1 = _edge_grid(p2, p0, pt) / area
-            w2 = _edge_grid(p0, p1, pt) / area
-            if not (w0 >= 0 and w1 >= 0 and w2 >= 0):
-                continue
-            u = w0 * uvs[0, 0] + w1 * uvs[1, 0] + w2 * uvs[2, 0]
-            v = w0 * uvs[0, 1] + w1 * uvs[1, 1] + w2 * uvs[2, 1]
-            texel = texture.sample(np.array([u]), np.array([v]))[0]
-            dest = frame[y, x]
-            alpha = texel[3:4]
-            frame[y, x] = texel + dest * (1.0 - alpha)
-
-
 def _raster_lines(
     frame: np.ndarray,
     endpoints: np.ndarray,
@@ -194,10 +157,6 @@ def _raster_lines(
         xx = flat % width
         dest = frame[yy, xx]
         frame[yy, xx] = pre + dest * (1.0 - pre[3])
-
-
-def _edge(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
-    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def _edge_grid(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:

@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-import numpy as np
-
 from repro.backend.sim import SimBackEnd
 from repro.config import TileConfig
 from repro.core.campaign import (
@@ -103,7 +101,6 @@ class ServiceCampaign:
             name="sc99-multiviewer",
             base=base,
             workload=WorkloadSpec(
-                mode="open",
                 n_viewers=n_viewers,
                 arrival_rate=0.05,
                 profiles=profiles,
@@ -159,11 +156,8 @@ class SessionManager:
             clock=lambda: self.net.env.now,
             daemon=self.daemon,
         )
-        # Stream 0 drives open-loop arrivals; streams [1, 1+n_viewers)
-        # drive per-viewer think times in closed-loop mode.
-        self._rngs = spawn_rngs(
-            config.effective_seed + 7, 1 + config.workload.n_viewers
-        )
+        # Stream 0 drives the arrival schedule.
+        self._rngs = spawn_rngs(config.effective_seed + 7, 1)
 
     # -- per-session wiring ------------------------------------------
     def _session_seed(self, sid: int) -> int:
@@ -275,46 +269,16 @@ class SessionManager:
         )
         self._release()
 
-    def _closed_viewer(
-        self, viewer_index: int, rng: np.random.Generator
-    ) -> Generator[Any, Any, None]:
-        """One closed-loop viewer: request, watch, think, repeat."""
-        env = self.net.env
-        workload = self.config.workload
-        profile = workload.profile_of(viewer_index)
-        for request in range(workload.requests_per_viewer):
-            sid = self._next_sid
-            self._next_sid += 1
-            yield env.process(self._session(sid, profile))
-            if (
-                request + 1 < workload.requests_per_viewer
-                and workload.think_time > 0
-            ):
-                yield env.timeout(
-                    float(rng.exponential(workload.think_time))
-                )
-
     def _run(self) -> Generator[Any, Any, None]:
-        workload = self.config.workload
         env = self.net.env
         procs: List[Process] = []
-        if workload.mode == "closed":
-            procs = [
-                env.process(self._closed_viewer(i, self._rngs[1 + i]))
-                for i in range(workload.n_viewers)
-            ]
-            self._next_sid = 0
-        else:
-            arrivals = workload.arrivals(self._rngs[0])
-            for t, profile in arrivals:
-                delay = t - env.now
-                if delay > 0:
-                    yield env.timeout(delay)
-                sid = self._next_sid
-                self._next_sid += 1
-                procs.append(
-                    env.process(self._session(sid, profile))
-                )
+        for t, profile in self.config.workload.arrivals(self._rngs[0]):
+            delay = t - env.now
+            if delay > 0:
+                yield env.timeout(delay)
+            sid = self._next_sid
+            self._next_sid += 1
+            procs.append(env.process(self._session(sid, profile)))
         if procs:
             yield env.all_of(procs)
 

@@ -14,13 +14,12 @@ plus the fluid allocator:
   :class:`~repro.service.admission.AdmissionVerdict` -- served at home
   (``local``), at the least-loaded remote site (``spill``), parked in
   the home FIFO (``queued``), or ``rejected``.
-- **flow classes**: with
-  :attr:`~repro.config.FlowClassConfig.enabled`, same-profile sessions
-  on the same (serving, home, warmth) path collapse into one
-  aggregate flow (:class:`~repro.simcore.flowclass.FlowClassPool`),
-  so allocator cost scales with the number of *classes*, not
-  sessions; ``enabled=False`` is the bitwise-pinned per-session
-  oracle.
+- **flow classes**: same-profile sessions on the same (serving,
+  home, warmth) path collapse into one aggregate flow
+  (:class:`~repro.simcore.flowclass.FlowClassPool`), so allocator
+  cost scales with the number of *classes*, not sessions; the
+  per-session pool in ``tests/oracles/per_session_pool.py`` is the
+  bitwise-pinned reference.
 - **edge caches**: a warm :class:`~repro.service.cache.EdgeCacheModel`
   hit at the serving site drops the DPSS leg from the session's flow.
 
@@ -34,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.config import FlowClassConfig, TopologyConfig, named_topology
+from repro.config import TopologyConfig, named_topology
 from repro.netlogger.daemon import NetLogDaemon
 from repro.netlogger.events import Tags
 from repro.netlogger.logger import NetLogger
@@ -66,7 +65,6 @@ class ShardCampaign:
     name: str
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    flow_classes: FlowClassConfig = field(default_factory=FlowClassConfig)
     #: bytes one delivered frame moves over the session's path
     frame_bytes: float = 8 * MB
     #: frames per session unless the viewer profile overrides
@@ -77,10 +75,6 @@ class ShardCampaign:
         check_positive("frame_bytes", self.frame_bytes)
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
-        if self.workload.mode != "open":
-            raise ValueError(
-                "ShardCampaign drives open-loop workloads only"
-            )
         known = set(self.topology.site_names)
         for profile in self.workload.profiles:
             if profile.region is not None and profile.region not in known:
@@ -128,7 +122,6 @@ class ShardCampaign:
             name="sc99-serve10k",
             topology=topology,
             workload=WorkloadSpec(
-                mode="open",
                 n_viewers=n_sessions,
                 arrival_rate=arrival_rate,
                 profiles=profiles,
@@ -157,11 +150,7 @@ class ShardedSessionManager:
             clock=lambda: self.env.now,
             daemon=self.daemon,
         )
-        self.pool = FlowClassPool(
-            self.env,
-            self.fabric.sched,
-            aggregate=config.flow_classes.enabled,
-        )
+        self.pool = FlowClassPool(self.env, self.fabric.sched)
         self.records: List[SessionRecord] = []
         self.slots: Dict[str, SlotQueue] = {}
         self.caches: Dict[str, Optional[EdgeCacheModel]] = {}
@@ -426,7 +415,9 @@ class ShardResult:
                 "sites": list(config.topology.site_names),
                 "placement": config.topology.placement,
                 "spill": config.topology.spill,
-                "flow_classes": config.flow_classes.enabled,
+                # constant since the per-session pool left src/;
+                # dropping the key is a schema_version 2 change
+                "flow_classes": True,
                 "sessions": config.workload.total_sessions,
                 "seed": config.effective_seed,
             },
@@ -438,15 +429,10 @@ class ShardResult:
     def summary(self) -> str:
         """Human-readable shard block."""
         config = self.campaign
-        mode = (
-            "flow-class aggregation"
-            if config.flow_classes.enabled
-            else "per-session oracle"
-        )
         lines = [
             f"shard campaign {config.name}: "
             f"{len(config.topology.sites)} sites, "
-            f"{config.topology.placement} placement, {mode}",
+            f"{config.topology.placement} placement, flow-class aggregation",
             self.metrics.summary(),
             f"  makespan          : {self.total_time:.1f} s simulated",
             f"  allocator         : "

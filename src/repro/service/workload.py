@@ -1,16 +1,10 @@
 """Seeded viewer workloads: who shows up, when, over which WAN.
 
-Two arrival disciplines:
-
-- **open loop** ("open"): a Poisson process -- the first viewer
-  arrives at t=0 (so a single-viewer workload reproduces the plain
-  single-session campaign exactly) and subsequent inter-arrival gaps
-  are exponential with mean ``1 / arrival_rate``. Arrivals do not wait
-  for earlier sessions; pressure on admission control is external.
-- **closed loop** ("closed"): ``n_viewers`` viewers each run
-  ``requests_per_viewer`` sessions back to back, thinking an
-  exponential ``think_time`` between them -- the interactive-analyst
-  pattern of the paper's section 5 usage story.
+Arrivals are open loop, a Poisson process: the first viewer arrives
+at t=0 (so a single-viewer workload reproduces the plain
+single-session campaign exactly) and subsequent inter-arrival gaps
+are exponential with mean ``1 / arrival_rate``. Arrivals do not wait
+for earlier sessions; pressure on admission control is external.
 
 Viewer heterogeneity comes from ``profiles``: each arrival cycles
 through the tuple, picking up that profile's WAN path (a
@@ -67,31 +61,16 @@ class ViewerProfile:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """A seeded population of viewers and their arrival discipline."""
+    """A seeded population of viewers arriving open loop."""
 
-    mode: str = "open"
     n_viewers: int = 1
-    #: open loop: mean arrivals per second
+    #: mean arrivals per second
     arrival_rate: float = 1.0
-    #: closed loop: mean seconds between a viewer's sessions
-    think_time: float = 1.0
-    #: closed loop: sessions each viewer runs
-    requests_per_viewer: int = 1
     profiles: Tuple[ViewerProfile, ...] = (ViewerProfile(),)
 
     def __post_init__(self):
-        if self.mode not in ("open", "closed"):
-            raise ValueError(
-                f"mode must be 'open' or 'closed', got {self.mode!r}"
-            )
         check_non_negative("n_viewers", self.n_viewers)
         check_positive("arrival_rate", self.arrival_rate)
-        check_non_negative("think_time", self.think_time)
-        if self.requests_per_viewer < 1:
-            raise ValueError(
-                f"requests_per_viewer must be >= 1, "
-                f"got {self.requests_per_viewer}"
-            )
         if not self.profiles:
             raise ValueError("profiles must not be empty")
 
@@ -102,9 +81,7 @@ class WorkloadSpec:
     @property
     def total_sessions(self) -> int:
         """Sessions this workload offers over its lifetime."""
-        if self.mode == "open":
-            return self.n_viewers
-        return self.n_viewers * self.requests_per_viewer
+        return self.n_viewers
 
     def profile_of(self, index: int) -> ViewerProfile:
         """The profile the ``index``-th viewer (or session) uses."""
@@ -113,14 +90,12 @@ class WorkloadSpec:
     def arrivals(
         self, rng: np.random.Generator
     ) -> List[Tuple[float, ViewerProfile]]:
-        """Open-loop arrival schedule: (time, profile) pairs, sorted.
+        """The arrival schedule: (time, profile) pairs, sorted.
 
         The first arrival is pinned to t=0; the remaining gaps are
         exponential draws from ``rng``, so the whole schedule is a
         pure function of (spec, seed).
         """
-        if self.mode != "open":
-            raise ValueError("arrivals() applies to open-loop workloads")
         out: List[Tuple[float, ViewerProfile]] = []
         t = 0.0
         for i in range(self.n_viewers):

@@ -27,9 +27,9 @@ member whenever
 
 With non-unit coefficients or floors the aggregation is still exact
 weighted max-min fairness, but float rounding may differ from the
-per-session solve by ulps. ``FlowClassPool(aggregate=False)`` runs the
-same API as a per-session oracle (PR 5 style: one FluidTask per
-member) -- parity tests pin the two modes against each other.
+per-session solve by ulps. ``tests/oracles/per_session_pool.py`` runs
+the same API as a per-session oracle (one FluidTask per member) --
+parity tests pin the two against each other.
 
 Within one class, members complete in fixed order (all members
 progress at the shared per-member rate, so relative order is set by
@@ -192,23 +192,14 @@ _HeapEntry = Tuple[float, int, _Member, int, float, float]
 class FlowClassPool:
     """Admits member transfers against flow classes.
 
-    ``aggregate=True`` (default) serves each class through one scaled
-    aggregate flow; ``aggregate=False`` is the per-session oracle --
-    every member becomes its own :class:`FluidTask`, exactly the PR 4/5
-    serving model. Both return an event whose value is the member's
+    Each class is served through one scaled aggregate flow;
+    :meth:`submit` returns an event whose value is the member's
     completion time.
     """
 
-    def __init__(
-        self,
-        env: "Environment",
-        sched: FluidScheduler,
-        *,
-        aggregate: bool = True,
-    ):
+    def __init__(self, env: "Environment", sched: FluidScheduler):
         self.env = env
         self.sched = sched
-        self.aggregate = bool(aggregate)
         self._classes: Dict[str, _ClassState] = {}
         self._heap: List[_HeapEntry] = []
         self._push_ids = 0
@@ -237,13 +228,6 @@ class FlowClassPool:
         """
         if work < 0:
             raise ValueError(f"work must be >= 0, got {work}")
-        if not self.aggregate:
-            task = FluidTask(
-                name, work, spec.usage, cap=spec.cap, floor=spec.floor
-            )
-            done = self.sched.submit(task)
-            self.stats.members_submitted += 1
-            return done
         now = self.env.now
         if work <= _WORK_EPS:
             done = Event(self.env)

@@ -21,10 +21,10 @@ scheduled completions -- untouched. Task progress is banked lazily
 finite-cap results are cached with dirty-flag invalidation, and the
 earliest completion is tracked through a lazy-deletion heap of
 absolute ETAs instead of a linear scan, with at most one outstanding
-wake timeout. ``incremental=False`` runs the same engine as a
-fresh-recompute oracle (every component re-solved from rebuilt specs
-at every event); because rates are pure functions of the specs, the
-two modes are bitwise identical -- parity tests pin this.
+wake timeout. ``tests/oracles/recompute_fluid.py`` subclasses this
+engine into a fresh-recompute oracle (every component re-solved from
+rebuilt specs at every event); because rates are pure functions of the
+specs, the two are bitwise identical -- parity tests pin this.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ _WORK_EPS = 1e-9
 #: with no finite constraint at all (no cap, no positive usage).
 _CAP_SENTINEL = 1e15
 
-#: Allocation mode for schedulers constructed without an explicit
-#: ``incremental`` argument. Parity tests flip this to compare the
-#: incremental engine against the fresh-recompute oracle.
-DEFAULT_INCREMENTAL = True
-
 #: ``alloc_observer`` callback: (tag, numeric payload) for each batch
 #: of component re-solves. Attached by the campaign layer to surface
 #: ALLOC_* NetLogger counters; ``None`` (the default) costs nothing.
@@ -94,43 +89,20 @@ class CapSchedule(Protocol):
 
 
 class FluidResource:
-    """A named capacity constraint registered with a scheduler.
+    """A named capacity constraint registered with a scheduler."""
 
-    ``max_samples`` bounds the monitor ring (oldest samples are
-    dropped); ``coalesce`` drops a sample whose load equals the
-    previous one, so long steady-state service runs don't grow memory
-    linearly. Both default to the historical unbounded behaviour.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        capacity: float,
-        *,
-        monitor: bool = False,
-        max_samples: Optional[int] = None,
-        coalesce: bool = False,
-    ):
+    def __init__(self, name: str, capacity: float, *, monitor: bool = False):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if max_samples is not None and max_samples < 1:
-            raise ValueError(f"max_samples must be >= 1, got {max_samples}")
         self.name = name
         self.capacity = float(capacity)
         self.monitor = monitor
-        self.max_samples = max_samples
-        self.coalesce = coalesce
         #: (time, aggregate consumption rate) samples, if monitored.
         self.samples: List[tuple] = []
 
     def record(self, time: float, load: float) -> None:
-        if not self.monitor:
-            return
-        if self.coalesce and self.samples and self.samples[-1][1] == load:
-            return
-        self.samples.append((time, load))
-        if self.max_samples is not None and len(self.samples) > self.max_samples:
-            del self.samples[0]
+        if self.monitor:
+            self.samples.append((time, load))
 
     def utilization_timeseries(self) -> List[tuple]:
         """Sampled (time, fraction-of-capacity) pairs."""
@@ -251,11 +223,8 @@ class _Component:
 class FluidScheduler:
     """Runs fluid tasks on an :class:`~repro.simcore.env.Environment`."""
 
-    def __init__(self, env: "Environment", *, incremental: Optional[bool] = None):
+    def __init__(self, env: "Environment"):
         self.env = env
-        self.incremental = (
-            DEFAULT_INCREMENTAL if incremental is None else bool(incremental)
-        )
         self._resources: Dict[str, FluidResource] = {}
         self._res_specs: Dict[str, ResourceSpec] = {}  # cache
         #: resource name -> {task name: task}, the flow/resource
@@ -461,9 +430,9 @@ class FluidScheduler:
 
         Progress is lazy: ``remaining`` is only brought up to date when
         the task's own rate is about to change (or its work grows), so
-        events in unrelated components never touch it. Both allocation
-        modes bank at exactly the same instants -- whenever a solve
-        produces a bitwise-different rate -- which keeps their float
+        events in unrelated components never touch it. The recompute
+        oracle banks at exactly the same instants -- whenever a solve
+        produces a bitwise-different rate -- which keeps the two float
         trajectories identical.
         """
         now = self.env.now
@@ -514,18 +483,6 @@ class FluidScheduler:
     def _after_change(self) -> None:
         """Settle dirty components and maintain the wake timeout."""
         self.stats.events += 1
-        if not self.incremental:
-            # Oracle mode: treat everything as dirty so every component
-            # re-solves from freshly built specs at every event, like
-            # the historical global recompute. Re-solving a clean
-            # component reproduces its rates bitwise (filling is a pure
-            # function of the specs), so no rate changes, no banking,
-            # no ETA refreshes happen that incremental mode would skip:
-            # the observable trajectories of the two modes coincide.
-            for rname in self._resources:
-                self._dirty[rname] = None
-            for tname in self._floating:
-                self._dirty_floating[tname] = None
         self._flush()
         self._arm_wake()
 
@@ -589,8 +546,8 @@ class FluidScheduler:
 
         BFS from each resource in registration order, walking resource
         -> adjacent flow -> its resources; discovery order is adjacency
-        insertion order, i.e. submit order, so both allocation modes
-        walk components identically.
+        insertion order, i.e. submit order, so the recompute oracle
+        walks components identically.
         """
         index: Dict[str, _Component] = {}
         for start in self._resources:
@@ -864,12 +821,8 @@ class FluidScheduler:
 
     # -- cached solver specs --------------------------------------------------
     def _flow_of(self, task: FluidTask) -> FlowSpec:
-        """The task's solver spec; rebuilt only after cap changes.
-
-        Oracle mode bypasses the cache to reproduce the historical
-        rebuild-every-call cost profile benchmarks compare against.
-        """
-        if not self.incremental or task._flow is None:
+        """The task's solver spec; rebuilt only after cap changes."""
+        if task._flow is None:
             cap = task.cap
             if cap == float("inf"):
                 cap = self._fcap_of(task)
@@ -882,12 +835,12 @@ class FluidScheduler:
         return task._flow
 
     def _fcap_of(self, task: FluidTask) -> float:
-        if not self.incremental or task._fcap is None:
+        if task._fcap is None:
             task._fcap = _finite_cap(task, self._resources)
         return task._fcap
 
     def _spec_of(self, name: str) -> ResourceSpec:
-        spec = self._res_specs.get(name) if self.incremental else None
+        spec = self._res_specs.get(name)
         if spec is None:
             spec = ResourceSpec(name=name, capacity=self._resources[name].capacity)
             self._res_specs[name] = spec

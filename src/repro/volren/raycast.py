@@ -11,13 +11,11 @@ as ground truth when quantifying IBRAVR's off-axis artifacts
 (Figure 6); it resamples the volume with trilinear interpolation along
 view-aligned rays.
 
-Both kernels come in two bitwise-identical flavours (the PR 5 oracle
-pattern): the default ``vectorized=True`` path batches the
-transfer-function evaluation and expresses the front-to-back composite
-through ``cumprod`` transparencies, while ``vectorized=False`` walks
-rays sample-by-sample in Python as the pinned reference.  Parity is
-exact because both paths perform the same float32 elementwise
-operations in the same order: ``cumprod``/repeated in-place adds are
+Both kernels batch the transfer-function evaluation and express the
+front-to-back composite through ``cumprod`` transparencies.  The
+sample-by-sample walks they replaced live in
+``tests/oracles/scalar_kernels.py`` as the reference the parity tests
+compare against, bit for bit: ``cumprod``/repeated in-place adds are
 strict left folds, the transfer function is elementwise (``np.interp``)
 and therefore indifferent to batching, and transparency uses the
 product form ``T_k = prod_{j<k} (1 - alpha_j)`` in both.
@@ -25,7 +23,7 @@ product form ``T_k = prod_{j<k} (1 - alpha_j)`` in both.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 from scipy.ndimage import map_coordinates
@@ -74,7 +72,6 @@ def render_slab(
     axis: int = 0,
     flip: bool = False,
     return_depth: bool = False,
-    vectorized: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Composite a slab front-to-back along an axis.
 
@@ -85,8 +82,6 @@ def render_slab(
     (section 3.3), else ``None``.
 
     ``flip=True`` views the slab from the negative side of ``axis``.
-    ``vectorized=False`` selects the per-pixel reference composite
-    (bitwise identical, orders of magnitude slower).
     """
     volume = _check_volume(volume)
     if axis not in (0, 1, 2):
@@ -94,14 +89,6 @@ def render_slab(
     vol_view = np.moveaxis(volume, axis, 0)
     if flip:
         vol_view = vol_view[::-1]
-    if vectorized:
-        return _render_slab_vectorized(vol_view, tf, return_depth)
-    return _render_slab_scalar(vol_view, tf, return_depth)
-
-
-def _render_slab_vectorized(
-    vol_view: np.ndarray, tf: TransferFunction, return_depth: bool
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     n_slices = vol_view.shape[0]
     out_shape = vol_view.shape[1:]
 
@@ -133,41 +120,6 @@ def _render_slab_vectorized(
             depth_num += ca * (position * inv_span)
             depth_den += ca
     return accum, _finish_depth(depth_num, depth_den, out_shape, return_depth)
-
-
-def _render_slab_scalar(
-    vol_view: np.ndarray, tf: TransferFunction, return_depth: bool
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Per-pixel reference composite (the pinned oracle).
-
-    Same float32 operations in the same order as the vectorized path:
-    premultiply, contribution ``(c * a) * T``, running transparency
-    ``t *= 1 - a`` per ray.
-    """
-    n_slices = vol_view.shape[0]
-    h, w = vol_view.shape[1:]
-    accum = np.zeros((h, w, 4), dtype=np.float32)
-    transp = np.ones((h, w), dtype=np.float32)
-    depth_num = np.zeros((h, w), dtype=np.float32) if return_depth else None
-    depth_den = np.zeros((h, w), dtype=np.float32) if return_depth else None
-    one = np.float32(1.0)
-    inv_span = 1.0 / max(n_slices - 1, 1)
-    for position in range(n_slices):
-        rgba = tf(vol_view[position])
-        frac = position * inv_span
-        for r in range(h):
-            for c in range(w):
-                a = rgba[r, c, 3]
-                t = transp[r, c]
-                accum[r, c, :3] += (rgba[r, c, :3] * a) * t
-                ca = a * t
-                accum[r, c, 3] += ca
-                if return_depth:
-                    assert depth_num is not None and depth_den is not None
-                    depth_num[r, c] += ca * frac
-                    depth_den[r, c] += ca
-                transp[r, c] = t * (one - a)
-    return accum, _finish_depth(depth_num, depth_den, (h, w), return_depth)
 
 
 def _finish_depth(
@@ -207,22 +159,30 @@ def render_view(
     *,
     image_size: int = 128,
     samples_per_voxel: float = 1.0,
-    vectorized: bool = True,
-    early_exit: bool = True,
-    stats: Optional[Dict[str, int]] = None,
 ) -> np.ndarray:
     """Ground-truth orthographic render along an arbitrary direction.
 
     The image plane is perpendicular to ``direction``, centered on the
     volume, sized to circumscribe it. Opacity is corrected for sample
-    spacing so results are comparable across step sizes.
-
-    ``early_exit`` stops compositing once every ray's transparency has
-    dropped below the opacity cutoff (in the vectorized path this is an
-    opacity-threshold mask over the precomputed transparency stack; the
-    scalar oracle breaks out of its sample loop).  When ``stats`` is
-    given it receives ``samples_visited`` / ``n_samples``.
+    spacing so results are comparable across step sizes.  Compositing
+    stops once every ray's transparency has dropped below the opacity
+    cutoff.
     """
+    color, alpha = _sample_view(
+        volume, tf, direction, image_size, samples_per_voxel
+    )
+    return _composite_view(color, alpha)[0]
+
+
+def _sample_view(
+    volume: np.ndarray,
+    tf: TransferFunction,
+    direction: np.ndarray,
+    image_size: int,
+    samples_per_voxel: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-ray sample stacks, front first: straight RGB (H, W, S, 3)
+    and spacing-corrected float32 opacity (H, W, S)."""
     volume = _check_volume(volume)
     if image_size < 2:
         raise ValueError("image_size must be >= 2")
@@ -273,72 +233,39 @@ def render_view(
 
     rgba = tf(scalars)  # (H, W, S, 4), straight alpha
     # Opacity correction: control points define opacity per voxel step.
-    # float32 throughout the composite so the oracle's running
-    # transparency and the vectorized cumprod round identically.
+    # float32 throughout the composite so the test oracle's running
+    # transparency and the cumprod here round identically.
     alpha = (
         1.0 - np.power(np.clip(1.0 - rgba[..., 3], 1e-7, 1.0), step_voxels)
     ).astype(np.float32)
-    color = rgba[..., :3]
-
-    if vectorized:
-        accum, visited = _composite_view_vectorized(
-            color, alpha, image_size, early_exit
-        )
-    else:
-        accum, visited = _composite_view_scalar(
-            color, alpha, image_size, early_exit
-        )
-    if stats is not None:
-        stats["samples_visited"] = visited
-        stats["n_samples"] = n_samples
-    return accum
+    return rgba[..., :3], alpha
 
 
-def _composite_view_vectorized(
-    color: np.ndarray, alpha: np.ndarray, image_size: int, early_exit: bool
+def _composite_view(
+    color: np.ndarray, alpha: np.ndarray
 ) -> Tuple[np.ndarray, int]:
+    """Front-to-back composite; returns ``(image, samples visited)``."""
     n_samples = alpha.shape[2]
     # Exclusive cumprod: transparency *before* each sample, per ray.
     t_before = np.empty_like(alpha)
     t_before[:, :, 0] = 1.0
     np.cumprod(1.0 - alpha[:, :, :-1], axis=2, out=t_before[:, :, 1:])
 
+    # Early exit: stop *after* accumulating sample s once
+    # max(T_{s+1}) < cutoff; T is nonincreasing per ray, so the
+    # image-wide max is nonincreasing and the mask has one edge.
     visited = n_samples
-    if early_exit:
-        # The oracle breaks *after* accumulating sample s once
-        # max(T_{s+1}) < cutoff; T is nonincreasing per ray, so the
-        # image-wide max is nonincreasing and the mask has one edge.
-        t_after = t_before[:, :, 1:].max(axis=(0, 1)).astype(np.float64)
-        below = np.flatnonzero(t_after < _OPACITY_CUTOFF)
-        if below.size:
-            visited = int(below[0]) + 1
+    t_after = t_before[:, :, 1:].max(axis=(0, 1)).astype(np.float64)
+    below = np.flatnonzero(t_after < _OPACITY_CUTOFF)
+    if below.size:
+        visited = int(below[0]) + 1
 
     contrib_rgb = color[:, :, :visited, :] * alpha[:, :, :visited, None]
     contrib_rgb *= t_before[:, :, :visited, None]
     contrib_a = t_before[:, :, :visited] * alpha[:, :, :visited]
 
-    accum = np.zeros((image_size, image_size, 4), dtype=np.float32)
+    accum = np.zeros(alpha.shape[:2] + (4,), dtype=np.float32)
     for s in range(visited):
         accum[..., :3] += contrib_rgb[:, :, s, :]
         accum[..., 3] += contrib_a[:, :, s]
-    return accum, visited
-
-
-def _composite_view_scalar(
-    color: np.ndarray, alpha: np.ndarray, image_size: int, early_exit: bool
-) -> Tuple[np.ndarray, int]:
-    """Reference per-sample composite loop (the pinned oracle)."""
-    n_samples = alpha.shape[2]
-    accum = np.zeros((image_size, image_size, 4), dtype=np.float32)
-    transparency = np.ones((image_size, image_size, 1), dtype=np.float32)
-    visited = n_samples
-    for s in range(n_samples):
-        a = alpha[:, :, s, None]
-        pre = color[:, :, s, :] * a
-        accum[..., :3] += transparency * pre
-        accum[..., 3:] += transparency * a
-        transparency *= 1.0 - a
-        if early_exit and float(transparency.max()) < _OPACITY_CUTOFF:
-            visited = s + 1
-            break
     return accum, visited

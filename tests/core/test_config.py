@@ -30,7 +30,9 @@ class TestNetworkConfig:
 
 def test_removed_kwargs_are_type_errors():
     """PR 13 removed the per-knob kwargs (config= is the only
-    spelling); PR 14 the two options no caller set."""
+    spelling); PR 14 the two options no caller set; PR 19 the 19 only
+    tests set (a removed module name or CLI flag fails as its kind
+    does: AttributeError, ImportError, argparse exit 2)."""
     from repro.config import SiteSpec, TopologyConfig
     from repro.netsim import Host, Network
     from repro.service import ServiceCampaign
@@ -55,6 +57,56 @@ def test_removed_kwargs_are_type_errors():
         )
     with pytest.raises(TypeError):
         SiteSpec(name="s", dpss_cache_bytes=1.0)
+
+    # PR 19 moved the three oracles to ``tests/oracles/`` and deleted
+    # the 19 options only tests set: one case per removed selector.
+    import numpy as np
+
+    import repro.api
+    import repro.config
+    import repro.simcore.fluid as fluid
+    from repro.cli import main
+    from repro.netsim.sites import SiteFabric
+    from repro.scenegraph import Camera, Group, render
+    from repro.service import ShardCampaign, WorkloadSpec
+    from repro.simcore import Environment
+    from repro.simcore.flowclass import FlowClassPool
+    from repro.simcore.fluid import FluidResource, FluidScheduler
+    from repro.volren import TransferFunction, render_slab, render_view
+
+    vol, tf = np.zeros((4, 4, 4), dtype=np.float32), TransferFunction.fire()
+    env = Environment()
+    type_errors = [
+        lambda: render_slab(vol, tf, vectorized=False),
+        lambda: render_view(vol, tf, (1, 0, 0), vectorized=False),
+        lambda: render_view(vol, tf, (1, 0, 0), early_exit=False),
+        lambda: render_view(vol, tf, (1, 0, 0), stats={}),
+        lambda: render(Group(), Camera(), 8, 8, vectorized=False),
+        lambda: FluidScheduler(env, incremental=False),
+        lambda: Network(env, incremental=False),
+        lambda: SiteFabric(repro.config.TopologyConfig(), incremental=False),
+        lambda: FlowClassPool(env, FluidScheduler(env), aggregate=False),
+        lambda: ShardCampaign(name="s", flow_classes=None),
+        lambda: ExperimentConfig(campaign="sc99-serve10k", flow_classes=False),
+        lambda: FluidResource("r", 1.0, max_samples=3),
+        lambda: FluidResource("r", 1.0, coalesce=True),
+        lambda: WorkloadSpec(mode="closed"),
+        lambda: WorkloadSpec(think_time=1.0),
+        lambda: WorkloadSpec(requests_per_viewer=2),
+    ]
+    for call in type_errors:
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(AttributeError):
+        fluid.DEFAULT_INCREMENTAL
+    for module in (repro.config, repro.api):
+        with pytest.raises(AttributeError):
+            module.FlowClassConfig
+    with pytest.raises(ImportError):
+        from repro.config import FlowClassConfig  # noqa: F401
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve-sim", "sc99-serve10k", "--flow-classes", "off"])
+    assert exit_info.value.code == 2
 
 
 def test_removed_client_names_fail_loudly():
@@ -117,6 +169,31 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="campaign"):
             ExperimentConfig.from_json(json.dumps({"scaled": True}))
 
+    def test_from_json_names_unknown_keys(self):
+        """A typo must not run the default configuration in silence."""
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.from_json(json.dumps({
+                "campaign": "lan_e4500", "stripes": "4+1", "tile": True,
+            }))
+        message = str(info.value)
+        assert "'stripes', 'tile'" in message
+        assert "stripe, topology" in message  # the accepted keys
+
+    def test_from_json_refuses_the_retired_flow_classes_key(self):
+        with pytest.raises(ValueError, match="'flow_classes'"):
+            ExperimentConfig.from_json(json.dumps({
+                "campaign": "sc99-serve10k", "flow_classes": False,
+            }))
+
+    def test_every_field_is_an_accepted_json_key(self):
+        from dataclasses import fields
+
+        data = {f.name: None for f in fields(ExperimentConfig)}
+        data["campaign"] = "lan_e4500"
+        assert ExperimentConfig.from_json(json.dumps(data)).campaign == (
+            "lan_e4500"
+        )
+
     def test_policy_presets_in_json(self):
         exp = ExperimentConfig.from_json(json.dumps({
             "campaign": "lan_e4500", "policy": "aggressive",
@@ -136,7 +213,6 @@ class TestExperimentConfig:
         exp = ExperimentConfig(
             campaign="sc99-serve10k",
             topology="serve10k",
-            flow_classes=False,
             seed=3,
         )
         assert ExperimentConfig.from_json(exp.to_json()) == exp
@@ -146,13 +222,11 @@ class TestExperimentConfig:
 
         exp = ExperimentConfig(
             campaign="sc99-serve10k",
-            flow_classes=False,
             seed=3,
             frames=2,
         )
         cfg = exp.to_campaign_config()
         assert isinstance(cfg, ShardCampaign)
-        assert cfg.flow_classes.enabled is False
         assert cfg.seed == 3 and cfg.frames == 2
 
     def test_shard_topology_swap_rehomes_pinned_profiles(self):
@@ -198,6 +272,17 @@ class TestExperimentConfig:
         exp = ExperimentConfig(campaign="sc99-serve10k", **knobs)
         with pytest.raises(ValueError, match=named):
             exp.to_campaign_config()
+
+    @pytest.mark.parametrize("campaign", ["lan_e4500", "sc99-multiviewer"])
+    def test_tile_size_without_tiles_is_refused(self, campaign):
+        exp = ExperimentConfig(campaign=campaign, tile_size=64)
+        with pytest.raises(
+            ValueError, match="tile_size applies only with tiles"
+        ):
+            exp.to_campaign_config()
+        tiled = exp.with_changes(tiles=True).to_campaign_config()
+        tiles = getattr(tiled, "base", tiled).tiles
+        assert tiles.enabled and tiles.tile_size == 64
 
     def test_topology_knob_rejected_on_non_shard_campaigns(self):
         exp = ExperimentConfig(campaign="lan_e4500", topology="sc99-wan")

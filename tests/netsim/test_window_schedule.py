@@ -12,16 +12,18 @@ import hashlib
 import math
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CampaignConfig, campaign_names, run_campaign
+import repro.netsim.topology as topology
 from repro.netsim import Host, Link, Network, TcpConnection, TcpParams
 from repro.simcore import Environment
 from tests.quick import quick_campaign
+from tests.oracles.recompute_fluid import RecomputeFluidScheduler
 from tests.oracles.tcp_ticks import (
     BatchedTickingTcpConnection,
     TickingTcpConnection,
@@ -111,9 +113,9 @@ def draw_scenario(
                     link_of, flows, actions)
 
 
-def simulate(conn_cls, sc: Scenario, *, incremental: Optional[bool] = None):
+def simulate(conn_cls, sc: Scenario):
     """Run ``sc`` with ``conn_cls`` connections; return everything observable."""
-    net = Network(Environment(), incremental=incremental)
+    net = Network(Environment())
     for i in range(sc.n_hosts):
         net.add_host(Host(f"s{i}", nic_rate=sc.nic_rate))
         net.add_host(Host(f"d{i}", nic_rate=sc.nic_rate))
@@ -234,13 +236,12 @@ def test_lazy_schedule_matches_tick_loop(
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_recompute_oracle_sees_the_same_schedules(seed):
-    """``incremental=False`` refreshes schedules exactly as the default."""
+def test_recompute_oracle_sees_the_same_schedules(seed, monkeypatch):
+    """The recompute oracle refreshes schedules exactly as production."""
     sc = draw_scenario(random.Random(seed), 12, 2, 2, 4, seed % 2 == 0)
-    assert_same(
-        simulate(TcpConnection, sc, incremental=True),
-        simulate(TcpConnection, sc, incremental=False),
-    )
+    incremental = simulate(TcpConnection, sc)
+    monkeypatch.setattr(topology, "FluidScheduler", RecomputeFluidScheduler)
+    assert_same(incremental, simulate(TcpConnection, sc))
 
 
 # ---------------------------------------------------------------------------

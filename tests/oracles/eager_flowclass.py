@@ -48,7 +48,7 @@ class EagerFlowClassPool(FlowClassPool):
     """
 
     def __init__(self, env, sched):
-        super().__init__(env, sched, aggregate=True)
+        super().__init__(env, sched)
         self.swept = 0
 
     def submit(self, spec, work, name):

@@ -1,9 +1,11 @@
-"""Grid rasterizer vs the pinned per-pixel oracle.
+"""Grid rasterizer vs the per-pixel oracle.
 
 The bounding-box grid engine (batched edge functions / barycentrics)
 must produce *bitwise* identical framebuffers to the per-pixel
-reference walk across randomized textured meshes, line overlays and
-camera angles.
+reference walk (``tests/oracles/scalar_kernels.py``) across randomized
+textured meshes, line overlays and camera angles.  The oracle replaces
+only the per-triangle stage: both engines run behind ``render``'s one
+projection and one depth sort.
 """
 
 from __future__ import annotations
@@ -20,6 +22,18 @@ from repro.scenegraph import (
     TexturedQuad,
     render,
 )
+from repro.scenegraph import raster
+from tests.oracles.scalar_kernels import _raster_triangle_scalar
+
+
+@pytest.fixture
+def render_scalar(monkeypatch):
+    def run(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(raster, "_raster_triangle", _raster_triangle_scalar)
+            return render(*args, **kwargs)
+
+    return run
 
 
 def _random_scene(seed: int) -> Group:
@@ -52,16 +66,16 @@ def _random_camera(seed: int) -> Camera:
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_grid_engine_bitwise_matches_oracle(seed):
+def test_grid_engine_bitwise_matches_oracle(seed, render_scalar):
     scene = _random_scene(seed)
     camera = _random_camera(seed)
     vec = render(scene, camera, 48, 40)
-    ref = render(scene, camera, 48, 40, vectorized=False)
+    ref = render_scalar(scene, camera, 48, 40)
     assert vec.any(), "scene rendered to an empty framebuffer"
     assert np.array_equal(vec, ref)
 
 
-def test_partially_offscreen_scene_matches():
+def test_partially_offscreen_scene_matches(render_scalar):
     # Clipped bounding boxes exercise the grid edges.
     root = Group()
     quad = np.array(
@@ -72,5 +86,5 @@ def test_partially_offscreen_scene_matches():
     camera = Camera(position=(0, 0, 3), target=(0, 0, 0), up=(0, 1, 0),
                     extent=1.5)
     vec = render(root, camera, 32, 32)
-    ref = render(root, camera, 32, 32, vectorized=False)
+    ref = render_scalar(root, camera, 32, 32)
     assert np.array_equal(vec, ref)

@@ -20,7 +20,7 @@ def tiny_service(**changes):
     svc = ServiceCampaign(
         name="tiny-service",
         base=base,
-        workload=WorkloadSpec(mode="open", n_viewers=3, arrival_rate=100.0),
+        workload=WorkloadSpec(n_viewers=3, arrival_rate=100.0),
         cache=CacheConfig(enabled=False),
     )
     return svc.with_changes(**changes) if changes else svc
@@ -134,7 +134,6 @@ class TestManagerAdmission:
 
         config = tiny_service(
             workload=WorkloadSpec(
-                mode="open",
                 n_viewers=1,
                 profiles=(ViewerProfile(name="vip", weight=2.0),),
             ),

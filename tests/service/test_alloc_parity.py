@@ -1,20 +1,22 @@
 """ULM byte-parity pins and the ALLOC_* observability lane.
 
-The incremental allocator is on by default; these tests pin that a
-whole campaign's ULM event stream -- single-session and the
-sc99-multiviewer service campaign -- is byte-identical to the
-fresh-recompute oracle's, and that the opt-in ``alloc_stats`` lane
-emits ALLOC_* events without perturbing the default stream.
+These tests pin that a whole campaign's ULM event stream --
+single-session and the sc99-multiviewer service campaign -- is
+byte-identical when the fresh-recompute oracle
+(``tests/oracles/recompute_fluid.py``) is patched in for the
+allocator, and that the opt-in ``alloc_stats`` lane emits ALLOC_*
+events without perturbing the default stream.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.simcore.fluid as fluid
+import repro.netsim.topology as topology
 from repro.core import CampaignConfig, run_campaign
 from repro.core.campaign import named_campaign
 from repro.netlogger import ALLOC_TAGS, Tags, declared_tags, lifeline_plot
+from tests.oracles.recompute_fluid import RecomputeFluidScheduler
 from tests.quick import quick_campaign
 
 
@@ -34,9 +36,7 @@ def _scaled_service():
     )
 
 
-def _ulm_bytes(config, tmp_path, incremental: bool, monkeypatch) -> bytes:
-    monkeypatch.setattr(fluid, "DEFAULT_INCREMENTAL", incremental)
-    path = tmp_path / f"run-{int(incremental)}.ulm"
+def _ulm_bytes(config, path) -> bytes:
     run_campaign(config, ulm_path=str(path))
     return path.read_bytes()
 
@@ -46,8 +46,10 @@ def _ulm_bytes(config, tmp_path, incremental: bool, monkeypatch) -> bytes:
 def test_ulm_byte_parity_incremental_vs_oracle(
     make_config, tmp_path, monkeypatch
 ):
-    inc = _ulm_bytes(make_config(), tmp_path, True, monkeypatch)
-    orc = _ulm_bytes(make_config(), tmp_path, False, monkeypatch)
+    inc = _ulm_bytes(make_config(), tmp_path / "incremental.ulm")
+    # Network looks the scheduler class up by this name.
+    monkeypatch.setattr(topology, "FluidScheduler", RecomputeFluidScheduler)
+    orc = _ulm_bytes(make_config(), tmp_path / "recompute.ulm")
     assert inc, "campaign produced an empty ULM log"
     assert inc == orc
 

@@ -35,7 +35,7 @@ def tiny_service(**changes):
     svc = ServiceCampaign(
         name="tiny-service",
         base=tiny_base(n_timesteps=2),
-        workload=WorkloadSpec(mode="open", n_viewers=4, arrival_rate=0.2),
+        workload=WorkloadSpec(n_viewers=4, arrival_rate=0.2),
     )
     return svc.with_changes(**changes) if changes else svc
 
@@ -93,7 +93,7 @@ class TestSingleViewerParity:
             name="parity",
             base=base,
             workload=WorkloadSpec(
-                mode="open", n_viewers=1, profiles=(profile,)
+                n_viewers=1, profiles=(profile,)
             ),
             cache=CacheConfig(enabled=False),
         )
@@ -162,7 +162,6 @@ class TestHeterogeneousWorkloads:
         config = tiny_service(
             cache=CacheConfig(enabled=False),
             workload=WorkloadSpec(
-                mode="open",
                 n_viewers=2,
                 arrival_rate=0.2,
                 profiles=(
@@ -178,21 +177,6 @@ class TestHeterogeneousWorkloads:
         # with no cache to inherit, the ESnet viewer pays WAN latency
         # on every slab delivery
         assert far.ttff > local.ttff
-
-    def test_closed_loop_viewers_think_and_return(self):
-        config = tiny_service(
-            workload=WorkloadSpec(
-                mode="closed",
-                n_viewers=2,
-                think_time=1.0,
-                requests_per_viewer=2,
-            )
-        )
-        result = run_service_campaign(config)
-        assert result.service.offered == 4
-        assert result.service.completed == 4
-        # revisits hit the cache warmed by the first pass
-        assert result.cache_stats.hits > 0
 
 
 class TestCacheFaultInteraction:
@@ -211,7 +195,7 @@ class TestCacheFaultInteraction:
                 policy=RequestPolicy.aggressive(),
             ),
             workload=WorkloadSpec(
-                mode="open", n_viewers=2, arrival_rate=0.2
+                n_viewers=2, arrival_rate=0.2
             ),
         )
         result = run_service_campaign(config)
@@ -298,7 +282,7 @@ class TestIntegration:
             base=tiny_base(
                 n_timesteps=2, overlapped=True, mpi_only_overlap=True
             ),
-            workload=WorkloadSpec(mode="open", n_viewers=1),
+            workload=WorkloadSpec(n_viewers=1),
         )
         with pytest.raises(ValueError):
             run_service_campaign(config)

@@ -2,11 +2,21 @@
 
 import pytest
 
-from repro.config import FlowClassConfig, SiteSpec, TopologyConfig
+import repro.service.shard as shard
+from repro.config import SiteSpec, TopologyConfig
 from repro.service.admission import AdmissionVerdict, QueueFull, SlotQueue
 from repro.service.shard import ShardCampaign, run_shard_campaign
 from repro.service.workload import ViewerProfile, WorkloadSpec
 from repro.simcore.env import Environment
+from tests.oracles.per_session_pool import PerSessionPool
+
+
+def _run_per_session(config, monkeypatch):
+    """``config`` served one fluid flow per session (the oracle pool)."""
+    with monkeypatch.context() as patch:
+        # ShardedSessionManager looks the pool class up by this name.
+        patch.setattr(shard, "FlowClassPool", PerSessionPool)
+        return run_shard_campaign(config)
 
 
 def _mini_campaign(
@@ -22,7 +32,6 @@ def _mini_campaign(
         spill=spill,
     )
     workload = WorkloadSpec(
-        mode="open",
         n_viewers=n,
         arrival_rate=1e6,
         profiles=(ViewerProfile(name="pinned", region="home"),),
@@ -96,18 +105,11 @@ class TestPlacementVerdicts:
 class TestShardCampaignValidation:
     def test_unknown_region_rejected(self):
         workload = WorkloadSpec(
-            mode="open",
             n_viewers=1,
             profiles=(ViewerProfile(name="lost", region="atlantis"),),
         )
         with pytest.raises(ValueError, match="atlantis"):
             ShardCampaign(name="bad", workload=workload)
-
-    def test_closed_loop_rejected(self):
-        with pytest.raises(ValueError, match="open"):
-            ShardCampaign(
-                name="bad", workload=WorkloadSpec(mode="closed")
-            )
 
     def test_bad_frames_rejected(self):
         with pytest.raises(ValueError, match="frames"):
@@ -158,18 +160,16 @@ class TestServe10k:
         assert service.completed == 400
         assert service.rejected == 0
 
-    def test_aggregate_matches_oracle_record_for_record(self, quick):
-        oracle = run_shard_campaign(
-            quick.with_changes(flow_classes=FlowClassConfig(enabled=False))
-        )
+    def test_aggregate_matches_oracle_record_for_record(
+        self, quick, monkeypatch
+    ):
+        oracle = _run_per_session(quick, monkeypatch)
         aggregate = run_shard_campaign(quick)
         assert aggregate.records == oracle.records
         assert aggregate.total_time == oracle.total_time
 
-    def test_aggregation_touches_fewer_flows(self, quick):
-        oracle = run_shard_campaign(
-            quick.with_changes(flow_classes=FlowClassConfig(enabled=False))
-        )
+    def test_aggregation_touches_fewer_flows(self, quick, monkeypatch):
+        oracle = _run_per_session(quick, monkeypatch)
         aggregate = run_shard_campaign(quick)
         assert (
             aggregate.alloc["flows_touched"]
@@ -177,11 +177,9 @@ class TestServe10k:
         )
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
-    def test_parity_across_seeds(self, seed):
+    def test_parity_across_seeds(self, seed, monkeypatch):
         config = ShardCampaign.sc99_serve10k(n_sessions=120, seed=seed)
-        oracle = run_shard_campaign(
-            config.with_changes(flow_classes=FlowClassConfig(enabled=False))
-        )
+        oracle = _run_per_session(config, monkeypatch)
         aggregate = run_shard_campaign(config)
         assert aggregate.records == oracle.records
 
@@ -214,9 +212,3 @@ class TestShardResultPayload:
         text = result.summary()
         assert "flow-class aggregation" in text
         assert "2 sites" in text
-        oracle = run_shard_campaign(
-            _mini_campaign().with_changes(
-                flow_classes=FlowClassConfig(enabled=False)
-            )
-        )
-        assert "per-session oracle" in oracle.summary()

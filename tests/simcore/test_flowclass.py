@@ -1,4 +1,5 @@
-"""Flow-class aggregation vs the per-session oracle.
+"""Flow-class aggregation vs the per-session oracle
+(``tests/oracles/per_session_pool.py``).
 
 The tentpole guarantee (DESIGN.md section 15): with unit usage
 coefficients and no floor, serving k same-profile sessions through one
@@ -13,14 +14,15 @@ from repro.simcore.env import Environment
 from repro.simcore.flowclass import FlowClass, FlowClassPool
 from repro.simcore.fluid import FluidResource, FluidScheduler
 from repro.util.rng import spawn_rngs
+from tests.oracles.per_session_pool import PerSessionPool
 
 
-def _build_pool(aggregate):
+def _build_pool(pool_cls=FlowClassPool):
     env = Environment()
     sched = FluidScheduler(env)
     wan = sched.add_resource(FluidResource("wan", 100.0))
     edge = sched.add_resource(FluidResource("edge", 60.0))
-    pool = FlowClassPool(env, sched, aggregate=aggregate)
+    pool = pool_cls(env, sched)
     classes = (
         FlowClass("bulk", {wan: 1.0}),
         FlowClass("interactive", {wan: 1.0, edge: 1.0}),
@@ -29,9 +31,9 @@ def _build_pool(aggregate):
     return env, pool, classes
 
 
-def _run_workload(aggregate, seed, n_sessions=24):
+def _run_workload(pool_cls, seed, n_sessions=24):
     """Random arrivals against three classes; returns completion times."""
-    env, pool, classes = _build_pool(aggregate)
+    env, pool, classes = _build_pool(pool_cls)
     rng = spawn_rngs(seed, 1)[0]
     finished = {}
 
@@ -53,8 +55,8 @@ def _run_workload(aggregate, seed, n_sessions=24):
 @pytest.mark.parametrize("seed", range(200))
 def test_aggregate_matches_oracle_bitwise(seed):
     """200 seeds: every member completes at the bitwise-same instant."""
-    oracle = _run_workload(False, seed)
-    aggregate = _run_workload(True, seed)
+    oracle = _run_workload(PerSessionPool, seed)
+    aggregate = _run_workload(FlowClassPool, seed)
     assert oracle.keys() == aggregate.keys()
     for name in oracle:
         assert oracle[name] == aggregate[name], (
@@ -65,7 +67,7 @@ def test_aggregate_matches_oracle_bitwise(seed):
 
 def test_allocator_cost_scales_with_classes_not_members():
     """One class, many members: the solver touches one flow."""
-    env, pool, classes = _build_pool(True)
+    env, pool, classes = _build_pool()
     for i in range(50):
         pool.submit(classes[0], 10.0, name=f"m{i}")
     env.run()
@@ -74,20 +76,20 @@ def test_allocator_cost_scales_with_classes_not_members():
 
 
 def test_zero_work_completes_immediately():
-    env, pool, classes = _build_pool(True)
+    env, pool, classes = _build_pool()
     done = pool.submit(classes[0], 0.0, name="empty")
     assert done.triggered
     assert done.value == 0.0
 
 
 def test_negative_work_rejected():
-    env, pool, classes = _build_pool(True)
+    env, pool, classes = _build_pool()
     with pytest.raises(ValueError, match="work"):
         pool.submit(classes[0], -1.0, name="bad")
 
 
 def test_duplicate_member_name_rejected():
-    env, pool, classes = _build_pool(True)
+    env, pool, classes = _build_pool()
     pool.submit(classes[0], 5.0, name="twin")
     with pytest.raises(ValueError, match="duplicate member"):
         pool.submit(classes[0], 5.0, name="twin")
@@ -98,7 +100,7 @@ def test_class_redefinition_rejected():
     env = Environment()
     sched = FluidScheduler(env)
     wan = sched.add_resource(FluidResource("wan", 100.0))
-    pool = FlowClassPool(env, sched, aggregate=True)
+    pool = FlowClassPool(env, sched)
     pool.submit(FlowClass("fc", {wan: 1.0}), 5.0, name="a")
     with pytest.raises(ValueError, match="redefined"):
         pool.submit(FlowClass("fc", {wan: 1.0}, cap=3.0), 5.0, name="b")
@@ -109,7 +111,7 @@ def test_cap_is_per_member():
     env = Environment()
     sched = FluidScheduler(env)
     wan = sched.add_resource(FluidResource("wan", 1000.0))
-    pool = FlowClassPool(env, sched, aggregate=True)
+    pool = FlowClassPool(env, sched)
     spec = FlowClass("capped", {wan: 1.0}, cap=10.0)
     done = []
     for i in range(4):
@@ -124,7 +126,7 @@ def test_set_class_cap_retunes_live_members():
     env = Environment()
     sched = FluidScheduler(env)
     wan = sched.add_resource(FluidResource("wan", 1000.0))
-    pool = FlowClassPool(env, sched, aggregate=True)
+    pool = FlowClassPool(env, sched)
     spec = FlowClass("capped", {wan: 1.0}, cap=10.0)
     done = pool.submit(spec, 100.0, name="m0")
     pool.set_class_cap(spec, 50.0)
@@ -134,8 +136,8 @@ def test_set_class_cap_retunes_live_members():
 
 
 def test_oracle_mode_uses_one_flow_per_member():
-    """aggregate=False is the per-session model: no class state."""
-    env, pool, classes = _build_pool(False)
+    """The oracle is the per-session model: no class state."""
+    env, pool, classes = _build_pool(PerSessionPool)
     for i in range(8):
         pool.submit(classes[0], 10.0, name=f"m{i}")
     assert pool.stats.classes == 0
@@ -145,7 +147,7 @@ def test_oracle_mode_uses_one_flow_per_member():
 
 def test_members_complete_in_admit_order_within_class():
     """Equal work at a shared rate: strict FIFO completion."""
-    env, pool, classes = _build_pool(True)
+    env, pool, classes = _build_pool()
     order = []
     for i in range(6):
         done = pool.submit(classes[0], 30.0, name=f"m{i}")

@@ -21,6 +21,7 @@ from repro.simcore.env import Environment
 from repro.simcore.flowclass import FlowClass, FlowClassPool
 from repro.simcore.fluid import FluidResource, FluidScheduler
 from tests.oracles.eager_flowclass import EagerFlowClassPool
+from tests.oracles.per_session_pool import PerSessionPool
 
 #: counters only the segment log has
 LAZY_ONLY = ("replays", "fold_steps")
@@ -177,9 +178,7 @@ def test_lazy_banking_matches_eager_sweep(
         # with caps, seed 2862 without: a handful of members an ulp
         # off). set_class_cap reaches live members only through the
         # aggregate, hence no actions.
-        per_session = simulate(
-            lambda env, sched: FlowClassPool(env, sched, aggregate=False), sc
-        )["finished"]
+        per_session = simulate(PerSessionPool, sc)["finished"]
         assert lazy["finished"].keys() == per_session.keys()
         for name, (at, _value) in lazy["finished"].items():
             assert math.isclose(at, per_session[name][0], rel_tol=1e-9), name

@@ -1,12 +1,11 @@
 """Parity and hot-path tests for the incremental allocator.
 
-The incremental, component-partitioned engine (``incremental=True``,
-the default) must be observationally *identical* to the
-fresh-recompute oracle (``incremental=False``): same rates after every
+The incremental, component-partitioned ``FluidScheduler`` must be
+observationally *identical* to the fresh-recompute oracle
+(``tests/oracles/recompute_fluid.py``): same rates after every
 mutation, same completion times, byte-identical ULM event streams.
 These tests pin that, plus the hot-path bookkeeping the speedup rests
-on (single outstanding wake timeout, cached finite caps, bounded
-monitor sample growth).
+on (single outstanding wake timeout, cached finite caps).
 """
 
 from __future__ import annotations
@@ -15,10 +14,10 @@ import random
 
 import pytest
 
-import repro.simcore.fluid as fluid
 from repro.simcore.env import Environment
 from repro.simcore.events import Event
 from repro.simcore.fluid import FluidResource, FluidScheduler, FluidTask
+from tests.oracles.recompute_fluid import RecomputeFluidScheduler
 
 HORIZON = 50.0
 
@@ -45,17 +44,17 @@ def _random_script(rng: random.Random):
     return capacities, ops
 
 
-def _run_script(seed: int, incremental: bool):
+def _run_script(seed: int, sched_cls):
     """Run one random workload; returns (trace, final-state) tuples.
 
     Every float in the trace comes straight from the scheduler, so
-    equality between the two modes is bitwise, not approximate.
+    equality between the two engines is bitwise, not approximate.
     """
     rng = random.Random(seed)
     capacities, ops = _random_script(rng)
 
     env = Environment()
-    sched = FluidScheduler(env, incremental=incremental)
+    sched = sched_cls(env)
     resources = [
         sched.add_resource(FluidResource(f"r{i}", cap))
         for i, cap in enumerate(capacities)
@@ -141,17 +140,10 @@ def test_randomized_parity_incremental_vs_oracle(block):
     """>= 200 random topologies: bitwise-identical trajectories."""
     for seed in range(block * 10, block * 10 + 10):
         ids = FluidTask._ids
-        inc = _run_script(seed, incremental=True)
+        inc = _run_script(seed, FluidScheduler)
         FluidTask._ids = ids  # same task names in the oracle run
-        orc = _run_script(seed, incremental=False)
+        orc = _run_script(seed, RecomputeFluidScheduler)
         assert inc == orc, f"divergence at seed {seed}"
-
-
-def test_oracle_mode_is_opt_in_and_default_incremental():
-    env = Environment()
-    assert FluidScheduler(env).incremental is fluid.DEFAULT_INCREMENTAL
-    assert fluid.DEFAULT_INCREMENTAL is True
-    assert FluidScheduler(env, incremental=False).incremental is False
 
 
 # ---------------------------------------------------------------------------
@@ -228,35 +220,14 @@ def test_flow_spec_cache_invalidated_by_set_cap():
 
 
 # ---------------------------------------------------------------------------
-# monitor sample growth (satellite: bounded FluidResource.samples)
+# monitor samples
 # ---------------------------------------------------------------------------
-
-def test_monitor_samples_ring_buffer():
-    res = FluidResource("r", 10.0, monitor=True, max_samples=3)
-    for i in range(7):
-        res.record(float(i), float(i))
-    assert res.samples == [(4.0, 4.0), (5.0, 5.0), (6.0, 6.0)]
-
-
-def test_monitor_samples_coalesce_equal_loads():
-    res = FluidResource("r", 10.0, monitor=True, coalesce=True)
-    res.record(0.0, 5.0)
-    res.record(1.0, 5.0)  # steady state: dropped
-    res.record(2.0, 5.0)
-    res.record(3.0, 7.0)
-    assert res.samples == [(0.0, 5.0), (3.0, 7.0)]
-
 
 def test_monitor_defaults_remain_unbounded():
     res = FluidResource("r", 10.0, monitor=True)
     for i in range(5):
         res.record(float(i), 1.0)
     assert len(res.samples) == 5
-
-
-def test_max_samples_validation():
-    with pytest.raises(ValueError):
-        FluidResource("r", 10.0, max_samples=0)
 
 
 # ---------------------------------------------------------------------------

@@ -145,11 +145,11 @@ class TestRefusals:
 
         monkeypatch.setattr(repro.core, "run_campaign", fake_run)
         argv = ["serve-sim", "sc99-serve10k", "--topology", "sc99-wan",
-                "--flow-classes", "off", "--frames", "3", "--seed", "2"]
+                "--frames", "3", "--seed", "2"]
         assert main(argv) == 0
         experiment = ExperimentConfig(
             campaign="sc99-serve10k", topology="sc99-wan",
-            flow_classes=False, frames=3, seed=2,
+            frames=3, seed=2,
         )
         assert seen == [experiment.to_campaign_config()]
 

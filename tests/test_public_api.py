@@ -88,7 +88,6 @@ def test_api_facade_pinned():
         "ExperimentConfig",
         "FaultPlan",
         "FlowClass",
-        "FlowClassConfig",
         "FlowClassPool",
         "HealthTracker",
         "NetworkConfig",
@@ -138,3 +137,28 @@ def test_run_check_facade():
     assert result.clean
     assert result.findings == []
     assert isinstance(result.summary(), str)
+
+
+def test_src_never_imports_tests():
+    """Reference implementations live under ``tests/oracles`` and import
+    production, never the other way round."""
+    import ast
+    from pathlib import Path
+
+    import repro
+
+    offenders = []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module or ""]
+            else:
+                continue
+            offenders += [
+                f"{path}:{node.lineno}"
+                for module in modules
+                if module.split(".")[0] == "tests"
+            ]
+    assert not offenders, f"src imports tests: {offenders}"
