@@ -13,6 +13,9 @@ Two implementations share the same structure:
   semaphore handshake with :class:`~repro.simcore.sync.SimSemaphore`);
 - :mod:`repro.live.backend` runs the same pipeline over real threads
   and localhost sockets with actual voxels.
+
+:mod:`~repro.backend.tiles` holds the pure geometry the simulated back
+end's tile mode runs on (:class:`~repro.backend.tiles.TilePlan`).
 """
 
 from repro.backend.sim import BackEndTiming, SimBackEnd

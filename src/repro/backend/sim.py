@@ -5,6 +5,16 @@ from the DPSS, volume renders it (CPU time from the calibrated
 :class:`~repro.volren.renderer.RenderCostModel`), and ships a light
 (metadata) plus heavy (texture) payload to the viewer.
 
+What flows through those legs is one :class:`_FrameWork` record per
+(PE, frame): ``_acquire`` claims the frame's units on the shared render
+cache (one unit for a whole slab, one per owned visible tile in tile
+mode) and loads the slab if it leads any of them, ``_finish`` renders
+and publishes what was led, ``_send_results`` ships the light payload
+and then the slab texture or the owner's tile batch. The record carries
+the claim outcome, the led units and the fraction of the slab a faulty
+read gave up on from leg to leg; the back end keeps no per-frame state
+of its own. Tile geometry lives in :mod:`repro.backend.tiles`.
+
 The **overlapped** mode reproduces Appendix B: a reader stage hands
 frames to the render loop across a bounded buffer whose depth-2
 instance *is* the paper's double buffer plus semaphore pair ("while
@@ -21,19 +31,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
     Dict,
     Generator,
     List,
+    NamedTuple,
     Optional,
     Set,
     Tuple,
 )
 
+from repro.backend.tiles import TilePlan
 from repro.config import BackendConfig
 from repro.dpss.client import DpssClient
 from repro.netlogger.events import Tags
-from repro.protocol.messages import TILE_WIRE_OVERHEAD
 from repro.netlogger.logger import NetLogger
 from repro.simcore.fluid import FluidResource, FluidTask
 from repro.simcore.pipeline import Pipeline, PipelineSummary
@@ -41,7 +53,6 @@ from repro.simcore.sync import SimBarrier
 from repro.util.rng import spawn_rngs
 from repro.volren.decomposition import slab_decompose
 from repro.volren.renderer import RenderCostModel
-from repro.volren.tiles import TileGrid, tile_changed
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.datagen.timeseries import TimeSeriesMeta
@@ -53,10 +64,33 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.service.cache import RenderCache
     from repro.viewer.sim import SimViewer
 
-#: bytes of per-rank per-frame batch framing in tile mode (tile count,
-#: frame manifest); an owner with no visible tiles still ships this so
-#: the viewer can close out the frame
-TILE_BATCH_HEADER_BYTES = 64.0
+class _Unit(NamedTuple):
+    """One claimable unit of a frame's work on the shared render cache."""
+
+    key: Tuple
+    nbytes: float
+    #: what the unit's ``CACHE_*`` events carry beyond frame and rank
+    extra: Dict[str, Any]
+
+
+@dataclass
+class _FrameWork:
+    """One frame's work on one PE, handed from leg to leg."""
+
+    rank: int
+    frame: int
+    #: how the load leg ended: ``"miss"`` (no cache configured; plain
+    #: load), ``"hit"`` (every unit served from cache; load *and*
+    #: render are skipped), ``"lead"`` (this PE loaded and must render
+    #: + publish ``leads``), ``"degraded"`` (the load came up short;
+    #: the claims were abandoned and nothing may be cached) or
+    #: ``"empty"`` (tile mode: the rank owns no visible tile)
+    status: str = "miss"
+    #: units this PE claimed and must publish or abandon
+    leads: List[_Unit] = field(default_factory=list)
+    #: fraction of the slab's bytes that never arrived (policy give-up
+    #: under injected faults)
+    missing: float = 0.0
 
 
 @dataclass
@@ -194,9 +228,6 @@ class SimBackEnd:
         self.render_cache = render_cache
         self.session = session
         self.health = health
-        #: (rank, frame) -> cache-claim outcome passed from the load
-        #: stage to the render stage in overlapped mode
-        self._slab_status: Dict[Tuple[int, int], str] = {}
         if self.config.interconnect_rate <= 0:
             raise ValueError("interconnect_rate must be > 0")
         self.interconnect_rate = float(self.config.interconnect_rate)
@@ -224,69 +255,25 @@ class SimBackEnd:
         )
         self._interconnect: Optional[FluidResource] = None
 
-        # -- tile mode (the distributed framebuffer refactor) ----------
-        tiles_cfg = self.config.tiles
-        self.tiles_enabled = bool(tiles_cfg.enabled)
-        self.tile_grid: Optional[TileGrid] = None
-        self.visible_tiles: Tuple[int, ...] = ()
-        self._owned_visible: Dict[int, Tuple[int, ...]] = {}
-        self._frame_route_bytes: Dict[int, float] = {}
+        #: tile mode (the distributed framebuffer transport); ``None``
+        #: is the whole-slab path
+        self.tile_plan: Optional[TilePlan] = None
         self._tile_fabric: Optional[FluidResource] = None
-        #: (rank, frame) -> tile IDs this rank led claims for
-        self._lead_tiles: Dict[Tuple[int, int], List[int]] = {}
-        #: (rank, frame) -> acquire status handed to the transmit leg
-        self._tile_send_status: Dict[Tuple[int, int], str] = {}
-        if self.tiles_enabled:
+        if self.config.tiles.enabled:
             if self.mpi_only_overlap:
                 raise ValueError(
                     "tile mode is not supported with the rejected "
                     "MPI-only overlap mode"
                 )
-            # The composited frame covers the two non-slab axes; with
-            # the default axis-0 decomposition every slab projects onto
-            # the full viewport, so every PE contributes fragments to
-            # every visible tile.
-            dims = [
-                int(extent)
-                for i, extent in enumerate(meta.shape)
-                if i != axis
-            ]
-            self.tile_grid = TileGrid(
-                width=dims[1], height=dims[0],
-                tile_size=tiles_cfg.tile_size,
+            self.tile_plan = TilePlan.build(
+                meta.shape, axis, self.config.tiles, self.n_render_pes,
+                dataset_name,
             )
-            if tiles_cfg.frustum is not None:
-                self.visible_tiles = self.tile_grid.tiles_in_rect(
-                    *tiles_cfg.frustum
-                )
-            else:
-                self.visible_tiles = self.tile_grid.all_tiles()
-            grid = self.tile_grid
-            self._owned_visible = {
-                rank: tuple(
-                    t for t in self.visible_tiles
-                    if grid.owner_of(t, self.n_render_pes) == rank
-                )
-                for rank in range(self.n_render_pes)
-            }
-            # Fragments a rendering rank routes to the other owners:
-            # every visible tile it does not own.
-            self._frame_route_bytes = {
-                rank: float(sum(
-                    grid.tile_pixels(t) * 4
-                    for t in self.visible_tiles
-                    if grid.owner_of(t, self.n_render_pes) != rank
-                ))
-                for rank in range(self.n_render_pes)
-            }
         self.timing = BackEndTiming(
             n_timesteps=self.n_timesteps, n_pes=self.n_pes
         )
         #: per-rank staged-pipeline accounting (overlapped modes only)
         self.pipeline_summaries: Dict[int, PipelineSummary] = {}
-        #: (rank, frame) -> fraction of the slab's bytes that never
-        #: arrived (policy give-up under injected faults)
-        self._degraded: Dict[Tuple[int, int], float] = {}
         self._itemsize = meta.bytes_per_timestep / meta.n_voxels
         # Streams [0, n_pes) drive load/render jitter exactly as they
         # always have; [n_pes, 2*n_pes) are reserved for the DPSS
@@ -351,27 +338,6 @@ class SimBackEnd:
             sub.shape[axis],
         )
 
-    def tile_cache_key(self, tile_id: int, frame: int) -> Tuple:
-        """Tile-mode cache key: (dataset, timestep, tile).
-
-        The grid geometry rides along so back ends with different
-        viewports or tile sizes never alias; the key is independent of
-        the PE count and of any frustum, which is exactly what lets
-        partially-overlapping viewer frusta share tile renders.
-        """
-        grid = self.tile_grid
-        assert grid is not None
-        return (
-            "tile",
-            self.dataset_name,
-            frame,
-            self.config.axis,
-            grid.width,
-            grid.height,
-            grid.tile_size,
-            tile_id,
-        )
-
     def _fabric_name(self, kind: str) -> str:
         """Deterministic fluid-resource name for this back end's fabric.
 
@@ -400,7 +366,7 @@ class SimBackEnd:
                 self.network.sched.set_capacity(
                     host.nic, host.nic_rate * self.overlap_ingest_factor
                 )
-        if self.tiles_enabled and self.n_render_pes > 1:
+        if self.tile_plan is not None and self.n_render_pes > 1:
             # The owner-routing fabric: per-tile fragments hop PE-to-PE
             # over the platform interconnect before the owners talk to
             # the viewer. Same fluid stand-in as the MPI fabric.
@@ -422,10 +388,8 @@ class SimBackEnd:
                 for rank in range(self.n_render_pes)
             ]
         else:
-            procs = [
-                env.process(self._pe_proc(rank))
-                for rank in range(self.n_pes)
-            ]
+            pe = self._pe_overlapped if self.overlapped else self._pe_serial
+            procs = [env.process(pe(rank)) for rank in range(self.n_pes)]
         done = env.all_of(procs)
 
         def finish():
@@ -435,16 +399,7 @@ class SimBackEnd:
 
         return env.process(finish())
 
-    # -- per-PE processes ----------------------------------------------------
-    def _pe_proc(self, rank: int):
-        if self.overlapped:
-            result = yield self.network.env.process(
-                self._pe_overlapped(rank)
-            )
-        else:
-            result = yield self.network.env.process(self._pe_serial(rank))
-        return result
-
+    # -- the legs of one frame -----------------------------------------------
     def _open_client(self, rank: int):
         client = DpssClient(
             self.network,
@@ -458,9 +413,30 @@ class SimBackEnd:
         open_ev = client.open(self.dataset_name)
         return client, open_ev
 
-    def _load(self, rank: int, client, handle, frame: int, log: NetLogger):
+    def _log_fields(self, work: _FrameWork) -> Dict[str, Any]:
+        """The fields every ``CACHE_*`` event of this frame carries."""
+        fields: Dict[str, Any] = dict(frame=work.frame, rank=work.rank)
+        if self.session is not None:
+            fields["session"] = self.session
+        return fields
+
+    def _units(self, rank: int, frame: int) -> List[_Unit]:
+        """What a PE claims on the shared cache for one frame: its slab
+        texture, or in tile mode each visible tile it owns (ascending
+        tile ID)."""
+        plan = self.tile_plan
+        if plan is None:
+            key = self.cache_key(rank, frame)
+            return [_Unit(key, self.texture_bytes(rank), {})]
+        return [
+            _Unit(plan.cache_key(t, frame), plan.tile_bytes(t), {"tile": t})
+            for t in plan.owned[rank]
+        ]
+
+    def _load(self, work: _FrameWork, client, handle, log: NetLogger):
         """Read one slab (generator; yields until loaded)."""
         env = self.network.env
+        rank, frame = work.rank, work.frame
         rng = self._rngs[rank]
         log.log(Tags.BE_LOAD_START, frame=frame, rank=rank)
         if self.load_jitter_cv > 0:
@@ -490,24 +466,61 @@ class SimBackEnd:
             # The policy gave up on part of this slab: the PE proceeds
             # with whatever it has (stale or absent texture downstream).
             self.timing.degraded_frames.add(frame)
-            self._degraded[(rank, frame)] = (
-                stats.missing_bytes / stats.nbytes
-            )
+            work.missing = stats.missing_bytes / stats.nbytes
             log.log(
-                Tags.BE_LOAD_DEGRADED,
-                frame=frame,
-                rank=rank,
+                Tags.BE_LOAD_DEGRADED, frame=frame, rank=rank,
                 missing=round(stats.missing_bytes),
             )
         return stats
+
+    def _acquire(self, work: _FrameWork, client, handle, log: NetLogger):
+        """The load leg, via the shared render cache when present.
+
+        The PE claims each of the frame's units in order (all ranks and
+        sessions share that ascending order, so cross-session waits can
+        never cycle). Every unit cached means the textures already
+        exist and the PE skips its DPSS read and render leg; any led
+        unit forces the load, and a degraded load abandons every led
+        claim so partial content never enters the cache. Fragment
+        dependencies across ranks are not modelled: a rank whose owned
+        tiles are all cached (or who owns none) skips its slab work
+        entirely. Sets ``work.status`` and ``work.leads``.
+        """
+        units = self._units(work.rank, work.frame)
+        if not units:
+            work.status = "empty"
+            return
+        cache = self.render_cache
+        if cache is None:
+            yield from self._load(work, client, handle, log)
+            return
+        fields = self._log_fields(work)
+        for unit in units:
+            while True:
+                claim = cache.begin(unit.key, **unit.extra, **fields)
+                if claim.status == "wait" and not (yield claim.event):
+                    continue  # the leader abandoned: claim again
+                if claim.status == "lead":
+                    work.leads.append(unit)
+                break
+        if not work.leads:
+            self.timing.cache_hits += 1
+            work.status = "hit"
+            return
+        yield from self._load(work, client, handle, log)
+        if work.missing > 0.0:
+            # Fault-plan interaction rule: a slab whose read gave up on
+            # bytes never enters the cache.
+            for unit in work.leads:
+                cache.abandon(unit.key, **unit.extra, **fields)
+            work.leads = []
+        work.status = "lead" if work.leads else "degraded"
 
     def _render(self, rank: int, frame: int, log: NetLogger):
         env = self.network.env
         rng = self._rngs[rank]
         host = self.pe_hosts[rank]
-        share = (
-            self.overlap_render_share if self.overlapped else 1.0
-        )
+        share = self.overlap_render_share if self.overlapped else 1.0
         cpu = self.render_cpu_seconds(rank)
         if self.load_jitter_cv > 0:
             # Render variability is milder than load variability.
@@ -517,25 +530,46 @@ class SimBackEnd:
         yield host.compute(cpu, label=f"render[{rank}]", share=share)
         log.log(Tags.BE_RENDER_END, frame=frame, rank=rank)
         self.timing.per_pe_render_seconds[rank] = (
-            self.timing.per_pe_render_seconds.get(rank, 0.0)
-            + (env.now - t0)
+            self.timing.per_pe_render_seconds.get(rank, 0.0) + (env.now - t0)
         )
 
-    def _send_results(self, rank: int, frame: int, log: NetLogger):
-        if self.tiles_enabled:
-            yield from self._send_results_tiles(rank, frame, log)
+    def _finish(self, work: _FrameWork, log: NetLogger):
+        """The render leg for one acquired frame; publishes led units."""
+        if work.status in ("hit", "empty"):
             return
+        yield from self._render(work.rank, work.frame, log)
+        if work.leads:
+            assert self.render_cache is not None
+            fields = self._log_fields(work)
+            for unit in work.leads:
+                self.render_cache.publish(
+                    unit.key, unit.nbytes, **unit.extra, **fields
+                )
+            work.leads = []
+
+    def _send_results(self, work: _FrameWork, log: NetLogger):
+        """The transmit leg: light payload, then the heavy one.
+
+        A fully lost slab has nothing to texture (and in tile mode no
+        fragments to route and nothing fresh to batch): the heavy
+        payload is skipped, the viewer records the hole and the
+        compositor renders the remaining slabs.
+        """
+        rank, frame = work.rank, work.frame
         log.log(Tags.BE_LIGHT_SEND, frame=frame, rank=rank)
         yield self.viewer.deliver_light(rank, frame)
         log.log(Tags.BE_LIGHT_END, frame=frame, rank=rank)
-        if self._degraded.get((rank, frame), 0.0) >= 1.0:
-            # The whole slab was lost to faults: nothing to texture.
-            # Skip the heavy payload; the viewer records the hole and
-            # the compositor renders the remaining slabs.
-            log.log(Tags.BE_HEAVY_SKIP, frame=frame, rank=rank)
+        self.timing.bytes_sent_to_viewer += self.viewer.light_bytes
+        if work.missing >= 1.0:
+            skip = Tags.BE_HEAVY_SKIP if self.tile_plan is None else Tags.TILE_SKIP
+            log.log(skip, frame=frame, rank=rank)
             yield self.viewer.deliver_absent(rank, frame)
-            self.timing.bytes_sent_to_viewer += self.viewer.light_bytes
-            return
+        elif self.tile_plan is None:
+            yield from self._send_slab(rank, frame, log)
+        else:
+            yield from self._send_tiles(work, self.tile_plan, log)
+
+    def _send_slab(self, rank: int, frame: int, log: NetLogger):
         log.log(Tags.BE_HEAVY_SEND, frame=frame, rank=rank)
         nbytes = self.texture_bytes(rank)
         if rank == 0:
@@ -543,82 +577,52 @@ class SimBackEnd:
             nbytes += self.geometry_bytes_per_frame
         yield self.viewer.deliver_heavy(rank, frame, nbytes)
         log.log(Tags.BE_HEAVY_END, frame=frame, rank=rank)
-        self.timing.bytes_sent_to_viewer += nbytes + self.viewer.light_bytes
+        self.timing.bytes_sent_to_viewer += nbytes
 
-    def _send_results_tiles(self, rank: int, frame: int, log: NetLogger):
-        """Tile-mode transmit leg: route fragments, batch owned tiles.
+    def _send_tiles(self, work: _FrameWork, plan: TilePlan, log: NetLogger):
+        """Tile-mode heavy leg: route fragments, batch owned tiles.
 
         A rank that rendered first routes the visible fragments it does
         not own to their owner PEs over the interconnect fabric
         (``TILE_ROUTE``); then, as an owner, it ships its visible tiles
-        to the viewer in one batch with delta transmission: a tile
-        whose content is unchanged since the last delivered frame
-        travels as a header-plus-hash reference instead of pixels.
-        Degraded frames disable references (partial content never
-        matches the change model) and a fully lost slab mirrors the
-        slab path's ``BE_HEAVY_SKIP`` with ``TILE_SKIP``.
+        to the viewer in one delta-transmitted batch
+        (:meth:`TilePlan.batch`). Degraded frames disable references.
         """
-        grid = self.tile_grid
-        assert grid is not None
-        log.log(Tags.BE_LIGHT_SEND, frame=frame, rank=rank)
-        yield self.viewer.deliver_light(rank, frame)
-        log.log(Tags.BE_LIGHT_END, frame=frame, rank=rank)
-        self.timing.bytes_sent_to_viewer += self.viewer.light_bytes
-        status = self._tile_send_status.pop((rank, frame), "miss")
-        degraded = self._degraded.get((rank, frame), 0.0)
-        if degraded >= 1.0:
-            # The whole slab was lost to faults: no fragments exist to
-            # route and the owner has nothing fresh to batch.
-            log.log(Tags.TILE_SKIP, frame=frame, rank=rank)
-            yield self.viewer.deliver_absent(rank, frame)
-            return
-        if status in ("miss", "lead", "degraded"):
+        rank, frame = work.rank, work.frame
+        route_bytes = plan.route_bytes[rank]
+        if (
+            work.status in ("miss", "lead", "degraded")
+            and route_bytes > 0
+            and self._tile_fabric is not None
+        ):
             # This rank rendered: its slab projects onto the whole
             # viewport, so it holds fragments for every visible tile
             # and routes the ones it does not own to their owners.
-            route_bytes = self._frame_route_bytes.get(rank, 0.0)
-            if route_bytes > 0 and self._tile_fabric is not None:
-                log.log(
-                    Tags.TILE_ROUTE_START, frame=frame, rank=rank,
-                    nbytes=round(route_bytes),
-                )
-                task = FluidTask(
-                    f"tile-route[{rank}]",
-                    work=route_bytes,
-                    usage={self._tile_fabric: 1.0},
-                    cap=self.interconnect_rate,
-                )
-                yield self.network.sched.submit(task)
-                log.log(Tags.TILE_ROUTE_END, frame=frame, rank=rank)
-                self.timing.tile_route_bytes += route_bytes
-        owned = self._owned_visible.get(rank, ())
-        change_fraction = self.config.tiles.change_fraction
-        nfull = 0
-        nref = 0
-        nbytes = TILE_BATCH_HEADER_BYTES
-        saved = 0.0
-        for tile_id in owned:
-            pixel_bytes = grid.tile_pixels(tile_id) * 4
-            changed = degraded > 0.0 or tile_changed(
-                self.dataset_name, frame, tile_id, change_fraction
+            log.log(
+                Tags.TILE_ROUTE_START, frame=frame, rank=rank,
+                nbytes=round(route_bytes),
             )
-            if changed:
-                nfull += 1
-                nbytes += TILE_WIRE_OVERHEAD + pixel_bytes
-            else:
-                nref += 1
-                nbytes += TILE_WIRE_OVERHEAD
-                saved += pixel_bytes
+            task = FluidTask(
+                f"tile-route[{rank}]",
+                work=route_bytes,
+                usage={self._tile_fabric: 1.0},
+                cap=self.interconnect_rate,
+            )
+            yield self.network.sched.submit(task)
+            log.log(Tags.TILE_ROUTE_END, frame=frame, rank=rank)
+            self.timing.tile_route_bytes += route_bytes
+        ntiles, nfull, nref, nbytes, saved = plan.batch(
+            rank, frame, all_full=work.missing > 0.0
+        )
         if rank == 0:
             # Rank 0 carries the AMR grid geometry for the frame.
             nbytes += self.geometry_bytes_per_frame
         log.log(
             Tags.TILE_SEND, frame=frame, rank=rank,
-            ntiles=len(owned), nfull=nfull, nref=nref,
-            nbytes=round(nbytes),
+            ntiles=ntiles, nfull=nfull, nref=nref, nbytes=round(nbytes),
         )
         yield self.viewer.deliver_tiles(
-            rank, frame, nbytes, ntiles=len(owned), nfull=nfull, nref=nref
+            rank, frame, nbytes, ntiles=ntiles, nfull=nfull, nref=nref
         )
         log.log(Tags.TILE_SEND_END, frame=frame, rank=rank)
         self.timing.tiles_full += nfull
@@ -626,157 +630,30 @@ class SimBackEnd:
         self.timing.tile_bytes_saved += saved
         self.timing.bytes_sent_to_viewer += nbytes
 
-    def _acquire_slab(self, rank: int, client, handle, frame: int,
-                      log: NetLogger):
-        """The load leg, via the shared render cache when present.
-
-        Returns the slab's status: ``"miss"`` (no cache configured;
-        plain load happened), ``"hit"`` (texture served from cache,
-        load *and* render are skipped), ``"lead"`` (this PE loaded and
-        must render + publish), or ``"degraded"`` (the load came up
-        short; the claim was abandoned and nothing may be cached).
-        Tile mode adds ``"empty"`` (the rank owns no visible tiles).
-        """
-        if self.tiles_enabled:
-            status = yield from self._acquire_tiles(
-                rank, client, handle, frame, log
-            )
-            return status
-        cache = self.render_cache
-        if cache is None:
-            yield from self._load(rank, client, handle, frame, log)
-            return "miss"
-        key = self.cache_key(rank, frame)
-        fields = dict(frame=frame, rank=rank)
-        if self.session is not None:
-            fields["session"] = self.session
-        while True:
-            claim = cache.begin(key, **fields)
-            if claim.status == "hit":
-                self.timing.cache_hits += 1
-                return "hit"
-            if claim.status == "wait":
-                published = yield claim.event
-                if published:
-                    self.timing.cache_hits += 1
-                    return "hit"
-                continue
-            yield from self._load(rank, client, handle, frame, log)
-            if self._degraded.get((rank, frame), 0.0) > 0.0:
-                # Fault-plan interaction rule: a slab whose read gave
-                # up on bytes never enters the cache.
-                cache.abandon(key, **fields)
-                return "degraded"
-            return "lead"
-
-    def _acquire_tiles(self, rank: int, client, handle, frame: int,
-                       log: NetLogger):
-        """Tile-mode load leg: per-tile claims on the shared cache.
-
-        The rank claims each visible tile it owns, in ascending tile-ID
-        order (all ranks share that order, so cross-session waits can
-        never cycle). All-hit means the composited tiles are already
-        cached and the rank skips its DPSS read and render leg; any
-        led tile forces the load, and a degraded load abandons every
-        led claim so partial content never enters the cache. Fragment
-        dependencies across ranks are not modelled: a rank whose owned
-        tiles are all cached (or who owns none -- ``"empty"``) skips
-        its slab work entirely.
-        """
-        owned = self._owned_visible.get(rank, ())
-        if not owned:
-            return "empty"
-        cache = self.render_cache
-        if cache is None:
-            yield from self._load(rank, client, handle, frame, log)
-            return "miss"
-        fields = dict(frame=frame, rank=rank)
-        if self.session is not None:
-            fields["session"] = self.session
-        leads: List[int] = []
-        for tile_id in owned:
-            key = self.tile_cache_key(tile_id, frame)
-            while True:
-                claim = cache.begin(key, tile=tile_id, **fields)
-                if claim.status == "hit":
-                    break
-                if claim.status == "wait":
-                    published = yield claim.event
-                    if published:
-                        break
-                    continue
-                leads.append(tile_id)
-                break
-        if not leads:
-            self.timing.cache_hits += 1
-            return "hit"
-        self._lead_tiles[(rank, frame)] = leads
-        yield from self._load(rank, client, handle, frame, log)
-        if self._degraded.get((rank, frame), 0.0) > 0.0:
-            for tile_id in leads:
-                cache.abandon(
-                    self.tile_cache_key(tile_id, frame),
-                    tile=tile_id, **fields,
-                )
-            self._lead_tiles.pop((rank, frame), None)
-            return "degraded"
-        return "lead"
-
-    def _finish_slab(self, rank: int, frame: int, log: NetLogger,
-                     status: str):
-        """The render leg for one acquired slab; publishes lead renders."""
-        if self.tiles_enabled:
-            self._tile_send_status[(rank, frame)] = status
-        if status in ("hit", "empty"):
-            return
-        yield from self._render(rank, frame, log)
-        if status == "lead" and self.render_cache is not None:
-            fields = dict(frame=frame, rank=rank)
-            if self.session is not None:
-                fields["session"] = self.session
-            if self.tiles_enabled:
-                grid = self.tile_grid
-                assert grid is not None
-                for tile_id in self._lead_tiles.pop((rank, frame), []):
-                    self.render_cache.publish(
-                        self.tile_cache_key(tile_id, frame),
-                        float(grid.tile_pixels(tile_id) * 4),
-                        tile=tile_id, **fields,
-                    )
-            else:
-                self.render_cache.publish(
-                    self.cache_key(rank, frame),
-                    self.texture_bytes(rank),
-                    **fields,
-                )
-
+    # -- per-PE processes ----------------------------------------------------
     def _pe_serial(self, rank: int):
         """Figure 18's serial loop: load, render, send, barrier."""
+        env = self.network.env
         log = self._loggers[rank]
         client, open_ev = self._open_client(rank)
         handle = yield open_ev
         for frame in range(self.n_timesteps):
+            work = _FrameWork(rank, frame)
             log.log(Tags.BE_FRAME_START, frame=frame, rank=rank)
-            status = yield self.network.env.process(
-                self._acquire_slab(rank, client, handle, frame, log)
-            )
-            yield self.network.env.process(
-                self._finish_slab(rank, frame, log, status)
-            )
-            yield self.network.env.process(
-                self._send_results(rank, frame, log)
-            )
+            yield env.process(self._acquire(work, client, handle, log))
+            yield env.process(self._finish(work, log))
+            yield env.process(self._send_results(work, log))
             log.log(Tags.BE_FRAME_END, frame=frame, rank=rank)
             yield self._barrier.wait()
         return rank
 
-    def _frame_pipeline(
+    def _run_pipeline(
         self,
         rank: int,
         log: NetLogger,
-        load: Callable[[int], Generator],
-    ) -> Pipeline:
-        """Wire the reader -> render -> transmit stages for one PE.
+        load: Callable[[_FrameWork], Generator],
+    ):
+        """Run one PE's reader -> render -> transmit pipeline to the end.
 
         The slab buffer at depth 2 with the ``on_get`` discipline is
         Appendix B's double buffer + semaphore pair; the depth-1
@@ -788,54 +665,44 @@ class SimBackEnd:
         slabs = pipe.buffer(
             self.overlap_depth, name=f"slabs[{rank}]", release="on_get"
         )
-        rendered = pipe.buffer(
-            1, name=f"rendered[{rank}]", release="on_done"
-        )
+        rendered = pipe.buffer(1, name=f"rendered[{rank}]", release="on_done")
 
-        def load_work(frame: int):
-            yield from load(frame)
-            return frame
+        def load_work(work: _FrameWork):
+            yield from load(work)
+            return work
 
-        def render_work(frame: int):
-            log.log(Tags.BE_FRAME_START, frame=frame, rank=rank)
-            status = self._slab_status.pop((rank, frame), "miss")
-            yield from self._finish_slab(rank, frame, log, status)
-            return frame
+        def render_work(work: _FrameWork):
+            log.log(Tags.BE_FRAME_START, frame=work.frame, rank=rank)
+            yield from self._finish(work, log)
+            return work
 
-        def send_work(frame: int):
-            yield from self._send_results(rank, frame, log)
-            log.log(Tags.BE_FRAME_END, frame=frame, rank=rank)
+        def send_work(work: _FrameWork):
+            yield from self._send_results(work, log)
+            log.log(Tags.BE_FRAME_END, frame=work.frame, rank=rank)
 
         pipe.stage(
             f"reader[{rank}]",
             load_work,
-            source=range(self.n_timesteps),
+            source=(_FrameWork(rank, f) for f in range(self.n_timesteps)),
             outbound=slabs,
         )
         pipe.stage(
             f"render[{rank}]", render_work, inbound=slabs, outbound=rendered
         )
         pipe.stage(f"transmit[{rank}]", send_work, inbound=rendered)
-        return pipe
+        self.pipeline_summaries[rank] = yield pipe.run()
+        pipe.report(log)
+        yield self._barrier.wait()
+        return rank
 
     def _pe_overlapped(self, rank: int):
         """Appendix B as a staged pipeline: reader/render/transmit."""
         log = self._loggers[rank]
         client, open_ev = self._open_client(rank)
         handle = yield open_ev
-
-        def load(frame: int):
-            status = yield from self._acquire_slab(
-                rank, client, handle, frame, log
-            )
-            self._slab_status[(rank, frame)] = status
-
-        pipe = self._frame_pipeline(rank, log, load)
-        summary = yield pipe.run()
-        self.pipeline_summaries[rank] = summary
-        pipe.report(log)
-        yield self._barrier.wait()
-        return rank
+        return (yield from self._run_pipeline(
+            rank, log, lambda work: self._acquire(work, client, handle, log)
+        ))
 
     def _pe_mpi_pair(self, rank: int):
         """Appendix B's MPI-only alternative for one render/reader pair.
@@ -849,16 +716,15 @@ class SimBackEnd:
         paper's threaded design deliberately avoids.
         """
         reader_rank = self.n_render_pes + rank
-        render_log = self._loggers[rank]
         reader_log = self._loggers[reader_rank]
         client, open_ev = self._open_client(reader_rank)
         handle = yield open_ev
 
-        def load(frame: int):
+        def load(work: _FrameWork):
             # BE_LOAD spans the DPSS read; the MPI hand-off that
             # follows additionally gates the render process (the
             # extra pipeline stage this design pays for).
-            yield from self._load(rank, client, handle, frame, reader_log)
+            yield from self._load(work, client, handle, reader_log)
             task = FluidTask(
                 f"mpi-xfer[{rank}]",
                 work=self.slab_bytes(rank),
@@ -869,9 +735,4 @@ class SimBackEnd:
 
         # Render and reader live on separate nodes: no CPU contention,
         # full share -- the render/transmit stages use the render log.
-        pipe = self._frame_pipeline(rank, render_log, load)
-        summary = yield pipe.run()
-        self.pipeline_summaries[rank] = summary
-        pipe.report(render_log)
-        yield self._barrier.wait()
-        return rank
+        return (yield from self._run_pipeline(rank, self._loggers[rank], load))

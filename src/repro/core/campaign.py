@@ -18,7 +18,7 @@ functions once per admitted session.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.backend.sim import SimBackEnd
@@ -102,13 +102,13 @@ class CampaignConfig:
     faults: Optional[FaultPlan] = None
     #: client-side timeout/retry/hedging policy for DPSS reads
     policy: Optional[RequestPolicy] = None
-    #: tile-based distributed framebuffer mode; ``None`` (and the
-    #: default disabled config) keep the historical whole-slab path
-    tiles: Optional[TileConfig] = None
-    #: parity-striped DPSS with redundant k-of-n reads; ``None`` (and
-    #: the default disabled config) keep the round-robin placement and
-    #: the retry-based fault path
-    stripe: Optional[StripeConfig] = None
+    #: tile-based distributed framebuffer mode; the default disabled
+    #: config is the whole-slab path
+    tiles: TileConfig = field(default_factory=TileConfig)
+    #: parity-striped DPSS with redundant k-of-n reads; the default
+    #: disabled config keeps the round-robin placement and the
+    #: retry-based fault path
+    stripe: StripeConfig = field(default_factory=StripeConfig)
 
     def __post_init__(self):
         if self.n_pes < 1:
@@ -324,8 +324,8 @@ class World:
     dpss_lan: Link
     wan: Link
     pe_hosts: List[Host]
-    #: the enabled stripe config, or ``None`` for the unstriped site
-    stripe: Optional[StripeConfig]
+    #: the campaign's stripe config (``enabled=False``: unstriped site)
+    stripe: StripeConfig
     policy: Optional[RequestPolicy]
     health: Optional[HealthTracker]
 
@@ -352,15 +352,9 @@ def build_world(config: CampaignConfig) -> World:
     # Parity striping needs one server per stripe position; the
     # historical 4-server site grows to the stripe width when needed
     # (and only then -- the unstriped world stays byte-identical).
-    stripe = (
-        config.stripe
-        if config.stripe is not None and config.stripe.enabled
-        else None
-    )
+    stripe = config.stripe
     n_servers = (
-        max(DPSS_N_SERVERS, stripe.width)
-        if stripe is not None
-        else DPSS_N_SERVERS
+        max(DPSS_N_SERVERS, stripe.width) if stripe.enabled else DPSS_N_SERVERS
     )
 
     # --- DPSS site -----------------------------------------------------
@@ -431,7 +425,7 @@ def build_world(config: CampaignConfig) -> World:
         DpssDataset(name=meta.name, size=float(meta.total_bytes),
                     block_size=64 * KIB),
         replicas=(
-            2 if active_faults is not None and stripe is None else 1
+            2 if active_faults is not None and not stripe.enabled else 1
         ),
         stripe=stripe,
     )
@@ -440,7 +434,7 @@ def build_world(config: CampaignConfig) -> World:
     if policy is None and active_faults is not None:
         policy = RequestPolicy()
     health = None
-    if stripe is not None:
+    if stripe.enabled:
         health = HealthTracker(
             now=lambda: net.env.now,
             half_life=stripe.health_half_life,
@@ -482,7 +476,7 @@ def attach_session(
     viewer_wan: Optional[WanSpec],
     n_timesteps: int,
     seed: int,
-    tiles: Optional[TileConfig],
+    tiles: TileConfig,
     reserved_rate: float = 0.0,
     render_cache: Optional["RenderCache"] = None,
     session: Optional[str] = None,
@@ -542,13 +536,9 @@ def attach_session(
                 tcp=TcpParams(max_window=config.wan.tcp_window),
                 policy=world.policy,
                 reserved_rate=reserved_rate,
-                stripe=(
-                    world.stripe
-                    if world.stripe is not None
-                    else StripeConfig()
-                ),
+                stripe=world.stripe,
             ),
-            tiles=tiles if tiles is not None else TileConfig(),
+            tiles=tiles,
         ),
         render_cache=render_cache,
         session=session,

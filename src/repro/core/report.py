@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Type, TypeVar
+from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple, Type, TypeVar
 
 import numpy as np
 
@@ -255,19 +255,37 @@ class CampaignResult:
 
         return result_payload("campaign", self.metrics_dict())
 
+    def _shared_lines(self) -> Tuple[List[str], List[str]]:
+        """The summary lines a campaign block and a service block have
+        in common: ``(load and render, tile delta)``, the second empty
+        for a whole-slab run."""
+        load_render = [
+            f"  load (L)          : {self.mean_load:.2f} s/frame"
+            f" +- {self.std_load:.2f}",
+            f"  render (R)        : {self.mean_render:.2f} s/frame"
+            f" +- {self.std_render:.2f}",
+        ]
+        total = self.tiles_full + self.tiles_ref
+        if not total:
+            return load_render, []
+        return load_render, [
+            f"  tile delta        : {self.tiles_full} full /"
+            f" {self.tiles_ref} ref tiles"
+            f" ({self.tiles_ref / total:.0%} referenced,"
+            f" {self.tile_bytes_saved / 1e6:.1f} MB saved)"
+        ]
+
     def summary(self) -> str:
         """A human-readable result block."""
         cfg = self.config
+        load_render, tile_delta = self._shared_lines()
         lines = [
             f"campaign {cfg.name}: {cfg.n_pes} PEs on {cfg.platform.name}, "
             f"{'overlapped' if cfg.overlapped else 'serial'}, "
             f"{self.n_frames} timesteps",
             f"  total time        : {fmt_seconds(self.total_time)}"
             f" ({fmt_seconds(self.seconds_per_timestep)}/timestep)",
-            f"  load (L)          : {self.mean_load:.2f} s/frame"
-            f" +- {self.std_load:.2f}",
-            f"  render (R)        : {self.mean_render:.2f} s/frame"
-            f" +- {self.std_render:.2f}",
+            *load_render,
             f"  DPSS->BE goodput  : {self.load_throughput_mbps:.0f} Mbps"
             f" ({self.wan_utilization:.0%} of {cfg.wan.name} line rate)",
             f"  BE->viewer bytes  : "
@@ -282,7 +300,7 @@ class CampaignResult:
                 f" frame(s), {self.retries} retries, {self.hedges} hedges,"
                 f" recovery {fmt_seconds(self.recovery_seconds)}"
             )
-        if getattr(cfg, "stripe", None) is not None and cfg.stripe.enabled:
+        if cfg.stripe.enabled:
             lines.append(
                 f"  stripe {cfg.stripe.spec():<11}: "
                 f"{self.reconstructions} reconstruction(s),"
@@ -290,12 +308,4 @@ class CampaignResult:
                 f" {self.stripe_cancels} cancel(s),"
                 f" p99 read {self.read_p99:.2f} s"
             )
-        if self.tiles_full or self.tiles_ref:
-            total = self.tiles_full + self.tiles_ref
-            ref_ratio = self.tiles_ref / total if total else 0.0
-            lines.append(
-                f"  tile delta        : {self.tiles_full} full /"
-                f" {self.tiles_ref} ref tiles ({ref_ratio:.0%} referenced,"
-                f" {self.tile_bytes_saved / 1e6:.1f} MB saved)"
-            )
-        return "\n".join(lines)
+        return "\n".join(lines + tile_delta)

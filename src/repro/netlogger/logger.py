@@ -13,7 +13,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class NetLogger:
-    """Stamps events against a clock and forwards them to a daemon.
+    """Stamps events against a clock and forwards them to a daemon,
+    or retains them itself when it has none.
 
     ``clock`` is any zero-argument callable returning seconds --
     ``env.now`` accessor for simulated components, ``time.monotonic``
@@ -47,19 +48,21 @@ class NetLogger:
             level=level,
             data=data,
         )
-        with self._lock:
-            self._events.append(record)
         if self.daemon is not None:
             self.daemon.submit(record)
+        else:
+            with self._lock:
+                self._events.append(record)
         return record
 
     @property
     def events(self) -> List[NetLogEvent]:
-        """Snapshot of locally retained events."""
+        """Snapshot of locally retained events (a logger with a daemon
+        retains none: the daemon holds the only copy)."""
         with self._lock:
             return list(self._events)
 
     def clear(self) -> None:
-        """Drop locally retained events (the daemon keeps its copy)."""
+        """Drop locally retained events."""
         with self._lock:
             self._events.clear()

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.backend.sim import SimBackEnd
-from repro.config import TileConfig
 from repro.core.campaign import (
     CampaignConfig,
     attach_session,
@@ -75,6 +74,15 @@ class ServiceCampaign:
     cache: CacheConfig = field(default_factory=CacheConfig)
     #: overrides ``base.seed`` for the whole service run when set
     seed: Optional[int] = None
+
+    def __post_init__(self):
+        if not self.base.tiles.enabled:
+            for profile in self.workload.profiles:
+                if profile.frustum is not None:
+                    raise ValueError(
+                        f"profile {profile.name!r} sets frustum; "
+                        f"frustum applies only with tiles"
+                    )
 
     @property
     def effective_seed(self) -> int:
@@ -180,9 +188,7 @@ class SessionManager:
         """Attach one viewer host + WAN and bind a back end to the pool."""
         tiles = self.config.base.tiles
         if profile.frustum is not None:
-            tiles = (tiles or TileConfig()).with_changes(
-                frustum=profile.frustum
-            )
+            tiles = tiles.with_changes(frustum=profile.frustum)
         viewer, backend = attach_session(
             self.world,
             viewer_name=f"viewer{sid}",
@@ -325,23 +331,8 @@ class ServiceResult(CampaignResult):
                 f"{stats.lookups} lookups, {stats.evictions} evictions, "
                 f"{stats.bytes_cached / 1e6:.1f} MB resident"
             )
-        if self.tiles_full or self.tiles_ref:
-            total = self.tiles_full + self.tiles_ref
-            ref_ratio = self.tiles_ref / total if total else 0.0
-            lines.append(
-                f"  tile delta        : {self.tiles_full} full /"
-                f" {self.tiles_ref} ref tiles ({ref_ratio:.0%} referenced,"
-                f" {self.tile_bytes_saved / 1e6:.1f} MB saved)"
-            )
-        lines.append(
-            f"  load (L)          : {self.mean_load:.2f} s/frame"
-            f" +- {self.std_load:.2f}"
-        )
-        lines.append(
-            f"  render (R)        : {self.mean_render:.2f} s/frame"
-            f" +- {self.std_render:.2f}"
-        )
-        return "\n".join(lines)
+        load_render, tile_delta = self._shared_lines()
+        return "\n".join(lines + tile_delta + load_render)
 
 
 def _reduce(

@@ -14,7 +14,7 @@ stage that feeds the :class:`RenderLoopModel`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
 
 from repro.config import NetworkConfig
 from repro.netlogger.events import Tags
@@ -36,14 +36,17 @@ class _Delivery:
     rank: int
     frame: int
     nbytes: float
-    #: "light", "heavy", or "tile" (a per-rank tile batch)
-    kind: str
+    #: names the transfer: "light", "heavy", or "tile"
+    label: str
     done: Event
-    #: tile batches only: owned tiles in the batch, split into full
-    #: pixel payloads and delta references
-    ntiles: int = 0
-    nfull: int = 0
-    nref: int = 0
+    #: tags stamped when the payload starts and ends on the wire and
+    #: when it lands in the scene graph (``None``: metadata never
+    #: touches the scene graph; the delivery completes on receipt)
+    start_tag: str
+    end_tag: str
+    scene_tag: Optional[str]
+    #: extra fields of the start event (a tile batch's counts)
+    detail: Dict[str, Any]
 
 
 @dataclass(frozen=True)
@@ -118,10 +121,6 @@ class SimViewer:
         self._started_frames: Set[Tuple[int, int]] = set()
         self.scene_updates = 0
         self.bytes_received = 0.0
-        #: tile mode: full tiles / delta references / batch bytes seen
-        self.tiles_full = 0
-        self.tiles_ref = 0
-        self.tile_bytes = 0.0
         self.frames_completed: Dict[int, Set[int]] = {}
         #: frame -> sim time its last registered PE's texture (or
         #: recorded hole) landed in the scene; the serving layer reads
@@ -174,12 +173,18 @@ class SimViewer:
     # -- delivery API used by the back end ---------------------------------
     def deliver_light(self, rank: int, frame: int) -> Event:
         """Ship visualization metadata (~256 bytes) from PE ``rank``."""
-        return self._enqueue(rank, frame, self.light_bytes, kind="light")
+        return self._enqueue(
+            rank, frame, self.light_bytes, "light",
+            Tags.V_LIGHTPAYLOAD_START, Tags.V_LIGHTPAYLOAD_END, None,
+        )
 
     def deliver_heavy(self, rank: int, frame: int, nbytes: float) -> Event:
         """Ship a slab texture (plus optional geometry) from PE ``rank``."""
         check_positive("nbytes", nbytes)
-        return self._enqueue(rank, frame, float(nbytes), kind="heavy")
+        return self._enqueue(
+            rank, frame, nbytes, "heavy", Tags.V_HEAVYPAYLOAD_START,
+            Tags.V_HEAVYPAYLOAD_END, Tags.V_FRAME_END,
+        )
 
     def deliver_tiles(
         self, rank: int, frame: int, nbytes: float, *,
@@ -200,7 +205,8 @@ class SimViewer:
                 f">= 0, got ntiles={ntiles} nfull={nfull} nref={nref}"
             )
         return self._enqueue(
-            rank, frame, float(nbytes), kind="tile",
+            rank, frame, nbytes, "tile",
+            Tags.TILE_RECV, Tags.TILE_RECV_END, Tags.TILE_FRAME_END,
             ntiles=ntiles, nfull=nfull, nref=nref,
         )
 
@@ -220,16 +226,17 @@ class SimViewer:
         return done
 
     def _enqueue(
-        self, rank: int, frame: int, nbytes: float, *, kind: str,
-        ntiles: int = 0, nfull: int = 0, nref: int = 0,
+        self, rank: int, frame: int, nbytes: float, label: str,
+        start_tag: str, end_tag: str, scene_tag: Optional[str],
+        **detail: Any,
     ) -> Event:
         if rank not in self._conns:
             raise KeyError(f"PE rank {rank} not registered with viewer")
         done = Event(self.network.env)
         self._inboxes[rank].put(
             _Delivery(
-                rank, frame, float(nbytes), kind, done,
-                ntiles=ntiles, nfull=nfull, nref=nref,
+                rank, frame, float(nbytes), label, done,
+                start_tag, end_tag, scene_tag, detail,
             )
         )
         return done
@@ -242,35 +249,13 @@ class SimViewer:
         if key not in self._started_frames:
             self._started_frames.add(key)
             self.logger.log(Tags.V_FRAME_START, frame=req.frame, rank=req.rank)
-        if req.kind == "tile":
-            start_tag, end_tag = Tags.TILE_RECV, Tags.TILE_RECV_END
-        elif req.kind == "light":
-            start_tag = Tags.V_LIGHTPAYLOAD_START
-            end_tag = Tags.V_LIGHTPAYLOAD_END
-        else:
-            start_tag = Tags.V_HEAVYPAYLOAD_START
-            end_tag = Tags.V_HEAVYPAYLOAD_END
-        if req.kind == "tile":
-            self.logger.log(
-                start_tag, frame=req.frame, rank=req.rank,
-                ntiles=req.ntiles, nfull=req.nfull, nref=req.nref,
-            )
-        else:
-            self.logger.log(start_tag, frame=req.frame, rank=req.rank)
-        stats = yield conn.send(
-            req.nbytes,
-            label=f"{req.kind}[{req.rank}]",
-        )
-        self.logger.log(end_tag, frame=req.frame, rank=req.rank)
+        self.logger.log(req.start_tag, frame=req.frame, rank=req.rank, **req.detail)
+        stats = yield conn.send(req.nbytes, label=f"{req.label}[{req.rank}]")
+        self.logger.log(req.end_tag, frame=req.frame, rank=req.rank)
         self.bytes_received += req.nbytes
-        if req.kind == "light":
-            # Metadata never touches the scene graph: complete here.
+        if req.scene_tag is None:
             req.done.succeed(stats)
             return DROP
-        if req.kind == "tile":
-            self.tiles_full += req.nfull
-            self.tiles_ref += req.nref
-            self.tile_bytes += req.nbytes
         return (req, stats)
 
     def _scene_work(self, item):
@@ -281,10 +266,7 @@ class SimViewer:
         ranks.add(req.rank)
         if len(ranks) >= len(self._conns):
             self.frame_complete_times[req.frame] = self.network.env.now
-        end_tag = (
-            Tags.TILE_FRAME_END if req.kind == "tile" else Tags.V_FRAME_END
-        )
-        self.logger.log(end_tag, frame=req.frame, rank=req.rank)
+        self.logger.log(req.scene_tag, frame=req.frame, rank=req.rank)
         req.done.succeed(stats)
         return DROP
 

@@ -27,19 +27,11 @@ TILES_ON = TileConfig(enabled=True, tile_size=8)
 
 
 class TestSlabCompatParity:
-    """The default whole-slab mode must be byte-identical with the
-    tile machinery merely present (TileConfig(enabled=False))."""
+    """There is one way to say "whole-slab": the disabled config, which
+    is also the default. It runs no tile machinery."""
 
-    def test_default_equals_explicit_disabled_bytewise(self, tmp_path):
-        paths = []
-        for label, config in [
-            ("default", _tiny()),
-            ("disabled", _tiny(tiles=TileConfig(enabled=False))),
-        ]:
-            path = tmp_path / f"{label}.ulm"
-            run_campaign(config, ulm_path=str(path))
-            paths.append(path.read_bytes())
-        assert paths[0] and paths[0] == paths[1]
+    def test_default_is_the_disabled_config(self):
+        assert _tiny() == _tiny(tiles=TileConfig(enabled=False))
 
     def test_slab_mode_emits_no_tile_events(self, tmp_path):
         path = tmp_path / "slab.ulm"
@@ -147,6 +139,24 @@ class TestServiceTileSharing:
                 ),
             ),
         )
+
+    def test_tiles_on_configuration_constructs(self):
+        config = self._config()
+        assert config.base.tiles.enabled
+        assert [p.name for p in config.workload.profiles] == ["left", "right"]
+
+    def test_frustum_on_a_whole_slab_service_is_refused_by_name(self):
+        # A frustum only restricts tiles; on the whole-slab path it
+        # used to be dropped silently (same bytes with and without).
+        config = self._config()
+        with pytest.raises(
+            ValueError,
+            match="profile 'left' sets frustum; "
+                  "frustum applies only with tiles",
+        ):
+            config.with_changes(
+                base=config.base.with_changes(tiles=TileConfig())
+            )
 
     def test_overlapping_frusta_hit_the_shared_tile_cache(self):
         result = run_campaign(self._config())

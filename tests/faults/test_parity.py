@@ -153,13 +153,10 @@ class TestHedgeAccounting:
 class TestStripeParity:
     """Striping must be invisible until it is switched on."""
 
-    def test_disabled_stripe_config_is_byte_identical(self, tmp_path):
-        _, baseline = run_ulm(tmp_path, "nostripe", tiny_campaign())
-        _, disabled = run_ulm(
-            tmp_path, "disabled",
-            tiny_campaign(stripe=StripeConfig(enabled=False)),
+    def test_default_is_the_disabled_config(self):
+        assert tiny_campaign() == tiny_campaign(
+            stripe=StripeConfig(enabled=False)
         )
-        assert disabled == baseline
 
     def test_striped_empty_plan_delivers_identical_bytes(self):
         unstriped = run_campaign(tiny_campaign())

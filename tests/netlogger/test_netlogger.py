@@ -105,6 +105,16 @@ class TestLoggerDaemon:
         assert len(daemon) == 1
         assert daemon.events[0].get("frame") == 1
 
+    def test_daemon_attached_logger_retains_nothing(self):
+        # One copy per event: the daemon's. Local retention is for
+        # daemon-less loggers only.
+        daemon = NetLogDaemon()
+        logger = NetLogger("h", "p", clock=lambda: 1.0, daemon=daemon)
+        for _ in range(3):
+            logger.log("A")
+        assert logger.events == []
+        assert len(daemon) == 3
+
     def test_daemon_sorted_events(self):
         daemon = NetLogDaemon()
         daemon.submit(NetLogEvent(2.0, "B", "h", "p"))
