@@ -114,6 +114,11 @@ class LiveBackEnd:
             else:
                 frames = self._run_serial(comm, rank, sock, logger)
             write_message(sock, MsgType.BYE, b"")
+            # Read late axis feedback until the viewer closes: closing on
+            # unread data resets the connection and drops unsent payloads.
+            sock.shutdown(socket.SHUT_WR)
+            while sock.recv(4096):
+                pass
             return frames
         finally:
             sock.close()

@@ -8,13 +8,23 @@ on top, as the AMR grid overlay does.
 
 After one setup stage (traversal, a single batched projection of every
 triangle vertex and line endpoint, the painter's depth sort) each
-triangle's edge functions and barycentric interpolation are evaluated
-as array ops over its bounding-box pixel grid.  The per-pixel walk this
-replaced lives in ``tests/oracles/scalar_kernels.py``; the parity tests
-swap it in for :func:`_raster_triangle` behind the same setup stage
-and require bitwise-equal framebuffers: both apply the same
-float64 edge/barycentric expressions and the same float32 texture/blend
-operations per pixel, and each triangle touches a pixel at most once,
+triangle is rasterised over its clipped bounding box.  An edge function
+over the box is a column ``(b0 - a0) * (ys - a1)`` minus a row
+``(b1 - a1) * (xs - a0)``: :func:`_edge_grid`'s two products and one
+subtraction per pixel.  Inside is ``E / area >= 0`` on all three edges
+over the whole box; only inside pixels get a float64 ``(u, v)``, and of
+those only the ones whose bilinear footprint has a non-zero texel are
+sampled -- the rest sample to exactly ``0`` and ``0 + dest * (1 - 0)``
+is ``dest`` (:mod:`repro.scenegraph.texture` has the one caveat, a
+``-0.0`` destination).  Texels arrive channel-planar ``(4, N)``, so the
+float32 blend runs over the long axis, through flat frame indices.
+
+The per-pixel walk this replaced lives in
+``tests/oracles/scalar_kernels.py``; the parity tests swap it in for
+:func:`_raster_triangle` behind the same setup stage and require
+byte-equal framebuffers: both apply the same float64 edge/barycentric
+and float32 texture/blend operations per pixel (the oracle blends the
+empty footprints too), and each triangle touches a pixel at most once,
 so within-triangle ordering cannot matter.
 """
 
@@ -103,35 +113,43 @@ def _raster_triangle(
 ) -> None:
     height, width = frame.shape[:2]
     area, lo_x, hi_x, lo_y, hi_y = _triangle_bbox(proj, width, height)
-    if abs(area) < 1e-12:
-        return  # degenerate in screen space
-    if lo_x >= hi_x or lo_y >= hi_y:
-        return
-    p0, p1, p2 = proj[:, :2]
-
+    if abs(area) < 1e-12 or lo_x >= hi_x or lo_y >= hi_y:
+        return  # degenerate in screen space, or wholly off it
     xs = np.arange(lo_x, hi_x) + 0.5
-    ys = np.arange(lo_y, hi_y) + 0.5
-    PX, PY = np.meshgrid(xs, ys)
-    pts = np.stack([PX, PY], axis=-1)
+    ys = (np.arange(lo_y, hi_y) + 0.5)[:, None]
+    inside, u, v = _inside_uv(proj[:, :2], area, uvs, xs, ys)
+    kept, texels = texture.sample_occupied(u, v)
+    if not kept.size:
+        return  # nothing inside, or every footprint empty
+    # Flat frame index of each kept pixel of the bounding box.
+    rows, cols = np.divmod(inside.take(kept), hi_x - lo_x)
+    pixel = (rows + lo_y) * width + (cols + lo_x)
+    pixels = frame.reshape(-1, 4)
+    out = np.empty_like(texels)
+    np.multiply(pixels.take(pixel, axis=0).T, 1.0 - texels[3], out=out)
+    out += texels
+    pixels[pixel] = out.T
 
-    # Dividing by the *signed* area normalises the barycentrics, so
-    # inside is w >= 0 for either winding (quads are visible from both
-    # sides, like textures on glass panes).
-    w0 = _edge_grid(p1, p2, pts) / area
-    w1 = _edge_grid(p2, p0, pts) / area
-    w2 = _edge_grid(p0, p1, pts) / area
-    inside = (w0 >= 0) & (w1 >= 0) & (w2 >= 0)
-    if not inside.any():
-        return
 
+def _inside_uv(
+    pts: np.ndarray, area: float, uvs: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat ``ys`` x ``xs`` grid indices of the inside pixels and their
+    float64 (u, v); returning releases the full-box grids."""
+    p0, p1, p2 = pts
+    # Dividing by the *signed* area normalises the barycentrics: inside
+    # is w >= 0 for either winding (quads show from both sides).
+    w0 = _edge_rows_cols(p1, p2, xs, ys)
+    w0 /= area
+    w1 = _edge_rows_cols(p2, p0, xs, ys)
+    w1 /= area
+    w2 = _edge_rows_cols(p0, p1, xs, ys)
+    w2 /= area
+    inside = np.flatnonzero((w0 >= 0) & (w1 >= 0) & (w2 >= 0))
+    w0, w1, w2 = (w.ravel().take(inside) for w in (w0, w1, w2))
     u = w0 * uvs[0, 0] + w1 * uvs[1, 0] + w2 * uvs[2, 0]
     v = w0 * uvs[0, 1] + w1 * uvs[1, 1] + w2 * uvs[2, 1]
-    texels = texture.sample(u[inside], v[inside])
-
-    region = frame[lo_y:hi_y, lo_x:hi_x]
-    dest = region[inside]
-    alpha = texels[:, 3:4]
-    region[inside] = texels + dest * (1.0 - alpha)
+    return inside, u, v
 
 
 def _raster_lines(
@@ -163,3 +181,10 @@ def _edge_grid(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return (b[0] - a[0]) * (pts[..., 1] - a[1]) - (b[1] - a[1]) * (
         pts[..., 0] - a[0]
     )
+
+
+def _edge_rows_cols(
+    a: np.ndarray, b: np.ndarray, xs: np.ndarray, ys: np.ndarray
+) -> np.ndarray:
+    """:func:`_edge_grid` over the grid of column ``ys`` x row ``xs``."""
+    return (b[0] - a[0]) * (ys - a[1]) - (b[1] - a[1]) * (xs - a[0])

@@ -11,14 +11,16 @@ as ground truth when quantifying IBRAVR's off-axis artifacts
 (Figure 6); it resamples the volume with trilinear interpolation along
 view-aligned rays.
 
-Both kernels batch the transfer-function evaluation and express the
-front-to-back composite through ``cumprod`` transparencies.  The
-sample-by-sample walks they replaced live in
-``tests/oracles/scalar_kernels.py`` as the reference the parity tests
-compare against, bit for bit: ``cumprod``/repeated in-place adds are
-strict left folds, the transfer function is elementwise (``np.interp``)
-and therefore indifferent to batching, and transparency uses the
-product form ``T_k = prod_{j<k} (1 - alpha_j)`` in both.
+Both kernels walk their samples front to back once, carrying an
+accumulator and a per-ray transparency in float32: ``accum += (c * a)
+* t`` and ``a * t``, then ``t *= 1 - a``.  That is the per-pixel walk of
+``tests/oracles/scalar_kernels.py``, which the parity tests compare
+against bit for bit: each pixel sees the same operations in the same
+order, a whole slice at a time.  :func:`render_slab` keeps one slice in
+flight -- the transfer function (elementwise, so indifferent to
+batching) fills a channel-planar ``(4, H, W)`` buffer, every update runs
+over contiguous planes, and no array is larger than one slice however
+deep the slab.
 """
 
 from __future__ import annotations
@@ -36,33 +38,14 @@ _PLANE_AXES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 #: early-exit threshold: stop once every ray is this close to opaque
 _OPACITY_CUTOFF = 1e-4
 
-#: transfer-function evaluation chunk, in scalars: big enough to
-#: amortise the call, small enough that the float64 temporaries inside
-#: :class:`TransferFunction` stay cache-resident
-_TF_CHUNK_SCALARS = 1 << 20
-
 
 def _check_volume(volume: np.ndarray) -> np.ndarray:
     volume = np.asarray(volume)
     if volume.ndim != 3:
         raise ValueError(f"volume must be 3-D, got ndim={volume.ndim}")
+    if 0 in volume.shape:
+        raise ValueError(f"volume has an empty axis, got shape={volume.shape}")
     return volume
-
-
-def _tf_stack(vol_view: np.ndarray, tf: TransferFunction) -> np.ndarray:
-    """Evaluate ``tf`` over a (slices, H, W) view into a float32 stack.
-
-    Chunked along the slice axis: one giant call would drag ~50 MB of
-    float64 temporaries through the cache for a 128^3 volume, while
-    per-slice calls pay the Python/ufunc overhead n times.  Chunking
-    changes nothing numerically -- the transfer function is elementwise.
-    """
-    n, h, w = vol_view.shape
-    rgba = np.empty((n, h, w, 4), dtype=np.float32)
-    chunk = max(1, _TF_CHUNK_SCALARS // max(h * w, 1))
-    for k in range(0, n, chunk):
-        rgba[k : k + chunk] = tf(vol_view[k : k + chunk])
-    return rgba
 
 
 def render_slab(
@@ -92,34 +75,28 @@ def render_slab(
     n_slices = vol_view.shape[0]
     out_shape = vol_view.shape[1:]
 
-    rgba = _tf_stack(vol_view, tf)
-    alpha = rgba[..., 3]
-    # Premultiply in place -- the stack is ours, no defensive copy.
-    rgba[..., :3] *= alpha[..., None]
-
-    # Front-to-back transparency by cumulative product: T_k is the
-    # transparency *before* sample k (ones-prefixed, exclusive cumprod).
-    # multiply.accumulate is a strict left fold, so T matches the
-    # oracle's running ``t *= 1 - a`` bit for bit.
-    t_before = np.empty_like(alpha)
-    t_before[0] = 1.0
-    np.cumprod(1.0 - alpha[:-1], axis=0, out=t_before[1:])
-
-    contrib = rgba
-    contrib *= t_before[..., None]
-
-    accum = np.zeros(out_shape + (4,), dtype=np.float32)
+    rgba = np.empty((4,) + out_shape, dtype=np.float32)
+    alpha = rgba[3]
+    scalars = np.empty(out_shape)
+    one_minus_alpha = np.empty(out_shape, dtype=np.float32)
+    accum = np.zeros((4,) + out_shape, dtype=np.float32)
+    transp = np.ones(out_shape, dtype=np.float32)
     depth_num = np.zeros(out_shape, dtype=np.float32) if return_depth else None
     depth_den = np.zeros(out_shape, dtype=np.float32) if return_depth else None
     inv_span = 1.0 / max(n_slices - 1, 1)
     for position in range(n_slices):
-        accum += contrib[position]
-        if return_depth:
-            assert depth_num is not None and depth_den is not None
-            ca = contrib[position, ..., 3]
-            depth_num += ca * (position * inv_span)
-            depth_den += ca
-    return accum, _finish_depth(depth_num, depth_den, out_shape, return_depth)
+        tf.planar(vol_view[position], rgba, scalars)
+        # taken before ``alpha`` (a plane of ``rgba``) becomes a * t
+        np.subtract(1.0, alpha, out=one_minus_alpha)
+        rgba[:3] *= alpha
+        rgba *= transp
+        accum += rgba
+        if depth_num is not None and depth_den is not None:
+            depth_num += alpha * (position * inv_span)
+            depth_den += alpha
+        transp *= one_minus_alpha
+    image = np.ascontiguousarray(np.moveaxis(accum, 0, -1))
+    return image, _finish_depth(depth_num, depth_den, out_shape, return_depth)
 
 
 def _finish_depth(
@@ -211,12 +188,11 @@ def _sample_view(
 
     center = np.array([0.5, 0.5, 0.5])
     # World positions: center + r*u + c*v + t*d, front (small t) first.
-    R, C, T = np.meshgrid(coords_1d, coords_1d, ts, indexing="ij")
     pos = (
-        center[None, None, None, :]
-        + R[..., None] * u
-        + C[..., None] * v
-        + T[..., None] * d
+        center
+        + coords_1d[:, None, None, None] * u
+        + coords_1d[None, :, None, None] * v
+        + ts[None, None, :, None] * d
     )
     shape = np.asarray(volume.shape, dtype=np.float64)
     idx = pos * shape[None, None, None, :] - 0.5
@@ -233,8 +209,7 @@ def _sample_view(
 
     rgba = tf(scalars)  # (H, W, S, 4), straight alpha
     # Opacity correction: control points define opacity per voxel step.
-    # float32 throughout the composite so the test oracle's running
-    # transparency and the cumprod here round identically.
+    # float32 throughout the composite, as in the test oracle.
     alpha = (
         1.0 - np.power(np.clip(1.0 - rgba[..., 3], 1e-7, 1.0), step_voxels)
     ).astype(np.float32)
@@ -246,26 +221,14 @@ def _composite_view(
 ) -> Tuple[np.ndarray, int]:
     """Front-to-back composite; returns ``(image, samples visited)``."""
     n_samples = alpha.shape[2]
-    # Exclusive cumprod: transparency *before* each sample, per ray.
-    t_before = np.empty_like(alpha)
-    t_before[:, :, 0] = 1.0
-    np.cumprod(1.0 - alpha[:, :, :-1], axis=2, out=t_before[:, :, 1:])
-
-    # Early exit: stop *after* accumulating sample s once
-    # max(T_{s+1}) < cutoff; T is nonincreasing per ray, so the
-    # image-wide max is nonincreasing and the mask has one edge.
-    visited = n_samples
-    t_after = t_before[:, :, 1:].max(axis=(0, 1)).astype(np.float64)
-    below = np.flatnonzero(t_after < _OPACITY_CUTOFF)
-    if below.size:
-        visited = int(below[0]) + 1
-
-    contrib_rgb = color[:, :, :visited, :] * alpha[:, :, :visited, None]
-    contrib_rgb *= t_before[:, :, :visited, None]
-    contrib_a = t_before[:, :, :visited] * alpha[:, :, :visited]
-
     accum = np.zeros(alpha.shape[:2] + (4,), dtype=np.float32)
-    for s in range(visited):
-        accum[..., :3] += contrib_rgb[:, :, s, :]
-        accum[..., 3] += contrib_a[:, :, s]
-    return accum, visited
+    transp = np.ones(alpha.shape[:2], dtype=np.float32)
+    for s in range(n_samples):
+        a = alpha[:, :, s]
+        accum[..., :3] += (color[:, :, s, :] * a[..., None]) * transp[..., None]
+        accum[..., 3] += transp * a
+        transp *= 1.0 - a
+        # transparency never rises: the remaining samples add < cutoff
+        if float(transp.max()) < _OPACITY_CUTOFF:
+            return accum, s + 1
+    return accum, n_samples

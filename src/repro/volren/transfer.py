@@ -31,11 +31,21 @@ class TransferFunction:
 
     def __call__(self, scalars: np.ndarray) -> np.ndarray:
         """Map an array of scalars to RGBA; output shape = input + (4,)."""
-        s = np.clip(np.asarray(scalars, dtype=np.float64), 0.0, 1.0)
-        out = np.empty(s.shape + (4,), dtype=np.float32)
-        for c in range(4):
-            out[..., c] = np.interp(s, self._values, self._rgba[:, c])
+        shape = np.shape(scalars)
+        out = np.empty(shape + (4,), dtype=np.float32)
+        self.planar(scalars, np.moveaxis(out, -1, 0), np.empty(shape))
         return out
+
+    def planar(
+        self, scalars: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    ) -> None:
+        """:meth:`__call__` into caller-owned buffers, one plane per
+        channel: ``out`` is ``(4,) + scalars.shape`` float32, ``scratch``
+        ``scalars.shape`` float64 (left holding the clamped scalars)."""
+        scratch[...] = scalars
+        np.clip(scratch, 0.0, 1.0, out=scratch)
+        for c in range(4):
+            out[c] = np.interp(scratch, self._values, self._rgba[:, c])
 
     def opacity(self, scalars: np.ndarray) -> np.ndarray:
         """Alpha channel only (used by opacity-weighted compositing)."""

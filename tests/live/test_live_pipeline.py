@@ -1,6 +1,8 @@
 """Integration tests: the live Visapult pipeline on localhost sockets."""
 
+import socket
 import threading
+import time
 
 import numpy as np
 
@@ -12,6 +14,13 @@ from repro.datagen import (
 )
 from repro.live import LiveBackEnd, LiveViewer
 from repro.netlogger import NetLogDaemon, EventLog, Tags
+from repro.protocol import (
+    AxisFeedback,
+    MsgType,
+    encode_message,
+    read_message,
+    write_message,
+)
 
 
 def make_source(shape=(24, 24, 24), steps=3, on_materialise=None):
@@ -155,6 +164,36 @@ class TestExtensions:
         # so the loop must remain stable (no crash, frames keep
         # flowing) -- the semantically interesting axis change is
         # covered by unit tests on best_view_axis.
+
+    def test_pe_close_cannot_reset_unsent_payloads(self):
+        # A viewer's last axis feedback can reach a PE that will never
+        # read it.  Closing a socket on unread data sends a reset and
+        # discards whatever is still queued to send: behind a slow
+        # viewer (a 4 KB receive buffer here), most of the last texture.
+        # The PE must wait for the viewer to close first.
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        backend = LiveBackEnd(
+            make_source(shape=(4, 128, 128), steps=1),
+            1,
+            listener.getsockname()[1],
+        )
+        pe = threading.Thread(target=backend.run, daemon=True)
+        pe.start()
+        conn, _ = listener.accept()
+        listener.close()
+        with conn:
+            conn.settimeout(30.0)
+            write_message(conn, *encode_message(
+                AxisFeedback(frame=0, axis=0, flip=False)
+            ))
+            time.sleep(0.5)  # the PE has queued everything by now
+            types = []
+            while not types or types[-1] != MsgType.BYE:
+                types.append(read_message(conn)[0])
+        pe.join(timeout=30.0)
+        assert not pe.is_alive()
+        assert MsgType.HEAVY in types
 
 
 class TestNetLoggerIntegration:
