@@ -10,15 +10,18 @@ buffer, the staged-pipeline credits, the live-mode locks).
   buffer-protocol violations, reported as NetLogger ``SAN_*`` events.
 - :mod:`~repro.analysis.threadsan` -- lockdep-style lock-order
   checking for the live (threaded) back end and viewer.
-- :mod:`~repro.analysis.lint` -- the ``visapult lint`` AST linter
+- :mod:`~repro.analysis.staticbase` -- the one static-analysis core:
+  each file is parsed and indexed once (imports, one record per
+  ``def``, a def's own nodes) and one driver walks, runs rules,
+  applies the ``# vis: allow[...]`` pragmas and sorts.
+- :mod:`~repro.analysis.lint` -- the ``visapult lint`` rules (VIS1xx)
   enforcing repo invariants (no wall-clock or threading in sim-only
   code, processes must yield, declared event vocabulary, no bare
   except).
 - :mod:`~repro.analysis.dataflow` / :mod:`~repro.analysis.typestate`
-  / :mod:`~repro.analysis.check` -- the ``visapult check`` static
-  analyzer: an interprocedural determinism dataflow pass and a
-  protocol typestate pass (the VIS2xx rules), gated in CI against the
-  committed ``analysis/baseline.json``.
+  / :mod:`~repro.analysis.check` -- the ``visapult check`` rules
+  (VIS2xx): an interprocedural determinism dataflow pass and a
+  protocol typestate pass; CI fails on any finding.
 - :mod:`~repro.analysis.findings` -- the shared finding/report types.
 """
 

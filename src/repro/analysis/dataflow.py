@@ -49,9 +49,13 @@ Proven-safe sinks are suppressed in place with an allowlist pragma
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set
 
-from repro.analysis.staticbase import CheckFinding, ParsedModule
+from repro.analysis.staticbase import (
+    CheckFinding,
+    FunctionRecord,
+    ParsedModule,
+)
 
 SET_ORDER = "set-order"
 ID_VALUE = "id-value"
@@ -158,20 +162,21 @@ class _Scope:
         return False
 
 
-class _FunctionUnit:
-    """One function/method body to analyze, with its scope chain."""
+#: expressions whose taints are those of their ``.value`` operand
+_VALUE_OF = (
+    ast.Attribute, ast.Subscript, ast.Starred, ast.FormattedValue,
+    ast.NamedExpr, ast.Await, ast.YieldFrom, ast.Yield,
+)
 
-    def __init__(
-        self,
-        node: ast.AST,
-        qualname: str,
-        class_name: Optional[str],
-        scope: _Scope,
-    ):
-        self.node = node
-        self.qualname = qualname
-        self.class_name = class_name
-        self.scope = scope
+#: expressions whose taints are the union over every operand
+_UNION_OF = (
+    ast.BinOp, ast.BoolOp, ast.Tuple, ast.List, ast.Dict, ast.JoinedStr,
+)
+
+
+def _class_name(record: FunctionRecord) -> Optional[str]:
+    """The class whose ``self`` a def sees: its direct owner only."""
+    return record.owner.name if record.owner is not None else None
 
 
 class ModuleDataflow:
@@ -179,146 +184,57 @@ class ModuleDataflow:
 
     def __init__(self, module: ParsedModule):
         self.module = module
-        #: import alias -> canonical dotted module/name
-        self.aliases: Dict[str, str] = {}
         #: function qualname -> return-value taints (the summaries)
         self.summaries: Dict[str, Taints] = {}
         #: class name -> {attr name -> taints} (``self.attr`` state)
         self.class_attrs: Dict[str, Dict[str, Taints]] = {}
         self.module_scope = _Scope()
-        self.units: List[_FunctionUnit] = []
+        #: one scope per def, chained to the enclosing def's (class
+        #: bodies are not scopes a nested def can see)
+        self.scopes: Dict[FunctionRecord, _Scope] = {}
         self._findings: Set[CheckFinding] = set()
-        self._collect()
-
-    # -- structure collection -----------------------------------------
-    def _collect(self) -> None:
-        for node in ast.walk(self.module.tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name
-                        if alias.asname
-                        else alias.name.split(".")[0]
-                    )
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                for alias in node.names:
-                    self.aliases[alias.asname or alias.name] = (
-                        f"{node.module}.{alias.name}"
-                    )
-        self._collect_functions(
-            self.module.tree.body, self.module_scope, None, ""
-        )
-
-    def _collect_functions(
-        self,
-        body: List[ast.stmt],
-        scope: _Scope,
-        class_name: Optional[str],
-        prefix: str,
-    ) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{prefix}{stmt.name}"
-                unit = _FunctionUnit(
-                    stmt, qual, class_name, _Scope(parent=scope)
-                )
-                self.units.append(unit)
-                self.summaries.setdefault(qual, _EMPTY)
-                self._collect_functions(
-                    stmt.body, unit.scope, None, f"{qual}.<locals>."
-                )
-            elif isinstance(stmt, ast.ClassDef):
-                self.class_attrs.setdefault(stmt.name, {})
-                self._collect_functions(
-                    stmt.body, scope, stmt.name, f"{stmt.name}."
-                )
-            else:
-                for nested in self._nested_bodies(stmt):
-                    self._collect_functions(
-                        nested, scope, class_name, prefix
-                    )
-
-    @staticmethod
-    def _nested_bodies(stmt: ast.stmt) -> List[List[ast.stmt]]:
-        """Statement lists nested in one compound statement."""
-        bodies: List[List[ast.stmt]] = []
-        for field in ("body", "orelse", "finalbody"):
-            nested = getattr(stmt, field, None)
-            if isinstance(nested, list) and nested and isinstance(
-                nested[0], ast.stmt
-            ):
-                bodies.append(nested)
-        for handler in getattr(stmt, "handlers", []) or []:
-            bodies.append(handler.body)
-        return bodies
-
-    # -- canonical names ----------------------------------------------
-    def dotted_name(self, node: ast.AST) -> Optional[str]:
-        """Resolve an attribute chain to a canonical dotted name."""
-        parts: List[str] = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if isinstance(node, ast.Name):
-            parts.append(self.aliases.get(node.id, node.id))
-            return ".".join(reversed(parts))
-        return None
+        for record in module.functions:
+            self.scopes[record] = _Scope(
+                self.scopes[record.parent]
+                if record.parent is not None
+                else self.module_scope
+            )
+            self.summaries.setdefault(record.qualname, _EMPTY)
 
     # -- fixpoint driver ----------------------------------------------
     def analyze(self) -> List[CheckFinding]:
         """Propagate taints to fixpoint, then report sink violations."""
         for _ in range(20):
-            changed = self._propagate_module_level()
-            for unit in self.units:
-                changed |= self._propagate_function(unit)
+            changed = _BindVisitor(self, self.module_scope, None).sweep(
+                self.module.tree
+            )
+            for record in self.module.functions:
+                changed |= self._propagate_function(record)
             if not changed:
                 break
-        sink = _SinkVisitor(self, self.module_scope, None)
-        for stmt in self.module.tree.body:
-            if not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                sink.visit(stmt)
-        for unit in self.units:
-            unit_sink = _SinkVisitor(self, unit.scope, unit.class_name)
-            for stmt in unit.node.body:  # type: ignore[attr-defined]
-                unit_sink.visit(stmt)
-        findings = sorted(
+        _SinkVisitor(self, self.module_scope, None).sweep(self.module.tree)
+        for record, scope in self.scopes.items():
+            _SinkVisitor(self, scope, _class_name(record)).sweep(record.node)
+        return sorted(
             self._findings, key=lambda f: (f.line, f.col, f.code, f.message)
         )
-        return findings
 
-    def _propagate_module_level(self) -> bool:
-        walker = _BindVisitor(self, self.module_scope, None)
-        for stmt in self.module.tree.body:
-            if not isinstance(
-                stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                walker.visit(stmt)
-        return walker.changed
-
-    def _propagate_function(self, unit: _FunctionUnit) -> bool:
-        walker = _BindVisitor(self, unit.scope, unit.class_name)
-        for stmt in unit.node.body:  # type: ignore[attr-defined]
-            walker.visit(stmt)
-        changed = walker.changed
+    def _propagate_function(self, record: FunctionRecord) -> bool:
+        scope, class_name = self.scopes[record], _class_name(record)
+        changed = _BindVisitor(self, scope, class_name).sweep(record.node)
         # Return summary: union over every ``return expr``.
         ret = _EMPTY
-        for node in ast.walk(unit.node):
+        for node in ast.walk(record.node):
             if isinstance(node, ast.Return) and node.value is not None:
-                ret |= self.eval_taints(
-                    node.value, unit.scope, unit.class_name
-                )
-        if ret != self.summaries.get(unit.qualname, _EMPTY):
-            self.summaries[unit.qualname] = (
-                self.summaries.get(unit.qualname, _EMPTY) | ret
-            )
+                ret |= self.eval_taints(node.value, scope, class_name)
+        if ret != self.summaries[record.qualname]:
+            self.summaries[record.qualname] |= ret
             changed = True
         return changed
 
     # -- expression taint evaluation ----------------------------------
     def eval_taints(
-        self, node: ast.AST, scope: _Scope, class_name: Optional[str]
+        self, node: Optional[ast.AST], scope: _Scope, class_name: Optional[str]
     ) -> Taints:
         """The taint set of one expression under ``scope``."""
         if isinstance(node, ast.Name):
@@ -327,78 +243,36 @@ class ModuleDataflow:
             return frozenset({SET_ORDER})
         if isinstance(node, ast.Call):
             return self._eval_call(node, scope, class_name)
-        if isinstance(node, ast.Attribute):
-            if (
-                isinstance(node.value, ast.Name)
-                and node.value.id == "self"
-                and class_name is not None
-            ):
-                return self.class_attrs.get(class_name, {}).get(
-                    node.attr, _EMPTY
-                )
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+            and class_name is not None
+        ):
+            return self.class_attrs.get(class_name, {}).get(node.attr, _EMPTY)
+        if isinstance(node, _VALUE_OF):
             return self.eval_taints(node.value, scope, class_name)
-        if isinstance(node, ast.BinOp):
-            return self.eval_taints(
-                node.left, scope, class_name
-            ) | self.eval_taints(node.right, scope, class_name)
-        if isinstance(node, ast.BoolOp):
-            out = _EMPTY
-            for value in node.values:
-                out |= self.eval_taints(value, scope, class_name)
-            return out
+        operands: List[ast.AST]
         if isinstance(node, ast.IfExp):
-            return self.eval_taints(
-                node.body, scope, class_name
-            ) | self.eval_taints(node.orelse, scope, class_name)
-        if isinstance(node, (ast.Tuple, ast.List)):
-            out = _EMPTY
-            for elt in node.elts:
-                out |= self.eval_taints(elt, scope, class_name)
-            return out
-        if isinstance(node, ast.Dict):
-            out = _EMPTY
-            for key in node.keys:
-                if key is not None:
-                    out |= self.eval_taints(key, scope, class_name)
-            for value in node.values:
-                out |= self.eval_taints(value, scope, class_name)
-            return out
-        if isinstance(node, ast.JoinedStr):
-            out = _EMPTY
-            for value in node.values:
-                if isinstance(value, ast.FormattedValue):
-                    out |= self.eval_taints(value.value, scope, class_name)
-            return out
-        if isinstance(node, ast.FormattedValue):
-            return self.eval_taints(node.value, scope, class_name)
-        if isinstance(node, ast.Subscript):
-            return self.eval_taints(node.value, scope, class_name)
-        if isinstance(node, ast.Starred):
-            return self.eval_taints(node.value, scope, class_name)
-        if isinstance(node, (ast.Await, ast.YieldFrom)):
-            return self.eval_taints(
-                node.value, scope, class_name
-            )
-        if isinstance(node, ast.Yield):
-            return (
-                self.eval_taints(node.value, scope, class_name)
-                if node.value is not None
-                else _EMPTY
-            )
-        if isinstance(node, ast.NamedExpr):
-            return self.eval_taints(node.value, scope, class_name)
-        if isinstance(node, (ast.ListComp, ast.GeneratorExp)):
+            # the test picks a branch; it does not flow into the value
+            operands = [node.body, node.orelse]
+        elif isinstance(node, _UNION_OF):
+            operands = list(ast.iter_child_nodes(node))
+        elif isinstance(node, (ast.ListComp, ast.GeneratorExp)):
             # Elements of a set lose the *order* taint but keep value
             # taints; the iteration itself is the sink (VIS201).
-            return (
-                self.eval_taints(node.elt, scope, class_name) - {SET_ORDER}
-            )
-        if isinstance(node, ast.DictComp):
+            return self.eval_taints(node.elt, scope, class_name) - {SET_ORDER}
+        elif isinstance(node, ast.DictComp):
             return (
                 self.eval_taints(node.key, scope, class_name)
                 | self.eval_taints(node.value, scope, class_name)
             ) - {SET_ORDER}
-        return _EMPTY
+        else:
+            return _EMPTY
+        out = _EMPTY
+        for operand in operands:
+            out |= self.eval_taints(operand, scope, class_name)
+        return out
 
     def _eval_call(
         self, node: ast.Call, scope: _Scope, class_name: Optional[str]
@@ -408,7 +282,7 @@ class ModuleDataflow:
             args |= self.eval_taints(arg, scope, class_name)
         for kw in node.keywords:
             args |= self.eval_taints(kw.value, scope, class_name)
-        dotted = self.dotted_name(node.func)
+        dotted = self.module.dotted(node.func)
         if dotted is not None:
             if dotted in ("id", "hash"):
                 return frozenset({ID_VALUE}) | args
@@ -457,8 +331,8 @@ class ModuleDataflow:
         return None
 
 
-class _BindVisitor(ast.NodeVisitor):
-    """One propagation sweep: fold assignments into the scope env."""
+class _ScopeVisitor(ast.NodeVisitor):
+    """A sweep over one scope's own statements under its environment."""
 
     def __init__(
         self,
@@ -467,18 +341,32 @@ class _BindVisitor(ast.NodeVisitor):
         class_name: Optional[str],
     ):
         self.flow = flow
+        self.module = flow.module
         self.scope = scope
         self.class_name = class_name
         self.changed = False
 
-    # Nested defs have their own units; don't descend.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+    def sweep(self, root: ast.AST) -> bool:
+        """Visit the body of ``root`` (a def or the module); returns
+        True if a binding grew."""
+        for stmt in root.body:  # type: ignore[attr-defined]
+            self.visit(stmt)
+        return self.changed
+
+    # Nested defs are swept as scopes of their own, and a class body is
+    # no scope its methods can see: don't descend into either.
+    def visit_FunctionDef(self, node: ast.AST) -> None:
         return
 
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
+    visit_AsyncFunctionDef = visit_FunctionDef
+    visit_ClassDef = visit_FunctionDef
 
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        return
+    def _eval(self, node: ast.AST) -> Taints:
+        return self.flow.eval_taints(node, self.scope, self.class_name)
+
+
+class _BindVisitor(_ScopeVisitor):
+    """One propagation sweep: fold assignments into the scope env."""
 
     def _bind_target(self, target: ast.AST, taints: Taints) -> None:
         if isinstance(target, ast.Name):
@@ -500,9 +388,6 @@ class _BindVisitor(ast.NodeVisitor):
             if new != old:
                 attrs[target.attr] = new
                 self.changed = True
-
-    def _eval(self, node: ast.AST) -> Taints:
-        return self.flow.eval_taints(node, self.scope, self.class_name)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         taints = self._eval(node.value)
@@ -542,44 +427,11 @@ class _BindVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-class _SinkVisitor(ast.NodeVisitor):
+class _SinkVisitor(_ScopeVisitor):
     """Post-fixpoint sweep reporting tainted values reaching sinks."""
 
-    def __init__(
-        self,
-        flow: ModuleDataflow,
-        scope: _Scope,
-        class_name: Optional[str],
-    ):
-        self.flow = flow
-        self.scope = scope
-        self.class_name = class_name
-        self.module = flow.module
-
-    def _eval(self, node: ast.AST) -> Taints:
-        return self.flow.eval_taints(node, self.scope, self.class_name)
-
-    def _report(
-        self, node: ast.AST, code: str, message: str
-    ) -> None:
-        self.flow._findings.add(
-            CheckFinding(
-                path=self.module.path,
-                line=getattr(node, "lineno", 0),
-                col=getattr(node, "col_offset", 0) + 1,
-                code=code,
-                message=message,
-            )
-        )
-
-    # Nested defs are visited through their own units.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        return
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        return
+    def _report(self, node: ast.AST, code: str, message: str) -> None:
+        self.flow._findings.add(self.module.finding(node, code, message))
 
     # -- VIS201: iteration-order sinks --------------------------------
     def _check_iter(self, iter_node: ast.AST) -> None:
@@ -671,7 +523,7 @@ class _SinkVisitor(ast.NodeVisitor):
 
     # -- call sinks ----------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        dotted = self.flow.dotted_name(node.func)
+        dotted = self.module.dotted(node.func)
         self._check_unseeded_rng(node, dotted)
         self._check_call_sinks(node, dotted)
         self.generic_visit(node)

@@ -68,10 +68,6 @@ class SanitizerReport:
         """Sorted, de-duplicated categories present in the report."""
         return tuple(sorted({f.category for f in self.findings}))
 
-    def by_category(self, category: str) -> List[Finding]:
-        """Findings of one category, in detection order."""
-        return [f for f in self.findings if f.category == category]
-
     def emit(self, logger: Optional["NetLogger"]) -> None:
         """Log one ``SAN_*`` event per finding plus a ``SAN_REPORT``.
 

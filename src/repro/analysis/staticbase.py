@@ -1,24 +1,30 @@
-"""Shared plumbing for the static analyzers (``visapult lint`` / ``check``).
+"""The static-analysis core shared by ``visapult lint`` and ``check``.
 
 The VIS1xx linter (:mod:`~repro.analysis.lint`) and the VIS2xx dataflow
 (:mod:`~repro.analysis.dataflow`) and typestate
-(:mod:`~repro.analysis.typestate`) passes all reduce to
-:class:`CheckFinding` records over source files.  This module holds
-the pieces they share:
+(:mod:`~repro.analysis.typestate`) rule groups are functions of one
+:class:`ParsedModule`; none of them opens a file, parses, resolves an
+import or walks for ``def``s.  This module holds everything that is
+not a rule:
 
-- :class:`CheckFinding` -- one rule violation at a source location,
-  with a location-tolerant :attr:`~CheckFinding.fingerprint` used for
-  baseline matching.
-- :func:`iter_python_files` / :func:`default_target` -- the one file
-  walker and the one default thing to examine.
-- :class:`ParsedModule` -- a parsed source file plus its allowlist
-  pragmas, handed to every pass so each file is read and parsed once.
-- the ``# vis: allow[VIS2xx]`` pragma scanner.  A pragma on a finding's
-  line (or on a comment line immediately above it) marks the sink as
-  *proven safe* and suppresses the finding at the source; the reviewed
-  reason travels with the code.  This is distinct from the baseline
-  file, which merely *grandfathers* findings nobody has proven safe
-  yet (see :mod:`~repro.analysis.check`).
+- :class:`CheckFinding` -- one rule violation at a source location.
+- :class:`ParsedModule` -- one source file parsed once, with the
+  structural facts every rule reads: the import ``aliases`` and
+  :meth:`~ParsedModule.dotted`, ``functions`` (one
+  :class:`FunctionRecord` per ``def`` at any depth, in source order)
+  and :meth:`~ParsedModule.finding`.
+- :meth:`ParsedModule.own_nodes` -- a ``def``'s own nodes: nested
+  ``def``s are included (they are statements of the outer body) but
+  not entered
+  (their bodies run in another frame, at another time).  Classes and
+  lambdas *are* entered: a class body runs inline, and no rule here
+  distinguishes a lambda's frame.
+- :func:`run_rules` -- the one driver: file walk, parse, rules, the
+  ``# vis: allow[VIS...]`` pragma filter, sort.  A pragma on a
+  finding's line (or on a comment line immediately above it) marks the
+  sink as *proven safe*; the reviewed reason travels with the code.
+  It is the only suppression there is, and it applies to every VIS
+  code under either command.
 """
 
 from __future__ import annotations
@@ -26,8 +32,19 @@ from __future__ import annotations
 import ast
 import os
 import re
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 #: packages under ``repro/`` whose results must be bitwise reproducible
 #: run to run; the determinism rules report their sinks here.  ``live``
@@ -37,6 +54,9 @@ DETERMINISM_EXEMPT_PACKAGES = ("live",)
 
 _PRAGMA_RE = re.compile(r"#\s*vis:\s*allow\[([A-Za-z0-9_,\s]+)\]")
 _COMMENT_ONLY_RE = re.compile(r"^\s*#")
+
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
 @dataclass(frozen=True)
@@ -51,15 +71,6 @@ class CheckFinding:
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col} {self.code} {self.message}"
-
-    @property
-    def fingerprint(self) -> Tuple[str, str, str]:
-        """Line-insensitive identity used for baseline matching.
-
-        Keyed on (normalized path, code, message) so unrelated edits
-        that shift line numbers do not churn the baseline.
-        """
-        return (normalize_path(self.path), self.code, self.message)
 
     def to_dict(self) -> Dict[str, object]:
         """The JSON-report form of this finding."""
@@ -129,14 +140,93 @@ def scan_allow_pragmas(source: str) -> Dict[int, FrozenSet[str]]:
     return {line: frozenset(codes) for line, codes in allowed.items()}
 
 
+def _statements(node: ast.AST) -> Iterator[ast.stmt]:
+    """The statements directly under ``node``, in source order.
+
+    ``except`` handlers and ``match`` cases are not statements
+    themselves; their bodies are opened in place.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.stmt):
+            yield child
+        else:
+            body = getattr(child, "body", None)
+            if isinstance(body, list):
+                yield from body
+
+
+@dataclass(frozen=True, eq=False)
+class FunctionRecord:
+    """One ``def`` at any depth, and where it sits.
+
+    The three views of "which class" the rule groups take are all read
+    off this record: ``owner`` is the class whose body holds the
+    ``def`` directly (``None`` for a ``def`` nested in a method),
+    ``classes[-1]`` the innermost enclosing class at any depth and
+    ``classes[0]`` the outermost.  A class restarts ``qualname``
+    (``C.m``, never ``f.<locals>.C.m``).
+    """
+
+    node: FunctionNode
+    qualname: str
+    owner: Optional[ast.ClassDef]
+    classes: Tuple[ast.ClassDef, ...]
+    parent: Optional["FunctionRecord"]
+
+
 @dataclass
 class ParsedModule:
-    """One source file, parsed once and shared by every pass."""
+    """One source file, parsed once and indexed for every rule."""
 
     path: str
     source: str
     tree: ast.Module
     allow: Dict[int, FrozenSet[str]]
+    #: local name -> canonical dotted module/name it was imported as
+    aliases: Dict[str, str] = field(default_factory=dict)
+    #: every ``def``, outer before inner, in source order
+    functions: List[FunctionRecord] = field(default_factory=list)
+    _own: Dict[ast.AST, Tuple[ast.AST, ...]] = field(
+        default_factory=dict, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        self._index(self.tree, None, (), None, "")
+
+    def _index(
+        self,
+        node: ast.AST,
+        owner: Optional[ast.ClassDef],
+        classes: Tuple[ast.ClassDef, ...],
+        parent: Optional[FunctionRecord],
+        prefix: str,
+    ) -> None:
+        for stmt in _statements(node):
+            if isinstance(stmt, _DEFS):
+                record = FunctionRecord(
+                    stmt, prefix + stmt.name, owner, classes, parent
+                )
+                self.functions.append(record)
+                self._index(
+                    stmt, None, classes, record,
+                    f"{record.qualname}.<locals>.",
+                )
+            elif isinstance(stmt, ast.ClassDef):
+                self._index(
+                    stmt, stmt, classes + (stmt,), parent, f"{stmt.name}."
+                )
+            elif isinstance(stmt, ast.Import):
+                for alias in stmt.names:
+                    # ``import a.b`` binds ``a`` to itself: no entry
+                    if alias.asname:
+                        self.aliases[alias.asname] = alias.name
+            elif isinstance(stmt, ast.ImportFrom) and stmt.module:
+                for alias in stmt.names:
+                    self.aliases[alias.asname or alias.name] = (
+                        f"{stmt.module}.{alias.name}"
+                    )
+            else:
+                self._index(stmt, owner, classes, parent, prefix)
 
     @property
     def package(self) -> Optional[str]:
@@ -152,12 +242,53 @@ class ParsedModule:
         """True when ``code`` carries an allow pragma covering ``line``."""
         return code in self.allow.get(line, frozenset())
 
+    def own_nodes(self, fn: ast.AST) -> Tuple[ast.AST, ...]:
+        """``fn``'s own nodes in source order, ``fn`` itself excluded.
+
+        A nested ``def`` is included but not entered: its body belongs
+        to the nested function's own :class:`FunctionRecord`.  ``fn``
+        may be the module, which gives the code outside every ``def``.
+        Walked once per ``fn``, whichever rules ask.
+        """
+        own = self._own.get(fn)
+        if own is None:
+            found: List[ast.AST] = []
+            todo = list(ast.iter_child_nodes(fn))[::-1]
+            while todo:
+                node = todo.pop()
+                found.append(node)
+                if not isinstance(node, _DEFS):
+                    todo.extend(list(ast.iter_child_nodes(node))[::-1])
+            own = self._own[fn] = tuple(found)
+        return own
+
+    def dotted(self, node: ast.AST) -> Optional[str]:
+        """Resolve an attribute chain to a canonical dotted name."""
+        parts: List[str] = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name):
+            parts.append(self.aliases.get(node.id, node.id))
+            return ".".join(reversed(parts))
+        return None
+
+    def finding(self, node: ast.AST, code: str, message: str) -> CheckFinding:
+        """A finding of rule ``code`` located at ``node``."""
+        return CheckFinding(
+            path=self.path,
+            line=getattr(node, "lineno", 0),
+            col=getattr(node, "col_offset", 0) + 1,
+            code=code,
+            message=message,
+        )
+
 
 def parse_module(path: str, source: Optional[str] = None) -> ParsedModule:
-    """Read (if needed) and parse one module.
+    """Read (if needed), parse and index one module.
 
     Raises :class:`SyntaxError` on unparsable source; the driver turns
-    that into a ``VIS200`` finding.
+    that into its ``syntax_code`` finding.
     """
     if source is None:
         with open(path, "r", encoding="utf-8") as fh:
@@ -196,15 +327,56 @@ def iter_python_files(paths: Iterable[str]) -> List[str]:
     return files
 
 
-def filter_findings(
-    module: ParsedModule, findings: Sequence[CheckFinding]
-) -> Tuple[List[CheckFinding], int]:
-    """Drop pragma-allowlisted findings; returns (kept, allowed count)."""
-    kept: List[CheckFinding] = []
+#: a rule group over one module / over the whole checked tree
+Rule = Callable[[ParsedModule], List[CheckFinding]]
+TreeRule = Callable[[Sequence[ParsedModule]], List[CheckFinding]]
+
+
+def run_rules(
+    paths: Optional[Sequence[str]],
+    rules: Sequence[Rule],
+    tree_rules: Sequence[TreeRule] = (),
+    *,
+    syntax_code: str,
+    source: Optional[str] = None,
+) -> Tuple[List[CheckFinding], int, int]:
+    """Walk ``paths``, parse each file once, run the rules, filter, sort.
+
+    ``paths`` defaults to the installed ``repro`` package; ``source``
+    is the text of the one path given, for a caller that already holds
+    it.  Returns (findings, pragma-allowlisted count, files examined).
+    A file that does not parse becomes a ``syntax_code`` finding
+    rather than a crash -- a tree that does not parse must fail the
+    gate, not the tool.
+    """
+    files = iter_python_files(paths or [default_target()])
+    findings: List[CheckFinding] = []
+    raw: List[CheckFinding] = []
+    modules: Dict[str, ParsedModule] = {}
+    for path in files:
+        try:
+            module = parse_module(path, source)
+        except SyntaxError as exc:
+            findings.append(
+                CheckFinding(
+                    path=path,
+                    line=exc.lineno or 0,
+                    col=exc.offset or 0,
+                    code=syntax_code,
+                    message=f"syntax error: {exc.msg}",
+                )
+            )
+            continue
+        modules[path] = module
+        for rule in rules:
+            raw.extend(rule(module))
+    for tree_rule in tree_rules:
+        raw.extend(tree_rule(list(modules.values())))
     allowed = 0
-    for finding in findings:
-        if module.is_allowed(finding.code, finding.line):
+    for finding in raw:
+        if modules[finding.path].is_allowed(finding.code, finding.line):
             allowed += 1
         else:
-            kept.append(finding)
-    return kept, allowed
+            findings.append(finding)
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code, f.message))
+    return findings, allowed, len(files)

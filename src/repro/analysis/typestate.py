@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.staticbase import CheckFinding, ParsedModule
 
@@ -95,7 +95,7 @@ def _receiver_text(node: ast.AST, aliases: Dict[str, str]) -> str:
     return text
 
 
-def _local_aliases(fn: ast.AST) -> Dict[str, str]:
+def _local_aliases(module: ParsedModule, fn: ast.AST) -> Dict[str, str]:
     """Map local names to the ``self.attr`` chains they alias.
 
     Only simple, unconditional ``name = self.attr[...attr]`` bindings
@@ -103,10 +103,7 @@ def _local_aliases(fn: ast.AST) -> Dict[str, str]:
     self.render_cache`` convention without real pointer analysis.
     """
     aliases: Dict[str, str] = {}
-    for node in ast.walk(fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node is not fn:
-                continue
+    for node in module.own_nodes(fn):
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         target = node.targets[0]
@@ -122,43 +119,40 @@ def _local_aliases(fn: ast.AST) -> Dict[str, str]:
     return aliases
 
 
-class _ProtocolCollector(ast.NodeVisitor):
-    """Collect buffer/cache protocol call sites within one scope."""
+def _collect_sites(
+    module: ParsedModule, scope: _ScopeUse, fn: ast.AST
+) -> None:
+    """Add ``fn``'s own buffer/cache protocol call sites to ``scope``.
 
-    def __init__(self, scope: _ScopeUse, aliases: Dict[str, str]):
-        self.scope = scope
-        self.aliases = aliases
-
-    # Nested functions are collected as scope members of their own;
-    # descending here would double-count their call sites.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        return
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
-    def visit_Call(self, node: ast.Call) -> None:
+    A nested function is a scope member of its own; entering it here
+    would double-count its call sites.
+    """
+    aliases = _local_aliases(module, fn)
+    for node in module.own_nodes(fn):
+        if not (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        ):
+            continue
         func = node.func
-        if isinstance(func, ast.Attribute):
-            recv = _receiver_text(func.value, self.aliases)
-            site = _Site(node=node, receiver=recv, method=func.attr)
-            # The primitive's own implementation *is* the protocol;
-            # plain ``self`` receivers are exempt.  An argument-taking
-            # ``reserve(cost, ...)`` is a different API (the admission
-            # token bucket), not the buffer credit handshake.
-            if recv != "self":
-                if (
-                    func.attr in _RESERVE_SOURCES
-                    and not node.args
-                    and not node.keywords
-                ):
-                    self.scope.reserve_sources.append(site)
-                elif func.attr in _RESERVE_DISCHARGES:
-                    self.scope.reserve_discharges.append(site)
-                elif func.attr in _CLAIM_SOURCES:
-                    self.scope.claim_sources.append(site)
-                elif func.attr in _CLAIM_DISCHARGES:
-                    self.scope.claim_discharges.append(site)
-        self.generic_visit(node)
+        # An argument-taking ``reserve(cost, ...)`` is a different API
+        # (the admission token bucket), not the buffer credit handshake.
+        if func.attr in _RESERVE_SOURCES:
+            if node.args or node.keywords:
+                continue
+            sites = scope.reserve_sources
+        elif func.attr in _RESERVE_DISCHARGES:
+            sites = scope.reserve_discharges
+        elif func.attr in _CLAIM_SOURCES:
+            sites = scope.claim_sources
+        elif func.attr in _CLAIM_DISCHARGES:
+            sites = scope.claim_discharges
+        else:
+            continue
+        recv = _receiver_text(func.value, aliases)
+        # The primitive's own implementation *is* the protocol; plain
+        # ``self`` receivers are exempt.
+        if recv != "self":
+            sites.append(_Site(node=node, receiver=recv, method=func.attr))
 
 
 def _check_pairing(
@@ -174,108 +168,62 @@ def _check_pairing(
 ) -> List[CheckFinding]:
     """Unmatched source/discharge findings for one protocol kind."""
     findings: List[CheckFinding] = []
-    discharged = {s.receiver for s in discharges}
     discharge_methods: Dict[str, Set[str]] = {}
     for site in discharges:
         discharge_methods.setdefault(site.receiver, set()).add(site.method)
     opened = {s.receiver for s in sources}
     for site in sources:
-        if site.receiver not in discharged:
+        call = f"{site.receiver}.{site.method}() opens {open_what}"
+        if site.receiver not in discharge_methods:
             findings.append(
-                CheckFinding(
-                    path=module.path,
-                    line=site.node.lineno,
-                    col=site.node.col_offset + 1,
-                    code=code,
-                    message=(
-                        f"{site.receiver}.{site.method}() opens "
-                        f"{open_what} but {scope.name} never calls "
-                        f"{close_what} on it"
-                    ),
+                module.finding(
+                    site.node,
+                    code,
+                    f"{call} but {scope.name} never calls {close_what} "
+                    "on it",
                 )
             )
-        elif require_all:
-            missing = sorted(
-                set(require_all) - discharge_methods[site.receiver]
-            )
-            if missing:
-                findings.append(
-                    CheckFinding(
-                        path=module.path,
-                        line=site.node.lineno,
-                        col=site.node.col_offset + 1,
-                        code=code,
-                        message=(
-                            f"{site.receiver}.{site.method}() opens "
-                            f"{open_what} but {scope.name} has no "
-                            f"{'/'.join(missing)} leg for it"
-                        ),
-                    )
+            continue
+        missing = sorted(set(require_all) - discharge_methods[site.receiver])
+        if missing:
+            findings.append(
+                module.finding(
+                    site.node,
+                    code,
+                    f"{call} but {scope.name} has no {'/'.join(missing)} "
+                    "leg for it",
                 )
+            )
     for site in discharges:
         if site.receiver not in opened:
             findings.append(
-                CheckFinding(
-                    path=module.path,
-                    line=site.node.lineno,
-                    col=site.node.col_offset + 1,
-                    code=code,
-                    message=(
-                        f"{site.receiver}.{site.method}() discharges "
-                        f"{open_what} that {scope.name} never opens"
-                    ),
+                module.finding(
+                    site.node,
+                    code,
+                    f"{site.receiver}.{site.method}() discharges "
+                    f"{open_what} that {scope.name} never opens",
                 )
             )
     return findings
 
 
-def _scope_functions(
-    module: ParsedModule,
-) -> List[Tuple[str, List[ast.AST]]]:
-    """(scope name, function nodes) pairs: one per class, one for the
-    module's free functions."""
-    scopes: List[Tuple[str, List[ast.AST]]] = []
-    free: List[ast.AST] = []
-
-    def _walk(body: List[ast.stmt], into_free: bool) -> None:
-        for stmt in body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if into_free:
-                    free.append(stmt)
-                _walk(stmt.body, into_free)
-            elif isinstance(stmt, ast.ClassDef):
-                methods = [
-                    s
-                    for s in ast.walk(stmt)
-                    if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
-                ]
-                scopes.append((f"class {stmt.name}", methods))
-            else:
-                for fld in ("body", "orelse", "finalbody"):
-                    nested = getattr(stmt, fld, None)
-                    if isinstance(nested, list):
-                        _walk(
-                            [s for s in nested if isinstance(s, ast.stmt)],
-                            into_free,
-                        )
-                for handler in getattr(stmt, "handlers", []) or []:
-                    _walk(handler.body, into_free)
-
-    _walk(module.tree.body, True)
-    scopes.append(("module scope", free))
-    return scopes
-
-
 def check_buffer_protocols(module: ParsedModule) -> List[CheckFinding]:
-    """VIS210/VIS211 over every class scope of one module."""
+    """VIS210/VIS211 over every class scope of one module.
+
+    The scope of a def is its *outermost* enclosing class, by
+    ``ClassDef`` identity (two classes of one name are two scopes);
+    the defs outside every class share the module scope.
+    """
+    scopes: Dict[Optional[ast.ClassDef], _ScopeUse] = {}
+    for record in module.functions:
+        outermost = record.classes[0] if record.classes else None
+        if outermost not in scopes:
+            scopes[outermost] = _ScopeUse(
+                name=f"class {outermost.name}" if outermost else "module scope"
+            )
+        _collect_sites(module, scopes[outermost], record.node)
     findings: List[CheckFinding] = []
-    for scope_name, functions in _scope_functions(module):
-        scope = _ScopeUse(name=scope_name)
-        for fn in functions:
-            aliases = _local_aliases(fn)
-            collector = _ProtocolCollector(scope, aliases)
-            for stmt in fn.body:  # type: ignore[attr-defined]
-                collector.visit(stmt)
+    for scope in scopes.values():
         findings.extend(
             _check_pairing(
                 module,
@@ -305,37 +253,10 @@ def check_buffer_protocols(module: ParsedModule) -> List[CheckFinding]:
 # -- VIS212: connection lifecycle -------------------------------------
 
 
-def _dotted(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(aliases.get(node.id, node.id))
-        return ".".join(reversed(parts))
-    return None
-
-
-def _import_aliases(module: ParsedModule) -> Dict[str, str]:
-    aliases: Dict[str, str] = {}
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname:
-                    aliases[alias.asname] = alias.name
-        elif isinstance(node, ast.ImportFrom) and node.module:
-            for alias in node.names:
-                aliases[alias.asname or alias.name] = (
-                    f"{node.module}.{alias.name}"
-                )
-    return aliases
-
-
-def _is_conn_open(node: ast.AST, imports: Dict[str, str]) -> bool:
+def _is_conn_open(module: ParsedModule, node: ast.AST) -> bool:
     if not isinstance(node, ast.Call):
         return False
-    dotted = _dotted(node.func, imports)
-    if dotted in _CONN_OPEN_DOTTED:
+    if module.dotted(node.func) in _CONN_OPEN_DOTTED:
         return True
     return (
         isinstance(node.func, ast.Attribute)
@@ -343,28 +264,25 @@ def _is_conn_open(node: ast.AST, imports: Dict[str, str]) -> bool:
     )
 
 
+def _names_in(expr: Optional[ast.AST]) -> Iterator[str]:
+    """Every bare name mentioned anywhere inside ``expr``."""
+    if expr is not None:
+        for sub in ast.walk(expr):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+
+
 def check_connections(module: ParsedModule) -> List[CheckFinding]:
     """VIS212: locally-bound connections must close or escape."""
     findings: List[CheckFinding] = []
-    imports = _import_aliases(module)
-    functions = [
-        node
-        for node in ast.walk(module.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    for fn in functions:
+    for record in module.functions:
+        own = module.own_nodes(record.node)
         opens: Dict[str, ast.AST] = {}
         closed: Set[str] = set()
         escaped: Set[str] = set()
-        own_statements = [
-            n
-            for n in ast.walk(fn)
-            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-            or n is fn
-        ]
-        for node in own_statements:
+        for node in own:
             if isinstance(node, ast.Assign) and _is_conn_open(
-                node.value, imports
+                module, node.value
             ):
                 for target in node.targets:
                     names = [target]
@@ -373,15 +291,14 @@ def check_connections(module: ParsedModule) -> List[CheckFinding]:
                         # first element is the connection.
                         names = list(target.elts[:1])
                     for name in names:
+                        # anything but a bare name is stored straight
+                        # into an attribute or container: closed
+                        # elsewhere by design
                         if isinstance(name, ast.Name):
                             opens.setdefault(name.id, node.value)
-                        else:
-                            # stored straight into an attribute or
-                            # container: closed elsewhere by design
-                            pass
             elif isinstance(node, ast.With):
                 for item in node.items:
-                    if _is_conn_open(item.context_expr, imports):
+                    if _is_conn_open(module, item.context_expr):
                         # ``with`` guarantees the close
                         if isinstance(item.optional_vars, ast.Name):
                             closed.add(item.optional_vars.id)
@@ -389,7 +306,7 @@ def check_connections(module: ParsedModule) -> List[CheckFinding]:
                         closed.add(item.context_expr.id)
         if not opens:
             continue
-        for node in own_statements:
+        for node in own:
             if isinstance(node, ast.Call):
                 func = node.func
                 if (
@@ -401,37 +318,24 @@ def check_connections(module: ParsedModule) -> List[CheckFinding]:
                 for arg in list(node.args) + [
                     kw.value for kw in node.keywords
                 ]:
-                    for sub in ast.walk(arg):
-                        if isinstance(sub, ast.Name) and sub.id in opens:
-                            escaped.add(sub.id)
+                    escaped.update(_names_in(arg))
             elif isinstance(node, (ast.Return, ast.Yield)):
-                if node.value is not None:
-                    for sub in ast.walk(node.value):
-                        if isinstance(sub, ast.Name) and sub.id in opens:
-                            escaped.add(sub.id)
-            elif isinstance(node, ast.Assign):
-                target_escape = any(
-                    isinstance(t, (ast.Attribute, ast.Subscript))
-                    for t in node.targets
-                )
-                if target_escape:
-                    for sub in ast.walk(node.value):
-                        if isinstance(sub, ast.Name) and sub.id in opens:
-                            escaped.add(sub.id)
+                escaped.update(_names_in(node.value))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, (ast.Attribute, ast.Subscript))
+                for t in node.targets
+            ):
+                escaped.update(_names_in(node.value))
         for name, open_node in opens.items():
             if name in closed or name in escaped:
                 continue
             findings.append(
-                CheckFinding(
-                    path=module.path,
-                    line=open_node.lineno,
-                    col=open_node.col_offset + 1,
-                    code="VIS212",
-                    message=(
-                        f"connection {name!r} opened in {fn.name}() is "
-                        "never closed, stored or handed off; it leaks "
-                        "on every path"
-                    ),
+                module.finding(
+                    open_node,
+                    "VIS212",
+                    f"connection {name!r} opened in {record.node.name}() "
+                    "is never closed, stored or handed off; it leaks "
+                    "on every path",
                 )
             )
     return findings
@@ -440,11 +344,9 @@ def check_connections(module: ParsedModule) -> List[CheckFinding]:
 # -- VIS213: MsgType decoder exhaustiveness ---------------------------
 
 
-def _enum_members(
-    module: ParsedModule,
-) -> List[Tuple[str, int, int]]:
-    """(name, line, col) of each ``MsgType`` member in this module."""
-    members: List[Tuple[str, int, int]] = []
+def _enum_members(module: ParsedModule) -> List[Tuple[str, ast.stmt]]:
+    """(name, defining statement) of each ``MsgType`` member here."""
+    members: List[Tuple[str, ast.stmt]] = []
     for node in ast.walk(module.tree):
         if not (isinstance(node, ast.ClassDef) and node.name == "MsgType"):
             continue
@@ -452,15 +354,11 @@ def _enum_members(
             if isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
                     if isinstance(target, ast.Name):
-                        members.append(
-                            (target.id, stmt.lineno, stmt.col_offset + 1)
-                        )
+                        members.append((target.id, stmt))
             elif isinstance(stmt, ast.AnnAssign) and isinstance(
                 stmt.target, ast.Name
             ):
-                members.append(
-                    (stmt.target.id, stmt.lineno, stmt.col_offset + 1)
-                )
+                members.append((stmt.target.id, stmt))
     return members
 
 
@@ -500,39 +398,29 @@ def check_protocol_registry(
     its definition line) has no decoder branch -- the exact state a
     newly added message type starts in.
     """
-    enum_sites: List[Tuple[ParsedModule, str, int, int]] = []
+    enum_sites: List[Tuple[ParsedModule, str, ast.stmt]] = []
     handled: Optional[Set[str]] = None
     for module in modules:
-        for name, line, col in _enum_members(module):
-            enum_sites.append((module, name, line, col))
+        for name, stmt in _enum_members(module):
+            enum_sites.append((module, name, stmt))
         module_handled = _registry_handled(module)
         if module_handled is not None:
             handled = (handled or set()) | module_handled
     if not enum_sites or handled is None:
         return []
-    findings: List[CheckFinding] = []
-    for module, name, line, col in enum_sites:
-        if name in handled:
-            continue
-        findings.append(
-            CheckFinding(
-                path=module.path,
-                line=line,
-                col=col,
-                code="VIS213",
-                message=(
-                    f"MsgType.{name} has no decoder branch in the "
-                    "protocol registry (_TYPE_OF); every wire type "
-                    "needs a payload class or an allow pragma"
-                ),
-            )
+    return [
+        module.finding(
+            stmt,
+            "VIS213",
+            f"MsgType.{name} has no decoder branch in the protocol "
+            "registry (_TYPE_OF); every wire type needs a payload "
+            "class or an allow pragma",
         )
-    return findings
+        for module, name, stmt in enum_sites
+        if name not in handled
+    ]
 
 
 def analyze_module(module: ParsedModule) -> List[CheckFinding]:
     """Run the per-module typestate rules (VIS210-VIS212)."""
-    findings: List[CheckFinding] = []
-    findings.extend(check_buffer_protocols(module))
-    findings.extend(check_connections(module))
-    return findings
+    return check_buffer_protocols(module) + check_connections(module)

@@ -135,13 +135,6 @@ class BackEndTiming:
     #: tile mode: fragment bytes routed owner-ward over the interconnect
     tile_route_bytes: float = 0.0
 
-    @property
-    def load_throughput(self) -> float:
-        """Aggregate DPSS->back end goodput in bytes/second."""
-        if self.total_time <= 0:
-            return 0.0
-        return self.bytes_loaded / self.total_time
-
 
 class SimBackEnd:
     """A parallel back end bound to one campaign's infrastructure.

@@ -158,7 +158,7 @@ def cmd_serve(args) -> int:
                     "--no-cache applies to full-world service campaigns, "
                     "not shard campaigns"
                 )
-            config = config.with_changes(cache=CacheConfig(enabled=False))
+            config = config.with_changes(cache=CacheConfig(capacity_bytes=0))
         return config
 
     config = _resolved(args, resolve)
@@ -174,26 +174,40 @@ def cmd_serve(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    from repro.analysis.lint import main as lint_main
+    from repro.analysis import run_lint
 
-    return lint_main(args.paths)
+    findings = run_lint(args.paths)
+    for finding in findings:
+        print(finding)
+    if findings:
+        print(f"{len(findings)} finding(s)")
+        return 1
+    print("lint: clean")
+    return 0
 
 
 def cmd_check(args) -> int:
-    from repro.analysis.check import main as check_main
+    import json
 
-    argv: List[str] = list(args.paths)
+    from repro.analysis.check import run_check, to_sarif
+
+    result = run_check(args.paths)
     if args.json is not None:
-        argv.extend(["--json"] if args.json == "-" else ["--json", args.json])
+        report = json.dumps(result.to_dict(), indent=2)
+        if args.json == "-":
+            print(report)
+        else:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report + "\n")
+            print(f"findings report -> {args.json}")
     if args.sarif is not None:
-        argv.extend(["--sarif", args.sarif])
-    if args.baseline is not None:
-        argv.extend(["--baseline", args.baseline])
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    return check_main(argv)
+        with open(args.sarif, "w", encoding="utf-8") as fh:
+            json.dump(to_sarif(result), fh, indent=2)
+            fh.write("\n")
+        print(f"SARIF report -> {args.sarif}")
+    if args.json != "-":
+        print(result.summary())
+    return 0 if result.clean else 1
 
 
 def cmd_iperf(args) -> int:
@@ -397,13 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default stdout)")
     p.add_argument("--sarif", default=None, metavar="PATH",
                    help="write a SARIF 2.1.0 report for PR annotation")
-    p.add_argument("--baseline", default=None, metavar="PATH",
-                   help="baseline findings file "
-                        "(default: analysis/baseline.json when present)")
-    p.add_argument("--no-baseline", action="store_true",
-                   help="ignore the baseline; every finding is new")
-    p.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline from the current findings")
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("iperf", help="probe a simulated WAN path")

@@ -58,10 +58,6 @@ class CandidateEstimate:
         """Predicted steady-state seconds per timestep."""
         return max(self.load_seconds, self.render_seconds)
 
-    @property
-    def serial_period(self) -> float:
-        return self.load_seconds + self.render_seconds
-
 
 @dataclass
 class PlannedSession:

@@ -64,11 +64,6 @@ class DpssServer:
         """Register the disk pool with the network's scheduler."""
         network.sched.add_resource(self.disks)
 
-    @property
-    def disk_pool_rate(self) -> float:
-        """Aggregate disk bandwidth in bytes/second."""
-        return self.disks.capacity
-
     # -- block cache -----------------------------------------------------
     def cache_lookup(
         self, dataset: str, blocks: Iterable[int], block_size: float

@@ -10,7 +10,7 @@ pipeline many threads submit concurrently, hence the lock.
 from __future__ import annotations
 
 import threading
-from typing import Iterable, List
+from typing import List
 
 from repro.netlogger.events import NetLogEvent, format_ulm, parse_ulm
 
@@ -26,11 +26,6 @@ class NetLogDaemon:
         """Accept one event (called by loggers)."""
         with self._lock:
             self._events.append(event)
-
-    def submit_many(self, events: Iterable[NetLogEvent]) -> None:
-        """Accept a batch of events."""
-        with self._lock:
-            self._events.extend(events)
 
     @property
     def events(self) -> List[NetLogEvent]:

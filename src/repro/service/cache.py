@@ -42,10 +42,9 @@ CacheKey = Tuple[Hashable, ...]
 
 @dataclass(frozen=True)
 class CacheConfig:
-    """Size budget and switch for the shared render cache."""
+    """Size budget of the shared render cache; zero means no cache."""
 
     capacity_bytes: float = 256 * MB
-    enabled: bool = True
 
     def __post_init__(self):
         check_non_negative("capacity_bytes", self.capacity_bytes)

@@ -155,7 +155,7 @@ class SessionManager:
                 config.cache,
                 daemon=self.daemon,
             )
-            if config.cache.enabled and config.cache.capacity_bytes > 0
+            if config.cache.capacity_bytes > 0
             else None
         )
         self.logger = NetLogger(

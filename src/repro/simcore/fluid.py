@@ -241,7 +241,6 @@ class FluidScheduler:
         self._eta_heap: List[_HeapEntry] = []
         self._push_ids = 0
         self._seq_ids = 0
-        self._last_update = env.now
         self._wake_token = 0
         self._next_wake = float("inf")  # fire time of the live wake
         self.stats = AllocStats()
@@ -445,13 +444,6 @@ class FluidScheduler:
         """Bank every active task's progress up to env.now."""
         for task in self._active.values():
             self._bank(task)
-        self._last_update = self.env.now
-
-    @staticmethod
-    def _work_eps(task: FluidTask) -> float:
-        # Relative tolerance: float error on a 1e8-byte transfer leaves
-        # residues far above any absolute epsilon.
-        return _WORK_EPS * max(1.0, task.work)
 
     def _touch_task(self, task: FluidTask) -> None:
         """Mark the component(s) containing ``task`` dirty."""
@@ -488,7 +480,6 @@ class FluidScheduler:
 
     def _flush(self) -> None:
         now = self.env.now
-        self._last_update = now
         if self._dirty_floating:
             for tname in list(self._dirty_floating):
                 floating = self._floating.get(tname)

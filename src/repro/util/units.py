@@ -35,11 +35,6 @@ def mbps(value: float) -> float:
     return value * 1_000_000.0 / BITS_PER_BYTE
 
 
-def mbps_to_bytes_per_sec(value: float) -> float:
-    """Alias of :func:`mbps`, for readability at call sites."""
-    return mbps(value)
-
-
 def bytes_per_sec_to_mbps(value: float) -> float:
     """Convert a rate in bytes/second to megabits/second."""
     return value * BITS_PER_BYTE / 1_000_000.0

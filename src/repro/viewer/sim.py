@@ -21,7 +21,7 @@ from repro.netlogger.events import Tags
 from repro.netlogger.logger import NetLogger
 from repro.netsim.tcp import TcpConnection
 from repro.simcore.events import Event
-from repro.simcore.pipeline import DROP, BoundedBuffer, Pipeline, PipelineSummary
+from repro.simcore.pipeline import DROP, BoundedBuffer, Pipeline
 from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -277,7 +277,3 @@ class SimViewer:
             1 for ranks in self.frames_completed.values()
             if len(ranks) >= n_pes
         )
-
-    def pipeline_summary(self) -> PipelineSummary:
-        """Per-stage accounting for the receive/scene-update pipeline."""
-        return self._pipeline.summary()

@@ -1,10 +1,9 @@
 """Tests for ``visapult check`` (the VIS2xx analyzers and driver).
 
 Three layers: per-rule behaviour over the checked-in fixture modules,
-driver mechanics (baseline matching, SARIF, CLI exit codes), and the
-acceptance gate -- the real tree must match ``analysis/baseline.json``
-exactly, and reintroducing a known defect class must produce exactly
-one new finding.
+driver mechanics (pragmas, SARIF, CLI exit codes), and the acceptance
+gate -- the real tree must have no finding, and reintroducing a known
+defect class must produce exactly one.
 """
 
 import json
@@ -13,29 +12,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import check as check_mod
-from repro.analysis.check import (
-    CheckResult,
-    match_baseline,
-    run_check,
-    to_sarif,
-    write_baseline,
-)
-from repro.analysis.staticbase import (
-    CheckFinding,
-    normalize_path,
-    scan_allow_pragmas,
-)
+from repro import cli
+from repro.analysis.check import run_check, to_sarif
+from repro.analysis.staticbase import normalize_path, scan_allow_pragmas
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "analysis" / "baseline.json"
 
 
 def check_fixture(name):
-    """Run the analyzers over one fixture with no baseline."""
-    return run_check([str(FIXTURES / name)], use_baseline=False)
+    """Run the analyzers over one fixture."""
+    return run_check([str(FIXTURES / name)])
 
 
 # -- per-rule fixtures -------------------------------------------------
@@ -50,6 +38,7 @@ FIXTURE_EXPECTATIONS = {
     "ts_claim.py": [(6, "VIS211")],
     "ts_conn.py": [(7, "VIS212")],
     "ts_msgtype.py": [(6, "VIS213")],
+    "ts_nested.py": [(8, "VIS212"), (26, "VIS210"), (29, "VIS210")],
 }
 
 
@@ -59,8 +48,7 @@ def test_fixture_findings(name):
     result = check_fixture(name)
     got = [(f.line, f.code) for f in result.findings]
     assert got == FIXTURE_EXPECTATIONS[name]
-    # without a baseline every finding is new, so the gate trips
-    assert result.new_findings == result.findings
+    # any finding trips the gate
     assert not result.clean
 
 
@@ -72,8 +60,21 @@ def test_fixture_negatives_stay_clean():
     assert flagged_lines == {7, 13}
 
 
+def test_nested_def_is_its_own_scope():
+    """ts_nested: a leak in a nested def is reported once, against the
+    def that opened it, and a nested def's aliases stay its own."""
+    result = check_fixture("ts_nested.py")
+    leaks = [f for f in result.findings if f.code == "VIS212"]
+    assert len(leaks) == 1 and "opened in inner()" in leaks[0].message
+    credits = [f.message for f in result.findings if f.code == "VIS210"]
+    assert len(credits) == 2
+    assert credits[0].startswith("self.out.commit() discharges")
+    assert credits[1].startswith("buf.reserve() opens")
+    assert all("class LeakyAcrossDefs" in m for m in credits)
+
+
 def test_allow_pragma_suppresses_at_source():
-    """Pragmas (including multi-line comments) suppress, not baseline."""
+    """Pragmas (including multi-line comments) suppress at the sink."""
     result = check_fixture("allowed_ok.py")
     assert result.findings == []
     assert result.allowed == 2
@@ -103,7 +104,7 @@ def test_pragma_scanner_multiline_comment_block():
 def test_syntax_error_is_vis200(tmp_path):
     bad = tmp_path / "broken.py"
     bad.write_text("def broken(:\n")
-    result = run_check([str(bad)], use_baseline=False)
+    result = run_check([str(bad)])
     assert [f.code for f in result.findings] == ["VIS200"]
     assert result.findings[0].line == 1
 
@@ -111,12 +112,10 @@ def test_syntax_error_is_vis200(tmp_path):
 # -- acceptance scenarios ----------------------------------------------
 
 
-def test_clean_tree_matches_baseline():
-    """src/repro against the committed baseline: no new, no stale."""
-    result = run_check([str(SRC_REPRO)], baseline=str(BASELINE))
-    assert result.new_findings == [], result.summary()
-    assert result.stale_baseline == [], result.summary()
-    assert result.baselined == len(result.findings)
+def test_clean_tree_has_no_finding():
+    """src/repro has no finding: every sink is fixed or pragma'd."""
+    result = run_check([str(SRC_REPRO)])
+    assert result.findings == [], result.summary()
     assert result.clean
 
 
@@ -132,8 +131,8 @@ def test_new_set_loop_is_one_new_finding(tmp_path):
         "        out.append(h)\n"
         "    return out\n"
     )
-    result = run_check([str(mod)], baseline=str(BASELINE))
-    assert [(f.line, f.code) for f in result.new_findings] == [(3, "VIS201")]
+    result = run_check([str(mod)])
+    assert [(f.line, f.code) for f in result.findings] == [(3, "VIS201")]
 
 
 def test_new_unseeded_rng_is_one_new_finding(tmp_path):
@@ -145,8 +144,8 @@ def test_new_unseeded_rng_is_one_new_finding(tmp_path):
         "def jitter():\n"
         "    return random.Random().random()\n"
     )
-    result = run_check([str(mod)], baseline=str(BASELINE))
-    assert [(f.line, f.code) for f in result.new_findings] == [(4, "VIS203")]
+    result = run_check([str(mod)])
+    assert [(f.line, f.code) for f in result.findings] == [(4, "VIS203")]
 
 
 def test_new_msgtype_without_decoder_is_one_new_finding(tmp_path):
@@ -159,9 +158,9 @@ def test_new_msgtype_without_decoder_is_one_new_finding(tmp_path):
     framing.write_text(
         framing.read_text().replace("    TILE = 6\n", "    TILE = 6\n    PING = 7\n")
     )
-    result = run_check([str(proto)], baseline=str(BASELINE))
-    assert [f.code for f in result.new_findings] == ["VIS213"]
-    finding = result.new_findings[0]
+    result = run_check([str(proto)])
+    assert [f.code for f in result.findings] == ["VIS213"]
+    finding = result.findings[0]
     assert "MsgType.PING" in finding.message
     assert finding.path.endswith("framing.py")
     assert finding.line > 0
@@ -170,9 +169,7 @@ def test_new_msgtype_without_decoder_is_one_new_finding(tmp_path):
 def test_stripe_msgtype_is_dispatched():
     """MsgType.STRIPE has a live registry branch: no VIS213 in the
     shipped protocol package."""
-    result = run_check(
-        [str(SRC_REPRO / "protocol")], baseline=str(BASELINE)
-    )
+    result = run_check([str(SRC_REPRO / "protocol")])
     assert not any(
         f.code == "VIS213" and "STRIPE" in f.message
         for f in result.findings
@@ -192,53 +189,14 @@ def test_unregistering_stripe_payload_is_one_new_finding(tmp_path):
             "    StripePayload: MsgType.STRIPE,\n", ""
         )
     )
-    result = run_check([str(proto)], baseline=str(BASELINE))
-    assert [f.code for f in result.new_findings] == ["VIS213"]
-    finding = result.new_findings[0]
+    result = run_check([str(proto)])
+    assert [f.code for f in result.findings] == ["VIS213"]
+    finding = result.findings[0]
     assert "MsgType.STRIPE" in finding.message
     assert finding.path.endswith("framing.py")
 
 
-# -- baseline mechanics ------------------------------------------------
-
-
-def _finding(path="repro/x.py", line=3, code="VIS201", message="m"):
-    return CheckFinding(path=path, line=line, col=1, code=code,
-                        message=message)
-
-
-def test_match_baseline_is_line_insensitive():
-    entry = _finding(line=3).to_dict()
-    new, stale = match_baseline([_finding(line=99)], [entry])
-    assert new == [] and stale == []
-
-
-def test_match_baseline_multiplicity():
-    """One baseline entry absorbs one finding; a second is new."""
-    entry = _finding().to_dict()
-    dup = [_finding(line=3), _finding(line=9)]
-    new, stale = match_baseline(dup, [entry])
-    assert len(new) == 1 and new[0].line == 9
-    assert stale == []
-
-
-def test_match_baseline_reports_stale_entries():
-    entry = _finding(code="VIS204").to_dict()
-    new, stale = match_baseline([], [entry])
-    assert new == []
-    assert stale == [entry]
-
-
-def test_baseline_round_trip(tmp_path):
-    path = tmp_path / "baseline.json"
-    findings = [_finding(), _finding(code="VIS212", message="leak")]
-    write_baseline(findings, str(path))
-    mod = tmp_path / "mod.py"
-    mod.write_text("x = 1\n")
-    result = run_check([str(mod)], baseline=str(path))
-    # nothing found, both entries now stale
-    assert result.clean
-    assert len(result.stale_baseline) == 2
+# -- paths ------------------------------------------------------------
 
 
 def test_normalize_path_strips_checkout_prefix():
@@ -265,45 +223,18 @@ def test_sarif_report_shape():
     assert loc["region"]["startLine"] == 7
 
 
-def test_sarif_baselined_findings_are_notes():
-    finding = _finding()
-    result = CheckResult(findings=[finding], new_findings=[])
-    sarif = to_sarif(result)
-    assert sarif["runs"][0]["results"][0]["level"] == "note"
-
-
-def test_json_report_flags_baselined():
-    finding = _finding()
-    result = CheckResult(findings=[finding], new_findings=[])
-    payload = result.to_dict()
-    assert payload["findings"][0]["baselined"] is True
-    assert payload["counts"] == {"VIS201": 1}
-
-
 def test_cli_exit_codes_and_reports(tmp_path, capsys):
     dirty = str(FIXTURES / "det_unseeded_rng.py")
     clean = str(FIXTURES / "allowed_ok.py")
     json_path = tmp_path / "report.json"
     sarif_path = tmp_path / "report.sarif"
-    rc = check_mod.main(
-        [dirty, "--no-baseline", "--json", str(json_path),
+    rc = cli.main(
+        ["check", dirty, "--json", str(json_path),
          "--sarif", str(sarif_path)]
     )
     assert rc == 1
     report = json.loads(json_path.read_text())
     assert report["counts"] == {"VIS203": 2}
     assert json.loads(sarif_path.read_text())["version"] == "2.1.0"
-    assert check_mod.main([clean, "--no-baseline"]) == 0
-    capsys.readouterr()
-
-
-def test_cli_update_baseline_round_trip(tmp_path, capsys):
-    dirty = str(FIXTURES / "det_wall_clock.py")
-    path = tmp_path / "baseline.json"
-    assert check_mod.main([dirty, "--update-baseline",
-                           "--baseline", str(path)]) == 0
-    # the grandfathered finding no longer fails the gate ...
-    assert check_mod.main([dirty, "--baseline", str(path)]) == 0
-    # ... but ignoring the baseline still does
-    assert check_mod.main([dirty, "--no-baseline"]) == 1
+    assert cli.main(["check", clean]) == 0
     capsys.readouterr()

@@ -68,7 +68,7 @@ def test_removed_kwargs_are_type_errors():
     from repro.cli import main
     from repro.netsim.sites import SiteFabric
     from repro.scenegraph import Camera, Group, render
-    from repro.service import ShardCampaign, WorkloadSpec
+    from repro.service import CacheConfig, ShardCampaign, WorkloadSpec
     from repro.simcore import Environment
     from repro.simcore.flowclass import FlowClassPool
     from repro.simcore.fluid import FluidResource, FluidScheduler
@@ -93,6 +93,8 @@ def test_removed_kwargs_are_type_errors():
         lambda: WorkloadSpec(mode="closed"),
         lambda: WorkloadSpec(think_time=1.0),
         lambda: WorkloadSpec(requests_per_viewer=2),
+        # PR 24: capacity_bytes=0 is the one spelling of "no cache"
+        lambda: CacheConfig(enabled=False),
     ]
     for call in type_errors:
         with pytest.raises(TypeError):

@@ -21,7 +21,7 @@ def tiny_service(**changes):
         name="tiny-service",
         base=base,
         workload=WorkloadSpec(n_viewers=3, arrival_rate=100.0),
-        cache=CacheConfig(enabled=False),
+        cache=CacheConfig(capacity_bytes=0),
     )
     return svc.with_changes(**changes) if changes else svc
 

@@ -95,7 +95,7 @@ class TestSingleViewerParity:
             workload=WorkloadSpec(
                 n_viewers=1, profiles=(profile,)
             ),
-            cache=CacheConfig(enabled=False),
+            cache=CacheConfig(capacity_bytes=0),
         )
         result = run_service_campaign(
             svc, ulm_path=str(tmp_path / "svc.ulm")
@@ -117,7 +117,7 @@ class TestWarmCacheAcceptance:
         the same seeded workload with the cache disabled."""
         warm = run_service_campaign(tiny_service())
         cold = run_service_campaign(
-            tiny_service(cache=CacheConfig(enabled=False))
+            tiny_service(cache=CacheConfig(capacity_bytes=0))
         )
         assert warm.cache_stats.hits > 0
         assert cold.cache_stats.lookups == 0
@@ -130,7 +130,7 @@ class TestWarmCacheAcceptance:
     def test_cache_hits_skip_the_dpss_leg(self):
         warm = run_service_campaign(tiny_service())
         cold = run_service_campaign(
-            tiny_service(cache=CacheConfig(enabled=False))
+            tiny_service(cache=CacheConfig(capacity_bytes=0))
         )
         # every hit is a DPSS read that never happened
         assert warm.dpss_to_backend_bytes < cold.dpss_to_backend_bytes
@@ -160,7 +160,7 @@ class TestHeterogeneousWorkloads:
         from repro.core.platforms import Wans
 
         config = tiny_service(
-            cache=CacheConfig(enabled=False),
+            cache=CacheConfig(capacity_bytes=0),
             workload=WorkloadSpec(
                 n_viewers=2,
                 arrival_rate=0.2,

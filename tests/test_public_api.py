@@ -130,8 +130,7 @@ def test_run_check_facade():
     """run_check via the facade returns a populated CheckResult."""
     from repro import api
 
-    result = api.run_check(["src/repro/analysis/staticbase.py"],
-                           use_baseline=False)
+    result = api.run_check(["src/repro/analysis/staticbase.py"])
     assert isinstance(result, api.CheckResult)
     assert result.files_checked == 1
     assert result.clean
