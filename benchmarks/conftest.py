@@ -3,9 +3,10 @@
 Each benchmark regenerates one of the paper's figures or quantitative
 claims, prints a ``paper vs measured`` table, and asserts the *shape*
 of the result (who wins, by roughly what factor) rather than exact
-numbers. Run with::
+numbers. A plain ``pytest`` runs them with timing disabled; to time
+them::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/ --benchmark-enable --benchmark-only
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from itertools import count
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Generator,
     List,
     Optional,
@@ -92,6 +93,21 @@ class Environment:
         event._value = value
         heapq.heappush(self._queue, (when, 1, next(self._counter), event))
         return event
+
+    def at_instant_end(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once every other event at ``now`` has run.
+
+        It runs after every normal-priority event due at the current
+        instant -- including ones scheduled after this call -- and
+        before time advances. A callback that calls this again is
+        served later in the same instant. A component that collects
+        several changes per instant settles them here in one pass.
+        """
+        event = Event(self)
+        event._ok = True
+        event._value = None
+        event.callbacks.append(lambda _ev: callback())
+        heapq.heappush(self._queue, (self._now, 2, next(self._counter), event))
 
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a new process starting now."""

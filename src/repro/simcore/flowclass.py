@@ -45,6 +45,17 @@ its lifetime exactly once (DESIGN.md section 15.1 has the exactness
 argument, ``tests/oracles/eager_flowclass.py`` the per-change sweep
 this replaced). Join / complete stay O(log members); the log is
 dropped when the class drains.
+
+Membership settles once per simulated instant. A join to a live class,
+or a completion that leaves members behind, only queues the class's
+head at the standing rate and marks the class pending. At the end of
+the instant (:meth:`~repro.simcore.env.Environment.at_instant_end`)
+the pool re-scales every pending class and drops those whose usage and
+cap came back bitwise unchanged. A session that leaves and is replaced
+at one instant costs no solve. The rest go to the allocator as one
+:meth:`~repro.simcore.fluid.FluidScheduler.set_usage` batch, so two
+classes on one resource cost one solve (DESIGN.md section 15.1). Class
+activation and drain stay immediate.
 """
 
 from __future__ import annotations
@@ -206,6 +217,9 @@ class FlowClassPool:
         self._seq_ids = 0
         self._wake_token = 0
         self._next_wake = float("inf")
+        #: live classes whose member count changed this instant, in
+        #: first-change order; settled together at the instant's end
+        self._pending: Dict[str, _ClassState] = {}
         self.stats = FlowClassStats()
 
     # -- introspection -------------------------------------------------------
@@ -256,7 +270,6 @@ class FlowClassPool:
         heapq.heappush(
             state.order, (state.progress + member.work, member.seq, member)
         )
-        epoch = state.epoch
         if state.agg is None:
             agg = FluidTask(
                 f"fc:{spec.name}",
@@ -272,17 +285,14 @@ class FlowClassPool:
             state.agg = agg
             state.rate = 0.0
             self.stats.classes += 1
+            # The solve queues the head through ``_on_agg_rate``; a rate
+            # left at zero has no head to queue.
             self.sched.submit(agg)
         else:
-            agg = state.agg
-            agg.cap = self._member_cap(state)
-            self.sched.set_usage(agg, self._scaled_usage(state))
-        # If the solve left the per-member rate bitwise unchanged (a
-        # cap-pinned class with slack), no segment closed and nothing
-        # queued the head: the new member may be it.
-        if state.epoch == epoch:
+            # The rate cannot change before the settle, so the new
+            # member -- possibly the head now -- is queued at it.
             self._push_head(state)
-            self._arm_wake()
+            self._mark_pending(state)
         return member.done
 
     def set_class_cap(self, spec: FlowClass, cap: float) -> None:
@@ -295,6 +305,36 @@ class FlowClassPool:
             self.sched.set_cap(state.agg, self._member_cap(state))
 
     # -- internals -----------------------------------------------------------
+    def _mark_pending(self, state: _ClassState) -> None:
+        """Defer ``state``'s re-scaling to the end of this instant."""
+        if not self._pending:
+            self.env.at_instant_end(self._settle)
+        self._pending[state.spec.name] = state
+
+    def _settle(self) -> None:
+        """Re-scale every class whose membership changed, in one solve.
+
+        A class that lost and regained a member (or whose changes
+        cancel out otherwise) ends with its usage and cap bitwise where
+        they began: it is dropped, and costs no solve and no segment.
+        """
+        pending = self._pending
+        self._pending = {}
+        batch = []
+        for state in pending.values():
+            agg = state.agg
+            if agg is None:
+                continue  # drained since it was marked
+            usage = self._scaled_usage(state)
+            cap = self._member_cap(state)
+            if usage == agg.usage and cap == agg.cap:
+                continue
+            agg.cap = cap
+            batch.append((agg, usage))
+        if batch:
+            self.sched.set_usage(batch)
+        self._arm_wake()
+
     def _state_of(self, spec: FlowClass) -> _ClassState:
         state = self._classes.get(spec.name)
         if state is None:
@@ -450,7 +490,8 @@ class FlowClassPool:
                 break
             heapq.heappop(heap)
             self._complete_member(member, now)
-        self._arm_wake()
+        if not self._pending:
+            self._arm_wake()  # otherwise the settle arms it
 
     def _complete_member(self, member: _Member, now: float) -> None:
         state = member.state
@@ -472,10 +513,7 @@ class FlowClassPool:
                 agg.on_rate = None  # no members left to disaggregate to
                 self.sched.withdraw(agg)
         else:
-            agg = state.agg
-            assert agg is not None  # members imply a live aggregate
-            agg.cap = self._member_cap(state)
-            self.sched.set_usage(agg, self._scaled_usage(state))
-            # If the per-member rate survived bitwise, no segment closed
-            # and the next head still needs queueing.
+            # The next head is queued at the standing rate; the settle
+            # re-queues it if the rate moves.
             self._push_head(state)
+            self._mark_pending(state)

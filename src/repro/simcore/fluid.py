@@ -39,6 +39,7 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
+    Sequence,
     Set,
     Tuple,
 )
@@ -348,33 +349,42 @@ class FluidScheduler:
         self._after_change()
 
     def set_usage(
-        self, task: FluidTask, usage: Mapping[FluidResource, float]
+        self,
+        changes: Sequence[Tuple[FluidTask, Mapping[FluidResource, float]]],
     ) -> None:
-        """Replace a running task's usage coefficients in place.
+        """Replace the usage coefficients of running tasks in one solve.
 
-        The set of resources with *positive* coefficients must be
+        ``changes`` is a batch of ``(task, usage)`` pairs; every dirty
+        component they touch is re-solved once, so two tasks on one
+        resource changing at one instant cost one solve. For each task
+        the set of resources with *positive* coefficients must be
         unchanged: the flow/resource adjacency -- and therefore the
         cached component index -- stays valid, so this is a pure
-        re-solve of the task's component, not a topology change. The
-        flow-class pool uses it to scale an aggregate flow's
-        coefficients by the live member count.
+        re-solve, not a topology change. The whole batch is validated
+        before any task is touched: a refused batch changes nothing.
+        Finished tasks are skipped, like :meth:`set_cap`. The
+        flow-class pool uses it to scale its aggregate flows'
+        coefficients by their live member counts, once per instant.
         """
-        if task.name not in self._active:
-            return  # already finished; harmless, like set_cap
-        new_footprint = {r.name for r, c in usage.items() if c > 0}
-        old_footprint = {r.name for r, c in task.usage.items() if c > 0}
-        if new_footprint != old_footprint:
-            raise SimulationError(
-                f"set_usage may not change task {task.name!r}'s positive "
-                f"resource footprint (topology); resubmit instead"
-            )
-        for coeff in usage.values():
-            if coeff < 0:
-                raise ValueError(f"usage must be >= 0, got {coeff}")
-        task.usage = dict(usage)
-        task._flow = None
-        task._fcap = None  # finite-cap stand-in depends on coefficients
-        self._touch_task(task)
+        live = [(t, dict(u)) for t, u in changes if t.name in self._active]
+        for task, usage in live:
+            new_footprint = {r.name for r, c in usage.items() if c > 0}
+            old_footprint = {r.name for r, c in task.usage.items() if c > 0}
+            if new_footprint != old_footprint:
+                raise SimulationError(
+                    f"set_usage may not change task {task.name!r}'s positive "
+                    f"resource footprint (topology); resubmit instead"
+                )
+            for coeff in usage.values():
+                if coeff < 0:
+                    raise ValueError(f"usage must be >= 0, got {coeff}")
+        if not live:
+            return
+        for task, usage in live:
+            task.usage = usage
+            task._flow = None
+            task._fcap = None  # finite-cap stand-in depends on coefficients
+            self._touch_task(task)
         self._after_change()
 
     def add_work(self, task: FluidTask, extra: float) -> None:

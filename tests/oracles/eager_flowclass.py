@@ -3,6 +3,10 @@ segment log: every bitwise rate change of a class walks all of its
 members, banks each at the outgoing rate and recomputes each one's ETA
 -- although only the head of the completion order is ever armed.
 
+Membership changes take the production path: they are marked pending
+and settled once at the end of the instant (``FlowClassPool._settle``),
+so the two pools solve at the same instants with the same usage.
+
 ``tests/simcore/test_flowclass_lazy.py`` runs it beside the production
 pool and demands identical bits. ``swept`` counts the per-member
 bankings, the number the production pool's ``fold_steps`` may not
@@ -92,15 +96,12 @@ class EagerFlowClassPool(FlowClassPool):
             self.stats.classes += 1
             self.sched.submit(agg)
         else:
-            agg = state.agg
-            agg.cap = self._member_cap(state)
-            self.sched.set_usage(agg, self._scaled_usage(state))
-        # No sweep ran (the rate survived bitwise): the new member has
-        # no ETA yet, anchor one at the standing rate.
-        if member.active and member.eta_seq == 0:
-            self._refresh_member(member, state.rate, self.env.now)
+            # Membership settles at the end of the instant (the
+            # production rule); until then the new member's ETA is
+            # anchored at the standing rate.
+            self._refresh_member(member, state.rate, now)
             self._push_head(state)
-            self._arm_wake()
+            self._mark_pending(state)
         return member.done
 
     def _on_agg_rate(self, state, old, new, now):
@@ -183,7 +184,8 @@ class EagerFlowClassPool(FlowClassPool):
                 break
             heapq.heappop(heap)
             self._complete_member(member, now)
-        self._arm_wake()
+        if not self._pending:
+            self._arm_wake()
 
     def _complete_member(self, member, now):
         member.eta_seq += 1

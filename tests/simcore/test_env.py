@@ -427,3 +427,38 @@ def test_timeout_at_rejects_the_past():
     with pytest.raises(ValueError):
         env.timeout_at(1.0)
     env.timeout_at(2.0)  # now is fine
+
+
+def test_at_instant_end_runs_after_same_time_events_before_later_ones():
+    """Same-time events scheduled after arming still run first; a
+    callback that arms again is served before time advances."""
+    env = Environment()
+    log = []
+
+    def second_flush():
+        log.append(("flush2", env.now))
+
+    def first_flush():
+        log.append(("flush1", env.now))
+        env.at_instant_end(second_flush)
+
+    def proc(env):
+        yield env.timeout(1.0)
+        env.at_instant_end(first_flush)
+        # Scheduled after the flush was armed, at the same instant.
+        env.timeout(0.0).callbacks.append(
+            lambda _ev: log.append(("late", env.now))
+        )
+        yield env.timeout(0.0)
+        log.append(("proc", env.now))
+
+    env.process(proc(env))
+    env.timeout(1.5).callbacks.append(lambda _ev: log.append(("next", env.now)))
+    env.run()
+    assert log == [
+        ("late", 1.0),
+        ("proc", 1.0),
+        ("flush1", 1.0),
+        ("flush2", 1.0),
+        ("next", 1.5),
+    ]

@@ -156,3 +156,104 @@ def test_members_complete_in_admit_order_within_class():
         )
     env.run()
     assert order == list(range(6))
+
+
+def _run_closed_loop(pool_cls, seed, n_open=6, n_sessions=30):
+    """``n_open`` sessions arrive at random; each completion admits the
+    next session at its own instant, usually into the class it left.
+
+    Returns the completion order and the completion times.
+    """
+    env, pool, classes = _build_pool(pool_cls)
+    rng = spawn_rngs(seed, 1)[0]
+    sessions = []
+    prev = int(rng.integers(len(classes)))
+    for _ in range(n_sessions):
+        if rng.random() < 0.3:
+            prev = int(rng.integers(len(classes)))
+        sessions.append((classes[prev], float(rng.uniform(5.0, 150.0))))
+    order = []
+    finished = {}
+    admitted = iter(range(n_sessions))
+
+    def admit():
+        i = next(admitted, None)
+        if i is None:
+            return
+        spec, work = sessions[i]
+        done = pool.submit(spec, work, name=f"m{i}")
+        done.callbacks.append(lambda _ev, name=f"m{i}": on_done(name))
+
+    def on_done(name):
+        order.append(name)
+        finished[name] = env.now
+        admit()  # same instant, before the pool settles
+
+    def opener():
+        for _ in range(n_open):
+            yield env.timeout(float(rng.exponential(0.4)))
+            admit()
+
+    env.process(opener())
+    env.run()
+    assert len(order) == n_sessions
+    return order, finished
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_closed_loop_matches_oracle(seed):
+    """Leave-and-rejoin at one instant settles once, and still serves
+    every member as the per-session solve does: same completion order,
+    times within 1e-9 relative (the settle drops zero-length banking
+    splits, so bits may differ)."""
+    oracle_order, oracle = _run_closed_loop(PerSessionPool, seed)
+    order, aggregate = _run_closed_loop(FlowClassPool, seed)
+    assert order == oracle_order
+    for name, at in oracle.items():
+        assert aggregate[name] == pytest.approx(at, rel=1e-9, abs=0.0)
+
+
+def test_same_instant_leave_and_rejoin_costs_no_solve():
+    """A member completes and a new one joins its class at that instant:
+    usage and cap end where they began, so no solve, no segment -- and
+    the new member, now the head, is still armed."""
+    env = Environment()
+    sched = FluidScheduler(env)
+    wan = sched.add_resource(FluidResource("wan", 100.0))
+    pool = FlowClassPool(env, sched)
+    bulk = FlowClass("bulk", {wan: 1.0})
+    rejoined = []
+
+    def rejoin(_ev):
+        rejoined.append(pool.submit(bulk, 40.0, name="m2"))
+
+    pool.submit(bulk, 10.0, name="m0").callbacks.append(rejoin)
+    pool.submit(bulk, 100.0, name="m1")
+    env.run(until=0.1)
+    solves = sched.stats.components_solved
+    segments = pool.stats.disaggregations
+    env.run(until=0.5)  # m0 leaves and m2 joins at t=0.2
+    assert len(rejoined) == 1 and pool.active_members("bulk") == 2
+    assert sched.stats.components_solved == solves
+    assert pool.stats.disaggregations == segments
+    assert pool.class_rate("bulk") == 50.0
+    assert pool._next_wake == 0.2 + 40.0 / 50.0
+    env.run()
+    assert rejoined[0].value == 0.2 + 40.0 / 50.0
+
+
+def test_two_classes_on_one_resource_settle_in_one_solve():
+    """Joins to two live classes sharing a resource, at one instant,
+    are handed to the allocator together: one solve, not two."""
+    env, pool, classes = _build_pool()
+    bulk, interactive, _local = classes
+    pool.submit(bulk, 500.0, name="b0")
+    pool.submit(interactive, 500.0, name="i0")
+    env.run(until=1.0)
+    solves = pool.sched.stats.components_solved
+    pool.submit(bulk, 500.0, name="b1")
+    pool.submit(interactive, 500.0, name="i1")
+    assert pool.sched.stats.components_solved == solves  # both pending
+    env.run(until=1.5)
+    assert pool.sched.stats.components_solved == solves + 1
+    assert pool.class_rate("bulk") == pool.class_rate("interactive") == 25.0

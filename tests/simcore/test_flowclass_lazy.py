@@ -203,7 +203,12 @@ def test_drained_class_starts_a_fresh_log():
 # ---------------------------------------------------------------------------
 
 def test_rate_change_folds_the_head_only():
-    """N rate changes on a 200-member class cost N fold steps, not 200 N."""
+    """N rate changes on a 200-member class cost N fold steps, not 200 N.
+
+    Membership settles once per instant, so the N joins that drive the
+    N changes are spread over N instants; joins at one instant would
+    close one segment between them.
+    """
     env = Environment()
     sched = FluidScheduler(env)
     wan = sched.add_resource(FluidResource("wan", 1000.0))
@@ -215,19 +220,25 @@ def test_rate_change_folds_the_head_only():
     for i in range(200):
         pool.submit(big, 1e6 + i, name=f"b{i}")
     pool.submit(pinned, 1e9, name="p0")
+    env.run(until=0.5)
+    # ``big`` activated (segment 1), lost 1.0 to ``p0`` (2), and took
+    # its 199 other members in at the end of t=0 (3).
+    assert len(pool._classes["big"].seg_prod) == 3
     before = pool.stats.to_dict()
     n = 25
     for i in range(1, n + 1):
+        env.run(until=float(i))
         pool.submit(pinned, 1e9, name=f"p{i}")
+    env.run(until=n + 1.0)
     after = pool.stats.to_dict()
     assert after["disaggregations"] - before["disaggregations"] == n
     assert after["fold_steps"] - before["fold_steps"] == n
     assert after["replays"] - before["replays"] == n
     order = pool._classes["big"].order
     assert order[0][2].name == "b0"
-    assert order[0][2].seen == len(pool._classes["big"].seg_prod) == 201 + n
-    # Nobody else was touched since joining.
-    assert sorted(m.seen for _t, _s, m in order[1:]) == list(range(1, 200))
+    assert order[0][2].seen == len(pool._classes["big"].seg_prod) == 3 + n
+    # Nobody else was touched since joining, right after segment 1.
+    assert [m.seen for _t, _s, m in order[1:]] == [1] * 199
 
 
 def test_stats_to_dict_carries_every_field():

@@ -10,7 +10,7 @@ from repro.simcore import (
     FluidScheduler,
     FluidTask,
 )
-from repro.simcore.events import Interrupt
+from repro.simcore.events import Interrupt, SimulationError
 
 
 def make_sched(*resources):
@@ -285,3 +285,42 @@ def test_equal_work_equal_finish(works):
     env.run()
     finishes = {round(t.finish_time, 9) for t in tasks}
     assert len(finishes) == 1
+
+
+def test_set_usage_batch_is_one_solve():
+    env, sched, wan, edge = make_sched(("wan", 100.0), ("edge", 60.0))
+    a = FluidTask("a", work=1e3, usage={wan: 1.0})
+    b = FluidTask("b", work=1e3, usage={wan: 1.0, edge: 1.0})
+    sched.submit(a)
+    sched.submit(b)
+    solves = sched.stats.components_solved
+    sched.set_usage([(a, {wan: 3.0}), (b, {wan: 1.0, edge: 2.0})])
+    assert sched.stats.components_solved == solves + 1
+    assert a.rate == b.rate == 25.0
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        ("footprint", SimulationError),  # b gains a positive resource
+        ("negative", ValueError),  # a zero coefficient goes negative
+    ],
+)
+def test_refused_set_usage_batch_changes_nothing(bad, error):
+    """Every pair is validated before any task is touched."""
+    env, sched, wan, edge = make_sched(("wan", 100.0), ("edge", 60.0))
+    a = FluidTask("a", work=1e3, usage={wan: 1.0})
+    b = FluidTask("b", work=1e3, usage={wan: 1.0, edge: 0.0})
+    sched.submit(a)
+    sched.submit(b)
+    before = {t.name: dict(t.usage) for t in (a, b)}
+    rates = (a.rate, b.rate)
+    solves = sched.stats.components_solved
+    b_usage = (
+        {wan: 1.0, edge: 1.0} if bad == "footprint" else {wan: 1.0, edge: -1.0}
+    )
+    with pytest.raises(error):
+        sched.set_usage([(a, {wan: 2.0}), (b, b_usage)])
+    assert {t.name: t.usage for t in (a, b)} == before
+    assert (a.rate, b.rate) == rates
+    assert sched.stats.components_solved == solves
