@@ -26,7 +26,7 @@ buffer, the staged-pipeline credits, the live-mode locks).
 """
 
 from repro.analysis.findings import CATEGORY_TAGS, Finding, SanitizerReport
-from repro.analysis.lint import lint_file, lint_source, run_lint
+from repro.analysis.lint import lint_source, run_lint
 from repro.analysis.staticbase import CheckFinding
 from repro.analysis.check import CheckResult, run_check
 from repro.analysis.sanitizer import SimSanitizer, attach_sanitizer
@@ -52,7 +52,6 @@ __all__ = [
     "thread_sanitizer",
     "named_lock",
     "lint_source",
-    "lint_file",
     "run_lint",
     "CheckFinding",
     "CheckResult",

@@ -42,7 +42,6 @@ from repro.netlogger.events import TAG_PREFIXES, declared_tags
 __all__ = [
     "SIM_ONLY_PACKAGES",
     "default_target",
-    "lint_file",
     "lint_source",
     "rules",
     "run_lint",
@@ -248,7 +247,3 @@ def lint_source(source: str, path: str) -> List[CheckFinding]:
     """Lint one module's source text."""
     return run_rules([path], [rules], syntax_code="VIS100", source=source)[0]
 
-
-def lint_file(path: str) -> List[CheckFinding]:
-    """Lint one file on disk."""
-    return run_lint([path])

@@ -19,8 +19,8 @@ Components:
 """
 
 from repro.ibravr.axis import AxisChoice, best_view_axis, off_axis_angle
-from repro.ibravr.slabs import slab_base_quad, slab_depth_key, slab_quad_mesh
-from repro.ibravr.compositor import IbravrModel, TiledCompositor
+from repro.ibravr.slabs import slab_base_quad, slab_quad_mesh
+from repro.ibravr.compositor import IbravrModel
 from repro.ibravr.artifacts import artifact_error, artifact_sweep
 
 __all__ = [
@@ -28,10 +28,8 @@ __all__ = [
     "best_view_axis",
     "off_axis_angle",
     "slab_base_quad",
-    "slab_depth_key",
     "slab_quad_mesh",
     "IbravrModel",
-    "TiledCompositor",
     "artifact_error",
     "artifact_sweep",
 ]

@@ -8,25 +8,18 @@ interactive.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.ibravr.axis import AxisChoice, best_view_axis
-from repro.ibravr.slabs import make_slab_quad, slab_depth_key
+from repro.ibravr.slabs import make_slab_quad
 from repro.scenegraph.camera import Camera
 from repro.scenegraph.geometry import LineSet
 from repro.scenegraph.node import Group
 from repro.scenegraph.raster import render as raster_render
 from repro.scenegraph.texture import Texture2D
-from repro.volren.compositing import composite_stack
 from repro.volren.renderer import SlabRendering
-from repro.volren.tiles import (
-    TileGrid,
-    assemble_frame,
-    slab_view_order,
-    tile_content_hash,
-)
 
 
 class IbravrModel:
@@ -107,79 +100,3 @@ class IbravrModel:
             raise RuntimeError("no slab renderings received yet")
         return raster_render(self.root, camera, width, height)
 
-
-class TiledCompositor:
-    """Owner-style per-tile depth compositing of slab renderings.
-
-    The Distributed FrameBuffer counterpart of whole-image slab
-    compositing: every slab layer is cut into a fixed tile grid, each
-    tile's stack is composited independently in slab depth order, and
-    the tiles are pasted back into the frame. Because *over* is
-    per-pixel and both paths sort by :func:`slab_depth_key`, the
-    result is bitwise identical to compositing the whole images.
-
-    Per-tile content hashes from the previous update are kept so the
-    compositor doubles as the delta-transmission oracle: ``changed`` /
-    ``unchanged`` count how many tiles would need re-sending versus a
-    reference after each update.
-    """
-
-    def __init__(self, grid: TileGrid):
-        self.grid = grid
-        self._hashes: Dict[int, bytes] = {}
-        self.updates = 0
-        #: tiles whose content differed from the previous update
-        self.changed = 0
-        #: tiles identical to the previous update (delta candidates)
-        self.unchanged = 0
-
-    def _ordered_images(
-        self, renderings: Sequence[SlabRendering]
-    ) -> List[np.ndarray]:
-        renderings = list(renderings)
-        if not renderings:
-            raise ValueError("need at least one slab rendering")
-        axes = {r.axis for r in renderings}
-        flips = {r.flip for r in renderings}
-        if len(axes) != 1 or len(flips) != 1:
-            raise ValueError(
-                f"mixed slab axes/flips in one update: {axes}/{flips}"
-            )
-        expected = (self.grid.height, self.grid.width)
-        for r in renderings:
-            if r.image.shape[:2] != expected:
-                raise ValueError(
-                    f"slab {r.rank} image {r.image.shape[:2]} != "
-                    f"viewport {expected}"
-                )
-        depths = [
-            slab_depth_key(r.slab_lo, r.slab_hi, r.axis)
-            for r in renderings
-        ]
-        order = slab_view_order(depths, flip=renderings[0].flip)
-        return [renderings[i].image for i in order]
-
-    def composite_whole(
-        self, renderings: Sequence[SlabRendering]
-    ) -> np.ndarray:
-        """The slab-mode reference: whole-image back-to-front *over*."""
-        images = self._ordered_images(renderings)
-        return composite_stack(images, front_to_back=False)
-
-    def composite(self, renderings: Sequence[SlabRendering]) -> np.ndarray:
-        """Composite per tile and reassemble; updates delta counters."""
-        images = self._ordered_images(renderings)
-        tiles: Dict[int, np.ndarray] = {}
-        for tid in range(self.grid.n_tiles):
-            x0, y0, x1, y1 = self.grid.tile_rect(tid)
-            crops = [img[y0:y1, x0:x1] for img in images]
-            tile = composite_stack(crops, front_to_back=False)
-            digest = tile_content_hash(tile)
-            if self._hashes.get(tid) == digest:
-                self.unchanged += 1
-            else:
-                self.changed += 1
-            self._hashes[tid] = digest
-            tiles[tid] = tile
-        self.updates += 1
-        return assemble_frame(self.grid, tiles)

@@ -59,29 +59,6 @@ def slab_base_quad(
     )
 
 
-def slab_depth_key(
-    slab_lo: Tuple[float, float, float],
-    slab_hi: Tuple[float, float, float],
-    axis: int,
-) -> float:
-    """Composite-order depth of a slab: its center along the view axis.
-
-    Both the whole-image and the per-tile composite paths sort slabs
-    by this key (via :func:`repro.volren.tiles.slab_view_order`), so
-    the two paths replay the identical Porter-Duff order and stay
-    bitwise equal.
-    """
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    lo = np.asarray(slab_lo, dtype=np.float64)
-    hi = np.asarray(slab_hi, dtype=np.float64)
-    if lo.shape != (3,) or hi.shape != (3,):
-        raise ValueError("slab_lo/slab_hi must be 3-vectors")
-    if np.any(hi <= lo):
-        raise ValueError(f"empty slab lo={slab_lo} hi={slab_hi}")
-    return float((lo[axis] + hi[axis]) / 2.0)
-
-
 def slab_quad_mesh(
     slab_lo: Tuple[float, float, float],
     slab_hi: Tuple[float, float, float],

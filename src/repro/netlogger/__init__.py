@@ -32,7 +32,7 @@ from repro.netlogger.events import (
 from repro.netlogger.logger import NetLogger
 from repro.netlogger.daemon import NetLogDaemon
 from repro.netlogger.analysis import EventLog, Span
-from repro.netlogger.nlv import lifeline_plot, series_plot, span_gantt
+from repro.netlogger.nlv import lifeline_plot, series_plot
 from repro.netlogger.skew import causality_violations, correct_skew, estimate_offsets
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "Span",
     "lifeline_plot",
     "series_plot",
-    "span_gantt",
     "causality_violations",
     "correct_skew",
     "estimate_offsets",

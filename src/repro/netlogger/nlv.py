@@ -142,58 +142,3 @@ def series_plot(
     lines.append(f" x: [{x_lo:.3g}, {x_hi:.3g}]")
     return "\n".join(lines)
 
-
-def span_gantt(
-    log: EventLog,
-    *,
-    width: int = 100,
-) -> str:
-    """Gantt-style span chart: per-rank bars for L and R.
-
-    Rows are (rank, activity) pairs; bars span BE_LOAD (``=``) and
-    BE_RENDER (``#``) intervals. This is the reading the paper does of
-    Figures 12-17 ("the time spent in each PE performing rendering
-    ... and loading data") made explicit.
-    """
-    if width < 30:
-        raise ValueError("width must be >= 30")
-    span_sets = [
-        ("load", "=", log.load_spans()),
-        ("render", "#", log.render_spans()),
-    ]
-    all_spans = [s for _, _, spans in span_sets for s in spans]
-    if not all_spans:
-        return "(no spans)"
-    t0 = min(s.start for s in all_spans)
-    t1 = max(s.end for s in all_spans)
-    extent = max(t1 - t0, 1e-9)
-
-    ranks = sorted(
-        {s.rank for s in all_spans if s.rank is not None},
-        key=lambda r: (r is None, r),
-    )
-    if not ranks:
-        ranks = [None]
-    label_width = max(len(f"pe{r} render") for r in ranks) + 1
-    plot_width = width - label_width - 1
-
-    lines = []
-    for rank in ranks:
-        for name, glyph, spans in span_sets:
-            row = [" "] * plot_width
-            for s in spans:
-                if s.rank != rank:
-                    continue
-                lo = int((s.start - t0) / extent * (plot_width - 1))
-                hi = int((s.end - t0) / extent * (plot_width - 1))
-                for c in range(lo, max(hi, lo) + 1):
-                    row[c] = glyph
-            label = f"pe{rank} {name}" if rank is not None else name
-            lines.append(f"{label:>{label_width}}|{''.join(row)}")
-    lines.append(f"{'':>{label_width}}+{'-' * plot_width}")
-    lines.append(
-        f"{'':>{label_width}} {t0:<10.2f}"
-        f"{'time/sec (= load, # render)':^{max(plot_width - 22, 10)}}"
-        f"{t1:>10.2f}"
-    )
-    return "\n".join(lines)

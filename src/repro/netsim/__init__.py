@@ -14,9 +14,9 @@ models all of them:
 - :class:`~repro.netsim.topology.Network` -- hosts + links + routes;
   owns the :class:`~repro.simcore.fluid.FluidScheduler`.
 - :class:`~repro.netsim.tcp.TcpConnection` -- slow start, window/RTT
-  rate caps, persistent congestion state across sends.
-- :class:`~repro.netsim.striped.StripedConnection` -- the parallel
-  striped-socket transport Visapult uses between back end and viewer.
+  rate caps, persistent congestion state across sends. The paper's
+  striped sockets are one such connection per back-end PE (see
+  :meth:`~repro.viewer.sim.SimViewer.register_pe`).
 - :func:`~repro.netsim.iperf.iperf` -- the bulk-throughput probe the
   paper compares against.
 """
@@ -26,7 +26,6 @@ from repro.netsim.host import Host
 from repro.netsim.sites import SiteFabric
 from repro.netsim.topology import Network, Route
 from repro.netsim.tcp import TcpConnection, TcpParams, TransferStats
-from repro.netsim.striped import StripedConnection
 from repro.netsim.iperf import IperfResult, iperf
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "TcpConnection",
     "TcpParams",
     "TransferStats",
-    "StripedConnection",
     "IperfResult",
     "iperf",
 ]

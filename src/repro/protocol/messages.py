@@ -30,6 +30,23 @@ _TILE_HEAD = struct.Struct("!IIIIIIIB")
 _STRIPE_HEAD = struct.Struct("!IIHHBI")
 
 
+def _unpack(
+    head: struct.Struct, body: bytes, what: str, *, exact: bool = False
+) -> tuple:
+    """Unpack ``head`` from the front of ``body`` (all of it if ``exact``).
+
+    A body of the wrong size raises ``ValueError`` naming the message and
+    both sizes; ``struct.error`` is not a ``ValueError``, and hostile wire
+    input must raise nothing else.
+    """
+    if len(body) < head.size or (exact and len(body) != head.size):
+        raise ValueError(
+            f"{what} body must be {'' if exact else 'at least '}"
+            f"{head.size} bytes, got {len(body)}"
+        )
+    return head.unpack_from(body)
+
+
 @dataclass(frozen=True)
 class ConfigMessage:
     """The initial config exchange (Figure 18: "Exchange Config Data")."""
@@ -45,7 +62,9 @@ class ConfigMessage:
 
     @classmethod
     def decode(cls, body: bytes) -> "ConfigMessage":
-        n_pes, n_steps, sx, sy, sz, _pad = _CONFIG.unpack(body)
+        n_pes, n_steps, sx, sy, sz, _pad = _unpack(
+            _CONFIG, body, "config", exact=True
+        )
         return cls(n_pes=n_pes, n_timesteps=n_steps, shape=(sx, sy, sz))
 
 
@@ -76,7 +95,7 @@ class LightPayload:
 
     @classmethod
     def decode(cls, body: bytes) -> "LightPayload":
-        vals = _LIGHT.unpack(body)
+        vals = _unpack(_LIGHT, body, "light payload", exact=True)
         return cls(
             rank=vals[0],
             frame=vals[1],
@@ -148,8 +167,8 @@ class HeavyPayload:
     @classmethod
     def decode(cls, body: bytes) -> "HeavyPayload":
         head_size = _HEAVY_HEAD.size
-        rank, frame, h, w, has_depth, n_grid, _ = _HEAVY_HEAD.unpack(
-            body[:head_size]
+        rank, frame, h, w, has_depth, n_grid, _ = _unpack(
+            _HEAVY_HEAD, body, "heavy payload"
         )
         offset = head_size
         tex_bytes = h * w * 4
@@ -223,7 +242,7 @@ class TilePayload:
     #: tile extent in pixels
     height: int
     width: int
-    #: ``TILE_HASH_BYTES`` content digest (see ``tile_content_hash``)
+    #: a ``TILE_HASH_BYTES`` content digest
     content_hash: bytes
     #: RGBA8 (height, width, 4) pixels, or None for a reference
     texture: Optional[np.ndarray] = None
@@ -281,8 +300,8 @@ class TilePayload:
         cls, body: bytes, *, grid: Optional[TileGrid] = None
     ) -> "TilePayload":
         head_size = _TILE_HEAD.size
-        rank, frame, tile_id, x0, y0, h, w, flags = _TILE_HEAD.unpack(
-            body[:head_size]
+        rank, frame, tile_id, x0, y0, h, w, flags = _unpack(
+            _TILE_HEAD, body, "tile payload"
         )
         if flags & ~_TILE_FLAGS_KNOWN:
             raise ValueError(f"unknown tile flags 0x{flags:02x}")
@@ -409,8 +428,8 @@ class StripePayload:
         cls, body: bytes, *, stripe_map: Optional["StripeMap"] = None
     ) -> "StripePayload":
         head_size = _STRIPE_HEAD.size
-        block_id, stripe, n_data, n_parity, flags, length = (
-            _STRIPE_HEAD.unpack(body[:head_size])
+        block_id, stripe, n_data, n_parity, flags, length = _unpack(
+            _STRIPE_HEAD, body, "stripe payload"
         )
         if flags & ~_STRIPE_FLAGS_KNOWN:
             raise ValueError(f"unknown stripe flags 0x{flags:02x}")
@@ -498,7 +517,7 @@ class AxisFeedback:
 
     @classmethod
     def decode(cls, body: bytes) -> "AxisFeedback":
-        frame, axis, flip = _AXIS.unpack(body)
+        frame, axis, flip = _unpack(_AXIS, body, "axis feedback", exact=True)
         return cls(frame=frame, axis=axis, flip=flip)
 
 

@@ -5,11 +5,11 @@ of specialized data structures and associated services that provide
 management of displayable data and rendering services" (section 3.1).
 It supports the primitive classes the paper lists -- textured
 quads/meshes for IBRAVR imagery, line sets for AMR grid geometry --
-plus hierarchical transforms, cameras, and semaphore-protected
-asynchronous updates (one render thread, many I/O threads).
+plus cameras and semaphore-protected asynchronous updates (one render
+thread, many I/O threads).
 """
 
-from repro.scenegraph.node import Group, Node, Transform
+from repro.scenegraph.node import Group, Node
 from repro.scenegraph.geometry import LineSet, QuadMesh, TexturedQuad
 from repro.scenegraph.texture import Texture2D
 from repro.scenegraph.camera import Camera
@@ -19,7 +19,6 @@ from repro.scenegraph.locks import SceneLock
 __all__ = [
     "Group",
     "Node",
-    "Transform",
     "LineSet",
     "QuadMesh",
     "TexturedQuad",

@@ -11,9 +11,9 @@ class Camera:
     """An orthographic look-at camera.
 
     ``extent`` is the world-space height visible in the image; the
-    width scales by the viewport aspect ratio at render time. The
-    viewer's trackball interaction orbits this camera around the model
-    (IBRAVR needs only direction changes, not perspective).
+    width scales by the viewport aspect ratio at render time. A viewer
+    rotates the model by orbiting this camera (:meth:`orbit`); IBRAVR
+    needs only direction changes, not perspective.
     """
 
     def __init__(

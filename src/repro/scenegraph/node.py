@@ -1,4 +1,4 @@
-"""Scene graph nodes and hierarchical transforms."""
+"""Scene graph nodes and the point transform the rasterizer applies."""
 
 from __future__ import annotations
 
@@ -61,59 +61,6 @@ class Node:
 
 class Group(Node):
     """A pure grouping node."""
-
-
-class Transform(Node):
-    """A node applying an explicit 4x4 matrix to its subtree."""
-
-    def __init__(self, name: str = "", matrix: Optional[np.ndarray] = None):
-        super().__init__(name)
-        self._matrix = np.eye(4) if matrix is None else np.asarray(matrix, float)
-        if self._matrix.shape != (4, 4):
-            raise ValueError(f"matrix must be 4x4, got {self._matrix.shape}")
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The local matrix (assignable)."""
-        return self._matrix
-
-    @matrix.setter
-    def matrix(self, value: np.ndarray) -> None:
-        value = np.asarray(value, float)
-        if value.shape != (4, 4):
-            raise ValueError(f"matrix must be 4x4, got {value.shape}")
-        self._matrix = value
-
-    def local_matrix(self) -> np.ndarray:
-        return self._matrix
-
-    # -- convenience constructors ------------------------------------
-    @staticmethod
-    def translation(tx: float, ty: float, tz: float) -> "Transform":
-        """Transform node translating by (tx, ty, tz)."""
-        m = np.eye(4)
-        m[:3, 3] = (tx, ty, tz)
-        return Transform(matrix=m)
-
-    @staticmethod
-    def rotation(axis: int, angle_rad: float) -> "Transform":
-        """Transform node rotating about a principal axis."""
-        if axis not in (0, 1, 2):
-            raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-        c, s = np.cos(angle_rad), np.sin(angle_rad)
-        m = np.eye(4)
-        i, j = [(1, 2), (0, 2), (0, 1)][axis]
-        m[i, i] = c
-        m[j, j] = c
-        m[i, j] = -s if axis != 1 else s
-        m[j, i] = s if axis != 1 else -s
-        return Transform(matrix=m)
-
-    @staticmethod
-    def scaling(sx: float, sy: float, sz: float) -> "Transform":
-        """Transform node scaling each axis."""
-        m = np.diag([sx, sy, sz, 1.0])
-        return Transform(matrix=m)
 
 
 def transform_points(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -24,7 +24,6 @@ from repro.simcore.events import (
 )
 from repro.simcore.process import Process
 from repro.simcore.env import Environment
-from repro.simcore.resources import Container, Resource, Store
 from repro.simcore.sync import SimBarrier, SimSemaphore
 from repro.simcore.fairshare import FlowSpec, ResourceSpec, max_min_allocation
 from repro.simcore.fluid import (
@@ -55,9 +54,6 @@ __all__ = [
     "Timeout",
     "Process",
     "Environment",
-    "Container",
-    "Resource",
-    "Store",
     "SimBarrier",
     "SimSemaphore",
     "FlowSpec",

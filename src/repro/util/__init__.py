@@ -13,20 +13,14 @@ from repro.util.units import (
     OC192,
     FAST_ETHERNET,
     GIGABIT_ETHERNET,
-    bits_to_bytes,
-    bytes_to_bits,
     mbps,
     bytes_per_sec_to_mbps,
-    fmt_bytes,
-    fmt_rate,
     fmt_seconds,
 )
 from repro.util.validation import (
     check_positive,
     check_non_negative,
     check_in_range,
-    check_type,
-    check_one_of,
 )
 from repro.util.rng import make_rng, spawn_rngs
 
@@ -43,18 +37,12 @@ __all__ = [
     "OC192",
     "FAST_ETHERNET",
     "GIGABIT_ETHERNET",
-    "bits_to_bytes",
-    "bytes_to_bits",
     "mbps",
     "bytes_per_sec_to_mbps",
-    "fmt_bytes",
-    "fmt_rate",
     "fmt_seconds",
     "check_positive",
     "check_non_negative",
     "check_in_range",
-    "check_type",
-    "check_one_of",
     "make_rng",
     "spawn_rngs",
 ]

@@ -1,7 +1,7 @@
-"""Minimal image output: PPM/PGM writers for examples and debugging.
+"""Minimal image output: a PPM writer for examples and debugging.
 
-PPM/PGM are header-plus-raw-bytes formats writable without any imaging
-dependency; every image viewer (and ImageMagick) reads them.
+PPM is a header-plus-raw-bytes format writable without any imaging
+dependency; every image viewer (and ImageMagick) reads it.
 """
 
 from __future__ import annotations
@@ -41,20 +41,4 @@ def save_ppm(path: str, image: np.ndarray, background=(0.0, 0.0, 0.0)) -> str:
     with open(path, "wb") as f:
         f.write(f"P6\n{w} {h}\n255\n".encode())
         f.write(np.ascontiguousarray(rgb).tobytes())
-    return path
-
-
-def save_pgm(path: str, gray: np.ndarray) -> str:
-    """Write a single-channel float [0,1] or uint8 image as PGM."""
-    gray = np.asarray(gray)
-    if gray.ndim != 2:
-        raise ValueError(f"gray image must be 2-D, got shape {gray.shape}")
-    if gray.dtype != np.uint8:
-        gray = (np.clip(gray.astype(np.float64), 0.0, 1.0) * 255.0 + 0.5).astype(
-            np.uint8
-        )
-    h, w = gray.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode())
-        f.write(np.ascontiguousarray(gray).tobytes())
     return path

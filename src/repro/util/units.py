@@ -40,16 +40,6 @@ def bytes_per_sec_to_mbps(value: float) -> float:
     return value * BITS_PER_BYTE / 1_000_000.0
 
 
-def bits_to_bytes(value: float) -> float:
-    """Convert a size in bits to bytes."""
-    return value / BITS_PER_BYTE
-
-
-def bytes_to_bits(value: float) -> float:
-    """Convert a size in bytes to bits."""
-    return value * BITS_PER_BYTE
-
-
 # -- link rates (bytes/second) ---------------------------------------
 OC3 = mbps(155.0)
 OC12 = mbps(622.0)
@@ -57,22 +47,6 @@ OC48 = mbps(2488.0)
 OC192 = mbps(9953.0)
 FAST_ETHERNET = mbps(100.0)
 GIGABIT_ETHERNET = mbps(1000.0)
-
-
-def fmt_bytes(n: float) -> str:
-    """Human-readable size, decimal units (matches the paper's usage)."""
-    if n >= GB:
-        return f"{n / GB:.2f} GB"
-    if n >= MB:
-        return f"{n / MB:.1f} MB"
-    if n >= KB:
-        return f"{n / KB:.1f} KB"
-    return f"{n:.0f} B"
-
-
-def fmt_rate(bytes_per_sec: float) -> str:
-    """Human-readable rate in Mbps (the paper's reporting unit)."""
-    return f"{bytes_per_sec_to_mbps(bytes_per_sec):.1f} Mbps"
 
 
 def fmt_seconds(t: float) -> str:

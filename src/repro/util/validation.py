@@ -7,8 +7,6 @@ the event loop.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Tuple, Type, Union
-
 
 def check_positive(name: str, value: float) -> float:
     """Require ``value > 0``; return it for chaining."""
@@ -34,27 +32,4 @@ def check_in_range(
         raise ValueError(
             f"{name} must be in {bracket[0]}{lo}, {hi}{bracket[1]}, got {value!r}"
         )
-    return value
-
-
-def check_type(
-    name: str, value: Any, types: Union[Type, Tuple[Type, ...]]
-) -> Any:
-    """Require ``isinstance(value, types)``; return the value."""
-    if not isinstance(value, types):
-        if isinstance(types, tuple):
-            expected = ", ".join(t.__name__ for t in types)
-        else:
-            expected = types.__name__
-        raise TypeError(
-            f"{name} must be of type {expected}, got {type(value).__name__}"
-        )
-    return value
-
-
-def check_one_of(name: str, value: Any, allowed: Iterable[Any]) -> Any:
-    """Require ``value`` to be a member of ``allowed``; return it."""
-    allowed = tuple(allowed)
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {allowed!r}, got {value!r}")
     return value

@@ -8,8 +8,12 @@ provides:
 - :mod:`~repro.volren.compositing` -- Porter-Duff *over* compositing
   (the ordered recombination step of object-order parallel volume
   rendering, section 3.2);
-- :mod:`~repro.volren.decomposition` -- slab, shaft and block domain
-  decompositions (Figure 4);
+- :mod:`~repro.volren.decomposition` -- the slab domain decomposition
+  (Figure 4);
+- :mod:`~repro.volren.imageorder` -- the image-order screen-tile
+  baseline of section 3.2;
+- :mod:`~repro.volren.tiles` -- the fixed screen-tile grid and
+  tile-change model behind tile-routed delivery;
 - :mod:`~repro.volren.raycast` -- axis-aligned slab rendering (the
   IBRAVR source-image generator) and an arbitrary-angle ground-truth
   ray caster used to quantify IBR artifacts;
@@ -18,67 +22,36 @@ provides:
 """
 
 from repro.volren.transfer import TransferFunction
-from repro.volren.compositing import (
-    composite_over,
-    composite_stack,
-    composite_tiled,
-)
-from repro.volren.decomposition import (
-    SubVolume,
-    block_decompose,
-    decompose,
-    shaft_decompose,
-    slab_decompose,
-)
+from repro.volren.compositing import composite_over, composite_stack
+from repro.volren.decomposition import SubVolume, slab_decompose
 from repro.volren.imageorder import (
     ScreenTile,
-    assemble_tiles,
     redistribution_voxels,
     render_tile,
-    screen_tiles_from_grid,
     tile_data_bounds,
     tile_decompose,
     work_imbalance,
 )
 from repro.volren.raycast import render_slab, render_view
 from repro.volren.renderer import RenderCostModel, VolumeRenderer
-from repro.volren.tiles import (
-    TileGrid,
-    assemble_frame,
-    slab_view_order,
-    split_tiles,
-    tile_changed,
-    tile_content_hash,
-    tile_version,
-)
+from repro.volren.tiles import TileGrid, tile_changed
 
 __all__ = [
     "TransferFunction",
     "composite_over",
     "composite_stack",
     "SubVolume",
-    "block_decompose",
-    "decompose",
-    "shaft_decompose",
     "slab_decompose",
     "render_slab",
     "render_view",
     "ScreenTile",
-    "assemble_tiles",
     "redistribution_voxels",
     "render_tile",
-    "screen_tiles_from_grid",
     "tile_data_bounds",
     "tile_decompose",
     "work_imbalance",
     "RenderCostModel",
     "VolumeRenderer",
     "TileGrid",
-    "assemble_frame",
-    "composite_tiled",
-    "slab_view_order",
-    "split_tiles",
     "tile_changed",
-    "tile_content_hash",
-    "tile_version",
 ]

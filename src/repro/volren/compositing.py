@@ -13,12 +13,9 @@ as the order is respected.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.volren.tiles import TileGrid
 
 
 def _check_image(img: np.ndarray, name: str) -> np.ndarray:
@@ -58,49 +55,3 @@ def composite_stack(
         out = composite_over(out, img)
     return out
 
-
-def composite_tiled(
-    images: Sequence[np.ndarray],
-    grid: "TileGrid",
-    *,
-    front_to_back: bool = True,
-) -> np.ndarray:
-    """Composite a stack per screen tile and reassemble the frame.
-
-    *over* is a per-pixel operator, so cutting every layer into the
-    same fixed tile grid, compositing each tile's stack independently
-    (in the same order), and pasting the tiles back together is
-    bitwise identical to whole-image compositing. This is the property
-    the tile-routed transport relies on for pixel parity with slab
-    mode.
-    """
-    from repro.volren.tiles import assemble_frame, split_tiles
-
-    if not images:
-        raise ValueError("empty image stack")
-    layers = [split_tiles(grid, _check_image(img, "image")) for img in images]
-    tiles = {
-        tid: composite_stack(
-            [layer[tid] for layer in layers], front_to_back=front_to_back
-        )
-        for tid in range(grid.n_tiles)
-    }
-    return assemble_frame(grid, tiles)
-
-
-def premultiply(rgba: np.ndarray) -> np.ndarray:
-    """Convert straight-alpha RGBA to premultiplied."""
-    rgba = _check_image(rgba, "rgba")
-    out = rgba.copy()
-    out[..., :3] *= rgba[..., 3:4]
-    return out
-
-
-def unpremultiply(rgba: np.ndarray) -> np.ndarray:
-    """Convert premultiplied RGBA back to straight alpha."""
-    rgba = _check_image(rgba, "rgba")
-    out = rgba.copy()
-    alpha = rgba[..., 3:4]
-    nz = alpha[..., 0] > 1e-12
-    out[nz, :3] = rgba[nz, :3] / alpha[nz]
-    return out

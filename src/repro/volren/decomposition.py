@@ -1,10 +1,10 @@
-"""Slab, shaft and block domain decompositions (Figure 4).
+"""Slab domain decomposition (Figure 4).
 
 The Visapult back end partitions the source volume across PEs. The
-IBRAVR pipeline requires the *slab* decomposition (one image per slab
-becomes one viewer texture); shaft and block decompositions are
-provided for completeness and for the decomposition-communication
-trade-off analysis of section 3.2.
+IBRAVR pipeline requires the *slab* decomposition: one image per slab
+becomes one viewer texture. Figure 4's shaft and block alternatives
+are not modelled; ablation A2 compares slabs against the image-order
+tiles of :mod:`repro.volren.imageorder` instead.
 """
 
 from __future__ import annotations
@@ -78,93 +78,6 @@ def slab_decompose(
         lo[axis], hi[axis] = lo_a, hi_a
         out.append(SubVolume(rank, tuple(lo), tuple(hi)))
     return out
-
-
-def shaft_decompose(
-    shape: Tuple[int, int, int], nx: int, ny: int
-) -> List[SubVolume]:
-    """Shafts: a 2-D grid of cuts across the first two axes."""
-    _validate(shape, nx * ny)
-    if nx > shape[0] or ny > shape[1]:
-        raise ValueError("more shafts than cells along a cut axis")
-    out = []
-    rank = 0
-    for lo_x, hi_x in _axis_splits(shape[0], nx):
-        for lo_y, hi_y in _axis_splits(shape[1], ny):
-            out.append(
-                SubVolume(
-                    rank, (lo_x, lo_y, 0), (hi_x, hi_y, shape[2])
-                )
-            )
-            rank += 1
-    return out
-
-
-def block_decompose(
-    shape: Tuple[int, int, int], nx: int, ny: int, nz: int
-) -> List[SubVolume]:
-    """Blocks: a 3-D grid of cuts."""
-    _validate(shape, nx * ny * nz)
-    if nx > shape[0] or ny > shape[1] or nz > shape[2]:
-        raise ValueError("more blocks than cells along a cut axis")
-    out = []
-    rank = 0
-    for lo_x, hi_x in _axis_splits(shape[0], nx):
-        for lo_y, hi_y in _axis_splits(shape[1], ny):
-            for lo_z, hi_z in _axis_splits(shape[2], nz):
-                out.append(
-                    SubVolume(rank, (lo_x, lo_y, lo_z), (hi_x, hi_y, hi_z))
-                )
-                rank += 1
-    return out
-
-
-def decompose(
-    shape: Tuple[int, int, int],
-    n: int,
-    *,
-    strategy: str = "slab",
-    axis: int = 0,
-) -> List[SubVolume]:
-    """Dispatch on decomposition strategy name.
-
-    ``shaft``/``block`` require ``n`` to have an exact 2-D/3-D
-    factorisation; the squarest factorisation is chosen.
-    """
-    if strategy == "slab":
-        return slab_decompose(shape, n, axis=axis)
-    if strategy == "shaft":
-        fx, fy = _squarest_factors(n, 2)
-        return shaft_decompose(shape, fx, fy)
-    if strategy == "block":
-        fx, fy, fz = _squarest_factors(n, 3)
-        return block_decompose(shape, fx, fy, fz)
-    raise ValueError(f"unknown strategy {strategy!r}")
-
-
-def _squarest_factors(n: int, dims: int) -> Tuple[int, ...]:
-    """Factor ``n`` into ``dims`` integers as near-equal as possible."""
-    if dims == 2:
-        best = (1, n)
-        for a in range(1, int(np.sqrt(n)) + 1):
-            if n % a == 0:
-                best = (n // a, a)
-        return best
-    # dims == 3
-    best = (n, 1, 1)
-    score = float("inf")
-    for a in range(1, n + 1):
-        if n % a:
-            continue
-        for b in range(1, n // a + 1):
-            if (n // a) % b:
-                continue
-            c = n // a // b
-            spread = max(a, b, c) - min(a, b, c)
-            if spread < score:
-                score = spread
-                best = tuple(sorted((a, b, c), reverse=True))
-    return best
 
 
 def _validate(shape: Tuple[int, int, int], n: int) -> None:

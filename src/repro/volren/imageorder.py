@@ -20,12 +20,9 @@ redistribution volume, and load imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.volren.tiles import TileGrid
 
 from repro.scenegraph.camera import Camera
 from repro.volren.transfer import TransferFunction
@@ -50,27 +47,6 @@ class ScreenTile:
     @property
     def n_pixels(self) -> int:
         return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-
-def screen_tiles_from_grid(
-    grid: "TileGrid", n_owners: int
-) -> List[ScreenTile]:
-    """Bridge a fixed :class:`~repro.volren.tiles.TileGrid` into
-    image-order screen tiles.
-
-    Each grid tile becomes a :class:`ScreenTile` whose ``rank`` is the
-    tile's deterministic owner, so the image-order analysis machinery
-    (footprints, redistribution, imbalance) applies unchanged to the
-    owner-routed tile decomposition.
-    """
-    return [
-        ScreenTile(
-            rank=grid.owner_of(tid, n_owners),
-            x0=rect[0], x1=rect[2], y0=rect[1], y1=rect[3],
-        )
-        for tid in range(grid.n_tiles)
-        for rect in (grid.tile_rect(tid),)
-    ]
 
 
 def tile_decompose(width: int, height: int, n: int) -> List[ScreenTile]:
@@ -158,26 +134,6 @@ def render_tile(
         if float(transparency.max()) < 1e-4:
             break
     return accum
-
-
-def assemble_tiles(
-    tiles: List[ScreenTile],
-    images: List[np.ndarray],
-    width: int,
-    height: int,
-) -> np.ndarray:
-    """Paste tile images into the final frame -- no ordered compositing."""
-    if len(tiles) != len(images):
-        raise ValueError("one image per tile required")
-    frame = np.zeros((height, width, 4), dtype=np.float32)
-    for tile, img in zip(tiles, images):
-        expected = (tile.y1 - tile.y0, tile.x1 - tile.x0, 4)
-        if img.shape != expected:
-            raise ValueError(
-                f"tile {tile.rank} image shape {img.shape} != {expected}"
-            )
-        frame[tile.y0:tile.y1, tile.x0:tile.x1] = img
-    return frame
 
 
 def tile_data_bounds(

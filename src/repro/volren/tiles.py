@@ -4,26 +4,25 @@ The Distributed FrameBuffer design (Usher et al., PAPERS.md) replaces
 whole per-PE slab images with fixed-size screen tiles: every tile has
 a deterministic *owner* rank, per-PE fragments are routed to owners,
 and each owner depth-composites only its own tiles. This module is the
-pure-geometry core of that refactor:
+pure-geometry core of that design; :class:`repro.backend.tiles.TilePlan`
+routes the tiles:
 
 - :class:`TileGrid` -- a row-major grid of ``tile_size`` x ``tile_size``
   tiles over a ``width`` x ``height`` viewport (edge tiles may be
   smaller), with integer tile IDs and deterministic owner assignment;
-- :func:`split_tiles` / :func:`assemble_frame` -- lossless round trip
-  between a full image and its per-tile crops;
-- :func:`tile_content_hash` -- the digest used by delta transmission
-  ("unchanged since the last delivered frame -> send a reference");
-- :func:`tile_changed` / :func:`tile_version` -- a deterministic,
-  RNG-free model of which tiles change between timesteps, so the
-  simulated back end can exercise delta transmission without touching
-  the seeded random streams that pin ULM byte parity.
+- ``TILE_HASH_BYTES`` -- the width of the content digest a tile
+  reference carries on the wire;
+- :func:`tile_changed` -- a deterministic, RNG-free model of which
+  tiles change between timesteps, so the simulated back end can
+  exercise delta transmission without touching the seeded random
+  streams that pin ULM byte parity.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -149,59 +148,6 @@ class TileGrid:
         return tuple(range(self.n_tiles))
 
 
-def split_tiles(
-    grid: TileGrid, image: np.ndarray
-) -> Dict[int, np.ndarray]:
-    """Cut a full (H, W, 4) image into per-tile crops keyed by tile ID."""
-    image = np.asarray(image)
-    if image.shape[:2] != (grid.height, grid.width):
-        raise ValueError(
-            f"image shape {image.shape[:2]} != viewport "
-            f"({grid.height}, {grid.width})"
-        )
-    out: Dict[int, np.ndarray] = {}
-    for tid in range(grid.n_tiles):
-        x0, y0, x1, y1 = grid.tile_rect(tid)
-        out[tid] = image[y0:y1, x0:x1]
-    return out
-
-
-def assemble_frame(
-    grid: TileGrid, tiles: Mapping[int, np.ndarray]
-) -> np.ndarray:
-    """Paste per-tile crops back into a full (H, W, 4) frame.
-
-    Tiles absent from the mapping stay zero (fully transparent), which
-    is how a frustum-restricted viewer leaves off-screen tiles blank.
-    """
-    frame = np.zeros((grid.height, grid.width, 4), dtype=np.float32)
-    for tid, img in tiles.items():
-        x0, y0, x1, y1 = grid.tile_rect(tid)
-        expected = (y1 - y0, x1 - x0)
-        img = np.asarray(img)
-        if img.shape[:2] != expected:
-            raise ValueError(
-                f"tile {tid} crop shape {img.shape[:2]} != {expected}"
-            )
-        frame[y0:y1, x0:x1] = img
-    return frame
-
-
-def tile_content_hash(tile_image: np.ndarray) -> bytes:
-    """Content digest of one tile image (``TILE_HASH_BYTES`` bytes).
-
-    Delta transmission compares this digest against the last delivered
-    version of the same tile; a match means the viewer already holds
-    the pixels and only a reference needs to travel.
-    """
-    arr = np.ascontiguousarray(np.asarray(tile_image))
-    h = hashlib.blake2b(digest_size=TILE_HASH_BYTES)
-    h.update(str(arr.shape).encode("ascii"))
-    h.update(str(arr.dtype).encode("ascii"))
-    h.update(arr.tobytes())
-    return h.digest()
-
-
 def _change_draw(dataset: str, frame: int, tile_id: int) -> float:
     """Deterministic uniform draw in [0, 1) for one (frame, tile)."""
     h = hashlib.blake2b(
@@ -230,36 +176,3 @@ def tile_changed(
         return True
     return _change_draw(dataset, frame, tile_id) < change_fraction
 
-
-def tile_version(
-    dataset: str, frame: int, tile_id: int, change_fraction: float
-) -> int:
-    """Monotonic content version of a tile at ``frame``.
-
-    Version 1 is the initial content; each changed frame bumps it.
-    Two frames share a version exactly when no change occurred between
-    them, which is the delta-transmission reference condition.
-    """
-    if frame < 0:
-        raise ValueError(f"frame must be >= 0, got {frame}")
-    version = 1
-    for f in range(1, frame + 1):
-        if tile_changed(dataset, f, tile_id, change_fraction):
-            version += 1
-    return version
-
-
-def slab_view_order(
-    depths: Sequence[float], *, flip: bool = False
-) -> List[int]:
-    """Back-to-front composite order over per-slab view depths.
-
-    Returns indices sorted by depth (farthest first); ``flip``
-    reverses, mirroring the slab-axis sign convention used by the
-    whole-image path so tile-split compositing replays the exact same
-    order and stays bitwise identical.
-    """
-    order = sorted(range(len(depths)), key=lambda i: (depths[i], i))
-    if flip:
-        order.reverse()
-    return order

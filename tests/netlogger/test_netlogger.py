@@ -242,25 +242,3 @@ class TestNLV:
         with pytest.raises(ValueError):
             series_plot({"a": [(0, 0)]}, width=3)
 
-
-class TestSpanGantt:
-    def test_gantt_shows_load_and_render_bars(self):
-        from repro.netlogger import span_gantt
-
-        log = make_backend_log(n_frames=2, n_ranks=2)
-        plot = span_gantt(log, width=80)
-        assert "pe0 load" in plot or "pe0" in plot
-        assert "=" in plot and "#" in plot
-
-    def test_gantt_empty_log(self):
-        from repro.netlogger import span_gantt
-
-        assert span_gantt(EventLog([])) == "(no spans)"
-
-    def test_gantt_width_validation(self):
-        import pytest as _pytest
-
-        from repro.netlogger import span_gantt
-
-        with _pytest.raises(ValueError):
-            span_gantt(make_backend_log(), width=10)

@@ -1,4 +1,4 @@
-"""Tests for the TCP model, striped sockets and the iperf probe."""
+"""Tests for the TCP model and the iperf probe."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.netsim import (
     Host,
     Link,
     Network,
-    StripedConnection,
     TcpConnection,
     TcpParams,
     iperf,
@@ -168,40 +167,6 @@ def test_link_efficiency_limits_goodput():
     assert achieved == pytest.approx(0.70 * 622.0, rel=0.05)
 
 
-# ------------------------------------------------------------- striped
-def test_striped_send_aggregates_streams():
-    net = wan_net(rtt=0.050)
-    params = TcpParams(max_window=512 * KIB, slow_start=False)
-    striped = StripedConnection(net, "a", "b", n_stripes=8, params=params)
-    ev = striped.send(50 * MB)
-    net.run(until=ev)
-    agg = bytes_per_sec_to_mbps(ev.value.throughput)
-    single_cap = bytes_per_sec_to_mbps(512 * KIB / 0.050)
-    assert agg > 4 * single_cap
-    assert striped.total_delivered() == pytest.approx(50 * MB)
-
-
-def test_striped_validation():
-    net = lan_net()
-    with pytest.raises(ValueError):
-        StripedConnection(net, "a", "b", n_stripes=0)
-    striped = StripedConnection(net, "a", "b", n_stripes=2)
-    with pytest.raises(ValueError):
-        striped.send(0)
-
-
-def test_striped_single_stripe_equals_tcp():
-    net = lan_net()
-    striped = StripedConnection(
-        net, "a", "b", 1, TcpParams(slow_start=False)
-    )
-    ev = striped.send(10 * MB)
-    net.run(until=ev)
-    assert bytes_per_sec_to_mbps(ev.value.throughput) == pytest.approx(
-        1000.0, rel=0.05
-    )
-
-
 # --------------------------------------------------------------- iperf
 def test_iperf_result_units():
     net = lan_net()
@@ -210,6 +175,17 @@ def test_iperf_result_units():
     assert res.mbps == pytest.approx(1000.0, rel=0.05)
     assert res.streams == 1
     assert res.duration > 0
+
+
+def test_iperf_streams_aggregate_past_one_window():
+    """Parallel streams each get their own window, so the aggregate
+    beats the single-stream ``max_window / rtt`` cap several times."""
+    net = wan_net(rtt=0.050)
+    res = iperf(net, "a", "b", nbytes=50 * MB, streams=8,
+                params=TcpParams(max_window=512 * KIB, slow_start=False))
+    single_cap = bytes_per_sec_to_mbps(512 * KIB / 0.050)
+    assert res.streams == 8
+    assert res.mbps > 4 * single_cap
 
 
 def test_iperf_validation():

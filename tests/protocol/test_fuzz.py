@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.protocol import FrameError, MsgType, decode_message, read_message
+from repro.protocol import messages
 from repro.protocol.framing import MAGIC
 
 
@@ -40,13 +41,37 @@ def test_random_bytes_never_crash_reader(data):
     body=st.binary(min_size=0, max_size=128),
 )
 def test_random_bodies_never_crash_decoder(msg_type, body):
-    """Well-framed but garbage bodies raise clean errors, not hangs."""
+    """Well-framed but garbage bodies raise ValueError and nothing else."""
     if msg_type == MsgType.BYE:
         return  # no decoder by design
     try:
         decode_message(msg_type, body)
-    except (ValueError, struct.error):
+    except ValueError:
         pass
+
+
+_DECODABLE = [t for t in MsgType if t != MsgType.BYE]
+
+#: the fixed header each decodable message type starts with
+_HEAD_OF = {
+    MsgType.CONFIG: messages._CONFIG,
+    MsgType.LIGHT: messages._LIGHT,
+    MsgType.HEAVY: messages._HEAVY_HEAD,
+    MsgType.AXIS_FEEDBACK: messages._AXIS,
+    MsgType.TILE: messages._TILE_HEAD,
+    MsgType.STRIPE: messages._STRIPE_HEAD,
+}
+
+
+@pytest.mark.parametrize("msg_type", _DECODABLE, ids=lambda t: t.name)
+@pytest.mark.parametrize("short", ["empty", "one_byte_short"])
+def test_short_body_raises_value_error(msg_type, short):
+    """A body shorter than its message's fixed header is refused with a
+    ValueError naming the sizes, never a struct.error."""
+    head = _HEAD_OF[msg_type]
+    body = b"" if short == "empty" else bytes(head.size - 1)
+    with pytest.raises(ValueError, match=f"{head.size} bytes, got {len(body)}"):
+        decode_message(msg_type, body)
 
 
 def test_truncated_header_fails_fast():

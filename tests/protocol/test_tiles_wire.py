@@ -1,7 +1,5 @@
 """TilePayload wire format: round trips and hostile-header hardening."""
 
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +15,10 @@ from repro.protocol import (
 )
 from repro.protocol.framing import MAX_BODY
 from repro.protocol.messages import _TILE_HEAD
-from repro.volren.tiles import TILE_HASH_BYTES, TileGrid, tile_content_hash
+from repro.volren.tiles import TILE_HASH_BYTES, TileGrid
+
+#: a non-zero digest, so a round trip that drops or zeroes it shows
+CONTENT_HASH = bytes(range(1, TILE_HASH_BYTES + 1))
 
 
 def assert_tiles_equal(a: TilePayload, b: TilePayload):
@@ -43,7 +44,7 @@ def make_tile(grid: TileGrid, tid: int, *, reference: bool = False):
         y0=y0,
         height=h,
         width=w,
-        content_hash=tile_content_hash(texture),
+        content_hash=CONTENT_HASH,
         texture=None if reference else texture,
     )
 
@@ -156,8 +157,8 @@ class TestHostileHeaders:
         with pytest.raises(ValueError, match="truncated"):
             TilePayload.decode(ref[:-1])
 
-    def test_truncated_header_raises_struct_error(self):
-        with pytest.raises(struct.error):
+    def test_truncated_header_raises_value_error(self):
+        with pytest.raises(ValueError, match="tile payload body"):
             TilePayload.decode(b"\x00" * (_TILE_HEAD.size - 1))
 
     def test_grid_rejects_out_of_range_tile_id(self):
@@ -182,7 +183,7 @@ class TestHostileHeaders:
 def test_random_tile_bodies_never_crash(body):
     try:
         TilePayload.decode(body)
-    except (ValueError, struct.error):
+    except ValueError:
         pass
 
 
@@ -198,5 +199,5 @@ def test_fuzzed_headers_never_crash_with_grid(h, w, flags, tail):
     body = hostile_body(h=h, w=w, flags=flags, tail=tail)
     try:
         TilePayload.decode(body, grid=grid)
-    except (ValueError, struct.error):
+    except ValueError:
         pass

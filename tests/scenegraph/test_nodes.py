@@ -1,4 +1,4 @@
-"""Tests for scene graph nodes, transforms, textures and cameras."""
+"""Tests for scene graph nodes, textures and cameras."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.scenegraph import (
     SceneLock,
     Texture2D,
     TexturedQuad,
-    Transform,
 )
 from repro.scenegraph.node import transform_points
 
@@ -51,35 +50,10 @@ class TestNodes:
         root.remove(child)
         assert root.children == []
 
-    def test_transform_composition(self):
-        root = Transform(matrix=Transform.translation(1, 0, 0).matrix)
-        child = root.add(Transform(matrix=Transform.translation(0, 2, 0).matrix))
-        matrices = {n: m for n, m in root.traverse()}
-        world = matrices[child]
-        pt = transform_points(world, np.array([[0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(pt[0], [1.0, 2.0, 0.0])
-
-    def test_rotation_matrices(self):
-        # 90 degrees about z maps +x to +y.
-        rz = Transform.rotation(2, np.pi / 2).matrix
-        pt = transform_points(rz, np.array([[1.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(pt[0], [0.0, 1.0, 0.0], atol=1e-12)
-        # 90 degrees about x maps +y to +z.
-        rx = Transform.rotation(0, np.pi / 2).matrix
-        pt = transform_points(rx, np.array([[0.0, 1.0, 0.0]]))
-        np.testing.assert_allclose(pt[0], [0.0, 0.0, 1.0], atol=1e-12)
-
     def test_scaling(self):
-        s = Transform.scaling(2, 3, 4).matrix
+        s = np.diag([2.0, 3.0, 4.0, 1.0])
         pt = transform_points(s, np.array([[1.0, 1.0, 1.0]]))
         np.testing.assert_allclose(pt[0], [2.0, 3.0, 4.0])
-
-    def test_bad_matrix_rejected(self):
-        with pytest.raises(ValueError):
-            Transform(matrix=np.eye(3))
-        t = Transform()
-        with pytest.raises(ValueError):
-            t.matrix = np.zeros((2, 2))
 
 
 class TestGeometry:

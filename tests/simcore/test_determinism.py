@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simcore import (
+    BoundedBuffer,
     Environment,
     FluidResource,
     FluidScheduler,
     FluidTask,
     SimBarrier,
     SimSemaphore,
-    Store,
 )
 
 
@@ -25,7 +25,7 @@ def run_random_graph(seed: int, n_procs: int, n_steps: int):
     """A random producer/consumer/compute mesh; returns its trace."""
     rng = np.random.default_rng(seed)
     env = Environment()
-    store = Store(env)
+    buffer = BoundedBuffer(env, None)
     barrier = SimBarrier(env, n_procs)
     trace = []
 
@@ -34,9 +34,9 @@ def run_random_graph(seed: int, n_procs: int, n_steps: int):
             yield env.timeout(d)
             trace.append(("tick", pid, step, round(env.now, 9)))
             if pid % 2 == 0:
-                yield store.put((pid, step))
+                yield buffer.put((pid, step))
             else:
-                item = yield store.get()
+                item = yield buffer.get()
                 trace.append(("got", pid, item))
             yield barrier.wait()
 

@@ -171,3 +171,129 @@ class TestBufferShutdownWhileBlocked:
         env.process(consumer(env))
         env.run()
         assert seen == ["x", SHUTDOWN]
+
+
+# ------------------------------------------------------------- Semaphore
+def test_semaphore_initial_value_consumed():
+    env = Environment()
+    sem = SimSemaphore(env, value=2)
+    times = []
+
+    def waiter(env, sem, name):
+        yield sem.wait()
+        times.append((name, env.now))
+
+    for i in range(3):
+        env.process(waiter(env, sem, i))
+
+    def poster(env, sem):
+        yield env.timeout(5.0)
+        sem.post()
+
+    env.process(poster(env, sem))
+    env.run()
+    assert times == [(0, 0.0), (1, 0.0), (2, 5.0)]
+
+
+def test_semaphore_post_then_wait():
+    env = Environment()
+    sem = SimSemaphore(env)
+    sem.post()
+    assert sem.value == 1
+
+    def waiter(env, sem):
+        yield sem.wait()
+        return env.now
+
+    w = env.process(waiter(env, sem))
+    env.run()
+    assert w.value == 0.0
+    assert sem.value == 0
+
+
+def test_semaphore_negative_initial_rejected():
+    env = Environment()
+    with pytest.raises(ValueError):
+        SimSemaphore(env, value=-1)
+
+
+def test_semaphore_ping_pong():
+    """The Appendix-B handshake: two processes alternate via a pair."""
+    env = Environment()
+    sem_a = SimSemaphore(env)
+    sem_b = SimSemaphore(env)
+    trace = []
+
+    def render(env):
+        for step in range(3):
+            trace.append(("render requests", step, env.now))
+            sem_a.post()
+            yield sem_b.wait()
+            trace.append(("render got data", step, env.now))
+
+    def reader(env):
+        while True:
+            yield sem_a.wait()
+            yield env.timeout(2.0)  # simulated load time
+            trace.append(("reader loaded", env.now))
+            sem_b.post()
+
+    env.process(render(env))
+    env.process(reader(env))
+    env.run(until=100.0)
+    loads = [t for t in trace if t[0] == "reader loaded"]
+    assert [t[1] for t in loads] == [2.0, 4.0, 6.0]
+
+
+# --------------------------------------------------------------- Barrier
+def test_barrier_releases_all_at_once():
+    env = Environment()
+    bar = SimBarrier(env, parties=3)
+    released = []
+
+    def worker(env, bar, name, delay):
+        yield env.timeout(delay)
+        yield bar.wait()
+        released.append((name, env.now))
+
+    env.process(worker(env, bar, "a", 1.0))
+    env.process(worker(env, bar, "b", 5.0))
+    env.process(worker(env, bar, "c", 3.0))
+    env.run()
+    assert sorted(released) == [("a", 5.0), ("b", 5.0), ("c", 5.0)]
+
+
+def test_barrier_is_reusable():
+    env = Environment()
+    bar = SimBarrier(env, parties=2)
+    gens = []
+
+    def worker(env, bar, delays):
+        for d in delays:
+            yield env.timeout(d)
+            gen = yield bar.wait()
+            gens.append((gen, env.now))
+
+    env.process(worker(env, bar, [1.0, 1.0]))
+    env.process(worker(env, bar, [2.0, 2.0]))
+    env.run()
+    assert gens == [(1, 2.0), (1, 2.0), (2, 4.0), (2, 4.0)]
+
+
+def test_barrier_single_party_never_blocks():
+    env = Environment()
+    bar = SimBarrier(env, parties=1)
+
+    def solo(env, bar):
+        yield bar.wait()
+        return env.now
+
+    p = env.process(solo(env, bar))
+    env.run()
+    assert p.value == 0.0
+
+
+def test_barrier_invalid_parties():
+    env = Environment()
+    with pytest.raises(ValueError):
+        SimBarrier(env, parties=0)

@@ -1,17 +1,11 @@
-"""Tests for slab/shaft/block decompositions."""
+"""Tests for the slab decomposition."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.volren import (
-    SubVolume,
-    block_decompose,
-    decompose,
-    shaft_decompose,
-    slab_decompose,
-)
+from repro.volren import SubVolume, slab_decompose
 
 
 class TestSubVolume:
@@ -59,43 +53,6 @@ class TestSlab:
     def test_bad_axis(self):
         with pytest.raises(ValueError):
             slab_decompose((8, 8, 8), 2, axis=3)
-
-
-class TestShaftBlock:
-    def test_shaft_grid(self):
-        subs = shaft_decompose((8, 8, 4), 2, 4)
-        assert len(subs) == 8
-        assert sum(s.n_voxels for s in subs) == 8 * 8 * 4
-
-    def test_block_grid(self):
-        subs = block_decompose((8, 8, 8), 2, 2, 2)
-        assert len(subs) == 8
-        assert all(s.shape == (4, 4, 4) for s in subs)
-
-    def test_blocks_disjoint(self):
-        subs = block_decompose((8, 8, 8), 2, 2, 2)
-        seen = np.zeros((8, 8, 8), dtype=int)
-        for s in subs:
-            seen[s.lo[0]:s.hi[0], s.lo[1]:s.hi[1], s.lo[2]:s.hi[2]] += 1
-        assert (seen == 1).all()
-
-
-class TestDispatch:
-    def test_strategies(self):
-        assert len(decompose((8, 8, 8), 4, strategy="slab")) == 4
-        assert len(decompose((8, 8, 8), 4, strategy="shaft")) == 4
-        assert len(decompose((8, 8, 8), 8, strategy="block")) == 8
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            decompose((8, 8, 8), 4, strategy="pizza")
-
-    def test_shaft_factorisation_is_squarest(self):
-        subs = decompose((16, 16, 16), 6, strategy="shaft")
-        # 6 -> 3x2, never 6x1.
-        shapes = {s.shape for s in subs}
-        assert len(subs) == 6
-        assert (16, 16, 16) not in shapes
 
 
 @settings(max_examples=60, deadline=None)

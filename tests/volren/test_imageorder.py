@@ -9,7 +9,6 @@ from repro.scenegraph import Camera
 from repro.volren import TransferFunction
 from repro.volren.imageorder import (
     ScreenTile,
-    assemble_tiles,
     footprint_voxels,
     redistribution_voxels,
     render_tile,
@@ -56,24 +55,12 @@ class TestRendering:
         camera = Camera.orbit(25.0, 10.0)
         W = H = 48
         full = ground_truth_frame(volume, tf, camera, W, H)
-        tiles = tile_decompose(W, H, 4)
-        images = [
-            render_tile(volume, tf, camera, t, W, H) for t in tiles
-        ]
-        assembled = assemble_tiles(tiles, images, W, H)
-        np.testing.assert_allclose(assembled, full, atol=1e-5)
-
-    def test_assemble_validation(self, volume, tf):
-        tiles = tile_decompose(16, 16, 2)
-        with pytest.raises(ValueError):
-            assemble_tiles(tiles, [np.zeros((1, 1, 4))], 16, 16)
-        with pytest.raises(ValueError):
-            assemble_tiles(
-                tiles,
-                [np.zeros((3, 3, 4), np.float32)] * 2,
-                16,
-                16,
+        assembled = np.zeros((H, W, 4), dtype=np.float32)
+        for t in tile_decompose(W, H, 4):
+            assembled[t.y0:t.y1, t.x0:t.x1] = render_tile(
+                volume, tf, camera, t, W, H
             )
+        np.testing.assert_allclose(assembled, full, atol=1e-5)
 
 
 class TestDataFootprints:

@@ -1,20 +1,9 @@
-"""Tile grid geometry, the change model, and tile-composite parity."""
+"""Tile grid geometry and the change model."""
 
 import numpy as np
 import pytest
 
-from repro.volren.compositing import composite_stack, composite_tiled
-from repro.volren.imageorder import screen_tiles_from_grid
-from repro.volren.tiles import (
-    TILE_HASH_BYTES,
-    TileGrid,
-    assemble_frame,
-    slab_view_order,
-    split_tiles,
-    tile_changed,
-    tile_content_hash,
-    tile_version,
-)
+from repro.volren.tiles import TileGrid, tile_changed
 
 
 class TestGridGeometry:
@@ -81,14 +70,6 @@ class TestOwners:
         with pytest.raises(ValueError):
             grid.owned_tiles(2, 2)
 
-    def test_screen_tiles_bridge_carries_owner_ranks(self):
-        grid = TileGrid(width=64, height=64, tile_size=32)
-        tiles = screen_tiles_from_grid(grid, n_owners=2)
-        assert len(tiles) == grid.n_tiles
-        for tid, st in enumerate(tiles):
-            assert st.rank == grid.owner_of(tid, 2)
-            assert (st.x0, st.y0, st.x1, st.y1) == grid.tile_rect(tid)
-
 
 class TestFrustumRect:
     def test_full_rect_selects_every_tile(self):
@@ -119,55 +100,6 @@ class TestFrustumRect:
             grid.tiles_in_rect(-0.1, 0.0, 1.0, 1.0)
 
 
-class TestSplitAssemble:
-    def test_round_trip_is_lossless(self):
-        grid = TileGrid(width=50, height=34, tile_size=16)
-        rng = np.random.default_rng(7)
-        image = rng.random((34, 50, 4)).astype(np.float32)
-        tiles = split_tiles(grid, image)
-        assert len(tiles) == grid.n_tiles
-        assert np.array_equal(assemble_frame(grid, tiles), image)
-
-    def test_absent_tiles_stay_transparent(self):
-        grid = TileGrid(width=64, height=64, tile_size=32)
-        rng = np.random.default_rng(8)
-        image = rng.random((64, 64, 4)).astype(np.float32)
-        tiles = split_tiles(grid, image)
-        del tiles[3]
-        frame = assemble_frame(grid, tiles)
-        x0, y0, x1, y1 = grid.tile_rect(3)
-        assert np.all(frame[y0:y1, x0:x1] == 0.0)
-
-    def test_shape_mismatches_raise(self):
-        grid = TileGrid(width=64, height=64, tile_size=32)
-        with pytest.raises(ValueError):
-            split_tiles(grid, np.zeros((32, 64, 4), dtype=np.float32))
-        with pytest.raises(ValueError):
-            assemble_frame(grid, {0: np.zeros((8, 8, 4), np.float32)})
-
-
-class TestContentHash:
-    def test_digest_width_and_determinism(self):
-        tile = np.arange(64, dtype=np.uint8).reshape(4, 4, 4)
-        digest = tile_content_hash(tile)
-        assert len(digest) == TILE_HASH_BYTES
-        assert digest == tile_content_hash(tile.copy())
-
-    def test_content_changes_change_the_digest(self):
-        tile = np.zeros((4, 4, 4), dtype=np.uint8)
-        other = tile.copy()
-        other[0, 0, 0] = 1
-        assert tile_content_hash(tile) != tile_content_hash(other)
-
-    def test_shape_and_dtype_are_part_of_the_digest(self):
-        flat = np.zeros(64, dtype=np.uint8)
-        shaped = flat.reshape(4, 4, 4)
-        assert tile_content_hash(flat) != tile_content_hash(shaped)
-        assert tile_content_hash(
-            shaped.astype(np.float32)
-        ) != tile_content_hash(shaped)
-
-
 class TestChangeModel:
     def test_frame_zero_always_changes(self):
         assert tile_changed("d", 0, 5, 0.0)
@@ -194,53 +126,3 @@ class TestChangeModel:
         with pytest.raises(ValueError):
             tile_changed("d", 1, 0, 1.5)
 
-    def test_version_counts_changes_monotonically(self):
-        versions = [tile_version("d", f, 3, 0.5) for f in range(6)]
-        assert versions[0] == 1
-        assert all(b - a in (0, 1) for a, b in zip(versions, versions[1:]))
-        # versions advance exactly when the change model fires
-        for f in range(1, 6):
-            bumped = versions[f] > versions[f - 1]
-            assert bumped == tile_changed("d", f, 3, 0.5)
-
-    def test_version_rejects_negative_frames(self):
-        with pytest.raises(ValueError):
-            tile_version("d", -1, 0, 0.5)
-
-
-class TestSlabViewOrder:
-    def test_sorts_back_to_front_with_stable_ties(self):
-        assert slab_view_order([0.3, 0.1, 0.5]) == [1, 0, 2]
-        assert slab_view_order([0.5, 0.5, 0.1]) == [2, 0, 1]
-
-    def test_flip_reverses(self):
-        assert slab_view_order([0.3, 0.1, 0.5], flip=True) == [2, 0, 1]
-
-
-class TestTiledCompositeParity:
-    @pytest.mark.parametrize("tile_size", [8, 16, 13, 64])
-    def test_tiled_equals_whole_image_bitwise(self, tile_size):
-        rng = np.random.default_rng(42)
-        layers = [
-            rng.random((48, 40, 4)).astype(np.float32) for _ in range(5)
-        ]
-        grid = TileGrid(width=40, height=48, tile_size=tile_size)
-        whole = composite_stack(layers, front_to_back=False)
-        tiled = composite_tiled(layers, grid, front_to_back=False)
-        assert np.array_equal(whole, tiled)
-
-    def test_front_to_back_flag_respected(self):
-        rng = np.random.default_rng(43)
-        layers = [
-            rng.random((16, 16, 4)).astype(np.float32) for _ in range(3)
-        ]
-        grid = TileGrid(width=16, height=16, tile_size=8)
-        assert np.array_equal(
-            composite_tiled(layers, grid, front_to_back=True),
-            composite_stack(layers, front_to_back=True),
-        )
-
-    def test_empty_stack_raises(self):
-        grid = TileGrid(width=16, height=16, tile_size=8)
-        with pytest.raises(ValueError):
-            composite_tiled([], grid)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.volren import TransferFunction, composite_over, composite_stack
-from repro.volren.compositing import premultiply, unpremultiply
 
 
 class TestTransferFunction:
@@ -106,15 +105,6 @@ class TestCompositing:
             composite_over(
                 np.zeros((2, 2, 3), np.float32), np.zeros((2, 2, 3), np.float32)
             )
-
-    def test_premultiply_roundtrip(self):
-        rng = np.random.default_rng(1)
-        alpha = 0.1 + 0.9 * rng.random((4, 4, 1)).astype(np.float32)
-        rgb = rng.random((4, 4, 3)).astype(np.float32)
-        straight = np.concatenate([rgb, alpha], axis=2)
-        np.testing.assert_allclose(
-            unpremultiply(premultiply(straight)), straight, atol=1e-5
-        )
 
     @settings(max_examples=50, deadline=None)
     @given(
