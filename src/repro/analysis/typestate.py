@@ -135,7 +135,7 @@ def _collect_sites(
             continue
         func = node.func
         # An argument-taking ``reserve(cost, ...)`` is a different API
-        # (the admission token bucket), not the buffer credit handshake.
+        # (a token bucket's), not the buffer credit handshake.
         if func.attr in _RESERVE_SOURCES:
             if node.args or node.keywords:
                 continue

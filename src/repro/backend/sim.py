@@ -64,6 +64,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.service.cache import RenderCache
     from repro.viewer.sim import SimViewer
 
+#: per-PE bytes/s of the fabric behind the MPI-only pair hand-off and
+#: tile-mode fragment routing
+INTERCONNECT_RATE = 100e6
+
+
 class _Unit(NamedTuple):
     """One claimable unit of a frame's work on the shared render cache."""
 
@@ -221,21 +226,13 @@ class SimBackEnd:
         self.render_cache = render_cache
         self.session = session
         self.health = health
-        if self.config.interconnect_rate <= 0:
-            raise ValueError("interconnect_rate must be > 0")
-        self.interconnect_rate = float(self.config.interconnect_rate)
         self.overlap_render_share = self.config.overlap_render_share
         self.overlap_ingest_factor = self.config.overlap_ingest_factor
         self.load_jitter_cv = self.config.load_jitter_cv
-        geometry_bytes = self.config.geometry_bytes_per_frame
-        if geometry_bytes is None:
-            geometry_bytes = min(30e3, 0.02 * meta.bytes_per_timestep)
-        if geometry_bytes < 0:
-            raise ValueError("geometry_bytes_per_frame must be >= 0")
-        self.geometry_bytes_per_frame = float(geometry_bytes)
+        #: bytes of AMR grid geometry rank 0 ships with every frame
+        self.geometry_bytes = float(min(30e3, 0.02 * meta.bytes_per_timestep))
         self.tcp_params = self.config.network.tcp
         self.seed = self.config.seed
-        axis = self.config.axis
 
         self.n_pes = len(self.pe_hosts)
         # MPI-only overlap halves the render parallelism: odd ranks
@@ -243,9 +240,8 @@ class SimBackEnd:
         self.n_render_pes = (
             self.n_pes // 2 if self.mpi_only_overlap else self.n_pes
         )
-        self.subvolumes = slab_decompose(
-            meta.shape, self.n_render_pes, axis=axis
-        )
+        # Slabs cut axis 0, the slowest-varying one.
+        self.subvolumes = slab_decompose(meta.shape, self.n_render_pes)
         self._interconnect: Optional[FluidResource] = None
 
         #: tile mode (the distributed framebuffer transport); ``None``
@@ -259,7 +255,7 @@ class SimBackEnd:
                     "MPI-only overlap mode"
                 )
             self.tile_plan = TilePlan.build(
-                meta.shape, axis, self.config.tiles, self.n_render_pes,
+                meta.shape, self.config.tiles, self.n_render_pes,
                 dataset_name,
             )
         self.timing = BackEndTiming(
@@ -315,21 +311,14 @@ class SimBackEnd:
         return self.render_cost.cpu_seconds(self.subvolumes[rank].n_voxels)
 
     def cache_key(self, rank: int, frame: int) -> Tuple:
-        """Shared-render-cache key: (dataset, timestep, axis, slab).
+        """Shared-render-cache key: (dataset, timestep, slab).
 
-        The slab component is its (offset, extent) along the
-        decomposition axis, so back ends with different PE counts
-        never alias each other's textures.
+        The slab component is its (offset, extent) along axis 0, so
+        back ends with different PE counts never alias each other's
+        textures.
         """
-        axis = self.config.axis
         sub = self.subvolumes[rank]
-        return (
-            self.dataset_name,
-            frame,
-            axis,
-            sub.lo[axis],
-            sub.shape[axis],
-        )
+        return (self.dataset_name, frame, sub.lo[0], sub.shape[0])
 
     def _fabric_name(self, kind: str) -> str:
         """Deterministic fluid-resource name for this back end's fabric.
@@ -365,7 +354,7 @@ class SimBackEnd:
             # the viewer. Same fluid stand-in as the MPI fabric.
             self._tile_fabric = FluidResource(
                 self._fabric_name("tile-fabric"),
-                self.interconnect_rate * self.n_render_pes,
+                INTERCONNECT_RATE * self.n_render_pes,
             )
             self.network.sched.add_resource(self._tile_fabric)
         if self.mpi_only_overlap:
@@ -373,7 +362,7 @@ class SimBackEnd:
             # fabric; pair transfers share it max-min.
             self._interconnect = FluidResource(
                 self._fabric_name("interconnect"),
-                self.interconnect_rate * self.n_render_pes,
+                INTERCONNECT_RATE * self.n_render_pes,
             )
             self.network.sched.add_resource(self._interconnect)
             procs = [
@@ -567,7 +556,7 @@ class SimBackEnd:
         nbytes = self.texture_bytes(rank)
         if rank == 0:
             # Rank 0 carries the AMR grid geometry for the frame.
-            nbytes += self.geometry_bytes_per_frame
+            nbytes += self.geometry_bytes
         yield self.viewer.deliver_heavy(rank, frame, nbytes)
         log.log(Tags.BE_HEAVY_END, frame=frame, rank=rank)
         self.timing.bytes_sent_to_viewer += nbytes
@@ -599,7 +588,7 @@ class SimBackEnd:
                 f"tile-route[{rank}]",
                 work=route_bytes,
                 usage={self._tile_fabric: 1.0},
-                cap=self.interconnect_rate,
+                cap=INTERCONNECT_RATE,
             )
             yield self.network.sched.submit(task)
             log.log(Tags.TILE_ROUTE_END, frame=frame, rank=rank)
@@ -609,7 +598,7 @@ class SimBackEnd:
         )
         if rank == 0:
             # Rank 0 carries the AMR grid geometry for the frame.
-            nbytes += self.geometry_bytes_per_frame
+            nbytes += self.geometry_bytes
         log.log(
             Tags.TILE_SEND, frame=frame, rank=rank,
             ntiles=ntiles, nfull=nfull, nref=nref, nbytes=round(nbytes),
@@ -722,7 +711,7 @@ class SimBackEnd:
                 f"mpi-xfer[{rank}]",
                 work=self.slab_bytes(rank),
                 usage={self._interconnect: 1.0},
-                cap=self.interconnect_rate,
+                cap=INTERCONNECT_RATE,
             )
             yield self.network.sched.submit(task)
 

@@ -1,7 +1,7 @@
 """Tile-mode geometry of one simulated back end.
 
 Everything tile mode needs to know before a frame runs is a pure
-function of ``(meta.shape, axis, TileConfig, n_render_pes, dataset)``:
+function of ``(meta.shape, TileConfig, n_render_pes, dataset)``:
 the screen grid, the tiles a viewer's frustum can see, which rank owns
 each of them, how many fragment bytes a rendering rank routes to the
 other owners, the shared-cache key of a tile, and the wire size of one
@@ -29,15 +29,17 @@ from repro.volren.tiles import TileGrid, tile_changed
 #: viewer can close out the frame
 TILE_BATCH_HEADER_BYTES = 64.0
 
+#: share of the screen's tiles that change per timestep (camera orbit
+#: or data evolution) in the deterministic change model
+CHANGE_FRACTION = 0.3
+
 
 @dataclass(frozen=True)
 class TilePlan:
     """Who owns which visible tile, and what shipping them costs."""
 
     dataset: str
-    axis: int
     grid: TileGrid
-    change_fraction: float
     #: tile IDs inside the viewer's frustum, ascending
     visible: Tuple[int, ...]
     #: rank -> the visible tiles it owns, ascending
@@ -50,20 +52,19 @@ class TilePlan:
     def build(
         cls,
         shape: Sequence[int],
-        axis: int,
         config: TileConfig,
         n_render_pes: int,
         dataset: str,
     ) -> "TilePlan":
         """Lay the grid over the two non-slab axes of ``shape``.
 
-        With the default axis-0 decomposition every slab projects onto
-        the full viewport, so every PE contributes fragments to every
+        The axis-0 slab decomposition projects every slab onto the
+        full viewport, so every PE contributes fragments to every
         visible tile.
         """
-        dims = [int(extent) for i, extent in enumerate(shape) if i != axis]
         grid = TileGrid(
-            width=dims[1], height=dims[0], tile_size=config.tile_size
+            width=int(shape[2]), height=int(shape[1]),
+            tile_size=config.tile_size,
         )
         visible = (
             grid.tiles_in_rect(*config.frustum)
@@ -74,9 +75,7 @@ class TilePlan:
         owner = {t: grid.owner_of(t, n_render_pes) for t in visible}
         return cls(
             dataset=dataset,
-            axis=axis,
             grid=grid,
-            change_fraction=config.change_fraction,
             visible=visible,
             owned=tuple(
                 tuple(t for t in visible if owner[t] == rank)
@@ -109,7 +108,6 @@ class TilePlan:
             "tile",
             self.dataset,
             frame,
-            self.axis,
             grid.width,
             grid.height,
             grid.tile_size,
@@ -134,7 +132,7 @@ class TilePlan:
         saved = 0.0
         for tile_id in owned:
             if all_full or tile_changed(
-                self.dataset, frame, tile_id, self.change_fraction
+                self.dataset, frame, tile_id, CHANGE_FRACTION
             ):
                 nfull += 1
                 nbytes += self.tile_bytes(tile_id)

@@ -45,9 +45,9 @@ class StripeConfig:
 
     - ``"hedged"`` (the default) -- issue only the data shares;
       launch the parity repair share when a server is known-unhealthy
-      at launch or after ``straggler_after`` seconds without
-      completion. Fault-free reads are byte-identical on the wire to
-      the unstriped path.
+      at launch or after a straggler timer without completion.
+      Fault-free reads are byte-identical on the wire to the
+      unstriped path.
     - ``"eager"`` -- issue all ``n`` shares (data + parity) up front,
       complete on the first ``k`` arrivals, cancel the straggler.
       Fault-free reads pay the parity bandwidth overhead (``1/n_data``
@@ -55,22 +55,15 @@ class StripeConfig:
       much smaller than a stripe) in exchange for a p99 that never
       waits on a straggler timer.
 
-    ``timeout`` is the final backstop deadline; blocks still missing
-    then are delivered absent (the PR 3 degradation path).
-    ``health_half_life`` is the fault-penalty decay half-life of the
-    per-server :class:`~repro.dpss.health.HealthTracker`;
-    ``avoid_threshold`` the health score at which the initial read
-    set is biased away from a server.
+    The straggler timer, the backstop deadline and the health score
+    at which a server is read around are constants of
+    :mod:`repro.dpss.redundant`.
     """
 
     enabled: bool = False
     n_data: int = 4
     n_parity: int = 1
     read_policy: str = "hedged"
-    straggler_after: float = 0.25
-    timeout: float = 30.0
-    health_half_life: float = 20.0
-    avoid_threshold: float = 0.75
 
     def __post_init__(self):
         if self.n_data < 2:
@@ -84,15 +77,6 @@ class StripeConfig:
             raise ValueError(
                 f"read_policy must be 'eager' or 'hedged', got "
                 f"{self.read_policy!r}"
-            )
-        for attr in ("straggler_after", "timeout", "health_half_life"):
-            if getattr(self, attr) <= 0:
-                raise ValueError(
-                    f"{attr} must be > 0, got {getattr(self, attr)}"
-                )
-        if self.avoid_threshold < 0:
-            raise ValueError(
-                f"avoid_threshold must be >= 0, got {self.avoid_threshold}"
             )
 
     @property
@@ -147,13 +131,6 @@ class NetworkConfig:
     hedged reads) on DPSS reads; ``None`` keeps the historical
     fail-fast behaviour, bit-identical to before the policy existed.
 
-    ``reserved_rate`` is a QoS bandwidth floor (bytes/s) applied to
-    every transfer this endpoint initiates: it becomes the
-    :class:`~repro.simcore.fluid.FluidTask` floor that
-    :func:`repro.simcore.fairshare.max_min_allocation` honours in its
-    phase-1 grants. The serving layer uses it to express fair-share
-    weights across admitted sessions; 0 keeps plain max-min sharing.
-
     ``stripe`` enables parity-striped redundant reads (see
     :class:`StripeConfig`); the default disabled config keeps the
     historical per-server fan-out.
@@ -162,7 +139,6 @@ class NetworkConfig:
     tcp: TcpParams = field(default_factory=TcpParams)
     compression: Optional[CompressionModel] = None
     policy: Optional[RequestPolicy] = None
-    reserved_rate: float = 0.0
     stripe: StripeConfig = field(default_factory=StripeConfig)
 
     def with_changes(self, **changes: Any) -> "NetworkConfig":
@@ -182,27 +158,20 @@ class TileConfig:
     transmission: a tile unchanged since the last delivered frame
     travels as a header-plus-hash reference instead of pixels.
 
-    ``change_fraction`` drives the deterministic, RNG-free model of
-    how much of the screen changes per timestep (camera orbit or data
-    evolution); ``frustum`` restricts a viewer to a fractional
-    viewport rect ``(x0, y0, x1, y1)`` so partially-overlapping
-    viewers share tile renders through the cache.
+    ``frustum`` restricts a viewer to a fractional viewport rect
+    ``(x0, y0, x1, y1)`` so partially-overlapping viewers share tile
+    renders through the cache. How much of the screen changes per
+    timestep is :data:`repro.backend.tiles.CHANGE_FRACTION`.
     """
 
     enabled: bool = False
     tile_size: int = 32
-    change_fraction: float = 0.3
     frustum: Optional[Tuple[float, float, float, float]] = None
 
     def __post_init__(self):
         if self.tile_size < 1:
             raise ValueError(
                 f"tile_size must be >= 1, got {self.tile_size}"
-            )
-        if not 0.0 <= self.change_fraction <= 1.0:
-            raise ValueError(
-                f"change_fraction must be in [0, 1], got "
-                f"{self.change_fraction}"
             )
         if self.frustum is not None:
             x0, y0, x1, y1 = self.frustum
@@ -277,26 +246,18 @@ class SiteLink:
 
 @dataclass(frozen=True)
 class TopologyConfig:
-    """A multi-region serving fabric: sites, inter-site WAN, placement.
+    """A multi-region serving fabric: sites and the inter-site WAN.
 
     ``links`` are dedicated site pairs; any pair without a dedicated
     link shares the ``core_rate`` WAN core bus (0 disables spilling
-    over undeclared paths). ``placement`` picks the serving site for
-    each arrival:
-
-    - ``"nearest"`` -- serve at the home site, spill to the least
-      loaded remote site only when home is saturated;
-    - ``"least-loaded"`` -- always serve at the least loaded site
-      (home breaks ties).
-
-    ``spill=False`` pins every session to its home site (saturation
-    queues or rejects instead of spilling).
+    over undeclared paths). Every arrival is served at its home site
+    when a slot is free there, otherwise at the remote site with the
+    fewest active sessions, otherwise it queues at home
+    (:class:`repro.service.shard.ShardedSessionManager`).
     """
 
     sites: Tuple[SiteSpec, ...] = (SiteSpec(name="local"),)
     links: Tuple[SiteLink, ...] = ()
-    placement: str = "nearest"
-    spill: bool = True
     core_rate: float = mbps(622.0)
 
     def __post_init__(self):
@@ -305,11 +266,6 @@ class TopologyConfig:
         names = [s.name for s in self.sites]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate site names in {names}")
-        if self.placement not in ("nearest", "least-loaded"):
-            raise ValueError(
-                f"placement must be 'nearest' or 'least-loaded', "
-                f"got {self.placement!r}"
-            )
         if self.core_rate < 0:
             raise ValueError(
                 f"core_rate must be >= 0, got {self.core_rate}"
@@ -370,7 +326,6 @@ def _sc99_wan_topology() -> TopologyConfig:
             SiteLink("lbl", "anl", mbps(622.0)),
             SiteLink("lbl", "showfloor", mbps(1500.0)),
         ),
-        placement="nearest",
         core_rate=mbps(622.0),
     )
 
@@ -388,9 +343,7 @@ def _serve10k_topology() -> TopologyConfig:
         )
         for i in range(4)
     )
-    return TopologyConfig(
-        sites=sites, placement="nearest", core_rate=mbps(2500.0)
-    )
+    return TopologyConfig(sites=sites, core_rate=mbps(2500.0))
 
 
 #: Named topology registry: name -> factory. The CLI's ``--topology``
@@ -430,12 +383,9 @@ class BackendConfig:
     overlapped: bool = False
     overlap_depth: int = 2
     mpi_only_overlap: bool = False
-    interconnect_rate: float = 100e6
-    axis: int = 0
     overlap_render_share: float = 1.0
     overlap_ingest_factor: float = 1.0
     load_jitter_cv: float = 0.0
-    geometry_bytes_per_frame: Optional[float] = None
     seed: int = 0
     n_timesteps: Optional[int] = None
     network: NetworkConfig = field(default_factory=NetworkConfig)
@@ -444,6 +394,22 @@ class BackendConfig:
     def with_changes(self, **changes: Any) -> "BackendConfig":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
+
+
+#: the JSON type each scalar :class:`ExperimentConfig` key must carry
+_JSON_SCALAR_TYPES: Dict[str, type] = {
+    "campaign": str,
+    "overlapped": bool,
+    "frames": int,
+    "scaled": bool,
+    "seed": int,
+    "sanitize": bool,
+    "tiles": bool,
+    "tile_size": int,
+    "stripe": str,
+    "topology": str,
+}
+_JSON_TYPE_NAMES = {str: "string", bool: "boolean", int: "integer"}
 
 
 @dataclass(frozen=True)
@@ -491,7 +457,7 @@ class ExperimentConfig:
         from repro.faults import policy_from_spec
 
         data = json.loads(text)
-        if not isinstance(data, dict) or "campaign" not in data:
+        if not isinstance(data, dict) or data.get("campaign") is None:
             raise ValueError(
                 "experiment JSON must be an object with a 'campaign' key"
             )
@@ -502,6 +468,19 @@ class ExperimentConfig:
                 f"unknown experiment key(s) {', '.join(map(repr, unknown))}; "
                 f"accepted keys: {', '.join(accepted)}"
             )
+        for key, value in data.items():
+            kind = _JSON_SCALAR_TYPES.get(key)
+            # ``null`` keeps the default; bool is an int subclass in
+            # Python but not an integer in JSON.
+            if kind is None or value is None:
+                continue
+            if not isinstance(value, kind) or (
+                kind is int and isinstance(value, bool)
+            ):
+                raise ValueError(
+                    f"experiment key {key!r} must be a JSON "
+                    f"{_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}"
+                )
         faults = data.get("faults")
         if faults is not None and not isinstance(faults, FaultPlan):
             faults = FaultPlan.from_json(json.dumps(faults))

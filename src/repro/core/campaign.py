@@ -437,7 +437,6 @@ def build_world(config: CampaignConfig) -> World:
     if stripe.enabled:
         health = HealthTracker(
             now=lambda: net.env.now,
-            half_life=stripe.health_half_life,
             logger=NetLogger(
                 "dpss-client", "health",
                 clock=lambda: net.env.now, daemon=daemon,
@@ -477,7 +476,6 @@ def attach_session(
     n_timesteps: int,
     seed: int,
     tiles: TileConfig,
-    reserved_rate: float = 0.0,
     render_cache: Optional["RenderCache"] = None,
     session: Optional[str] = None,
 ) -> Tuple[SimViewer, SimBackEnd]:
@@ -486,7 +484,7 @@ def attach_session(
 
     ``viewer_wan=None`` puts the viewer on a LAN next to the back end;
     ``session`` labels the back end's NetLogger progs in multi-session
-    runs; ``reserved_rate`` is the session's QoS floor on DPSS reads.
+    runs.
     """
     config, net, daemon = world.config, world.net, world.daemon
     net.add_host(Host(viewer_name, nic_rate=mbps(100.0)))
@@ -535,7 +533,6 @@ def attach_session(
             network=NetworkConfig(
                 tcp=TcpParams(max_window=config.wan.tcp_window),
                 policy=world.policy,
-                reserved_rate=reserved_rate,
                 stripe=world.stripe,
             ),
             tiles=tiles,

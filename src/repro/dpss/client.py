@@ -178,7 +178,6 @@ class DpssClient:
             self.config.tcp,
             extra_usage={server.disks: 1.0},
         )
-        conn.reserved_rate = self.config.reserved_rate
         pool.append(conn)
         self._leased.add(conn)
         return conn

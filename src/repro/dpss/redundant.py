@@ -17,6 +17,15 @@ from repro.netlogger.events import Tags
 if TYPE_CHECKING:  # pragma: no cover
     from repro.dpss.client import DpssClient
 
+#: seconds a hedged read's data shares run before the repair shares
+#: launch; also the period of the mid-read liveness recheck
+STRAGGLER_AFTER = 0.25
+#: backstop deadline of one striped read (seconds): blocks still
+#: missing then are delivered absent
+READ_DEADLINE = 30.0
+#: health score at which the first wave reads around a server
+AVOID_THRESHOLD = 0.75
+
 
 class RedundantRead:
     """k-of-n striped read engine: reconstruct instead of retry.
@@ -37,7 +46,7 @@ class RedundantRead:
       protection at ``~1/n_data`` extra wire bytes.
     - ``"hedged"``: data shares launch alone; the parity/filler
       *repair* shares launch only once a share is still unfinished
-      ``straggler_after`` seconds in (or immediately, for servers that
+      :data:`STRAGGLER_AFTER` seconds in (or immediately, for servers that
       are offline or health-avoided) -- near-zero overhead while the
       world is healthy.
 
@@ -55,7 +64,7 @@ class RedundantRead:
     so repair waves ignore the avoidance decision. Blocks whose stripe
     has lost two holders are delivered absent immediately
     (``STRIPE_GIVEUP`` with reason ``no-path``); a mid-read double
-    fault is caught by the ``StripeConfig.timeout`` deadline, since
+    fault is caught by the :data:`READ_DEADLINE` backstop, since
     stalled fluid transfers never die on their own.
     """
 
@@ -240,7 +249,7 @@ class RedundantRead:
         if not offline and client.health is not None:
             worst = client.health.worst(list(self.smap.server_names))
             if worst is not None and client.health.should_avoid(
-                worst, threshold=self.cfg.avoid_threshold
+                worst, threshold=AVOID_THRESHOLD
             ):
                 dead.add(worst)
                 self._log(
@@ -413,9 +422,9 @@ class RedundantRead:
                 # no straggler timer to wait out.
                 self._launch_repairs(offline=offline)
             elif self.unresolved:
-                straggler = env.timeout(cfg.straggler_after)
+                straggler = env.timeout(STRAGGLER_AFTER)
 
-        deadline = env.timeout(cfg.timeout)
+        deadline = env.timeout(READ_DEADLINE)
         recheck = None
 
         while self.unresolved:
@@ -438,7 +447,7 @@ class RedundantRead:
             # mid-transfer (the share stalls, it never errors) is
             # noticed long before the deadline.
             if recheck is None or recheck.processed:
-                recheck = env.timeout(cfg.straggler_after)
+                recheck = env.timeout(STRAGGLER_AFTER)
             waits.append(recheck)
             yield env.any_of(waits)
             self._absorb()

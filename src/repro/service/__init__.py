@@ -3,8 +3,7 @@
 The paper ran one viewer against one back end; this package runs many.
 A :class:`SessionManager` multiplexes concurrent viewer sessions over a
 shared back-end PE pool and a shared DPSS site, applying an
-:class:`AdmissionPolicy` (session cap + FIFO queue, token bucket on
-aggregate bandwidth, fair-share QoS floors), while a shared
+:class:`AdmissionPolicy` (session cap + FIFO queue), while a shared
 :class:`RenderCache` lets one session's finished slab textures serve
 the next session's identical requests -- skipping both the DPSS read
 and the render leg. Workloads are seeded and deterministic
@@ -18,7 +17,6 @@ from repro.service.admission import (
     AdmissionPolicy,
     AdmissionVerdict,
     SlotQueue,
-    TokenBucket,
 )
 from repro.service.cache import (
     CacheConfig,
@@ -68,7 +66,6 @@ __all__ = [
     "ShardedSessionManager",
     "SiteMetrics",
     "SlotQueue",
-    "TokenBucket",
     "ViewerProfile",
     "WorkloadSpec",
     "percentile",

@@ -1,27 +1,15 @@
 """Admission control for the multi-viewer serving layer.
 
-Three composable gates, all deterministic:
+One deterministic gate: at most ``max_sessions`` sessions hold
+back-end pipelines at once; arrivals beyond capacity wait in a FIFO
+queue of depth ``queue_depth`` or are rejected outright.
 
-- **max sessions** -- at most ``max_sessions`` sessions hold back-end
-  pipelines at once; arrivals beyond capacity wait in a FIFO queue of
-  depth ``queue_depth`` or are rejected outright.
-- **token bucket on aggregate bandwidth** -- each admission spends the
-  session's estimated WAN bytes from a bucket refilled at
-  ``token_rate`` bytes/s (burst ``token_burst``). A session whose cost
-  exceeds the burst can never be admitted and is rejected; otherwise
-  the shortfall converts to a deterministic admission delay.
-- **fair-share weights** -- each admitted session receives a QoS
-  bandwidth floor of ``fair_share_rate * weight`` bytes/s on its DPSS
-  reads, fed into :func:`repro.simcore.fairshare.max_min_allocation`
-  as the phase-1 reservation (via
-  :attr:`repro.config.NetworkConfig.reserved_rate`).
-
-The slot gate is factored into :class:`SlotQueue` so both the
-single-site :class:`~repro.service.manager.SessionManager` and the
-multi-site shard layer share one FIFO discipline, and the sharded
-layer adds :class:`AdmissionVerdict` -- the Icarus computation-spot
-outcome vocabulary (per-site capacity check, queue, spill to a remote
-site, or reject).
+The gate is :class:`SlotQueue`, so both the single-site
+:class:`~repro.service.manager.SessionManager` and the multi-site
+shard layer share one FIFO discipline, and the sharded layer adds
+:class:`AdmissionVerdict` -- the Icarus computation-spot outcome
+vocabulary (per-site capacity check, queue, spill to a remote site,
+or reject).
 """
 
 from __future__ import annotations
@@ -135,18 +123,12 @@ class QueueFull(Exception):
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Knobs for the three admission gates; defaults admit everyone."""
+    """Knobs for the session-slot gate; defaults admit everyone."""
 
     #: concurrent session limit; ``None`` = unlimited, 0 = reject all
     max_sessions: Optional[int] = None
     #: arrivals allowed to wait for a slot when at capacity
     queue_depth: int = 0
-    #: token-bucket refill in bytes/s; 0 disables the bucket
-    token_rate: float = 0.0
-    #: token-bucket capacity in bytes (must be > 0 when rate is)
-    token_burst: float = 0.0
-    #: QoS floor granted per unit of viewer weight, bytes/s
-    fair_share_rate: float = 0.0
 
     def __post_init__(self):
         if self.max_sessions is not None and self.max_sessions < 0:
@@ -154,56 +136,7 @@ class AdmissionPolicy:
                 f"max_sessions must be >= 0, got {self.max_sessions}"
             )
         check_non_negative("queue_depth", self.queue_depth)
-        check_non_negative("token_rate", self.token_rate)
-        check_non_negative("token_burst", self.token_burst)
-        check_non_negative("fair_share_rate", self.fair_share_rate)
-        if self.token_rate > 0 and self.token_burst <= 0:
-            raise ValueError("token_burst must be > 0 when token_rate is set")
 
     def with_changes(self, **changes: Any) -> "AdmissionPolicy":
         """A copy with the given fields replaced."""
         return replace(self, **changes)
-
-
-class TokenBucket:
-    """Deterministic token bucket driven by the simulation clock.
-
-    Tokens are *reserved at decision time*: :meth:`reserve` debits the
-    cost immediately and returns how long the caller must wait before
-    the debit is covered, so a burst of simultaneous arrivals receives
-    strictly increasing admission delays in arrival order.
-    """
-
-    def __init__(self, rate: float, burst: float, *, now: float = 0.0):
-        if rate <= 0:
-            raise ValueError(f"rate must be > 0, got {rate}")
-        if burst <= 0:
-            raise ValueError(f"burst must be > 0, got {burst}")
-        self.rate = float(rate)
-        self.burst = float(burst)
-        #: token level; goes negative while reservations are unpaid
-        self._level = float(burst)
-        self._t = float(now)
-
-    def _advance(self, now: float) -> None:
-        if now > self._t:
-            self._level = min(
-                self.burst, self._level + self.rate * (now - self._t)
-            )
-            self._t = now
-
-    def reserve(self, cost: float, now: float) -> Optional[float]:
-        """Debit ``cost`` tokens; return seconds until covered.
-
-        Returns 0.0 when tokens are available now, a positive wait
-        when the refill must catch up, or ``None`` when ``cost``
-        exceeds the burst and can never be covered.
-        """
-        check_non_negative("cost", cost)
-        if cost > self.burst:
-            return None
-        self._advance(now)
-        self._level -= cost
-        if self._level >= 0:
-            return 0.0
-        return -self._level / self.rate

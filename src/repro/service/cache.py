@@ -1,7 +1,7 @@
 """The shared render cache: rendered slab textures reused across viewers.
 
 One viewer's back end renders a slab; every other session asking for
-the same ``(dataset, timestep, axis, slab)`` key is served the finished
+the same ``(dataset, timestep, slab)`` key is served the finished
 texture from cache, skipping both the DPSS read *and* the render leg.
 That changes the per-session frame accounting: a fully warm frame pays
 neither L nor R, only the viewer transmit, so the paper's
@@ -36,7 +36,8 @@ from repro.simcore.events import Event
 from repro.util.units import MB
 from repro.util.validation import check_non_negative
 
-#: cache key: (dataset, timestep, axis, slab position, slab extent)
+#: cache key: (dataset, timestep, slab position, slab extent), or a
+#: tile key (:meth:`repro.backend.tiles.TilePlan.cache_key`)
 CacheKey = Tuple[Hashable, ...]
 
 

@@ -39,12 +39,7 @@ from repro.core.platforms import Wans
 from repro.core.report import CampaignResult
 from repro.netlogger.events import Tags
 from repro.netlogger.logger import NetLogger
-from repro.service.admission import (
-    AdmissionPolicy,
-    QueueFull,
-    SlotQueue,
-    TokenBucket,
-)
+from repro.service.admission import AdmissionPolicy, QueueFull, SlotQueue
 from repro.service.cache import CacheConfig, CacheStats, RenderCache
 from repro.service.metrics import ServiceMetrics, SessionRecord, result_payload
 from repro.service.workload import ViewerProfile, WorkloadSpec
@@ -101,7 +96,7 @@ class ServiceCampaign:
         serving show-floor, SciNet, and ESnet viewers at once."""
         base = CampaignConfig.sc99_showfloor(n_timesteps=n_timesteps)
         profiles = (
-            ViewerProfile(name="showfloor", wan=None, weight=2.0),
+            ViewerProfile(name="showfloor", wan=None),
             ViewerProfile(name="scinet", wan=Wans.SCINET99),
             ViewerProfile(name="esnet", wan=Wans.ESNET),
         )
@@ -144,11 +139,6 @@ class SessionManager:
             max_slots=policy.max_sessions,
             queue_depth=policy.queue_depth,
         )
-        self._bucket: Optional[TokenBucket] = (
-            TokenBucket(policy.token_rate, policy.token_burst)
-            if policy.token_rate > 0
-            else None
-        )
         self.cache: Optional[RenderCache] = (
             RenderCache(
                 self.net.env,
@@ -178,10 +168,6 @@ class SessionManager:
             else self.config.base.n_timesteps
         )
 
-    def _session_bytes(self, profile: ViewerProfile) -> float:
-        """Estimated DPSS->back end bytes (the admission token cost)."""
-        return self.meta.bytes_per_timestep * self._session_frames(profile)
-
     def _build_session(
         self, sid: int, profile: ViewerProfile
     ) -> Tuple[SimViewer, SimBackEnd]:
@@ -196,9 +182,6 @@ class SessionManager:
             n_timesteps=self._session_frames(profile),
             seed=self._session_seed(sid),
             tiles=tiles,
-            reserved_rate=(
-                self.config.admission.fair_share_rate * profile.weight
-            ),
             render_cache=self.cache,
             session=f"s{sid}",
         )
@@ -207,55 +190,29 @@ class SessionManager:
         return viewer, backend
 
     # -- admission + lifecycle ---------------------------------------
-    def _reject(self, record: SessionRecord, reason: str) -> None:
-        record.rejected = True
-        record.reject_reason = reason
-        self.logger.log(
-            Tags.SVC_REJECT, session=record.session, reason=reason
-        )
-
-    def _release(self) -> None:
-        # A queued arrival inherits the slot directly (O(1) FIFO
-        # handoff), so the active count is untouched while anyone is
-        # waiting.
-        self._slots.release()
-
     def _session(
         self, sid: int, profile: ViewerProfile
     ) -> Generator[Any, Any, None]:
         env = self.net.env
         record = SessionRecord(
-            session=sid,
-            profile=profile.name,
-            arrival=env.now,
-            weight=profile.weight,
+            session=sid, profile=profile.name, arrival=env.now
         )
         self.records.append(record)
         self.logger.log(
             Tags.SVC_ARRIVAL, session=sid, profile=profile.name
         )
-        policy = self.config.admission
-        cost = self._session_bytes(profile)
-        if self._bucket is not None and cost > self._bucket.burst:
-            # This session's aggregate-bandwidth bill can never be
-            # covered: reject immediately rather than queueing forever.
-            self._reject(record, "bandwidth")
-            return
         try:
             slot = self._slots.acquire()
         except QueueFull:
-            self._reject(record, "capacity")
+            record.rejected = True
+            record.reject_reason = "capacity"
+            self.logger.log(Tags.SVC_REJECT, session=sid, reason="capacity")
             return
         if slot is not None:
             self.logger.log(
                 Tags.SVC_QUEUE, session=sid, depth=self._slots.depth
             )
             yield slot
-        if self._bucket is not None:
-            wait = self._bucket.reserve(cost, env.now)
-            assert wait is not None  # cost <= burst checked above
-            if wait > 0:
-                yield env.timeout(wait)
         record.admitted = env.now
         self.logger.log(
             Tags.SVC_ADMIT, session=sid, wait=env.now - record.arrival
@@ -273,7 +230,10 @@ class SessionManager:
         self.logger.log(
             Tags.SVC_END, session=sid, frames=record.frames
         )
-        self._release()
+        # A queued arrival inherits the slot directly (O(1) FIFO
+        # handoff), so the active count is untouched while anyone is
+        # waiting.
+        self._slots.release()
 
     def _run(self) -> Generator[Any, Any, None]:
         env = self.net.env

@@ -59,7 +59,6 @@ class SessionRecord:
     session: int
     profile: str
     arrival: float
-    weight: float = 1.0
     admitted: Optional[float] = None
     started: Optional[float] = None
     ended: Optional[float] = None

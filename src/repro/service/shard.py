@@ -12,8 +12,9 @@ plus the fluid allocator:
 - **placement**: every arrival is homed at a site (its profile's
   ``region``, or round-robin) and receives an Icarus-style
   :class:`~repro.service.admission.AdmissionVerdict` -- served at home
-  (``local``), at the least-loaded remote site (``spill``), parked in
-  the home FIFO (``queued``), or ``rejected``.
+  (``local``), at the reachable remote site with the fewest active
+  sessions (``spill``), parked in the home FIFO (``queued``), or
+  ``rejected``.
 - **flow classes**: same-profile sessions on the same (serving,
   home, warmth) path collapse into one aggregate flow
   (:class:`~repro.simcore.flowclass.FlowClassPool`), so allocator
@@ -48,7 +49,6 @@ from repro.simcore.flowclass import FlowClass, FlowClassPool
 from repro.simcore.process import Process
 from repro.util.rng import spawn_rngs
 from repro.util.units import MB
-from repro.util.validation import check_positive
 
 __all__ = [
     "ShardCampaign",
@@ -56,6 +56,9 @@ __all__ = [
     "ShardedSessionManager",
     "run_shard_campaign",
 ]
+
+#: bytes one delivered frame moves over a session's path
+_FRAME_WORK = 8 * MB
 
 
 @dataclass(frozen=True)
@@ -65,14 +68,11 @@ class ShardCampaign:
     name: str
     topology: TopologyConfig = field(default_factory=TopologyConfig)
     workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    #: bytes one delivered frame moves over the session's path
-    frame_bytes: float = 8 * MB
     #: frames per session unless the viewer profile overrides
     frames: int = 4
     seed: int = 0
 
     def __post_init__(self):
-        check_positive("frame_bytes", self.frame_bytes)
         if self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         known = set(self.topology.site_names)
@@ -109,14 +109,10 @@ class ShardCampaign:
         """
         topology = named_topology("serve10k")
         profiles = tuple(
-            ViewerProfile(
-                name=f"analyst{i}",
-                weight=1.0,
-                region=f"region{i}",
-            )
+            ViewerProfile(name=f"analyst{i}", region=f"region{i}")
             for i in range(4)
         ) + (
-            ViewerProfile(name="roaming", weight=1.0, frames=2),
+            ViewerProfile(name="roaming", frames=2),
         )
         return cls(
             name="sc99-serve10k",
@@ -182,7 +178,7 @@ class ShardedSessionManager:
         )
 
     def _session_bytes(self, profile: ViewerProfile) -> float:
-        return self.config.frame_bytes * self._session_frames(profile)
+        return _FRAME_WORK * self._session_frames(profile)
 
     def _flow_class(
         self, profile: ViewerProfile, serving: str, home: str, warm: bool
@@ -213,44 +209,30 @@ class ShardedSessionManager:
         self._rr += 1
         return home
 
-    def _least_loaded(self, order: List[str]) -> Optional[str]:
-        """First site in ``order`` with a free slot and minimal load."""
-        best: Optional[str] = None
-        best_load = 0
-        for name in order:
-            slot = self.slots[name]
-            if not slot.has_slot:
-                continue
-            if best is None or slot.active < best_load:
-                best = name
-                best_load = slot.active
-        return best
-
     def _place(self, home: str) -> Tuple[str, str]:
-        """(serving site, verdict) for an arrival homed at ``home``."""
-        topology = self.config.topology
-        names = list(topology.site_names)
-        if topology.placement == "least-loaded":
-            order = [home] + [n for n in names if n != home]
-            if not topology.spill:
-                order = [home]
-            best = self._least_loaded(order)
-            if best is not None:
-                verdict = (
-                    AdmissionVerdict.LOCAL
-                    if best == home
-                    else AdmissionVerdict.SPILL
-                )
-                return best, verdict
-        else:  # nearest
-            if self.slots[home].has_slot:
-                return home, AdmissionVerdict.LOCAL
-            if topology.spill:
-                best = self._least_loaded(
-                    [n for n in names if n != home]
-                )
-                if best is not None:
-                    return best, AdmissionVerdict.SPILL
+        """(serving site, verdict) for an arrival homed at ``home``.
+
+        Serve at home if a slot is free there; otherwise spill to the
+        remote site with a free slot and the fewest active sessions
+        (declaration order breaks ties) whose path to home has
+        capacity; otherwise queue at home; otherwise reject.
+        """
+        if self.slots[home].has_slot:
+            return home, AdmissionVerdict.LOCAL
+        best: Optional[str] = None
+        for name in self.config.topology.site_names:
+            slot = self.slots[name]
+            if (
+                name == home
+                or not slot.has_slot
+                # A zero-rate core would stall the flow forever.
+                or self.fabric.link_between(name, home).capacity <= 0
+            ):
+                continue
+            if best is None or slot.active < self.slots[best].active:
+                best = name
+        if best is not None:
+            return best, AdmissionVerdict.SPILL
         if self.slots[home].can_queue:
             return home, AdmissionVerdict.QUEUED
         return home, AdmissionVerdict.REJECTED
@@ -260,11 +242,7 @@ class ShardedSessionManager:
         env = self.env
         home = self._home_of(profile)
         record = SessionRecord(
-            session=sid,
-            profile=profile.name,
-            arrival=env.now,
-            weight=profile.weight,
-            home=home,
+            session=sid, profile=profile.name, arrival=env.now, home=home
         )
         self.records.append(record)
         self.logger.log(
@@ -413,10 +391,11 @@ class ShardResult:
             campaign={
                 "name": config.name,
                 "sites": list(config.topology.site_names),
-                "placement": config.topology.placement,
-                "spill": config.topology.spill,
-                # constant since the per-session pool left src/;
-                # dropping the key is a schema_version 2 change
+                # constants since their options left TopologyConfig /
+                # the per-session pool left src/; dropping the keys is
+                # a schema_version 2 change
+                "placement": "nearest",
+                "spill": True,
                 "flow_classes": True,
                 "sessions": config.workload.total_sessions,
                 "seed": config.effective_seed,
@@ -432,7 +411,7 @@ class ShardResult:
         lines = [
             f"shard campaign {config.name}: "
             f"{len(config.topology.sites)} sites, "
-            f"{config.topology.placement} placement, flow-class aggregation",
+            "nearest placement, flow-class aggregation",
             self.metrics.summary(),
             f"  makespan          : {self.total_time:.1f} s simulated",
             f"  allocator         : "

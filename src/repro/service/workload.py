@@ -10,7 +10,7 @@ Viewer heterogeneity comes from ``profiles``: each arrival cycles
 through the tuple, picking up that profile's WAN path (a
 :class:`~repro.core.platforms.WanSpec`, or ``None`` for a local
 gigabit LAN hop exactly like the single-session campaign's local
-viewer), fair-share weight, and optional frame-count override.
+viewer) and optional frame-count override.
 """
 
 from __future__ import annotations
@@ -26,15 +26,12 @@ from repro.util.validation import check_non_negative, check_positive
 
 @dataclass(frozen=True)
 class ViewerProfile:
-    """One class of viewer: WAN path, fair-share weight, frames."""
+    """One class of viewer: WAN path, frames, frustum, home site."""
 
     name: str = "local"
     #: WAN between the back-end pool and this viewer; ``None`` puts
     #: the viewer on a local gigabit LAN (the co-located case)
     wan: Optional[WanSpec] = None
-    #: fair-share weight; multiplied by the policy's
-    #: ``fair_share_rate`` to form the session's bandwidth floor
-    weight: float = 1.0
     #: timesteps this viewer watches; ``None`` = the campaign default
     frames: Optional[int] = None
     #: fractional viewport rect (x0, y0, x1, y1) this viewer looks at
@@ -47,7 +44,6 @@ class ViewerProfile:
     region: Optional[str] = None
 
     def __post_init__(self):
-        check_positive("weight", self.weight)
         if self.frames is not None and self.frames < 1:
             raise ValueError(f"frames must be >= 1, got {self.frames}")
         if self.frustum is not None:

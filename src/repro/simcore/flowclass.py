@@ -1,8 +1,8 @@
 """Flow classes: aggregate same-profile sessions into one fluid flow.
 
 A :class:`FlowClass` describes a *profile* -- the per-member usage
-coefficients, rate cap and QoS floor shared by every session of that
-profile (e.g. "home viewer behind a 45 Mb/s WAN path"). A
+coefficients and rate cap shared by every session of that profile
+(e.g. "home viewer behind a 45 Mb/s WAN path"). A
 :class:`FlowClassPool` admits individual member transfers against a
 class and serves them through **one** aggregate
 :class:`~repro.simcore.fluid.FluidTask` per class, so the allocator's
@@ -11,23 +11,21 @@ concurrent sessions (DESIGN.md section 15).
 
 The aggregate flow is a *per-member representative*: its usage
 coefficients are the class coefficients scaled by the live member
-count ``k`` (``usage[r] = k * c_r``) while its cap and floor stay
-per-member, so the rate the solver assigns **is** the per-member rate
--- no division round-trip. Member progress is banked with exactly the
+count ``k`` (``usage[r] = k * c_r``) while its cap stays per-member,
+so the rate the solver assigns **is** the per-member rate -- no
+division round-trip. Member progress is banked with exactly the
 arithmetic :class:`~repro.simcore.fluid.FluidScheduler` uses
 (``remaining = max(remaining - rate*dt, 0)`` at each bitwise rate
 change, ``eta = now + remaining/rate``), at exactly the instants the
 allocator banks (the ``FluidTask.on_rate`` hook), which makes member
 completion times bitwise identical to running one fluid flow per
-member whenever
+member whenever the class usage coefficients are ``1.0`` (``k``
+repeated additions of 1.0 equal ``k * 1.0`` exactly -- integer float
+sums).
 
-* the class usage coefficients are ``1.0`` (``k`` repeated additions
-  of 1.0 equal ``k * 1.0`` exactly -- integer float sums), and
-* the class floor is 0 (phase-1 floor grants sum per flow).
-
-With non-unit coefficients or floors the aggregation is still exact
-weighted max-min fairness, but float rounding may differ from the
-per-session solve by ulps. ``tests/oracles/per_session_pool.py`` runs
+With non-unit coefficients the aggregation is still exact weighted
+max-min fairness, but float rounding may differ from the per-session
+solve by ulps. ``tests/oracles/per_session_pool.py`` runs
 the same API as a per-session oracle (one FluidTask per member) --
 parity tests pin the two against each other.
 
@@ -79,26 +77,22 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class FlowClass:
-    """A session profile: per-member usage, rate cap and QoS floor."""
+    """A session profile: per-member usage and rate cap."""
 
     def __init__(
         self,
         name: str,
         usage: Mapping[FluidResource, float],
         cap: float = float("inf"),
-        floor: float = 0.0,
     ):
         if cap < 0:
             raise ValueError(f"cap must be >= 0, got {cap}")
-        if floor < 0:
-            raise ValueError(f"floor must be >= 0, got {floor}")
         for coeff in usage.values():
             if coeff < 0:
                 raise ValueError(f"usage must be >= 0, got {coeff}")
         self.name = name
         self.usage = dict(usage)
         self.cap = float(cap)
-        self.floor = float(floor)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"FlowClass({self.name!r}, cap={self.cap:.3g})"
@@ -276,7 +270,6 @@ class FlowClassPool:
                 float("inf"),
                 spec.usage,
                 cap=self._member_cap(state),
-                floor=spec.floor,
             )
             agg.on_rate = (
                 lambda task, old, new, t, st=state:  # type: ignore[misc]
@@ -341,12 +334,7 @@ class FlowClassPool:
             state = _ClassState(spec)
             self._classes[spec.name] = state
         elif state.spec is not spec:
-            same = (
-                state.spec.usage == spec.usage
-                and state.spec.cap == spec.cap
-                and state.spec.floor == spec.floor
-            )
-            if not same:
+            if state.spec.usage != spec.usage or state.spec.cap != spec.cap:
                 raise ValueError(
                     f"flow class {spec.name!r} redefined with a different "
                     f"profile"

@@ -152,7 +152,6 @@ class SimViewer:
         conn = TcpConnection(
             self.network, host_name, self.host_name, self.tcp_params
         )
-        conn.reserved_rate = self.config.reserved_rate
         self._conns[rank] = conn
         inbox = self._pipeline.buffer(None, name=f"inbox[{rank}]")
         self._inboxes[rank] = inbox

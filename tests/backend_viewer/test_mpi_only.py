@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.backend.sim as sim
 from repro.backend.sim import SimBackEnd
 from repro.core.campaign import CampaignConfig, build_session
 from repro.netlogger.analysis import EventLog
@@ -65,22 +66,16 @@ class TestMpiOnlyMode:
                 backend.meta, daemon=daemon,
                 config=BackendConfig(mpi_only_overlap=True, overlapped=True),
             )
-        with pytest.raises(ValueError):
-            SimBackEnd(
-                net, backend.pe_hosts, backend.master, "x", viewer,
-                backend.meta, daemon=daemon,
-                config=BackendConfig(interconnect_rate=0),
-            )
 
-    def test_interconnect_rate_matters(self):
+    def test_interconnect_rate_matters(self, monkeypatch):
         """A slow fabric inflates the pipeline period: the cost the
         threaded design avoids entirely."""
         totals = {}
         # The toy slab is ~131 KB; 0.2 MB/s makes the hand-off ~0.65 s
         # per frame, dominating the toy render times.
         for rate in (200e6, 2e5):
+            monkeypatch.setattr(sim, "INTERCONNECT_RATE", rate)
             cfg, (net, backend, viewer, daemon) = tiny(n_pes=4, frames=3)
-            backend.interconnect_rate = rate
             net.run(until=backend.run())
             totals[rate] = backend.timing.total_time
         assert totals[2e5] > totals[200e6] * 1.5

@@ -15,7 +15,7 @@ DATASET = "lan-e4500-overlapped-data"
 
 def _plan(n_pes=8, **tiles):
     config = TileConfig(**{"enabled": True, "tile_size": 8, **tiles})
-    return TilePlan.build(SHAPE, 0, config, n_pes, DATASET)
+    return TilePlan.build(SHAPE, config, n_pes, DATASET)
 
 
 @pytest.mark.parametrize("frustum", [None, (0.0, 0.0, 0.75, 1.0)])

@@ -64,13 +64,22 @@ def test_removed_kwargs_are_type_errors():
 
     import repro.api
     import repro.config
+    import repro.service
     import repro.simcore.fluid as fluid
     from repro.cli import main
+    from repro.config import BackendConfig, StripeConfig, TileConfig
+    from repro.core.campaign import attach_session
     from repro.netsim.sites import SiteFabric
     from repro.scenegraph import Camera, Group, render
-    from repro.service import CacheConfig, ShardCampaign, WorkloadSpec
+    from repro.service import (
+        AdmissionPolicy,
+        CacheConfig,
+        ShardCampaign,
+        ViewerProfile,
+        WorkloadSpec,
+    )
     from repro.simcore import Environment
-    from repro.simcore.flowclass import FlowClassPool
+    from repro.simcore.flowclass import FlowClass, FlowClassPool
     from repro.simcore.fluid import FluidResource, FluidScheduler
     from repro.volren import TransferFunction, render_slab, render_view
 
@@ -95,10 +104,36 @@ def test_removed_kwargs_are_type_errors():
         lambda: WorkloadSpec(requests_per_viewer=2),
         # PR 24: capacity_bytes=0 is the one spelling of "no cache"
         lambda: CacheConfig(enabled=False),
+        # run options no production code set: one case per removed
+        # field (token bucket, fair-share floors, placement, tuning)
+        lambda: AdmissionPolicy(token_rate=1.0),
+        lambda: AdmissionPolicy(token_burst=1.0),
+        lambda: AdmissionPolicy(fair_share_rate=1.0),
+        lambda: ViewerProfile(weight=2.0),
+        lambda: NetworkConfig(reserved_rate=1.0),
+        lambda: TopologyConfig(placement="least-loaded"),
+        lambda: TopologyConfig(spill=False),
+        lambda: StripeConfig(straggler_after=1.0),
+        lambda: StripeConfig(timeout=1.0),
+        lambda: StripeConfig(health_half_life=1.0),
+        lambda: StripeConfig(avoid_threshold=1.0),
+        lambda: BackendConfig(axis=1),
+        lambda: BackendConfig(geometry_bytes_per_frame=0.0),
+        lambda: BackendConfig(interconnect_rate=1.0),
+        lambda: TileConfig(change_fraction=0.5),
+        lambda: ShardCampaign(name="s", frame_bytes=1.0),
+        # ... and the keyword options only those fields fed
+        lambda: FlowClass("c", {}, floor=1.0),
+        lambda: attach_session(
+            None, viewer_name="v", viewer_wan=None, n_timesteps=1,
+            seed=0, tiles=TileConfig(), reserved_rate=1.0,
+        ),
     ]
     for call in type_errors:
         with pytest.raises(TypeError):
             call()
+    with pytest.raises(AttributeError):
+        repro.service.TokenBucket
     with pytest.raises(AttributeError):
         fluid.DEFAULT_INCREMENTAL
     for module in (repro.config, repro.api):
@@ -180,6 +215,28 @@ class TestExperimentConfig:
         message = str(info.value)
         assert "'stripes', 'tile'" in message
         assert "stripe, topology" in message  # the accepted keys
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("overlapped", "no"),
+            ("scaled", 1),
+            ("sanitize", "true"),
+            ("tiles", "false"),
+            ("frames", "3"),
+            ("seed", 1.5),
+            ("tile_size", True),
+            ("campaign", 7),
+            ("stripe", 4),
+            ("topology", ["sc99-wan"]),
+        ],
+    )
+    def test_from_json_checks_key_types(self, key, value):
+        """``bool("false")`` is True: a wrong JSON type must not load
+        as a different run, or fail later somewhere else."""
+        text = json.dumps({"campaign": "lan_e4500", key: value})
+        with pytest.raises(ValueError, match=f"'{key}' must be a JSON"):
+            ExperimentConfig.from_json(text)
 
     def test_from_json_refuses_the_retired_flow_classes_key(self):
         with pytest.raises(ValueError, match="'flow_classes'"):

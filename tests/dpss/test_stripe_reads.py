@@ -9,6 +9,7 @@ biasing, and the striped write path.
 import numpy as np
 import pytest
 
+import repro.dpss.redundant as redundant
 from repro.config import NetworkConfig, StripeConfig
 from repro.dpss import DpssClient, DpssDataset, DpssMaster, DpssServer
 from repro.dpss.health import HealthTracker
@@ -152,9 +153,9 @@ class TestHedged:
 
 
 class TestDoubleFault:
-    def test_double_crash_delivers_absent_quickly(self):
-        cfg = EAGER.with_changes(timeout=3.0)
-        net, master, client, handle, daemon, _ = build(stripe=cfg)
+    def test_double_crash_delivers_absent_quickly(self, monkeypatch):
+        monkeypatch.setattr(redundant, "READ_DEADLINE", 3.0)
+        net, master, client, handle, daemon, _ = build(stripe=EAGER)
         inject(net, master, daemon, [
             ServerCrash(at=0.0, duration=60.0, server="s0"),
             ServerCrash(at=0.0, duration=60.0, server="s3"),
@@ -171,8 +172,7 @@ class TestDoubleFault:
         assert set(stats.failed_servers) & {"s0", "s3"}
 
     def test_mid_read_double_crash_is_triaged_not_stalled(self):
-        cfg = EAGER.with_changes(timeout=30.0)
-        net, master, client, handle, daemon, _ = build(stripe=cfg)
+        net, master, client, handle, daemon, _ = build(stripe=EAGER)
         injector = FaultInjector(
             net, master,
             FaultPlan.of([

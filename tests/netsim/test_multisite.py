@@ -89,10 +89,6 @@ class TestTopologyValidation:
                 sites=(SiteSpec(name="a"), SiteSpec(name="a"))
             )
 
-    def test_bad_placement_rejected(self):
-        with pytest.raises(ValueError, match="placement"):
-            TopologyConfig(placement="random")
-
     def test_link_to_unknown_site_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
             TopologyConfig(

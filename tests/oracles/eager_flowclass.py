@@ -85,7 +85,7 @@ class EagerFlowClassPool(FlowClassPool):
         if state.agg is None:
             agg = FluidTask(
                 f"fc:{spec.name}", float("inf"), spec.usage,
-                cap=self._member_cap(state), floor=spec.floor,
+                cap=self._member_cap(state),
             )
             agg.on_rate = (
                 lambda task, old, new, t, st=state:

@@ -2,8 +2,8 @@
 
 Until PR 19 this was ``FlowClassPool(aggregate=False)``.  Every
 admitted member becomes its own :class:`FluidTask` with the class's
-usage, cap and floor; no class state, no aggregate flow.  With unit
-usage coefficients and no floor the production pool completes every
+usage and cap; no class state, no aggregate flow.  With unit usage
+coefficients the production pool completes every
 member at the bitwise-identical instant
 (``tests/simcore/test_flowclass.py``, 200 seeds, and the shard runs in
 ``tests/service/test_shard.py``, which patch this class in as
@@ -20,7 +20,7 @@ class PerSessionPool(FlowClassPool):
     def submit(self, spec, work, name):
         if work < 0:
             raise ValueError(f"work must be >= 0, got {work}")
-        task = FluidTask(name, work, spec.usage, cap=spec.cap, floor=spec.floor)
+        task = FluidTask(name, work, spec.usage, cap=spec.cap)
         done = self.sched.submit(task)
         self.stats.members_submitted += 1
         return done

@@ -19,17 +19,13 @@ def _run_per_session(config, monkeypatch):
         return run_shard_campaign(config)
 
 
-def _mini_campaign(
-    *, spill=True, placement="nearest", queue_depth=1, n=4, seed=0
-):
+def _mini_campaign(*, queue_depth=1, n=4, seed=0):
     """Four near-simultaneous arrivals pinned to a 1-slot home site."""
     topology = TopologyConfig(
         sites=(
             SiteSpec(name="home", max_sessions=1, queue_depth=queue_depth),
             SiteSpec(name="remote", max_sessions=1),
         ),
-        placement=placement,
-        spill=spill,
     )
     workload = WorkloadSpec(
         n_viewers=n,
@@ -62,29 +58,6 @@ class TestPlacementVerdicts:
         assert result.metrics.sites["home"].spilled_out == 1
         assert result.metrics.sites["remote"].spilled_in == 1
 
-    def test_spill_false_pins_sessions_to_home(self):
-        result = run_shard_campaign(_mini_campaign(spill=False))
-        verdicts = [r.verdict for r in result.records]
-        assert verdicts == [
-            AdmissionVerdict.LOCAL,
-            AdmissionVerdict.QUEUED,
-            AdmissionVerdict.REJECTED,
-            AdmissionVerdict.REJECTED,
-        ]
-        assert all(r.served in ("home", "") for r in result.records)
-
-    def test_least_loaded_balances_before_queueing(self):
-        result = run_shard_campaign(
-            _mini_campaign(placement="least-loaded")
-        )
-        verdicts = [r.verdict for r in result.records]
-        assert verdicts == [
-            AdmissionVerdict.LOCAL,
-            AdmissionVerdict.SPILL,
-            AdmissionVerdict.QUEUED,
-            AdmissionVerdict.REJECTED,
-        ]
-
     def test_queued_session_eventually_serves_at_home(self):
         result = run_shard_campaign(_mini_campaign())
         queued = result.records[2]
@@ -100,6 +73,30 @@ class TestPlacementVerdicts:
         assert service.admitted == 3
         assert service.completed == 3
         assert service.rejected == 1
+
+
+    def test_no_spill_over_a_zero_capacity_core(self):
+        """``core_rate=0`` disables spilling over undeclared paths: a
+        flow placed on the dead core would never finish."""
+        topology = TopologyConfig(
+            sites=(
+                SiteSpec(name="home", max_sessions=1, queue_depth=4),
+                SiteSpec(name="far"),
+            ),
+            core_rate=0.0,
+        )
+        workload = WorkloadSpec(
+            n_viewers=3,
+            arrival_rate=1e6,
+            profiles=(ViewerProfile(name="pinned", region="home"),),
+        )
+        config = ShardCampaign(
+            name="dead-core", topology=topology, workload=workload
+        )
+        result = run_shard_campaign(config)
+        assert result.metrics.verdicts == {"local": 1, "queued": 2}
+        assert result.metrics.service.completed == 3
+        assert all(r.served == "home" for r in result.records)
 
 
 class TestShardCampaignValidation:
@@ -202,6 +199,9 @@ class TestShardResultPayload:
         assert payload["schema_version"] == 1
         assert payload["kind"] == "shard"
         assert payload["campaign"]["sites"] == ["home", "remote"]
+        # schema v1 constants: one placement policy, spill always on
+        assert payload["campaign"]["placement"] == "nearest"
+        assert payload["campaign"]["spill"] is True
         assert payload["campaign"]["flow_classes"] is True
         assert payload["metrics"]["service"]["offered"] == 4
         assert set(payload["metrics"]["sites"]) == {"home", "remote"}

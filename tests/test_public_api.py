@@ -1,6 +1,7 @@
 """Public-API smoke tests: every exported name resolves and is documented."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -185,19 +186,25 @@ TEST_ONLY_ALLOWLIST = {
 }
 
 
-def _public_names_and_uses():
-    """``({"pkg.module.Name": "Name"}, {every name used})`` by AST walk.
-
-    A use is an ``ast.Name`` or ``ast.Attribute``, so imports and
-    ``__all__`` strings do not count, and neither does a use inside the
-    name's own definition. Consumers are ``src/repro``, ``bench``,
-    ``examples`` and ``benchmarks`` -- never ``tests``.
-    """
+def _production_files():
+    """``(src/repro, every production .py file)``: ``src/repro``,
+    ``bench``, ``examples`` and ``benchmarks`` -- never ``tests``."""
     root = Path(__file__).resolve().parents[1]
     src = root / "src" / "repro"
     files = sorted(src.rglob("*.py"))
     for consumer in ("bench", "examples", "benchmarks"):
         files += sorted((root / consumer).rglob("*.py"))
+    return src, files
+
+
+def _public_names_and_uses():
+    """``({"pkg.module.Name": "Name"}, {every name used})`` by AST walk.
+
+    A use is an ``ast.Name`` or ``ast.Attribute``, so imports and
+    ``__all__`` strings do not count, and neither does a use inside the
+    name's own definition.
+    """
+    src, files = _production_files()
     defined, used = {}, set()
     for path in files:
         in_src = src in path.parents
@@ -233,4 +240,155 @@ def test_no_public_name_only_tests_use():
     assert not stale, (
         "allowlist entries that no longer exist or now have a "
         f"production consumer: {stale}"
+    )
+
+
+#: The run-config dataclasses: every field is a run option.
+RUN_CONFIGS = (
+    "repro.config.StripeConfig",
+    "repro.config.NetworkConfig",
+    "repro.config.TileConfig",
+    "repro.config.SiteSpec",
+    "repro.config.SiteLink",
+    "repro.config.TopologyConfig",
+    "repro.config.BackendConfig",
+    "repro.config.ExperimentConfig",
+    "repro.core.campaign.CampaignConfig",
+    "repro.service.manager.ServiceCampaign",
+    "repro.service.admission.AdmissionPolicy",
+    "repro.service.cache.CacheConfig",
+    "repro.service.shard.ShardCampaign",
+    "repro.service.workload.WorkloadSpec",
+    "repro.service.workload.ViewerProfile",
+    "repro.faults.policy.RequestPolicy",
+)
+
+#: Run-config fields no production code sets, each kept for the one
+#: reason given.
+UNSET_FIELD_ALLOWLIST = {
+    "CampaignConfig.overlap_depth":
+        "ROADMAP item 6 draws it; tests sweep the buffer depth",
+}
+
+
+def _run_config_fields():
+    """``{class name: its field names in declaration order}``."""
+    out = {}
+    for path in RUN_CONFIGS:
+        module, _, name = path.rpartition(".")
+        cls = getattr(importlib.import_module(module), name)
+        out[name] = [f.name for f in dataclasses.fields(cls)]
+    return out
+
+
+def _dict_keys(scope):
+    """``{name: string keys}`` of the dicts one scope builds: the keys
+    of dict literals assigned to ``name`` and of ``name["key"] = ...``."""
+    keys = {}
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        for target in targets:
+            if isinstance(target, ast.Name):
+                found = [
+                    key
+                    for sub in ast.walk(value)
+                    if isinstance(sub, ast.Dict)
+                    for key in sub.keys
+                ]
+                name = target.id
+            elif isinstance(target, ast.Subscript) and isinstance(
+                target.value, ast.Name
+            ):
+                found, name = [target.slice], target.value.id
+            else:
+                continue
+            keys.setdefault(name, set()).update(
+                key.value
+                for key in found
+                if isinstance(key, ast.Constant) and isinstance(key.value, str)
+            )
+    return keys
+
+
+class _FieldSetters(ast.NodeVisitor):
+    """Collects ``"Class.field"`` for every run-config field a call sets.
+
+    A call to the class (or to ``cls`` inside it) sets the fields it
+    passes by position or keyword; ``with_changes`` / ``replace`` set
+    theirs on every run-config class declaring them, since the
+    receiver's type is not known statically. ``**name`` counts the
+    string keys of the dict ``name`` built in the same function.
+    """
+
+    def __init__(self, configs):
+        self.configs = configs
+        self.owner = None
+        self.keys = {}
+        self.found = set()
+
+    def visit_ClassDef(self, node):
+        outer, self.owner = self.owner, node.name
+        self.generic_visit(node)
+        self.owner = outer
+
+    def visit_FunctionDef(self, node):
+        outer, self.keys = self.keys, _dict_keys(node)
+        self.generic_visit(node)
+        self.keys = outer
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Call(self, node):
+        func = node.func
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name == "cls":
+            name = self.owner
+        positional = []
+        if name in self.configs:
+            targets, positional = [name], node.args
+        elif name in ("with_changes", "replace"):
+            targets = list(self.configs)
+        else:
+            targets = []
+        passed = set()
+        for keyword in node.keywords:
+            if keyword.arg is not None:
+                passed.add(keyword.arg)
+            elif isinstance(keyword.value, ast.Name):
+                passed |= self.keys.get(keyword.value.id, set())
+        for target in targets:
+            fields = self.configs[target]
+            named = [f for f in fields if f in passed]
+            for field, arg in zip(fields, positional):
+                if isinstance(arg, ast.Starred):
+                    break
+                named.append(field)
+            self.found.update(f"{target}.{field}" for field in named)
+        self.generic_visit(node)
+
+
+def test_every_config_field_has_a_production_setter():
+    """Every run-config field is set by production code, or has an
+    allowlist entry saying why its default is all that runs."""
+    configs = _run_config_fields()
+    visitor = _FieldSetters(configs)
+    for path in _production_files()[1]:
+        visitor.visit(ast.parse(path.read_text(), str(path)))
+    every = {f"{cls}.{f}" for cls, fields in configs.items() for f in fields}
+    unset = every - visitor.found
+    unlisted = sorted(unset - UNSET_FIELD_ALLOWLIST.keys())
+    stale = sorted(UNSET_FIELD_ALLOWLIST.keys() - unset)
+    assert not unlisted, (
+        "run-config fields no production code sets; delete each with "
+        f"the code only its other values reach, or allowlist it with a "
+        f"reason: {unlisted}"
+    )
+    assert not stale, (
+        "allowlist entries that no longer exist or now have a "
+        f"production setter: {stale}"
     )
