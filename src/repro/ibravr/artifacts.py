@@ -14,12 +14,12 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from repro.ibravr.axis import best_view_axis
 from repro.ibravr.compositor import IbravrModel
 from repro.scenegraph.camera import Camera
 from repro.volren.decomposition import slab_decompose
+from repro.volren.imageorder import ScreenTile, render_tile
 from repro.volren.renderer import VolumeRenderer
 from repro.volren.transfer import TransferFunction
 
@@ -35,57 +35,13 @@ def ground_truth_frame(
 ) -> np.ndarray:
     """Ray-cast the full volume through ``camera``'s pixel rays.
 
-    Uses the camera's own basis so the output is pixel-aligned with
-    the rasterized IBRAVR frame.
+    The whole viewport as one image-order tile, so the output is
+    pixel-aligned with the rasterized IBRAVR frame.
     """
-    r, u, f = camera.basis()
-    aspect = width / height
-    half_h = camera.extent / 2.0
-    half_w = half_h * aspect
-    xs = (np.arange(width) + 0.5) / width * 2.0 - 1.0   # -1..1
-    ys = 1.0 - (np.arange(height) + 0.5) / height * 2.0  # +1..-1, y down
-    X, Y = np.meshgrid(xs * half_w, ys * half_h)
-    origin = (
-        np.asarray(camera.target)[None, None, :]
-        + X[..., None] * r
-        + Y[..., None] * u
+    return render_tile(
+        volume, tf, camera, ScreenTile(0, 0, width, 0, height), width,
+        height, samples_per_voxel=samples_per_voxel,
     )
-
-    max_dim = max(volume.shape)
-    half_extent = np.sqrt(3.0) / 2.0
-    n_samples = max(int(np.sqrt(3.0) * max_dim * samples_per_voxel), 2)
-    ts = np.linspace(-half_extent, half_extent, n_samples)
-    step_voxels = (ts[1] - ts[0]) * max_dim
-
-    accum = np.zeros((height, width, 4), dtype=np.float32)
-    transparency = np.ones((height, width, 1), dtype=np.float32)
-    shape = np.asarray(volume.shape, dtype=np.float64)
-    vol32 = volume.astype(np.float32)
-    for t in ts:
-        pos = origin + t * f
-        inside = np.all((pos >= 0.0) & (pos <= 1.0), axis=-1)
-        if not inside.any():
-            continue
-        idx = pos * shape[None, None, :] - 0.5
-        scalars = map_coordinates(
-            vol32,
-            [idx[..., 0], idx[..., 1], idx[..., 2]],
-            order=1,
-            mode="constant",
-            cval=0.0,
-        )
-        scalars = np.where(inside, scalars, 0.0)
-        rgba = tf(scalars)
-        alpha = 1.0 - np.power(
-            np.clip(1.0 - rgba[..., 3], 1e-7, 1.0), step_voxels
-        )
-        a = alpha[..., None].astype(np.float32)
-        accum[..., :3] += transparency * rgba[..., :3] * a
-        accum[..., 3:] += transparency * a
-        transparency *= 1.0 - a
-        if float(transparency.max()) < 1e-4:
-            break
-    return accum
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.scenegraph.camera import Camera
+from repro.volren.raycast import _check_volume, trilinear
 from repro.volren.transfer import TransferFunction
 
 
@@ -97,8 +98,7 @@ def render_tile(
     Unlike the object-order path there is no compositing order issue:
     each tile owns its pixels outright.
     """
-    from scipy.ndimage import map_coordinates
-
+    volume = _check_volume(volume)
     origins, f = _tile_ray_geometry(camera, tile, width, height)
     max_dim = max(volume.shape)
     half_extent = np.sqrt(3.0) / 2.0
@@ -117,11 +117,7 @@ def render_tile(
         if not inside.any():
             continue
         idx = pos * shape[None, None, :] - 0.5
-        scalars = map_coordinates(
-            vol32,
-            [idx[..., 0], idx[..., 1], idx[..., 2]],
-            order=1, mode="constant", cval=0.0,
-        )
+        scalars = trilinear(vol32, idx)
         scalars = np.where(inside, scalars, 0.0)
         rgba = tf(scalars)
         alpha = 1.0 - np.power(

@@ -8,7 +8,7 @@ source images "are obtained by volume rendering the slab of data"
 
 :func:`render_view` is an arbitrary-angle orthographic ray caster used
 as ground truth when quantifying IBRAVR's off-axis artifacts
-(Figure 6); it resamples the volume with trilinear interpolation along
+(Figure 6); it resamples the volume with :func:`trilinear` along
 view-aligned rays.
 
 Both kernels walk their samples front to back once, carrying an
@@ -25,10 +25,10 @@ deep the slab.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 from repro.volren.transfer import TransferFunction
 
@@ -46,6 +46,45 @@ def _check_volume(volume: np.ndarray) -> np.ndarray:
     if 0 in volume.shape:
         raise ValueError(f"volume has an empty axis, got shape={volume.shape}")
     return volume
+
+
+def trilinear(volume: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """Trilinear samples of a float 3-D ``volume`` at ``coords``.
+
+    ``coords`` has shape ``(..., 3)`` in voxel index units; the result
+    has shape ``coords.shape[:-1]`` and the volume's dtype.  The bits
+    are those of ``map_coordinates(order=1, mode="constant",
+    cval=0.0)``, the ``ndimage`` call kept as the oracle in
+    ``tests/oracles``:
+
+    - a point with any coordinate non-finite or outside ``[0, n - 1]``
+      samples ``0.0``;
+    - per axis, ``w0 = 1 - (c - floor(c))`` and ``w1 = 1 - w0`` (not
+      ``c - floor(c)``, which differs in the last bit below one half),
+      and the upper neighbour index is clamped to ``n - 1``, where its
+      weight is 0;
+    - the eight corners add ``v * wi * wj * wk`` (the corner's weight on
+      axes 0, 1, 2) left to right into a float64 sum that starts at
+      ``0.0``, in C order (axis 2 fastest), and the sum is cast to the
+      volume's dtype.
+    """
+    coords = np.asarray(coords, dtype=np.float64)
+    inside = np.ones(coords.shape[:-1], dtype=bool)
+    corners = []
+    for axis, n in enumerate(volume.shape):
+        c = coords[..., axis]
+        on_axis = (c >= 0.0) & (c <= n - 1)  # False for NaN
+        inside &= on_axis
+        c = np.where(on_axis, c, 0.0)
+        base = np.floor(c)
+        w0 = 1.0 - (c - base)
+        lo = base.astype(np.intp)
+        corners.append(((lo, w0), (np.minimum(lo + 1, n - 1), 1.0 - w0)))
+    total = np.zeros(inside.shape)
+    for (i, wi), (j, wj), (k, wk) in itertools.product(*corners):
+        total += volume[i, j, k] * wi * wj * wk
+    total[~inside] = 0.0
+    return total.astype(volume.dtype)
 
 
 def render_slab(
@@ -167,8 +206,8 @@ def _sample_view(
         raise ValueError("samples_per_voxel must be > 0")
     d = np.asarray(direction, dtype=np.float64)
     norm = np.linalg.norm(d)
-    if norm == 0:
-        raise ValueError("direction must be non-zero")
+    if norm == 0 or not np.isfinite(norm):
+        raise ValueError(f"direction must be finite and non-zero, got {d}")
     d = d / norm
 
     # Orthonormal basis (u, v) spanning the image plane.
@@ -196,13 +235,7 @@ def _sample_view(
     )
     shape = np.asarray(volume.shape, dtype=np.float64)
     idx = pos * shape[None, None, None, :] - 0.5
-    scalars = map_coordinates(
-        volume.astype(np.float32),
-        [idx[..., 0], idx[..., 1], idx[..., 2]],
-        order=1,
-        mode="constant",
-        cval=0.0,
-    )
+    scalars = trilinear(volume.astype(np.float32), idx)
     # Mask samples outside the unit cube so padding never contributes.
     inside = np.all((pos >= 0.0) & (pos <= 1.0), axis=-1)
     scalars = np.where(inside, scalars, 0.0)

@@ -24,4 +24,8 @@ compares against; nothing under ``src/`` imports from this package
 - ``eager_flowclass`` -- the per-rate-change member sweep. Pins
   completion times, pool wakes and shared counters with ``==``
   (``test_flowclass_lazy.py``).
+- ``scipy_trilinear`` -- ``scipy.ndimage.map_coordinates`` at
+  ``order=1``. Pins ``volren.raycast.trilinear`` with
+  ``np.array_equal`` over hypothesis-drawn volumes and coordinates
+  (``test_trilinear.py``). The only ``scipy`` import in the tree.
 """

@@ -4,6 +4,9 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,7 +146,8 @@ def test_run_check_facade():
 
 def test_src_never_imports_tests():
     """Reference implementations live under ``tests/oracles`` and import
-    production, never the other way round."""
+    production, never the other way round; scipy, a test-only
+    dependency, is one of them."""
     import repro
 
     offenders = []
@@ -158,9 +162,26 @@ def test_src_never_imports_tests():
             offenders += [
                 f"{path}:{node.lineno}"
                 for module in modules
-                if module.split(".")[0] == "tests"
+                if module.split(".")[0] in ("tests", "scipy")
             ]
-    assert not offenders, f"src imports tests: {offenders}"
+    assert not offenders, f"src imports tests or scipy: {offenders}"
+
+
+def test_import_loads_no_scipy():
+    """A fresh ``import repro.api`` leaves no ``scipy*`` module loaded."""
+    import repro
+
+    code = (
+        "import sys, repro.api; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 #: Public top-level names under ``src/repro`` that no production code

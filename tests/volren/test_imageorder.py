@@ -62,6 +62,18 @@ class TestRendering:
             )
         np.testing.assert_allclose(assembled, full, atol=1e-5)
 
+    @pytest.mark.parametrize("empty_axis", [0, 1, 2])
+    def test_empty_axis_volume_refused(self, tf, empty_axis):
+        shape = [4, 4, 4]
+        shape[empty_axis] = 0
+        vol = np.zeros(tuple(shape), dtype=np.float32)
+        camera = Camera.orbit(0.0, 0.0)
+        tile = ScreenTile(rank=0, x0=0, x1=8, y0=0, y1=8)
+        with pytest.raises(ValueError, match="empty axis"):
+            render_tile(vol, tf, camera, tile, 8, 8)
+        with pytest.raises(ValueError, match="empty axis"):
+            ground_truth_frame(vol, tf, camera, 8, 8)
+
 
 class TestDataFootprints:
     def test_footprint_within_volume(self, volume):

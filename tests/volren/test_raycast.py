@@ -120,6 +120,9 @@ class TestRenderView:
         tf = TransferFunction.grayscale()
         with pytest.raises(ValueError):
             render_view(vol, tf, np.zeros(3))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                render_view(vol, tf, [bad, 0.0, 0.0])
         with pytest.raises(ValueError):
             render_view(vol, tf, np.ones(3), image_size=1)
         with pytest.raises(ValueError):
