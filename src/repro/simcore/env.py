@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import count
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    Deque,
     Generator,
     List,
     Optional,
@@ -52,6 +54,8 @@ class Environment:
         self._now = float(initial_time)
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._counter = count()
+        #: :meth:`at_instant_end` callbacks pending at ``now``, in order
+        self._instant_end: Deque[Callable[[], None]] = deque()
         self._active_process: Optional[Process] = None
         self._unhandled: List[Tuple[Process, BaseException]] = []
         #: opt-in concurrency sanitizer (:mod:`repro.analysis`); the
@@ -97,17 +101,14 @@ class Environment:
     def at_instant_end(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` once every other event at ``now`` has run.
 
-        It runs after every normal-priority event due at the current
-        instant -- including ones scheduled after this call -- and
-        before time advances. A callback that calls this again is
-        served later in the same instant. A component that collects
-        several changes per instant settles them here in one pass.
+        It runs after every event due at the current instant --
+        including ones scheduled after this call -- and before time
+        advances. Callbacks run in the order they were registered; a
+        callback that calls this again is served later in the same
+        instant. A component that collects several changes per instant
+        settles them here in one pass.
         """
-        event = Event(self)
-        event._ok = True
-        event._value = None
-        event.callbacks.append(lambda _ev: callback())
-        heapq.heappush(self._queue, (self._now, 2, next(self._counter), event))
+        self._instant_end.append(callback)
 
     def process(self, generator: Generator) -> Process:
         """Register ``generator`` as a new process starting now."""
@@ -133,13 +134,19 @@ class Environment:
     # -- run loop ----------------------------------------------------------
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
+        if self._instant_end:
+            return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event."""
-        if not self._queue:
+        """Process exactly one event (or one instant-end callback)."""
+        queue = self._queue
+        if self._instant_end and (not queue or queue[0][0] > self._now):
+            self._instant_end.popleft()()
+            return
+        if not queue:
             raise EmptySchedule()
-        when, _prio, _cnt, event = heapq.heappop(self._queue)
+        when, _prio, _cnt, event = heapq.heappop(queue)
         if when < self._now - 1e-12:
             raise SimulationError("event scheduled in the past")
         self._now = max(self._now, when)
@@ -189,7 +196,7 @@ class Environment:
                     stop_event._defused = True
                     raise stop_event._value
                 return stop_event.value
-            if not self._queue:
+            if not self._queue and not self._instant_end:
                 if self.sanitizer is not None:
                     self.sanitizer.on_exhausted()
                 if stop_event is not None:

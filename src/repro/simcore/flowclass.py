@@ -326,7 +326,7 @@ class FlowClassPool:
             batch.append((agg, usage))
         if batch:
             self.sched.set_usage(batch)
-        self._arm_wake()
+        self._arm_after_settle()
 
     def _state_of(self, spec: FlowClass) -> _ClassState:
         state = self._classes.get(spec.name)
@@ -433,6 +433,18 @@ class FlowClassPool:
             (t0 + horizon, self._push_ids, head, state.epoch, horizon, t0),
         )
 
+    def _arm_after_settle(self) -> None:
+        """Arm the wake once the allocator has settled this instant.
+
+        While the allocator's settle is queued, the heads sit at rates
+        it is about to change: ``_on_agg_rate`` re-queues them there,
+        so a wake armed now could be superseded before time moves.
+        """
+        if self.sched._settle_armed:
+            self.env.at_instant_end(self._arm_wake)
+        else:
+            self._arm_wake()
+
     def _arm_wake(self) -> None:
         """One outstanding timeout covering the earliest member ETA.
 
@@ -479,7 +491,7 @@ class FlowClassPool:
             heapq.heappop(heap)
             self._complete_member(member, now)
         if not self._pending:
-            self._arm_wake()  # otherwise the settle arms it
+            self._arm_after_settle()  # otherwise the settle arms it
 
     def _complete_member(self, member: _Member, now: float) -> None:
         state = member.state

@@ -3,10 +3,12 @@
 A :class:`FluidTask` is a fixed amount of *work* (bytes, CPU-seconds)
 served at a rate decided by max-min fair progressive filling
 (:mod:`repro.simcore.fairshare`) over the :class:`FluidResource`
-objects the task touches. Whenever the active set changes (task added,
-finished, or a cap updated -- e.g. TCP slow-start opening a window),
-the scheduler recomputes the allocation and reschedules the next
-completion.
+objects the task touches. A change to the active set (task added,
+finished, or a cap updated -- e.g. TCP slow-start opening a window)
+only marks what it touched; at the end of the simulated instant one
+settle recomputes the allocation and reschedules the next completion
+(DESIGN.md section 12.7), so rates read mid-instant are those of the
+last settle.
 
 The same scheduler serves network links, NICs, disk pools and CPU
 pools, so cross-domain contention (the paper's reader-thread vs render
@@ -23,7 +25,7 @@ earliest completion is tracked through a lazy-deletion heap of
 absolute ETAs instead of a linear scan, with at most one outstanding
 wake timeout. ``tests/oracles/recompute_fluid.py`` subclasses this
 engine into a fresh-recompute oracle (every component re-solved from
-rebuilt specs at every event); because rates are pure functions of the
+rebuilt specs at every settle); because rates are pure functions of the
 specs, the two are bitwise identical -- parity tests pin this.
 """
 
@@ -44,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from repro.simcore.events import Event, SimulationError
+from repro.simcore.events import Event, Interrupt, SimulationError
 from repro.simcore.fairshare import (
     FlowSpec,
     ResourceSpec,
@@ -244,6 +246,7 @@ class FluidScheduler:
         self._seq_ids = 0
         self._wake_token = 0
         self._next_wake = float("inf")  # fire time of the live wake
+        self._settle_armed = False  # a settle is queued for this instant
         self.stats = AllocStats()
         self.alloc_observer: Optional[AllocObserver] = None
 
@@ -426,8 +429,6 @@ class FluidScheduler:
         self._bank(task)
         self._detach(task)
         task.rate = 0.0
-        from repro.simcore.events import Interrupt
-
         assert task.done is not None  # active tasks were submitted
         task.done.fail(Interrupt("cancelled"))
         task.done._defused = True
@@ -483,8 +484,15 @@ class FluidScheduler:
         task._eta = float("inf")
 
     def _after_change(self) -> None:
-        """Settle dirty components and maintain the wake timeout."""
+        """Queue one settle for the end of this instant (DESIGN.md 12.7)."""
         self.stats.events += 1
+        if not self._settle_armed:
+            self._settle_armed = True
+            self.env.at_instant_end(self._settle)
+
+    def _settle(self) -> None:
+        """Solve every component dirtied this instant; re-arm the wake."""
+        self._settle_armed = False
         self._flush()
         self._arm_wake()
 

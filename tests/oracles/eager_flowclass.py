@@ -185,7 +185,7 @@ class EagerFlowClassPool(FlowClassPool):
             heapq.heappop(heap)
             self._complete_member(member, now)
         if not self._pending:
-            self._arm_wake()
+            self._arm_after_settle()
 
     def _complete_member(self, member, now):
         member.eta_seq += 1

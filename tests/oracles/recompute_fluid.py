@@ -1,10 +1,12 @@
 """Fresh-recompute allocator: ``FluidScheduler`` without its caches.
 
 Until PR 19 this was ``FluidScheduler(incremental=False)``.  It is the
-production engine with exactly four methods overridden: every event
-dirties every component (``_after_change``), and flow specs, finite-cap
-stand-ins and resource specs are rebuilt on every call (``_flow_of``,
-``_fcap_of``, ``_spec_of``) -- the historical global recompute.
+production engine with exactly four methods overridden: every settle
+(one at the end of each instant that changed something, DESIGN.md
+section 12.7) dirties every component before it solves (``_flush``),
+and flow specs, finite-cap stand-ins and resource specs are rebuilt on
+every call (``_flow_of``, ``_fcap_of``, ``_spec_of``) -- the historical
+global recompute.
 Re-solving a clean component reproduces its rates bitwise (filling is a
 pure function of the specs), so no rate change, banking or ETA refresh
 happens here that the incremental engine would skip: the parity suites
@@ -24,12 +26,12 @@ from repro.simcore.fluid import FluidScheduler, FluidTask
 
 
 class RecomputeFluidScheduler(FluidScheduler):
-    def _after_change(self) -> None:
+    def _flush(self) -> None:
         for rname in self._resources:
             self._dirty[rname] = None
         for tname in self._floating:
             self._dirty_floating[tname] = None
-        super()._after_change()
+        super()._flush()
 
     def _flow_of(self, task: FluidTask) -> FlowSpec:
         task._flow = None

@@ -1,7 +1,8 @@
 """The per-RTT tick loop :class:`TcpConnection` used before lazy window
 schedules: the send process wakes every RTT, grows the window and pushes
-the new cap into the allocator -- and the allocator re-solves every time,
-whether or not the cap was holding the flow back.
+the new cap into the allocator -- and the allocator re-solves at every
+instant a tick lands on, whether or not the cap was holding the flow
+back.
 
 ``tests/netsim/test_window_schedule.py`` runs it beside the production
 connection and demands identical bits.
@@ -82,34 +83,3 @@ class TickingTcpConnection(TcpConnection):
             sched._touch_task(task)
             sched._after_change()
 
-
-class BatchedTickingTcpConnection(TickingTcpConnection):
-    """The tick loop, solving once per instant instead of once per tick.
-
-    When N connections tick on the same timestamp (opened together over
-    one route), the historical loop solved N times there, each solve
-    seeing one more raised cap. The final rates are those of the last
-    solve alone -- a solve is a pure function of the caps -- but a flow
-    whose rate differs by an ulp in an intermediate solve and returns
-    to its old value in the last is banked, and its completion
-    re-estimated, by the N-solve sequence only. The lazy schedule
-    solves once with every cap raised; this variant is the tick loop
-    with that one difference, and must match it bit for bit.
-    """
-
-    def _push_cap(self, task):
-        sched = self.network.sched
-        if task.name not in sched._active:
-            return
-        task.cap = self._rate_cap()
-        task._flow = None
-        sched._touch_task(task)
-        if not getattr(sched, "_oracle_flush_armed", False):
-            sched._oracle_flush_armed = True
-            flush = self.network.env.timeout(0.0)
-            flush.callbacks.append(lambda _ev: self._flush(sched))
-
-    @staticmethod
-    def _flush(sched):
-        sched._oracle_flush_armed = False
-        sched._after_change()

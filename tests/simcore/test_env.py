@@ -462,3 +462,59 @@ def test_at_instant_end_runs_after_same_time_events_before_later_ones():
         ("flush2", 1.0),
         ("next", 1.5),
     ]
+
+
+def test_at_instant_end_yields_to_events_a_callback_schedules():
+    """A ``timeout(0)`` armed by one callback runs before the next one."""
+    env = Environment()
+    log = []
+
+    def first():
+        log.append("first")
+        env.timeout(0.0).callbacks.append(lambda _ev: log.append("zero"))
+
+    env.at_instant_end(first)
+    env.at_instant_end(lambda: log.append("second"))
+    env.run()
+    assert log == ["first", "zero", "second"]
+    assert env.now == 0.0
+
+
+def test_run_until_now_drains_instant_end_callbacks():
+    env = Environment(initial_time=3.0)
+    log = []
+    env.at_instant_end(lambda: log.append(env.now))
+    env.timeout(1.0)
+    env.run(until=env.now)
+    assert log == [3.0]
+    assert env.now == 3.0 and env.peek() == 4.0
+
+
+def test_peek_is_now_while_instant_end_callbacks_are_pending():
+    env = Environment()
+    env.timeout(2.0)
+    env.run(until=1.0)
+    env.at_instant_end(lambda: None)
+    assert env.peek() == 1.0
+    env.step()
+    assert env.peek() == 2.0
+
+
+def test_instant_end_callback_exception_propagates_out_of_run():
+    env = Environment()
+
+    def boom():
+        raise RuntimeError("settle failed")
+
+    env.at_instant_end(boom)
+    with pytest.raises(RuntimeError, match="settle failed"):
+        env.run()
+
+
+def test_run_until_event_waits_for_pending_instant_end_callbacks():
+    """An empty heap is not exhaustion while a callback may still fire
+    the awaited event."""
+    env = Environment()
+    done = env.event()
+    env.at_instant_end(lambda: done.succeed("settled"))
+    assert env.run(until=done) == "settled"

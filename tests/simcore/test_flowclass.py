@@ -116,6 +116,7 @@ def test_cap_is_per_member():
     done = []
     for i in range(4):
         done.append(pool.submit(spec, 100.0, name=f"m{i}"))
+    env.run(until=env.now)
     assert pool.class_rate("capped") == 10.0
     env.run()
     # 100 units at 10/s each: all four finish together at t=10.
@@ -130,6 +131,7 @@ def test_set_class_cap_retunes_live_members():
     spec = FlowClass("capped", {wan: 1.0}, cap=10.0)
     done = pool.submit(spec, 100.0, name="m0")
     pool.set_class_cap(spec, 50.0)
+    env.run(until=env.now)
     assert pool.class_rate("capped") == 50.0
     env.run()
     assert done.value == 2.0  # 100 units at 50/s from t=0
@@ -257,3 +259,25 @@ def test_two_classes_on_one_resource_settle_in_one_solve():
     env.run(until=1.5)
     assert pool.sched.stats.components_solved == solves + 1
     assert pool.class_rate("bulk") == pool.class_rate("interactive") == 25.0
+
+
+def test_batched_rescale_schedules_at_most_one_wake():
+    """A completion that speeds the class up re-scales it at the end of
+    the instant; the pool arms once, after the allocator has solved the
+    batch, so no wake armed at the old rate goes stale."""
+    env = Environment()
+    sched = FluidScheduler(env)
+    wan = sched.add_resource(FluidResource("wan", 100.0))
+    pool = FlowClassPool(env, sched)
+    bulk = FlowClass("bulk", {wan: 1.0})
+    pool.submit(bulk, 10.0, name="m0")  # leaves at t=0.3
+    last = pool.submit(bulk, 100.0, name="m1")
+    pool.submit(bulk, 100.0, name="m2")
+    env.run(until=0.2)
+    wakes = pool.stats.wakes_scheduled
+    env.run(until=1.0)  # m0 leaves: 3 -> 2 members, 33.3 -> 50 each
+    assert pool.class_rate("bulk") == 50.0
+    assert pool.stats.wakes_scheduled - wakes <= 1
+    env.run()
+    assert pool.stats.stale_wakes == 0
+    assert last.value == pytest.approx(2.1)

@@ -217,12 +217,13 @@ def test_rate_change_folds_the_head_only():
     # Pinned at its cap: a join takes 1.0 off the WAN -- one bitwise
     # rate change for ``big`` -- and leaves its own class's rate alone.
     pinned = FlowClass("pinned", {wan: 1.0}, cap=1.0)
-    for i in range(200):
+    pool.submit(big, 1e6, name="b0")
+    env.run(until=env.now)  # ``big`` activates: segment 1
+    for i in range(1, 200):
         pool.submit(big, 1e6 + i, name=f"b{i}")
+    env.run(until=env.now)  # its 199 other members join: segment 2
     pool.submit(pinned, 1e9, name="p0")
-    env.run(until=0.5)
-    # ``big`` activated (segment 1), lost 1.0 to ``p0`` (2), and took
-    # its 199 other members in at the end of t=0 (3).
+    env.run(until=0.5)  # ``p0`` takes 1.0 off the WAN: segment 3
     assert len(pool._classes["big"].seg_prod) == 3
     before = pool.stats.to_dict()
     n = 25

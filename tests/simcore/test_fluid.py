@@ -293,8 +293,10 @@ def test_set_usage_batch_is_one_solve():
     b = FluidTask("b", work=1e3, usage={wan: 1.0, edge: 1.0})
     sched.submit(a)
     sched.submit(b)
+    env.run(until=env.now)
     solves = sched.stats.components_solved
     sched.set_usage([(a, {wan: 3.0}), (b, {wan: 1.0, edge: 2.0})])
+    env.run(until=env.now)
     assert sched.stats.components_solved == solves + 1
     assert a.rate == b.rate == 25.0
 

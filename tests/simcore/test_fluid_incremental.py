@@ -193,10 +193,12 @@ def test_finite_cap_cache_invalidated_by_set_capacity():
     res = sched.add_resource(FluidResource("link", 100.0))
     task = FluidTask("t", work=1e6, usage={res: 1.0})  # uncapped
     sched.submit(task)
+    env.run(until=env.now)
     assert task.rate == 100.0
     assert task._fcap is not None  # cached after the first solve
 
     sched.set_capacity(res, 40.0)
+    env.run(until=env.now)
     assert task.rate == 40.0  # stale cache would have kept 100.0
 
     # cap churn must NOT discard the finite-cap cache (it does not
@@ -205,6 +207,7 @@ def test_finite_cap_cache_invalidated_by_set_capacity():
     other = FluidTask("u", work=1e6, usage={res: 1.0}, cap=10.0)
     sched.submit(other)
     sched.set_cap(other, 5.0)
+    env.run(until=env.now)
     assert task._fcap == cached
 
 
@@ -214,8 +217,10 @@ def test_flow_spec_cache_invalidated_by_set_cap():
     res = sched.add_resource(FluidResource("link", 100.0))
     task = FluidTask("t", work=1e6, usage={res: 1.0}, cap=30.0)
     sched.submit(task)
+    env.run(until=env.now)
     assert task.rate == 30.0
     sched.set_cap(task, 60.0)
+    env.run(until=env.now)
     assert task.rate == 60.0
 
 
@@ -261,7 +266,9 @@ def test_alloc_observer_sees_realloc_batches():
     res = sched.add_resource(FluidResource("r", 100.0))
     task = FluidTask("t", work=1e6, usage={res: 1.0})
     sched.submit(task)
+    env.run(until=env.now)
     sched.set_cap(task, 10.0)
+    env.run(until=env.now)
     assert [tag for tag, _ in calls] == ["ALLOC_REALLOC", "ALLOC_REALLOC"]
     assert set(calls[0][1]) == {
         "components", "flows", "resources", "max_flows"
@@ -309,9 +316,11 @@ def test_disjoint_components_do_not_disturb_each_other():
     t_b = FluidTask("tb", work=1e3, usage={r_b: 1.0})
     sched.submit(t_a)
     sched.submit(t_b)
+    env.run(until=env.now)
     eta_b, seq_b = t_b._eta, t_b._eta_seq
     flows_before = sched.stats.flows_touched
     sched.set_cap(t_a, 50.0)
+    env.run(until=env.now)
     assert (t_b._eta, t_b._eta_seq) == (eta_b, seq_b)
     # ... and only component A's single flow was re-solved
     assert sched.stats.flows_touched == flows_before + 1
@@ -360,6 +369,7 @@ def test_slack_schedule_costs_no_event_and_no_solve():
     res = sched.add_resource(FluidResource("r", 10.0))
     task = _scheduled_task(res, 100.0, _Doubling(0.5, 20.0, 5120.0))
     done = sched.submit(task)
+    env.run(until=env.now)
     assert len(env._queue) == 1  # the completion wake, no step wake
     env.run(until=done)
     assert env.now == 10.0
@@ -406,14 +416,18 @@ def test_set_cap_elides_only_raises_of_a_slack_cap():
     b = FluidTask("b", work=1e6, usage={res: 1.0}, cap=100.0)
     sched.submit(a)
     sched.submit(b)
+    env.run(until=env.now)
     solved = sched.stats.components_solved
     sched.set_cap(a, 200.0)  # 5 of 100: slack, raised
+    env.run(until=env.now)
     assert (a.cap, a.rate, b.rate) == (200.0, 5.0, 5.0)
     assert sched.stats.solves_elided == 1
     assert sched.stats.components_solved == solved
     sched.set_cap(a, 3.0)  # lowered: must solve
+    env.run(until=env.now)
     assert (a.rate, b.rate) == (3.0, 7.0)
     sched.set_cap(a, 4.0)  # raised, but it was binding: must solve
+    env.run(until=env.now)
     assert (a.rate, b.rate) == (4.0, 6.0)
     assert sched.stats.solves_elided == 1
     assert sched.stats.components_solved == solved + 2
