@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple, Type, TypeVa
 import numpy as np
 
 from repro.netlogger.analysis import EventLog
+from repro.util.stats import percentile
 from repro.util.units import bytes_per_sec_to_mbps, fmt_seconds
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -132,16 +133,14 @@ class CampaignResult:
         a finished run -- one back end for a campaign, one per admitted
         session for a service. ``extra`` carries a subclass's fields."""
         log = EventLog(daemon.events)
-        per_frame_load = log.per_frame_load_times()
-        per_frame_render = log.per_frame_render_times()
+        load_spans = log.load_spans()
+        render_spans = log.render_spans()
+        per_frame_load = log.per_frame_makespan(load_spans)
+        per_frame_render = log.per_frame_makespan(render_spans)
         # L and R are per-PE span durations, as read off the NLV plots
         # (per-frame makespans desynchronise in overlapped mode).
-        loads = np.array(
-            [s.duration for s in log.load_spans()] or [0.0]
-        )
-        renders = np.array(
-            [s.duration for s in log.render_spans()] or [0.0]
-        )
+        loads = np.array([s.duration for s in load_spans] or [0.0])
+        renders = np.array([s.duration for s in render_spans] or [0.0])
 
         # Aggregate goodput while data was moving: bytes loaded over
         # the union span of load activity per frame, averaged.
@@ -203,7 +202,7 @@ class CampaignResult:
             ),
             degraded_frames=len(degraded),
             recovery_seconds=recovery,
-            read_p99=float(np.percentile(reads, 99)) if reads else 0.0,
+            read_p99=percentile(reads, 99),
             **totals,
             **extra,
         )

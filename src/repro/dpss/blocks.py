@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.util.units import KIB
 from repro.util.validation import check_positive
@@ -28,6 +30,19 @@ class DpssDataset:
     def n_blocks(self) -> int:
         """Number of logical blocks (last one may be short)."""
         return int(-(-self.size // self.block_size))
+
+
+#: integral byte counts up to here are exact doubles, and so are their sums
+_EXACT_LIMIT = 2.0 ** 53
+
+
+def _integral(offset: float, nbytes: float, block_size: float,
+              size: float) -> bool:
+    """Whether a range read's byte terms are all exact integers."""
+    return (
+        offset % 1 == 0 and nbytes % 1 == 0 and block_size % 1 == 0
+        and size % 1 == 0 and size + block_size <= _EXACT_LIMIT
+    )
 
 
 class BlockMap:
@@ -132,12 +147,13 @@ class BlockMap:
     def shares(
         self, offset: float, nbytes: float,
         place: Optional[Callable[[int], str]] = None,
-    ) -> Tuple[Dict[str, Tuple[int, float]], Dict[str, List[int]]]:
+    ) -> Tuple[Dict[str, Tuple[int, float]], Dict[str, Sequence[int]]]:
         """Group the blocks of a range by the server that serves them.
 
         Returns ``(plan, blocks_of)``: ``plan`` as :meth:`plan_read`
         gives it and ``blocks_of`` the logical blocks each server
-        serves. ``place(block)`` picks the server: the static primary
+        serves, in ascending order; callers must not mutate them.
+        ``place(block)`` picks the server: the static primary
         (:meth:`server_of_block`) by default, the master's live
         placement when it plans around dead servers.
         """
@@ -152,6 +168,10 @@ class BlockMap:
                     f"block {max(blocks.start, n_blocks)} outside "
                     f"[0, {n_blocks})"
                 )
+            if self.stripe is None and _integral(
+                offset, nbytes, self.dataset.block_size, self.dataset.size
+            ):
+                return self._round_robin_shares(blocks, offset, nbytes)
             place = self._place
         bs = self.dataset.block_size
         plan: Dict[str, Tuple[int, float]] = {}
@@ -163,6 +183,38 @@ class BlockMap:
             n, b = plan.get(server, (0, 0.0))
             plan[server] = (n + 1, b + max(hi - lo, 0.0))
             blocks_of.setdefault(server, []).append(block)
+        return plan, blocks_of
+
+    def _round_robin_shares(
+        self, blocks: range, offset: float, nbytes: float
+    ) -> Tuple[Dict[str, Tuple[int, float]], Dict[str, range]]:
+        """:meth:`shares` for the static round-robin placement, one step
+        per server instead of one per block.
+
+        Server ``i`` of the walk serves ``range(first + i, stop, n)``:
+        whole blocks less what the range leaves unread of its first and
+        last block. Keys come in the loop's first-appearance order. Only
+        for integral inputs: every per-block term is then an integer
+        below 2**53, so this sum has the loop's bits in any order.
+        """
+        bs = self.dataset.block_size
+        names = self.server_names
+        n = len(names)
+        first, stop = blocks.start, blocks.stop
+        head = offset - first * bs
+        tail = stop * bs - min(offset + nbytes, self.dataset.size)
+        plan: Dict[str, Tuple[int, float]] = {}
+        blocks_of: Dict[str, range] = {}
+        for i in range(min(n, stop - first)):
+            ids = range(first + i, stop, n)
+            served = len(ids) * bs
+            if i == 0:
+                served -= head
+            if ids[-1] == stop - 1:
+                served -= tail
+            server = names[(first + i) % n]
+            plan[server] = (len(ids), float(served))
+            blocks_of[server] = ids
         return plan, blocks_of
 
     def plan_read(

@@ -363,6 +363,8 @@ class DpssClient:
                 name: sum(smap.block_bytes(b) for b in ids)
                 for name, ids in blocks_of.items()
             }
+            # Parity ids join a copy: the planner's lists are not ours.
+            blocks_of = {name: list(ids) for name, ids in blocks_of.items()}
             xor_input = 0.0
             for s in stripes:
                 holder = smap.parity_server(s)

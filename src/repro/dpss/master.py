@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.dpss.blocks import BlockMap, DpssDataset
 from repro.util.validation import check_non_negative
@@ -146,7 +146,7 @@ class DpssMaster:
 
     def plan_read(
         self, block_map: BlockMap, offset: float, nbytes: float
-    ) -> Tuple[Dict[str, Tuple[int, float]], Dict[str, List[int]]]:
+    ) -> Tuple[Dict[str, Tuple[int, float]], Dict[str, Sequence[int]]]:
         """Per-server work for a range read, avoiding offline servers.
 
         Returns ``(plan, per_server_blocks)`` where ``plan`` maps each

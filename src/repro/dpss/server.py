@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterable, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from repro.simcore.fluid import FluidResource
 from repro.util.units import MB
@@ -66,13 +66,18 @@ class DpssServer:
 
     # -- block cache -----------------------------------------------------
     def cache_lookup(
-        self, dataset: str, blocks: Iterable[int], block_size: float
+        self, dataset: str, blocks: Sequence[int], block_size: float
     ) -> Tuple[int, int]:
         """Probe and update the cache for a batch of blocks.
 
         Returns ``(hits, misses)``; missed blocks are inserted (they
         will be resident once this read completes).
         """
+        if not self._cache and block_size > self.cache_bytes:
+            # Nothing is resident and no block fits: all miss, at once.
+            misses = len(blocks)
+            self.stats_misses += misses
+            return 0, misses
         hits = 0
         misses = 0
         for block in blocks:

@@ -71,10 +71,13 @@ class EventLog:
         open_spans: Dict[Tuple, NetLogEvent] = {}
         spans: List[Span] = []
         for ev in self.events:
+            tag = ev.event
+            if tag != start_tag and tag != end_tag:
+                continue
             key = (ev.host, ev.prog, ev.get("frame"), ev.get("rank"))
-            if ev.event == start_tag:
+            if tag == start_tag:
                 open_spans[key] = ev
-            elif ev.event == end_tag and key in open_spans:
+            elif key in open_spans:
                 start_ev = open_spans.pop(key)
                 spans.append(
                     Span(
@@ -128,14 +131,11 @@ class EventLog:
         The time a frame's data took to arrive is the span from the
         first PE starting its read to the last PE finishing.
         """
-        return self._per_frame_makespan(self.load_spans())
-
-    def per_frame_render_times(self) -> Dict[int, float]:
-        """Frame -> makespan of rendering across PEs."""
-        return self._per_frame_makespan(self.render_spans())
+        return self.per_frame_makespan(self.load_spans())
 
     @staticmethod
-    def _per_frame_makespan(spans: Sequence[Span]) -> Dict[int, float]:
+    def per_frame_makespan(spans: Sequence[Span]) -> Dict[int, float]:
+        """Frame -> first start to last end over the spans of a frame."""
         frames: Dict[int, List[Span]] = {}
         for s in spans:
             if s.frame is None:

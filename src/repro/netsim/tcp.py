@@ -103,21 +103,32 @@ class _WindowSchedule:
 
     def advance(self, now: float) -> float:
         conn = self.conn
-        params = conn.params
-        while self.next_at <= now:
-            if conn._cwnd < params.ssthresh:
-                # Slow start: exponential growth per RTT.
-                grown = conn._cwnd * 2.0
-            else:
-                # Congestion avoidance: one MSS per RTT -- the slow
-                # climb that makes the first timestep over a long-RTT
-                # path visibly laggard (Figure 17).
-                grown = conn._cwnd + params.mss
-            conn._cwnd = min(grown, params.max_window)
-            if conn._cwnd < params.max_window:
-                self.next_at += conn.route.rtt
-            else:
-                self.next_at = float("inf")
+        next_at = self.next_at
+        if next_at <= now:
+            # Catch up over locals; written back once.
+            params = conn.params
+            ssthresh = params.ssthresh
+            mss = params.mss
+            max_window = params.max_window
+            rtt = conn.route.rtt
+            cwnd = conn._cwnd
+            while next_at <= now:
+                if cwnd < ssthresh:
+                    # Slow start: exponential growth per RTT.
+                    grown = cwnd * 2.0
+                else:
+                    # Congestion avoidance: one MSS per RTT -- the slow
+                    # climb that makes the first timestep over a
+                    # long-RTT path visibly laggard (Figure 17).
+                    grown = cwnd + mss
+                # min(grown, max_window), without the call
+                cwnd = max_window if max_window < grown else grown
+                if cwnd < max_window:
+                    next_at += rtt
+                else:
+                    next_at = float("inf")
+            conn._cwnd = cwnd
+            self.next_at = next_at
         return conn._rate_cap()
 
 

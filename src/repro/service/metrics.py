@@ -14,6 +14,7 @@ from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.util.stats import percentile
 from repro.util.units import fmt_seconds
 
 #: version stamp every JSON result payload carries; bump on any
@@ -43,13 +44,6 @@ def result_payload(kind: str, metrics: Any, **sections: Any) -> Dict[str, Any]:
             continue
         payload[key] = value.to_dict() if hasattr(value, "to_dict") else value
     return payload
-
-
-def percentile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolated percentile; 0.0 for an empty sample."""
-    if not values:
-        return 0.0
-    return float(np.percentile(np.asarray(values, dtype=float), q))
 
 
 @dataclass

@@ -153,3 +153,39 @@ class TestRunCampaign:
             tiny(CampaignConfig.nton_cplant(n_pes=4), frames=2)
         )
         assert cluster.load_throughput_mbps > smp.load_throughput_mbps
+
+
+def test_run_loads_no_new_numpy_module():
+    """A two-timestep campaign, plain and as a service, imports no
+    ``numpy.*`` module while it runs: NumPy 2's ``np.percentile``
+    imports ``numpy.ma`` on first use, a cost the first run would pay."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "from repro.core import CampaignConfig, run_campaign\n"
+        "from repro.service import ServiceCampaign\n"
+        "plain = CampaignConfig.lan_e4500(overlapped=True).with_changes(\n"
+        "    shape=(64, 32, 32), dataset_timesteps=8, n_timesteps=2)\n"
+        "service = ServiceCampaign.sc99_multiviewer(\n"
+        "    n_viewers=3, n_timesteps=2)\n"
+        "service = service.with_changes(\n"
+        "    base=service.base.with_changes(shape=(64, 32, 32)))\n"
+        "before = set(sys.modules)\n"
+        "run_campaign(plain)\n"
+        "run_campaign(service)\n"
+        "print(sorted(m for m in set(sys.modules) - before\n"
+        "             if m.split('.')[0] == 'numpy'))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    assert out.stdout.strip() == "[]"

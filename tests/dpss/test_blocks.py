@@ -24,6 +24,14 @@ def check_shares(bm, offset, nbytes):
     assert all(
         bm.server_of_block(b) == s for s, ids in blocks_of.items() for b in ids
     )
+    # An explicit ``place`` always walks block by block; the default
+    # plan (closed form for integral inputs) has the same items, bits
+    # and key order.
+    loop, loop_blocks = bm.shares(offset, nbytes, place=bm.server_of_block)
+    assert repr(list(plan.items())) == repr(list(loop.items()))
+    assert [(s, list(ids)) for s, ids in blocks_of.items()] == [
+        (s, list(ids)) for s, ids in loop_blocks.items()
+    ]
     # A master with the first server down plans around it.
     names = bm.server_names
     master = DpssMaster(Host("master", nic_rate=mbps(100)))
@@ -122,6 +130,43 @@ class TestBlockMap:
             BlockMap(ds, [])
         with pytest.raises(ValueError):
             BlockMap(ds, ["s0", "s0"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        block_size=st.sampled_from([7, 1000, 64 * KIB]),
+        n_servers=st.integers(min_value=1, max_value=9),
+        data=st.data(),
+    )
+    def test_integral_plans_match_the_block_walk(
+        self, block_size, n_servers, data
+    ):
+        """Integral reads take the closed form; it matches the per-block
+        walk everywhere, up to and just past the dataset's end."""
+        full = data.draw(st.integers(min_value=0, max_value=40))
+        tail = data.draw(
+            st.integers(min_value=0 if full else 1, max_value=block_size - 1)
+        )
+        size = full * block_size + tail
+        ds = DpssDataset("d", size=size, block_size=block_size)
+        bm = BlockMap(ds, [f"s{i}" for i in range(n_servers)])
+        offset = data.draw(st.integers(min_value=0, max_value=size - 1))
+        to_end = data.draw(st.booleans())
+        nbytes = size - offset if to_end else data.draw(
+            st.integers(min_value=1, max_value=size - offset)
+        )
+        check_shares(bm, offset, nbytes)
+        # The size check's 1e-6 of slack: past a whole-block dataset's
+        # last block both paths refuse; otherwise both plan it alike.
+        over = size - offset + 5e-7
+        if tail == 0:
+            with pytest.raises(IndexError):
+                bm.shares(offset, over)
+            with pytest.raises(IndexError):
+                bm.shares(offset, over, place=bm.server_of_block)
+        else:
+            assert bm.shares(offset, over) == bm.shares(
+                offset, over, place=bm.server_of_block
+            )
 
     @settings(max_examples=80, deadline=None)
     @given(

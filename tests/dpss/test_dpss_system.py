@@ -195,6 +195,17 @@ class TestCache:
         for s in servers:
             assert s.stats_hits > 0
 
+    def test_zero_byte_cache_probe_is_all_miss(self):
+        """A cache that cannot hold one block answers a probe at once:
+        every block misses, and nothing becomes resident."""
+        _, _, servers, _ = build_dpss(n_servers=1, cache_bytes=0.0)
+        server = servers[0]
+        assert server.cache_lookup("ds", range(3, 40, 4), 64 * KIB) == (0, 10)
+        assert server.cache_lookup("ds", [5], 64 * KIB) == (0, 1)
+        assert (server.stats_hits, server.stats_misses) == (0, 11)
+        assert server.cache_utilization == 0.0
+        assert not server._cache
+
     def test_lru_eviction(self):
         net, master, servers, client = build_dpss(
             n_servers=1, cache_bytes=1 * MB,
