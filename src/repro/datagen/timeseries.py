@@ -6,6 +6,9 @@ Two forms are provided:
   a simple brick-per-timestep format (one raw binary file per
   timestep plus a JSON header). This is the "file on a parallel
   filesystem / DPSS-staged dataset" form used by the live pipeline.
+  A read is a read-only view of a memory-mapped brick, not a heap
+  copy, and a write replaces the brick file whole, so a view taken
+  before the write keeps reading the bytes it was taken from.
 - :class:`SyntheticTimeSeries` generates timesteps on demand from a
   field function. Simulated experiments use it to know sizes and to
   regenerate any timestep's voxels without storing 41 GB.
@@ -14,6 +17,7 @@ Two forms are provided:
 from __future__ import annotations
 
 import json
+import mmap
 import os
 from dataclasses import dataclass
 from typing import Callable, Tuple
@@ -77,7 +81,12 @@ class TimeSeriesWriter:
         return os.path.join(self.directory, f"t{timestep:05d}.raw")
 
     def write(self, timestep: int, field: np.ndarray) -> str:
-        """Write one timestep; returns the file path."""
+        """Write one timestep; returns the file path.
+
+        The brick goes to a temporary file in the same directory that
+        then replaces the old one: truncating a brick in place would
+        fault any reader still holding a mapped view of it.
+        """
         self._check_step(timestep)
         if tuple(field.shape) != self.meta.shape:
             raise ValueError(
@@ -85,7 +94,15 @@ class TimeSeriesWriter:
             )
         data = np.ascontiguousarray(field, dtype=self.meta.dtype)
         path = self.path_for(timestep)
-        data.tofile(path)
+        tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+        try:
+            with open(tmp, "xb") as f:
+                data.tofile(f)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
         return path
 
     def _check_step(self, timestep: int) -> None:
@@ -123,7 +140,13 @@ class TimeSeriesReader:
         return self.read_slab(timestep, 0, self.meta.shape[0])
 
     def read_slab(self, timestep: int, x_lo: int, x_hi: int) -> np.ndarray:
-        """Read rows ``x_lo:x_hi`` along the x axis of one timestep."""
+        """Rows ``x_lo:x_hi`` along the x axis of one timestep.
+
+        The result is a read-only view of the memory-mapped brick: its
+        pages are read on first touch and leave the resident set when
+        the last view of the mapping goes, instead of sitting on the
+        heap as an 8 MB copy per timestep.
+        """
         nx, ny, nz = self.meta.shape
         if not 0 <= timestep < self.meta.n_timesteps:
             raise IndexError(f"timestep {timestep} out of range")
@@ -131,10 +154,21 @@ class TimeSeriesReader:
             raise IndexError(f"slab [{x_lo}, {x_hi}) outside [0, {nx})")
         itemsize = np.dtype(self.meta.dtype).itemsize
         row_bytes = ny * nz * itemsize
-        count = (x_hi - x_lo) * ny * nz
-        with open(self.path_for(timestep), "rb") as f:
-            f.seek(x_lo * row_bytes)
-            flat = np.fromfile(f, dtype=self.meta.dtype, count=count)
+        path = self.path_for(timestep)
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if size != self.meta.bytes_per_timestep:
+                raise ValueError(
+                    f"brick {path} holds {size} bytes, expected "
+                    f"{self.meta.bytes_per_timestep}"
+                )
+            mapped = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        flat = np.frombuffer(
+            mapped,
+            dtype=self.meta.dtype,
+            count=(x_hi - x_lo) * ny * nz,
+            offset=x_lo * row_bytes,
+        )
         return flat.reshape((x_hi - x_lo, ny, nz))
 
 

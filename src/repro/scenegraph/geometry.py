@@ -7,20 +7,19 @@ import numpy as np
 from repro.scenegraph.node import Node
 from repro.scenegraph.texture import Texture2D
 
-#: texture coordinates of a quad's four corners, in corner order
-_QUAD_UV = np.array(
-    [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]], dtype=np.float64
-)
-
 
 class TexturedQuad(Node):
-    """A planar quadrilateral carrying a 2-D texture.
+    """A parallelogram carrying a 2-D texture.
 
-    ``corners`` is (4, 3): the quad's vertices in CCW order; texture
-    coordinates map corner i to ``[(0,0), (1,0), (1,1), (0,1)][i]``.
-    This is the base IBRAVR primitive: "a single quadrilateral
-    representing the center of the slab is used as the base geometry"
-    (section 3.3).
+    ``corners`` is (4, 3): the vertices in order around the boundary,
+    with texture coordinates ``[(0,0), (1,0), (1,1), (0,1)][i]`` at
+    corner i, so ``(u, v)`` is affine over the quad: corner 0 plus ``u``
+    times the edge to corner 1 plus ``v`` times the edge to corner 3.
+    Corner 2 must close the parallelogram (corner 0 + corner 2 = corner
+    1 + corner 3); anything else is refused, since no affine map
+    carries that texture onto it.  This is the base IBRAVR primitive:
+    "a single quadrilateral representing the center of the slab is
+    used as the base geometry" (section 3.3), a rectangle.
     """
 
     def __init__(
@@ -30,16 +29,14 @@ class TexturedQuad(Node):
         corners = np.asarray(corners, dtype=np.float64)
         if corners.shape != (4, 3):
             raise ValueError(f"corners must be (4, 3), got {corners.shape}")
+        skew = np.abs(corners[0] + corners[2] - corners[1] - corners[3]).max()
+        if skew > 1e-9 * max(1.0, np.abs(corners).max()):
+            raise ValueError(
+                "corners must form a parallelogram (corner 0 + corner 2 == "
+                f"corner 1 + corner 3), off by {skew:.3g}"
+            )
         self.corners = corners
         self.texture = texture
-
-    def triangles(self):
-        """The quad as two (vertex, uv) triangles for rasterisation."""
-        c, uv = self.corners, _QUAD_UV
-        return [
-            (c[[0, 1, 2]], uv[[0, 1, 2]]),
-            (c[[0, 2, 3]], uv[[0, 2, 3]]),
-        ]
 
 
 class QuadMesh(Node):
@@ -63,26 +60,26 @@ class QuadMesh(Node):
         self.texture = texture
 
     def triangles(self):
-        """Yield (vertex, uv) triangles covering the mesh."""
+        """The mesh as (vertex indices, uv) triangles, two per cell;
+        indices are into ``vertices.reshape(-1, 3)``, so a vertex that
+        cells share is one point however many triangles use it."""
         rows, cols = self.vertices.shape[:2]
         us = np.linspace(0.0, 1.0, cols)
         vs = np.linspace(0.0, 1.0, rows)
         out = []
         for r in range(rows - 1):
             for c in range(cols - 1):
-                p00 = self.vertices[r, c]
-                p01 = self.vertices[r, c + 1]
-                p10 = self.vertices[r + 1, c]
-                p11 = self.vertices[r + 1, c + 1]
+                i00 = r * cols + c
+                i01, i10, i11 = i00 + 1, i00 + cols, i00 + cols + 1
                 uv00 = (us[c], vs[r])
                 uv01 = (us[c + 1], vs[r])
                 uv10 = (us[c], vs[r + 1])
                 uv11 = (us[c + 1], vs[r + 1])
                 out.append(
-                    (np.array([p00, p01, p11]), np.array([uv00, uv01, uv11]))
+                    (np.array([i00, i01, i11]), np.array([uv00, uv01, uv11]))
                 )
                 out.append(
-                    (np.array([p00, p11, p10]), np.array([uv00, uv11, uv10]))
+                    (np.array([i00, i11, i10]), np.array([uv00, uv11, uv10]))
                 )
         return out
 

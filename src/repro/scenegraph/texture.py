@@ -7,6 +7,11 @@ pixels (:meth:`Texture2D.sample_occupied`) and the frame is bit for bit
 what blending leaves -- except that blending turns a ``-0.0``
 destination (a ``-0.0`` background, a negative texel) into ``+0.0``,
 which a byte digest can see and ``np.array_equal`` cannot.
+
+Texels are held channel-planar, one contiguous float32 row of ``H * W``
+per channel, and the lerps run in float32 in the form ``a + (b - a) *
+f``: a footprint whose four texels agree samples to exactly their
+value, and the result is within a few float32 ulps of a float64 lerp.
 """
 
 from __future__ import annotations
@@ -19,36 +24,40 @@ import numpy as np
 class Texture2D:
     """A premultiplied RGBA float texture with bilinear sampling.
 
-    ``data`` is (H, W, 4) float32 in [0, 1]. Sampling coordinates are
-    (u, v) in [0, 1]^2 with u across columns, v across rows; values
-    clamp at the edges (GL_CLAMP_TO_EDGE semantics).  ``data`` is not
-    to be written after the first sample: occupancy is computed once.
+    ``data`` is (H, W, 4) float32 in [0, 1]; the texture keeps one
+    channel-planar ``(4, H * W)`` float32 copy of it.  Sampling
+    coordinates are (u, v) in [0, 1]^2 with u across columns, v across
+    rows; values clamp at the edges (GL_CLAMP_TO_EDGE semantics).
     """
 
     def __init__(self, data: np.ndarray) -> None:
-        data = np.ascontiguousarray(data, dtype=np.float32)
+        data = np.asarray(data)
         if data.ndim != 3 or data.shape[2] != 4:
             raise ValueError(f"texture must be (H, W, 4), got {data.shape}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ValueError("texture must be at least 1x1")
-        self.data = data
+        self._shape = (data.shape[0], data.shape[1])
+        #: ``(4, H * W)`` float32, row ``c`` the texels of channel ``c``
+        self.planes = np.ascontiguousarray(
+            data.reshape(-1, 4).T, dtype=np.float32
+        )
         self._occupancy: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> Tuple[int, int]:
         """(H, W) pixel dimensions."""
-        return self.data.shape[0], self.data.shape[1]
+        return self._shape
 
     @property
     def nbytes_rgba8(self) -> int:
         """Wire size when shipped as 8-bit RGBA."""
-        return self.data.shape[0] * self.data.shape[1] * 4
+        return self._shape[0] * self._shape[1] * 4
 
     def occupancy(self) -> np.ndarray:
         """(H, W) bool: whether any texel of the footprint whose top-left
         is ``[y0, x0]`` (edge clamps as in :meth:`sample`) is non-zero."""
         if self._occupancy is None:
-            texel = self.data.any(axis=2)
+            texel = self.planes.any(axis=0).reshape(self._shape)
             row = texel | np.concatenate([texel[:, 1:], texel[:, -1:]], axis=1)
             self._occupancy = row | np.concatenate([row[1:], row[-1:]], axis=0)
         return self._occupancy
@@ -68,7 +77,7 @@ class Texture2D:
         all-zero footprints before reading a texel; returns the indices
         ``kept`` and their planar texels, ``sample(u[kept], v[kept]).T``."""
         x, y, x0, y0 = self._texel_coords(u, v)
-        occupied = self.occupancy().ravel().take(y0 * self.shape[1] + x0)
+        occupied = self.occupancy().ravel().take(y0 * self._shape[1] + x0)
         kept = np.flatnonzero(occupied)
         x, y, x0, y0 = (a.take(kept) for a in (x, y, x0, y0))
         return kept, self._bilinear(x, y, x0, y0)
@@ -76,7 +85,7 @@ class Texture2D:
     def _texel_coords(
         self, u: np.ndarray, v: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        h, w = self.shape
+        h, w = self._shape
         # Map to continuous pixel coordinates, texel centers at +0.5.
         x = np.clip(u, 0.0, 1.0) * (w - 1)
         y = np.clip(v, 0.0, 1.0) * (h - 1)
@@ -86,27 +95,32 @@ class Texture2D:
         self, x: np.ndarray, y: np.ndarray, x0: np.ndarray, y0: np.ndarray
     ) -> np.ndarray:
         """The one interpolation body: ``(4, N)`` float32 from 1-D
-        coordinates, float64 weights and lerps over the contiguous axis."""
-        h, w = self.shape
-        fx = x - x0
-        fy = y - y0
-        gx = 1 - fx
-        right = np.minimum(x0 + 1, w - 1) - x0
+        coordinates, gathered per channel and lerped in float32."""
+        h, w = self._shape
+        fx = (x - x0).astype(np.float32)
+        fy = (y - y0).astype(np.float32)
         i00 = y0 * w + x0
-        i10 = i00 + (np.minimum(y0 + 1, h - 1) - y0) * w
-        texels = self.data.reshape(-1, 4)
-        top = np.empty((4, x.size))
-        bot = np.empty_like(top)
-        tmp = np.empty_like(top)
-        for dst, left in ((top, i00), (bot, i10)):
-            # interleaved rows gathered, their transposed product planar
-            np.multiply(texels.take(left, axis=0).T, gx, out=dst)
-            np.multiply(texels.take(left + right, axis=0).T, fx, out=tmp)
-            dst += tmp
-        top *= 1 - fy
+        i01 = np.minimum(x0 + 1, w - 1) - x0
+        i01 += i00
+        below = (np.minimum(y0 + 1, h - 1) - y0) * w
+        top = self._lerp(i00, i01, fx)
+        i00 += below
+        i01 += below
+        bot = self._lerp(i00, i01, fx)
+        bot -= top
         bot *= fy
         top += bot
-        return top.astype(np.float32)
+        return top
+
+    def _lerp(self, left: np.ndarray, right: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """``a + (b - a) * f`` per channel, ``a`` and ``b`` the texels
+        at flat indices ``left`` and ``right``."""
+        a = self.planes.take(left, axis=1)
+        b = self.planes.take(right, axis=1)
+        b -= a
+        b *= f
+        b += a
+        return b
 
     @classmethod
     def solid(

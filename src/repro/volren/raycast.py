@@ -116,7 +116,6 @@ def render_slab(
 
     rgba = np.empty((4,) + out_shape, dtype=np.float32)
     alpha = rgba[3]
-    scalars = np.empty(out_shape)
     one_minus_alpha = np.empty(out_shape, dtype=np.float32)
     accum = np.zeros((4,) + out_shape, dtype=np.float32)
     transp = np.ones(out_shape, dtype=np.float32)
@@ -124,7 +123,7 @@ def render_slab(
     depth_den = np.zeros(out_shape, dtype=np.float32) if return_depth else None
     inv_span = 1.0 / max(n_slices - 1, 1)
     for position in range(n_slices):
-        tf.planar(vol_view[position], rgba, scalars)
+        tf.planar(vol_view[position], rgba)
         # taken before ``alpha`` (a plane of ``rgba``) becomes a * t
         np.subtract(1.0, alpha, out=one_minus_alpha)
         rgba[:3] *= alpha

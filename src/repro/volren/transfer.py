@@ -7,12 +7,23 @@ from typing import Sequence, Tuple
 import numpy as np
 
 
+#: table entries per unit scalar: knots and lookups snap to multiples of
+#: ``1 / TABLE_STEPS``
+TABLE_STEPS = 4096
+
+
 class TransferFunction:
     """Piecewise-linear RGBA transfer function on normalised scalars.
 
     Control points are ``(value, r, g, b, alpha)`` with ``value`` in
-    [0, 1] and channels in [0, 1]; lookups interpolate linearly and
-    clamp outside the range.
+    [0, 1] and channels in [0, 1].  Each value snaps to the nearest
+    multiple of ``1 / TABLE_STEPS``, and the function is tabulated once
+    at the ``TABLE_STEPS + 1`` multiples (linear between knots, held
+    flat outside them).  A lookup reads the entry at
+    ``round(clip(s, 0, 1) * TABLE_STEPS)``: a scalar on a snapped knot
+    reads that knot's colour exactly, and any other reads the snapped
+    function at the nearest multiple, half a step times its slope away
+    at most.  NaN reads entry 0.
     """
 
     def __init__(self, points: Sequence[Tuple[float, float, float, float, float]]):
@@ -24,33 +35,48 @@ class TransferFunction:
             raise ValueError("control points must be (value, r, g, b, a)")
         if arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("all control-point components must be in [0, 1]")
-        self._values = arr[:, 0]
-        self._rgba = arr[:, 1:]
-        if len(np.unique(self._values)) != len(self._values):
-            raise ValueError("control-point values must be distinct")
+        entries = np.rint(arr[:, 0] * TABLE_STEPS)
+        clash = np.flatnonzero(np.diff(entries) == 0)
+        if clash.size:
+            i = clash[0]
+            raise ValueError(
+                f"control-point values {arr[i, 0]} and {arr[i + 1, 0]} snap "
+                f"to the same table entry {int(entries[i])}/{TABLE_STEPS}"
+            )
+        grid = np.arange(TABLE_STEPS + 1) / TABLE_STEPS
+        #: ``(4, TABLE_STEPS + 1)`` float32, one row per channel
+        self._table = np.array(
+            [np.interp(grid, entries / TABLE_STEPS, arr[:, c]) for c in range(1, 5)],
+            dtype=np.float32,
+        )
 
     def __call__(self, scalars: np.ndarray) -> np.ndarray:
         """Map an array of scalars to RGBA; output shape = input + (4,)."""
         shape = np.shape(scalars)
         out = np.empty(shape + (4,), dtype=np.float32)
-        self.planar(scalars, np.moveaxis(out, -1, 0), np.empty(shape))
+        self.planar(scalars, np.moveaxis(out, -1, 0))
         return out
 
-    def planar(
-        self, scalars: np.ndarray, out: np.ndarray, scratch: np.ndarray
-    ) -> None:
-        """:meth:`__call__` into caller-owned buffers, one plane per
-        channel: ``out`` is ``(4,) + scalars.shape`` float32, ``scratch``
-        ``scalars.shape`` float64 (left holding the clamped scalars)."""
-        scratch[...] = scalars
-        np.clip(scratch, 0.0, 1.0, out=scratch)
-        for c in range(4):
-            out[c] = np.interp(scratch, self._values, self._rgba[:, c])
+    def planar(self, scalars: np.ndarray, out: np.ndarray) -> None:
+        """:meth:`__call__` into a caller-owned buffer, one plane per
+        channel: ``out`` is ``(4,) + scalars.shape`` float32."""
+        self._table.take(self._entries(scalars), axis=1, out=out, mode="clip")
 
     def opacity(self, scalars: np.ndarray) -> np.ndarray:
         """Alpha channel only (used by opacity-weighted compositing)."""
-        s = np.clip(np.asarray(scalars, dtype=np.float64), 0.0, 1.0)
-        return np.interp(s, self._values, self._rgba[:, 3]).astype(np.float32)
+        return self._table[3].take(self._entries(scalars))
+
+    @staticmethod
+    def _entries(scalars: np.ndarray) -> np.ndarray:
+        """Table index of each scalar.  ``s * TABLE_STEPS`` is exact in
+        float32 (a power-of-two scale), so float32 input stays float32."""
+        s = np.asarray(scalars)
+        work = np.result_type(s.dtype, np.float32)
+        x = np.multiply(s, TABLE_STEPS, out=np.empty(s.shape, work), dtype=work)
+        np.fmax(x, 0.0, out=x)  # fmax / fmin, unlike clip, send NaN to 0
+        np.fmin(x, TABLE_STEPS, out=x)
+        np.rint(x, out=x)
+        return x.astype(np.intp)
 
     # -- presets ---------------------------------------------------------
     @classmethod

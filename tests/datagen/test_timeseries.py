@@ -1,5 +1,8 @@
 """Tests for time-series dataset containers."""
 
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,6 +69,62 @@ class TestWriterReader:
         writer = TimeSeriesWriter(str(tmp_path / "ds"), small_meta())
         with pytest.raises(ValueError):
             writer.write(0, np.zeros((2, 2, 2), dtype=np.float32))
+
+    def test_read_is_a_read_only_view_of_the_brick(self, tmp_path):
+        meta = small_meta(1)
+        writer = TimeSeriesWriter(str(tmp_path / "ds"), meta)
+        rng = np.random.default_rng(1)
+        path = writer.write(0, rng.random(meta.shape).astype(np.float32))
+        reader = TimeSeriesReader(str(tmp_path / "ds"))
+        slab = reader.read_slab(0, 3, 7)
+        assert not slab.flags.writeable
+        with pytest.raises(ValueError):
+            slab[0, 0, 0] = 1.0
+        on_disk = np.fromfile(path, dtype=np.float32).reshape(meta.shape)
+        assert slab.tobytes() == on_disk[3:7].tobytes()
+        assert reader.read(0).tobytes() == on_disk.tobytes()
+
+    def test_mapped_read_allocates_no_copy(self, tmp_path):
+        meta = TimeSeriesMeta(name="mb", shape=(16, 128, 128), n_timesteps=1)
+        assert meta.bytes_per_timestep == 1 << 20
+        writer = TimeSeriesWriter(str(tmp_path / "ds"), meta)
+        writer.write(0, np.ones(meta.shape, dtype=np.float32))
+        reader = TimeSeriesReader(str(tmp_path / "ds"))
+        reader.read_slab(0, 0, 1)  # warm the code path
+        tracemalloc.start()
+        try:
+            brick = reader.read(0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"peak {peak} bytes"
+        assert (brick == 1.0).all()
+
+    def test_rewrite_leaves_a_held_view_on_the_old_bytes(self, tmp_path):
+        meta = small_meta(1)
+        writer = TimeSeriesWriter(str(tmp_path / "ds"), meta)
+        old = np.full(meta.shape, 1.0, dtype=np.float32)
+        new = np.full(meta.shape, 2.0, dtype=np.float32)
+        writer.write(0, old)
+        reader = TimeSeriesReader(str(tmp_path / "ds"))
+        held = reader.read(0)
+        writer.write(0, new)
+        np.testing.assert_array_equal(held, old)
+        np.testing.assert_array_equal(reader.read(0), new)
+        assert sorted(os.listdir(tmp_path / "ds")) == [
+            "dataset.json", "t00000.raw"
+        ]
+
+    @pytest.mark.parametrize("size", [0, 7, 100])
+    def test_short_or_empty_brick_names_its_path(self, tmp_path, size):
+        meta = small_meta(1)
+        writer = TimeSeriesWriter(str(tmp_path / "ds"), meta)
+        path = writer.write(0, np.zeros(meta.shape, dtype=np.float32))
+        with open(path, "r+b") as f:
+            f.truncate(size)
+        reader = TimeSeriesReader(str(tmp_path / "ds"))
+        with pytest.raises(ValueError, match="t00000.raw.*holds %d bytes" % size):
+            reader.read_slab(0, 0, 1)
 
     def test_out_of_range_timestep(self, tmp_path):
         meta = small_meta()

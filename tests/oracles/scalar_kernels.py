@@ -10,9 +10,12 @@ pixel (or one sample) at a time, so the parity suites
 not closeness.
 
 The stages that were never forked -- volume checks and resampling
-(``_sample_view``), depth normalisation (``_finish_depth``), triangle
-setup (``_triangle_bbox``, ``_edge_grid``) -- are imported from
-production, as both branches shared them before the move.
+(``_sample_view``), depth normalisation (``_finish_depth``), primitive
+setup (``_bbox``, ``_edge_grid``) -- are imported from production, as
+both branches shared them before the move.  The raster walks sample
+through ``Texture2D.sample``, so they pin coverage and blending, not the
+texture: ``tests/scenegraph/test_texture_sampling.py`` checks that
+against a float64 reference.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.scenegraph.raster import _edge_grid, _triangle_bbox
+from repro.scenegraph.raster import _bbox, _edge_grid
 from repro.scenegraph.texture import Texture2D
 from repro.volren.raycast import (
     _OPACITY_CUTOFF,
@@ -123,6 +126,27 @@ def _composite_view_scalar(
     return accum, visited
 
 
+def _blend_pixel_scalar(
+    frame: np.ndarray, x: int, y: int, u: float, v: float, texture: Texture2D
+) -> None:
+    texel = texture.sample(np.array([u]), np.array([v]))[0]
+    dest = frame[y, x]
+    alpha = texel[3:4]
+    frame[y, x] = texel + dest * (1.0 - alpha)
+
+
+def _edge_weight_scalar(a, b, area: float, pt: np.ndarray):
+    """``(inside, w)`` of one pixel centre for edge ``a``-``b``: ``E``
+    evaluated from the lexicographically smaller endpoint, and a centre
+    exactly on the edge kept only if the edge is left or top."""
+    if (b[0], b[1]) < (a[0], a[1]):
+        a, b, area = b, a, -area
+    w = _edge_grid(a, b, pt) / area
+    dx, dy = b[0] - a[0], b[1] - a[1]
+    owns = -dy * area > 0 or (dy == 0 and dx * area > 0)
+    return (w >= 0 if owns else w > 0), w
+
+
 def _raster_triangle_scalar(
     frame: np.ndarray,
     proj: np.ndarray,
@@ -136,24 +160,49 @@ def _raster_triangle_scalar(
     one projection and one depth sort.
     """
     height, width = frame.shape[:2]
-    area, lo_x, hi_x, lo_y, hi_y = _triangle_bbox(proj, width, height)
+    p0, p1, p2 = proj[:, :2]
+    area = _edge_grid(p0, p1, p2)
+    lo_x, hi_x, lo_y, hi_y = _bbox(proj[:, :2], width, height)
     if abs(area) < 1e-12:
         return
     if lo_x >= hi_x or lo_y >= hi_y:
         return
-    p0, p1, p2 = proj[:, :2]
 
     for y in range(lo_y, hi_y):
         for x in range(lo_x, hi_x):
             pt = np.array([x + 0.5, y + 0.5])
-            w0 = _edge_grid(p1, p2, pt) / area
-            w1 = _edge_grid(p2, p0, pt) / area
-            w2 = _edge_grid(p0, p1, pt) / area
-            if not (w0 >= 0 and w1 >= 0 and w2 >= 0):
+            in0, w0 = _edge_weight_scalar(p1, p2, area, pt)
+            in1, w1 = _edge_weight_scalar(p2, p0, area, pt)
+            in2, w2 = _edge_weight_scalar(p0, p1, area, pt)
+            if not (in0 and in1 and in2):
                 continue
             u = w0 * uvs[0, 0] + w1 * uvs[1, 0] + w2 * uvs[2, 0]
             v = w0 * uvs[0, 1] + w1 * uvs[1, 1] + w2 * uvs[2, 1]
-            texel = texture.sample(np.array([u]), np.array([v]))[0]
-            dest = frame[y, x]
-            alpha = texel[3:4]
-            frame[y, x] = texel + dest * (1.0 - alpha)
+            _blend_pixel_scalar(frame, x, y, u, v, texture)
+
+
+def _raster_quad_scalar(
+    frame: np.ndarray, proj: np.ndarray, texture: Texture2D
+) -> None:
+    """Per-pixel reference for ``repro.scenegraph.raster._raster_quad``:
+    at each pixel centre of the box, ``u`` and ``v`` from the affine map
+    on corners 0, 1 and 3, and the pixel blended once if both are in
+    ``[0, 1]``."""
+    height, width = frame.shape[:2]
+    p0, p1, _, p3 = proj[:, :2]
+    det = _edge_grid(p0, p1, p3)
+    lo_x, hi_x, lo_y, hi_y = _bbox(proj[:, :2], width, height)
+    if abs(det) < 1e-12:
+        return
+    span = abs(det)
+    for y in range(lo_y, hi_y):
+        for x in range(lo_x, hi_x):
+            pt = np.array([x + 0.5, y + 0.5])
+            eu = _edge_grid(p0, p3, pt)
+            ev = _edge_grid(p0, p1, pt)
+            # u = eu / -det and v = ev / det, each in [0, 1]
+            if not 0.0 <= (eu if det < 0 else -eu) <= span:
+                continue
+            if not 0.0 <= (ev if det > 0 else -ev) <= span:
+                continue
+            _blend_pixel_scalar(frame, x, y, eu / -det, ev / det, texture)

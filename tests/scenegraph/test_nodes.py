@@ -57,15 +57,26 @@ class TestNodes:
 
 
 class TestGeometry:
-    def test_textured_quad_two_triangles(self):
+    def test_textured_quad_must_be_a_parallelogram(self):
         tex = Texture2D.solid((1, 0, 0, 1))
-        quad = TexturedQuad(
-            np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float), tex
-        )
-        tris = quad.triangles()
-        assert len(tris) == 2
-        for verts, uvs in tris:
-            assert verts.shape == (3, 3)
+        square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float)
+        sheared = square @ np.array([[2.0, 0.5, 0.1], [0.3, 1.0, 0.7], [0, 0, 1]])
+        for corners in (square, sheared + 10.0):
+            np.testing.assert_array_equal(
+                TexturedQuad(corners, tex).corners, corners
+            )
+        kite = square.copy()
+        kite[2] = [2.0, 2.0, 0.0]
+        with pytest.raises(ValueError, match="parallelogram"):
+            TexturedQuad(kite, tex)
+
+    def test_quad_mesh_triangles_index_shared_vertices(self):
+        tex = Texture2D.solid((1, 1, 1, 1))
+        mesh = QuadMesh(np.zeros((2, 3, 3)), tex)
+        indices = [tuple(idx) for idx, _ in mesh.triangles()]
+        # cells (0, 1, 4) / (0, 4, 3) and (1, 2, 5) / (1, 5, 4)
+        assert indices == [(0, 1, 4), (0, 4, 3), (1, 2, 5), (1, 5, 4)]
+        for _, uvs in mesh.triangles():
             assert uvs.shape == (3, 2)
 
     def test_quad_corner_validation(self):

@@ -2,10 +2,10 @@
 
 The bounding-box grid engine (batched edge functions / barycentrics)
 must produce *bitwise* identical framebuffers to the per-pixel
-reference walk (``tests/oracles/scalar_kernels.py``) across randomized
-textured meshes, line overlays and camera angles.  The oracle replaces
-only the per-triangle stage: both engines run behind ``render``'s one
-projection and one depth sort.
+reference walks (``tests/oracles/scalar_kernels.py``) across randomized
+textured quads, meshes, line overlays and camera angles.  The oracles
+replace only the per-primitive stage: both engines run behind
+``render``'s projection and depth sort.
 """
 
 from __future__ import annotations
@@ -25,14 +25,22 @@ from repro.scenegraph import (
     render,
 )
 from repro.scenegraph import raster
-from tests.oracles.scalar_kernels import _raster_triangle_scalar
+from tests.oracles.scalar_kernels import (
+    _raster_quad_scalar,
+    _raster_triangle_scalar,
+)
+
+
+def _patch_oracles(patch) -> None:
+    patch.setattr(raster, "_raster_triangle", _raster_triangle_scalar)
+    patch.setattr(raster, "_raster_quad", _raster_quad_scalar)
 
 
 @pytest.fixture
 def render_scalar(monkeypatch):
     def run(*args, **kwargs):
         with monkeypatch.context() as patch:
-            patch.setattr(raster, "_raster_triangle", _raster_triangle_scalar)
+            _patch_oracles(patch)
             return render(*args, **kwargs)
 
     return run
@@ -50,10 +58,14 @@ def _random_scene(seed: int) -> Group:
     grid = np.stack([gx, gy, 0.25 * rng.random((n + 1, n + 1))], axis=-1)
     tex = Texture2D(rng.random((16, 16, 4), dtype=np.float32))
     root.add(QuadMesh(grid, tex))
+    # a random affine image of a square: a parallelogram in general
+    # position, as a TexturedQuad must be
     quad = np.array(
         [[-0.8, -0.8, 0.9], [0.8, -0.8, 0.9], [0.8, 0.8, 0.9],
          [-0.8, 0.8, 0.9]]
-    ) + rng.normal(scale=0.1, size=(4, 3))
+    ) @ (np.eye(3) + rng.normal(scale=0.1, size=(3, 3))) + rng.normal(
+        scale=0.1, size=3
+    )
     root.add(TexturedQuad(quad, Texture2D.solid((0.2, 0.6, 1.0, 0.5))))
     root.add(LineSet(rng.random((5, 2, 3)) * 2.0 - 1.0,
                      color=(1.0, 0.3, 0.1, 0.9)))
@@ -129,7 +141,7 @@ def _sparse_scene(texture: Texture2D, mesh: bool) -> Group:
         root.add(QuadMesh(np.stack([gx, gy, bumps], axis=-1), texture))
     else:
         front = np.array(
-            [[-1.1, -0.9, 0.4], [0.9, -1.0, 0.3], [1.0, 1.1, 0.5],
+            [[-1.1, -0.9, 0.4], [0.9, -1.0, 0.3], [1.2, 0.8, 0.3],
              [-0.8, 0.9, 0.4]]
         )
         root.add(TexturedQuad(front, texture))
@@ -215,7 +227,7 @@ def test_masked_texture_parity_property(
     camera = Camera.orbit(azimuth, elevation)
     vec = render(scene, camera, width, height, background=background)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(raster, "_raster_triangle", _raster_triangle_scalar)
+        _patch_oracles(patch)
         ref = render(scene, camera, width, height, background=background)
     assert vec.tobytes() == ref.tobytes()
 
