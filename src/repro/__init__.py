@@ -24,8 +24,9 @@ The package provides:
 - :mod:`repro.backend`, :mod:`repro.viewer`, :mod:`repro.core` -- the
   Visapult back end, viewer, and campaign orchestration (the paper's
   primary contribution).
-- :mod:`repro.live` -- the same pipeline over real localhost sockets
-  and threads.
+- :mod:`repro.live` -- threads and localhost sockets around the IBRAVR
+  slab kernel (:mod:`repro.ibravr.payloads`), with Appendix B's
+  semaphore pair and double buffer.
 
 Quickstart::
 

@@ -1,15 +1,13 @@
-"""Static analysis and runtime sanitizers for the concurrency layer.
+"""Static analysis and a runtime sanitizer for the concurrency layer.
 
 Two halves, one goal: machine-check the handshake disciplines the
 paper's pipeline depends on (Appendix B's semaphore pair over a double
-buffer, the staged-pipeline credits, the live-mode locks).
+buffer, the staged-pipeline credits).
 
 - :mod:`~repro.analysis.sanitizer` -- a tsan-for-the-DES. Opt-in
   hooks in the sim primitives build a wait-for graph and catch
   deadlocks, hangs, lost wakeups, leaked reserve credits and
   buffer-protocol violations, reported as NetLogger ``SAN_*`` events.
-- :mod:`~repro.analysis.threadsan` -- lockdep-style lock-order
-  checking for the live (threaded) back end and viewer.
 - :mod:`~repro.analysis.staticbase` -- the one static-analysis core:
   each file is parsed and indexed once (imports, one record per
   ``def``, a def's own nodes) and one driver walks, runs rules,
@@ -30,14 +28,6 @@ from repro.analysis.lint import lint_source, run_lint
 from repro.analysis.staticbase import CheckFinding
 from repro.analysis.check import CheckResult, run_check
 from repro.analysis.sanitizer import SimSanitizer, attach_sanitizer
-from repro.analysis.threadsan import (
-    ThreadSanitizer,
-    TrackedLock,
-    disable_thread_sanitizer,
-    enable_thread_sanitizer,
-    named_lock,
-    thread_sanitizer,
-)
 
 __all__ = [
     "CATEGORY_TAGS",
@@ -45,12 +35,6 @@ __all__ = [
     "SanitizerReport",
     "SimSanitizer",
     "attach_sanitizer",
-    "ThreadSanitizer",
-    "TrackedLock",
-    "enable_thread_sanitizer",
-    "disable_thread_sanitizer",
-    "thread_sanitizer",
-    "named_lock",
     "lint_source",
     "run_lint",
     "CheckFinding",

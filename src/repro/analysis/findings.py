@@ -1,8 +1,8 @@
-"""Finding records shared by the sanitizers and the project linter.
+"""Finding records shared by the sanitizer and the project linter.
 
 Every detector reduces to a :class:`Finding`: a category (one per
 Appendix-B failure mode), the subject it implicates (a buffer,
-semaphore, stage, lock pair or source location) and a human-readable
+semaphore, stage or source location) and a human-readable
 message. A :class:`SanitizerReport` bundles the findings of one run
 and knows how to emit them as NetLogger ``SAN_*`` events.
 """
@@ -25,7 +25,6 @@ CATEGORY_TAGS: Dict[str, str] = {
     "protocol": Tags.SAN_PROTOCOL,
     "lost-wakeup": Tags.SAN_LOST_WAKEUP,
     "barrier-stuck": Tags.SAN_BARRIER_STUCK,
-    "lock-order": Tags.SAN_LOCK_ORDER,
 }
 
 

@@ -9,7 +9,8 @@ its simulation honest:
     wall-clock into simulated results.
 ``VIS102`` (threading in sim code)
     Concurrency in sim-only packages is sim processes; real
-    ``threading`` belongs to :mod:`repro.live` only.
+    ``threading`` belongs to :mod:`repro.live` (and the NetLogger
+    collector it logs through).
 ``VIS103`` (process without yield)
     Every function handed to ``env.process(...)`` must be a generator
     (contain ``yield``) -- a plain function silently becomes a

@@ -325,7 +325,7 @@ class SimBackEnd:
 
         Derived from the session label (unique per session in
         multi-viewer runs) rather than ``id(self)``, so resource
-        names, threadsan reports and ULM lifelines are stable run to
+        names, sanitizer reports and ULM lifelines are stable run to
         run.  A network can host at most one session-less back end
         per fabric kind; the scheduler's duplicate-name check enforces
         that loudly.

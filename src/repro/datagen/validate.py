@@ -11,7 +11,6 @@ with log-normal contrast (filaments and voids).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

@@ -1,14 +1,16 @@
 """The live pipeline: Visapult over real sockets and threads.
 
-This package runs the same architecture as the simulated campaigns,
-but for real: back end PEs are threads that read actual voxels, render
-actual textures with :mod:`repro.volren`, and ship them over localhost
-TCP sockets using the :mod:`repro.protocol` wire format; the viewer is
-a multi-threaded process with one I/O service thread per PE and a
-decoupled render thread updating an :class:`~repro.ibravr.IbravrModel`
-behind a :class:`~repro.scenegraph.SceneLock` (Figure 18, both
-columns). The overlapped back end uses the Appendix B semaphore pair
-and double buffer from :mod:`repro.mpc`.
+This package is threads and sockets around one slab kernel,
+:func:`repro.ibravr.render_payloads` on the back end and
+:func:`repro.ibravr.rendering_from_payloads` in the viewer. Back end
+PEs are threads that read actual voxels and ship the kernel's payloads
+over localhost TCP sockets in the :mod:`repro.protocol` wire format;
+the viewer is a multi-threaded process with one I/O service thread per
+PE and a decoupled render thread updating an
+:class:`~repro.ibravr.IbravrModel` behind a
+:class:`~repro.live.sync.SceneLock` (Figure 18, both columns). The
+overlapped back end uses the Appendix B semaphore pair and double
+buffer from :mod:`repro.live.sync`.
 """
 
 from repro.live.backend import LiveBackEnd

@@ -1,9 +1,11 @@
 """The live back end: PE threads rendering real voxels.
 
 Each PE is a thread (an MPI rank in the paper) owning one socket to
-the viewer. Serial mode follows Figure 18's left column; overlapped
+the viewer. Per frame it cuts its slab, calls the shared slab kernel
+(:func:`repro.ibravr.render_payloads`) and ships the light/heavy pair
+it returns. Serial mode follows Figure 18's left column; overlapped
 mode launches the Appendix B detached reader with the semaphore pair
-and double buffer from :mod:`repro.mpc.pairs`.
+and double buffer from :mod:`repro.live.sync`.
 """
 
 from __future__ import annotations
@@ -13,20 +15,15 @@ import socket
 import threading
 from typing import Optional
 
-import numpy as np
-
-from repro.analysis.threadsan import named_lock
 from repro.datagen.amr import build_amr_hierarchy, grid_line_segments
 from repro.ibravr.axis import AxisChoice
-from repro.mpc.comm import Communicator, run_spmd
-from repro.mpc.pairs import DoubleBuffer, SemaphorePair
+from repro.ibravr.payloads import render_payloads
+from repro.live.sync import DoubleBuffer, SemaphorePair, run_spmd
 from repro.netlogger.events import Tags
 from repro.netlogger.logger import NetLogger
 from repro.protocol import (
     AxisFeedback,
     ConfigMessage,
-    HeavyPayload,
-    LightPayload,
     MsgType,
     encode_message,
     read_message,
@@ -37,20 +34,16 @@ from repro.volren.renderer import VolumeRenderer
 from repro.volren.transfer import TransferFunction
 
 
-def _send(sock: socket.socket, msg) -> None:
-    msg_type, body = encode_message(msg)
-    write_message(sock, msg_type, body)
-
-
 class LiveBackEnd:
     """Runs ``n_pes`` PE threads against a local dataset.
 
     ``source`` is anything with ``.meta`` and
-    ``.slab(step, x_lo, x_hi) -> ndarray`` (e.g.
-    :class:`~repro.datagen.SyntheticTimeSeries`, or a thin adapter
-    over :class:`~repro.datagen.TimeSeriesReader`). The local read
-    stands in for the DPSS fetch; the WAN behaviour is the simulated
-    campaigns' job.
+    ``.timestep(step) -> ndarray`` (e.g.
+    :class:`~repro.datagen.SyntheticTimeSeries`); each PE cuts its slab
+    from the whole timestep, so the slab axis can change per frame.
+    The local read stands in for the DPSS fetch; the WAN behaviour is
+    the simulated campaigns' job. Every PE renders through the fire
+    transfer function.
     """
 
     def __init__(
@@ -61,8 +54,6 @@ class LiveBackEnd:
         *,
         n_timesteps: Optional[int] = None,
         overlapped: bool = False,
-        tf: Optional[TransferFunction] = None,
-        with_depth: bool = False,
         send_grid: bool = False,
         follow_axis_feedback: bool = False,
         daemon=None,
@@ -79,15 +70,14 @@ class LiveBackEnd:
         if not 1 <= self.n_timesteps <= self.meta.n_timesteps:
             raise ValueError("n_timesteps out of range")
         self.overlapped = overlapped
-        self.tf = tf if tf is not None else TransferFunction.fire()
-        self.with_depth = with_depth
         self.send_grid = send_grid
         self.follow_axis_feedback = follow_axis_feedback
         self.daemon = daemon
+        self._renderer = VolumeRenderer(TransferFunction.fire())
         # The axis all PEs use next frame; rank 0 updates it from
         # viewer feedback, everyone reads it after a barrier.
         self._axis_cell = AxisChoice(axis=0, flip=False)
-        self._axis_lock = named_lock("backend.axis")
+        self._axis_lock = threading.Lock()
 
     # -- public ---------------------------------------------------------------
     def run(self, timeout: float = 120.0):
@@ -95,31 +85,28 @@ class LiveBackEnd:
         return run_spmd(self.n_pes, self._pe_main, timeout=timeout)
 
     # -- PE body ---------------------------------------------------------------
-    def _pe_main(self, comm: Communicator, rank: int) -> int:
+    def _pe_main(self, barrier: threading.Barrier, rank: int) -> int:
         logger = NetLogger(f"pe{rank}", f"backend-{rank}", daemon=self.daemon)
         sock = socket.create_connection(
             ("127.0.0.1", self.viewer_port), timeout=30.0
         )
         try:
-            _send(
-                sock,
-                ConfigMessage(
-                    n_pes=self.n_pes,
-                    n_timesteps=self.n_timesteps,
-                    shape=self.meta.shape,
-                ),
-            )
+            write_message(sock, *encode_message(ConfigMessage(
+                n_pes=self.n_pes,
+                n_timesteps=self.n_timesteps,
+                shape=self.meta.shape,
+            )))
             if self.overlapped:
-                frames = self._run_overlapped(comm, rank, sock, logger)
+                self._run_overlapped(barrier, rank, sock, logger)
             else:
-                frames = self._run_serial(comm, rank, sock, logger)
+                self._run_serial(barrier, rank, sock, logger)
             write_message(sock, MsgType.BYE, b"")
             # Read late axis feedback until the viewer closes: closing on
             # unread data resets the connection and drops unsent payloads.
             sock.shutdown(socket.SHUT_WR)
             while sock.recv(4096):
                 pass
-            return frames
+            return self.n_timesteps
         finally:
             sock.close()
 
@@ -127,23 +114,19 @@ class LiveBackEnd:
         with self._axis_lock:
             return self._axis_cell
 
-    def _poll_feedback(self, comm: Communicator, rank: int,
+    def _poll_feedback(self, barrier: threading.Barrier, rank: int,
                        sock: socket.socket) -> None:
-        """Rank 0 drains axis feedback; the choice is then broadcast."""
-        if rank == 0 and self.follow_axis_feedback:
-            while True:
-                readable, _, _ = select.select([sock], [], [], 0)
-                if not readable:
-                    break
-                msg_type, body = read_message(sock)
-                if msg_type == MsgType.AXIS_FEEDBACK:
-                    fb = AxisFeedback.decode(body)
-                    with self._axis_lock:
-                        self._axis_cell = AxisChoice(
-                            axis=fb.axis, flip=fb.flip
-                        )
-        if self.follow_axis_feedback:
-            comm.barrier()
+        """Rank 0 drains axis feedback; every rank then meets at the
+        barrier, so all of them read the same choice."""
+        if not self.follow_axis_feedback:
+            return
+        while rank == 0 and select.select([sock], [], [], 0)[0]:
+            msg_type, body = read_message(sock)
+            if msg_type == MsgType.AXIS_FEEDBACK:
+                fb = AxisFeedback.decode(body)
+                with self._axis_lock:
+                    self._axis_cell = AxisChoice(axis=fb.axis, flip=fb.flip)
+        barrier.wait()
 
     def _load_slab(self, rank: int, frame: int, axis_choice: AxisChoice):
         """Fetch this PE's share of a timestep.
@@ -152,73 +135,38 @@ class LiveBackEnd:
         this information in order to select from either X-, Y-, or
         Z-axis aligned data slabs" (section 3.3).
         """
-        subs = slab_decompose(
+        sub = slab_decompose(
             self.meta.shape, self.n_pes, axis=axis_choice.axis
-        )
-        sub = subs[rank]
-        full = self.source.timestep(frame)
-        return sub, sub.extract(full)
+        )[rank]
+        return sub, sub.extract(self.source.timestep(frame))
 
-    def _render_and_send(
-        self,
-        rank: int,
-        frame: int,
-        sub,
-        voxels: np.ndarray,
-        axis_choice: AxisChoice,
-        sock: socket.socket,
-        logger: NetLogger,
-    ) -> None:
-        renderer = VolumeRenderer(self.tf, with_depth=self.with_depth)
-        logger.log(Tags.BE_RENDER_START, frame=frame, rank=rank)
-        rendering = renderer.render(
-            sub,
-            voxels,
-            self.meta.shape,
-            axis=axis_choice.axis,
-            flip=axis_choice.flip,
-        )
-        logger.log(Tags.BE_RENDER_END, frame=frame, rank=rank)
-
-        light = LightPayload(
-            rank=rank,
-            frame=frame,
-            tex_height=rendering.image.shape[0],
-            tex_width=rendering.image.shape[1],
-            axis=axis_choice.axis,
-            flip=axis_choice.flip,
-            slab_lo=rendering.slab_lo,
-            slab_hi=rendering.slab_hi,
-        )
-        logger.log(Tags.BE_LIGHT_SEND, frame=frame, rank=rank)
-        _send(sock, light)
-        logger.log(Tags.BE_LIGHT_END, frame=frame, rank=rank)
-
-        texture8 = np.clip(rendering.image * 255.0, 0, 255).astype(np.uint8)
+    def _render_and_send(self, rank: int, frame: int, sub, voxels,
+                         axis_choice: AxisChoice, sock: socket.socket,
+                         logger: NetLogger) -> None:
         grid = None
         if self.send_grid and rank == 0:
             boxes = build_amr_hierarchy(
                 self.source.timestep(frame), max_level=1
             )
             grid = grid_line_segments(boxes, self.meta.shape)
-        logger.log(Tags.BE_HEAVY_SEND, frame=frame, rank=rank)
-        _send(
-            sock,
-            HeavyPayload(
-                rank=rank,
-                frame=frame,
-                texture=texture8,
-                depth=rendering.depth,
-                grid=grid,
-            ),
+        logger.log(Tags.BE_RENDER_START, frame=frame, rank=rank)
+        light, heavy = render_payloads(
+            self._renderer, sub, voxels, self.meta.shape, frame,
+            axis=axis_choice.axis, flip=axis_choice.flip, grid=grid,
         )
+        logger.log(Tags.BE_RENDER_END, frame=frame, rank=rank)
+        logger.log(Tags.BE_LIGHT_SEND, frame=frame, rank=rank)
+        write_message(sock, *encode_message(light))
+        logger.log(Tags.BE_LIGHT_END, frame=frame, rank=rank)
+        logger.log(Tags.BE_HEAVY_SEND, frame=frame, rank=rank)
+        write_message(sock, *encode_message(heavy))
         logger.log(Tags.BE_HEAVY_END, frame=frame, rank=rank)
 
     # -- serial mode (Figure 18, left column) -----------------------------
-    def _run_serial(self, comm: Communicator, rank: int,
-                    sock: socket.socket, logger: NetLogger) -> int:
+    def _run_serial(self, barrier: threading.Barrier, rank: int,
+                    sock: socket.socket, logger: NetLogger) -> None:
         for frame in range(self.n_timesteps):
-            self._poll_feedback(comm, rank, sock)
+            self._poll_feedback(barrier, rank, sock)
             axis_choice = self._current_axis()
             logger.log(Tags.BE_FRAME_START, frame=frame, rank=rank)
             logger.log(Tags.BE_LOAD_START, frame=frame, rank=rank)
@@ -228,12 +176,11 @@ class LiveBackEnd:
                 rank, frame, sub, voxels, axis_choice, sock, logger
             )
             logger.log(Tags.BE_FRAME_END, frame=frame, rank=rank)
-            comm.barrier()
-        return self.n_timesteps
+            barrier.wait()
 
     # -- overlapped mode (Appendix B) ---------------------------------------
-    def _run_overlapped(self, comm: Communicator, rank: int,
-                        sock: socket.socket, logger: NetLogger) -> int:
+    def _run_overlapped(self, barrier: threading.Barrier, rank: int,
+                        sock: socket.socket, logger: NetLogger) -> None:
         pair = SemaphorePair()
         buffer = DoubleBuffer()
         axis_choice = self._current_axis()
@@ -244,8 +191,9 @@ class LiveBackEnd:
                 if command is None or command == SemaphorePair.EXIT:
                     return
                 logger.log(Tags.BE_LOAD_START, frame=command, rank=rank)
-                sub, voxels = self._load_slab(rank, command, axis_choice)
-                buffer.write(command, (sub, voxels))
+                buffer.write(
+                    command, self._load_slab(rank, command, axis_choice)
+                )
                 logger.log(Tags.BE_LOAD_END, frame=command, rank=rank)
                 pair.post_data()
 
@@ -275,5 +223,4 @@ class LiveBackEnd:
                     )
         pair.request_exit()
         reader_thread.join(timeout=10.0)
-        comm.barrier()
-        return self.n_timesteps
+        barrier.wait()

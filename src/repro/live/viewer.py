@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.analysis.threadsan import named_lock
 from repro.ibravr.axis import best_view_axis
 from repro.ibravr.compositor import IbravrModel
+from repro.ibravr.payloads import rendering_from_payloads
+from repro.live.sync import SceneLock
 from repro.netlogger.events import Tags
 from repro.netlogger.logger import NetLogger
 from repro.protocol import (
@@ -21,12 +21,12 @@ from repro.protocol import (
     HeavyPayload,
     LightPayload,
     MsgType,
+    decode_message,
     encode_message,
     read_message,
     write_message,
 )
 from repro.scenegraph.camera import Camera
-from repro.scenegraph.locks import SceneLock
 from repro.volren.renderer import SlabRendering
 
 
@@ -37,20 +37,21 @@ class LiveViewer:
     back end PEs connect; ``wait_done()`` blocks until every PE sent
     its BYE. The render thread redraws whenever the scene version
     changes, decoupled from network arrival -- the paper's central
-    interactivity trick.
+    interactivity trick. It draws through the ``orbit(15, 10)`` camera.
+
+    Locks never nest (the state lock is released before the scene lock
+    is taken), so no lock order can invert.
     """
 
     def __init__(
         self,
         *,
-        camera: Optional[Camera] = None,
-        use_depth_meshes: bool = False,
         frame_size: int = 128,
         send_axis_feedback: bool = False,
         daemon=None,
     ):
-        self.camera = camera if camera is not None else Camera.orbit(15, 10)
-        self.model = IbravrModel(use_depth_meshes=use_depth_meshes)
+        self.camera = Camera.orbit(15, 10)
+        self.model = IbravrModel()
         self.scene_lock = SceneLock()
         self.frame_size = frame_size
         self.send_axis_feedback = send_axis_feedback
@@ -63,9 +64,8 @@ class LiveViewer:
         self._stop = threading.Event()
         self._done = threading.Event()
 
-        self._state_lock = named_lock("viewer.state")
+        self._state_lock = threading.Lock()
         self._expected_pes: Optional[int] = None
-        self._n_timesteps: Optional[int] = None
         self._pending_light: Dict[tuple, LightPayload] = {}
         self._frame_parts: Dict[int, Dict[int, SlabRendering]] = {}
         self._pending_grids: Dict[int, np.ndarray] = {}
@@ -129,21 +129,16 @@ class LiveViewer:
 
     def _receiver(self, conn: socket.socket) -> None:
         """One I/O service thread: the per-PE loop of Figure 18."""
-        rank: Optional[int] = None
         try:
             while not self._stop.is_set():
                 msg_type, body = read_message(conn)
                 if msg_type == MsgType.BYE:
                     break
-                from repro.protocol import decode_message
-
                 msg = decode_message(msg_type, body)
                 if isinstance(msg, ConfigMessage):
                     with self._state_lock:
                         self._expected_pes = msg.n_pes
-                        self._n_timesteps = msg.n_timesteps
                 elif isinstance(msg, LightPayload):
-                    rank = msg.rank
                     self.logger.log(
                         Tags.V_LIGHTPAYLOAD_END, frame=msg.frame,
                         rank=msg.rank,
@@ -157,7 +152,7 @@ class LiveViewer:
                         Tags.V_HEAVYPAYLOAD_END, frame=msg.frame,
                         rank=msg.rank,
                     )
-                    self._integrate(msg, conn)
+                    self._integrate(msg)
             with self._state_lock:
                 self._byes += 1
                 if (
@@ -174,7 +169,7 @@ class LiveViewer:
         finally:
             conn.close()
 
-    def _integrate(self, heavy: HeavyPayload, conn: socket.socket) -> None:
+    def _integrate(self, heavy: HeavyPayload) -> None:
         with self._state_lock:
             light = self._pending_light.pop(
                 (heavy.rank, heavy.frame), None
@@ -184,20 +179,7 @@ class LiveViewer:
                 f"heavy payload for ({heavy.rank}, {heavy.frame}) "
                 "without preceding light payload"
             )
-        texture = heavy.texture.astype(np.float32) / 255.0
-        rendering = SlabRendering(
-            rank=heavy.rank,
-            image=texture,
-            depth=heavy.depth,
-            axis=light.axis,
-            flip=light.flip,
-            slab_center=tuple(
-                (lo + hi) / 2.0
-                for lo, hi in zip(light.slab_lo, light.slab_hi)
-            ),
-            slab_lo=light.slab_lo,
-            slab_hi=light.slab_hi,
-        )
+        rendering = rendering_from_payloads(light, heavy)
         ready = None
         grid = None
         with self._state_lock:
@@ -217,11 +199,10 @@ class LiveViewer:
             ordered = [ready[r] for r in sorted(ready)]
             with self.scene_lock.update():
                 self.model.update(ordered)
+                if grid is not None:
+                    self.model.set_overlay(grid)
             with self._state_lock:
                 self.frames_assembled.append(heavy.frame)
-            if grid is not None:
-                with self.scene_lock.update():
-                    self.model.set_overlay(grid)
             if self.send_axis_feedback:
                 choice = best_view_axis(self.camera.forward)
                 self._send_feedback(
@@ -238,8 +219,7 @@ class LiveViewer:
         if sock is None:
             return
         try:
-            msg_type, body = encode_message(feedback)
-            write_message(sock, msg_type, body)
+            write_message(sock, *encode_message(feedback))
         except OSError:
             pass  # PE already gone; feedback is advisory
 
@@ -253,12 +233,9 @@ class LiveViewer:
                     return
                 continue
             last_seen = version
-            try:
-                with self.scene_lock.read():
-                    image = self.model.render_frame(
-                        self.camera, self.frame_size, self.frame_size
-                    )
-            except RuntimeError:
-                continue  # no renderings yet
+            with self.scene_lock.read():
+                image = self.model.render_frame(
+                    self.camera, self.frame_size, self.frame_size
+                )
             self.last_image = image
             self.rendered_images += 1

@@ -49,7 +49,6 @@ class Tags:
     SAN_PROTOCOL = "SAN_PROTOCOL"
     SAN_LOST_WAKEUP = "SAN_LOST_WAKEUP"
     SAN_BARRIER_STUCK = "SAN_BARRIER_STUCK"
-    SAN_LOCK_ORDER = "SAN_LOCK_ORDER"
     SAN_REPORT = "SAN_REPORT"
 
     # -- fault injection (repro.faults): the injector stamps one

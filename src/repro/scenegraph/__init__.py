@@ -5,8 +5,8 @@ of specialized data structures and associated services that provide
 management of displayable data and rendering services" (section 3.1).
 It supports the primitive classes the paper lists -- textured
 quads/meshes for IBRAVR imagery, line sets for AMR grid geometry --
-plus cameras and semaphore-protected asynchronous updates (one render
-thread, many I/O threads).
+plus cameras. The live viewer's scene-graph access control lives with
+its threads, in :mod:`repro.live.sync`.
 """
 
 from repro.scenegraph.node import Group, Node
@@ -14,7 +14,6 @@ from repro.scenegraph.geometry import LineSet, QuadMesh, TexturedQuad
 from repro.scenegraph.texture import Texture2D
 from repro.scenegraph.camera import Camera
 from repro.scenegraph.raster import render
-from repro.scenegraph.locks import SceneLock
 
 __all__ = [
     "Group",
@@ -25,5 +24,4 @@ __all__ = [
     "Texture2D",
     "Camera",
     "render",
-    "SceneLock",
 ]

@@ -26,7 +26,7 @@ Consistency rules (DESIGN.md section 11):
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.netlogger.events import Tags

@@ -8,9 +8,6 @@ blocking behaviour, the seeded bugs stop reproducing and the tests
 fail loudly.
 """
 
-import threading
-
-from repro.analysis.threadsan import named_lock
 from repro.simcore.env import Environment
 from repro.simcore.pipeline import SHUTDOWN, BoundedBuffer, Pipeline
 from repro.simcore.sync import SimBarrier, SimSemaphore
@@ -126,26 +123,3 @@ FAULTS = {
     "task_done_imbalance": (task_done_imbalance, "protocol"),
     "barrier_understaffed": (barrier_understaffed, "barrier-stuck"),
 }
-
-
-def two_lock_inversion() -> None:
-    """Live-mode fault: two threads take the same two named locks in
-    opposite orders. Join-sequenced so the inversion is recorded
-    without ever actually deadlocking the test process."""
-    lock_a = named_lock("fault.axis")
-    lock_b = named_lock("fault.state")
-
-    def axis_then_state():
-        with lock_a:
-            with lock_b:
-                pass
-
-    def state_then_axis():
-        with lock_b:
-            with lock_a:
-                pass
-
-    for fn in (axis_then_state, state_then_axis):
-        t = threading.Thread(target=fn)
-        t.start()
-        t.join()

@@ -7,7 +7,7 @@ from repro.core.campaign import CampaignConfig, build_session
 from repro.datagen.timeseries import TimeSeriesMeta
 from repro.netlogger.analysis import EventLog
 from repro.netlogger.events import Tags
-from repro.viewer.sim import RenderLoopModel, SimViewer
+from repro.viewer.sim import RenderLoopModel
 from repro.config import BackendConfig
 
 

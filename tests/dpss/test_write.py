@@ -4,7 +4,7 @@ import pytest
 
 from repro.dpss import DpssClient, DpssDataset, DpssMaster, DpssServer
 from repro.netsim import Host, Link, Network, TcpParams
-from repro.util.units import KIB, MB, mbps
+from repro.util.units import MB, mbps
 from repro.config import NetworkConfig
 
 

@@ -4,7 +4,7 @@ import socket
 import threading
 import time
 
-import numpy as np
+import pytest
 
 from repro.datagen import (
     CombustionConfig,
@@ -12,6 +12,7 @@ from repro.datagen import (
     TimeSeriesMeta,
     combustion_field,
 )
+from repro.ibravr import IbravrModel, render_payloads, rendering_from_payloads
 from repro.live import LiveBackEnd, LiveViewer
 from repro.netlogger import NetLogDaemon, EventLog, Tags
 from repro.protocol import (
@@ -21,6 +22,8 @@ from repro.protocol import (
     read_message,
     write_message,
 )
+from repro.scenegraph import Camera
+from repro.volren import TransferFunction, VolumeRenderer, slab_decompose
 
 
 def make_source(shape=(24, 24, 24), steps=3, on_materialise=None):
@@ -36,13 +39,12 @@ def make_source(shape=(24, 24, 24), steps=3, on_materialise=None):
 
 
 def run_pipeline(
-    n_pes=2, steps=3, overlapped=False, with_depth=False,
+    n_pes=2, steps=3, overlapped=False,
     send_grid=False, feedback=False, daemon=None, on_materialise=None,
 ):
     source = make_source(steps=steps, on_materialise=on_materialise)
     viewer = LiveViewer(
-        send_axis_feedback=feedback, frame_size=64,
-        use_depth_meshes=with_depth, daemon=daemon,
+        send_axis_feedback=feedback, frame_size=64, daemon=daemon,
     )
     port = viewer.start()
     backend = LiveBackEnd(
@@ -50,7 +52,6 @@ def run_pipeline(
         n_pes,
         port,
         overlapped=overlapped,
-        with_depth=with_depth,
         send_grid=send_grid,
         follow_axis_feedback=feedback,
         daemon=daemon,
@@ -90,17 +91,38 @@ class TestSerialPipeline:
         assert sorted(viewer.frames_assembled) == [0, 1]
 
 
+def kernel_frame(source, n_pes, step, camera, size):
+    """The frame the slab kernel pair gives in process, no sockets."""
+    renderer = VolumeRenderer(TransferFunction.fire())
+    shape = source.meta.shape
+    volume = source.timestep(step)
+    model = IbravrModel()
+    model.update([
+        rendering_from_payloads(*render_payloads(
+            renderer, sub, sub.extract(volume), shape, step
+        ))
+        for sub in slab_decompose(shape, n_pes)
+    ])
+    return model.render_frame(camera, size, size)
+
+
 class TestOverlappedPipeline:
     def test_overlapped_matches_serial_output(self):
-        serial_viewer, _ = run_pipeline(n_pes=2, steps=3, overlapped=False)
-        overlap_viewer, _ = run_pipeline(n_pes=2, steps=3, overlapped=True)
-        assert sorted(serial_viewer.frames_assembled) == sorted(
-            overlap_viewer.frames_assembled
-        )
-        # Same data, same transfer function: final frames identical.
-        np.testing.assert_allclose(
-            serial_viewer.last_image, overlap_viewer.last_image, atol=0.02
-        )
+        """Serial and overlapped runs over sockets both leave the viewer
+        holding exactly the frame the kernel pair gives in process."""
+        expected = None
+        for overlapped in (False, True):
+            viewer, frames = run_pipeline(
+                n_pes=3, steps=2, overlapped=overlapped
+            )
+            assert frames == [2, 2, 2]
+            assert sorted(viewer.frames_assembled) == [0, 1]
+            if expected is None:
+                expected = kernel_frame(
+                    make_source(steps=2), 3, 1, viewer.camera, 64
+                )
+            frame = viewer.model.render_frame(viewer.camera, 64, 64)
+            assert frame.tobytes() == expected.tobytes()
 
     def test_overlapped_netlogger_shows_pipeline(self):
         """The Appendix B prefetch, as ``_run_overlapped`` guarantees it
@@ -140,14 +162,6 @@ class TestOverlappedPipeline:
 
 
 class TestExtensions:
-    def test_depth_meshes_flow_through(self):
-        viewer, _ = run_pipeline(n_pes=2, steps=2, with_depth=True)
-        assert sorted(viewer.frames_assembled) == [0, 1]
-        kinds = {
-            type(n).__name__ for n, _ in viewer.model.root.traverse()
-        }
-        assert "QuadMesh" in kinds
-
     def test_grid_overlay_flows_through(self):
         viewer, _ = run_pipeline(n_pes=2, steps=2, send_grid=True)
         overlay = viewer.model.root.find("amr-grid")
@@ -205,3 +219,25 @@ class TestNetLoggerIntegration:
         assert len(log.filter(event=Tags.V_HEAVYPAYLOAD_END)) == 4
         stats = log.duration_stats(log.render_spans())
         assert stats["mean"] > 0
+
+
+def test_removed_names_fail_loudly():
+    """Options only tests set and the thread tooling nothing ran over
+    the live pipeline are gone: a removed keyword is a TypeError, a
+    removed module or name an ImportError."""
+    source = make_source(steps=1)
+    type_errors = [
+        lambda: LiveBackEnd(source, 1, 0, tf=TransferFunction.fire()),
+        lambda: LiveBackEnd(source, 1, 0, with_depth=True),
+        lambda: LiveViewer(camera=Camera.orbit(15, 10)),
+        lambda: LiveViewer(use_depth_meshes=True),
+    ]
+    for call in type_errors:
+        with pytest.raises(TypeError):
+            call()
+    with pytest.raises(ImportError):
+        import repro.mpc  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.analysis import named_lock  # noqa: F401
+    with pytest.raises(ImportError):
+        from repro.analysis import enable_thread_sanitizer  # noqa: F401

@@ -1,48 +1,23 @@
-"""Tests for the thread communicator and Appendix B primitives."""
+"""Tests for the live pipeline's thread primitives."""
 
 import threading
 import time
 
 import pytest
 
-from repro.mpc import Communicator, DoubleBuffer, SemaphorePair, run_spmd
+from repro.live.sync import DoubleBuffer, SceneLock, SemaphorePair, run_spmd
 
 
-class TestCommunicator:
-    def test_send_recv(self):
-        def body(comm, rank):
-            if rank == 0:
-                comm.send(1, "hello", source=0)
-                return None
-            src, tag, payload = comm.recv(rank=1, source=0)
-            return payload
-
-        results = run_spmd(2, body)
-        assert results[1] == "hello"
-
-    def test_recv_matches_tag(self):
-        def body(comm, rank):
-            if rank == 0:
-                comm.send(1, "a", source=0, tag=1)
-                comm.send(1, "b", source=0, tag=2)
-                return None
-            # Ask for tag 2 first; tag-1 message is stashed.
-            _, _, b = comm.recv(rank=1, tag=2)
-            _, _, a = comm.recv(rank=1, tag=1)
-            return (a, b)
-
-        results = run_spmd(2, body)
-        assert results[1] == ("a", "b")
-
+class TestRunSpmd:
     def test_barrier_synchronises(self):
         arrivals = []
         lock = threading.Lock()
 
-        def body(comm, rank):
+        def body(barrier, rank):
             time.sleep(0.01 * rank)
             with lock:
                 arrivals.append(("before", rank))
-            comm.barrier()
+            barrier.wait()
             with lock:
                 arrivals.append(("after", rank))
 
@@ -51,35 +26,18 @@ class TestCommunicator:
         afters = [i for i, (k, _) in enumerate(arrivals) if k == "after"]
         assert max(befores) < min(afters)
 
-    def test_bcast(self):
-        def body(comm, rank):
-            value = "root-data" if rank == 1 else None
-            return comm.bcast(value, root=1, rank=rank)
-
-        assert run_spmd(3, body) == ["root-data"] * 3
-
-    def test_gather(self):
-        def body(comm, rank):
-            return comm.gather(rank * 10, root=0, rank=rank)
-
-        results = run_spmd(3, body)
-        assert results[0] == [0, 10, 20]
-        assert results[1] is None and results[2] is None
+    def test_rank_results_in_rank_order(self):
+        assert run_spmd(3, lambda barrier, rank: rank * 10) == [0, 10, 20]
 
     def test_rank_validation(self):
-        comm = Communicator(2)
         with pytest.raises(ValueError):
-            comm.send(5, "x", source=0)
-        with pytest.raises(ValueError):
-            comm.recv(rank=9, timeout=0.01)
-        with pytest.raises(ValueError):
-            Communicator(0)
+            run_spmd(0, lambda barrier, rank: None)
 
     def test_exception_propagates(self):
-        def body(comm, rank):
+        def body(barrier, rank):
             if rank == 1:
                 raise RuntimeError("rank 1 died")
-            comm.barrier()
+            barrier.wait()
 
         with pytest.raises(RuntimeError, match="rank 1 died"):
             run_spmd(2, body)
@@ -164,3 +122,39 @@ class TestDoubleBuffer:
         pair.request_exit()
         t.join(timeout=5.0)
         assert seen == [f"data-{i}" for i in range(n)]
+
+
+class TestSceneLock:
+    def test_version_bumps_on_update(self):
+        lock = SceneLock()
+        assert lock.version == 0
+        with lock.update():
+            pass
+        assert lock.version == 1
+
+    def test_read_returns_version(self):
+        lock = SceneLock()
+        with lock.update():
+            pass
+        with lock.read() as version:
+            assert version == 1
+
+    def test_wait_for_change_immediate(self):
+        lock = SceneLock()
+        with lock.update():
+            pass
+        assert lock.wait_for_change(0) == 1
+
+    def test_wait_for_change_blocks_until_update(self):
+        lock = SceneLock()
+        seen = []
+
+        def waiter():
+            seen.append(lock.wait_for_change(0, timeout=5.0))
+
+        t = threading.Thread(target=waiter)
+        t.start()
+        with lock.update():
+            pass
+        t.join(timeout=5.0)
+        assert seen == [1]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim import Host, Link, Network
-from repro.util.units import GIGABIT_ETHERNET, OC12, mbps
+from repro.util.units import OC12, mbps
 
 
 def simple_net():

@@ -7,9 +7,7 @@ from repro.scenegraph import (
     Camera,
     Group,
     LineSet,
-    Node,
     QuadMesh,
-    SceneLock,
     Texture2D,
     TexturedQuad,
 )
@@ -189,41 +187,3 @@ class TestCamera:
         cam = Camera.orbit(0, 0)
         with pytest.raises(ValueError):
             cam.project(np.zeros((3,)), 10, 10)
-
-
-class TestSceneLock:
-    def test_version_bumps_on_update(self):
-        lock = SceneLock()
-        assert lock.version == 0
-        with lock.update():
-            pass
-        assert lock.version == 1
-
-    def test_read_returns_version(self):
-        lock = SceneLock()
-        with lock.update():
-            pass
-        with lock.read() as version:
-            assert version == 1
-
-    def test_wait_for_change_immediate(self):
-        lock = SceneLock()
-        with lock.update():
-            pass
-        assert lock.wait_for_change(0) == 1
-
-    def test_wait_for_change_blocks_until_update(self):
-        import threading
-
-        lock = SceneLock()
-        seen = []
-
-        def waiter():
-            seen.append(lock.wait_for_change(0, timeout=5.0))
-
-        t = threading.Thread(target=waiter)
-        t.start()
-        with lock.update():
-            pass
-        t.join(timeout=5.0)
-        assert seen == [1]

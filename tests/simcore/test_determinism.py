@@ -6,7 +6,6 @@ that traces replay exactly and that bookkeeping invariants hold.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -4,7 +4,6 @@ import pytest
 
 from repro.simcore import (
     Environment,
-    Event,
     FluidResource,
     FluidScheduler,
     FluidTask,

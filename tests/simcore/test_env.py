@@ -3,10 +3,7 @@
 import pytest
 
 from repro.simcore import (
-    AllOf,
-    AnyOf,
     Environment,
-    Event,
     Interrupt,
     SimulationError,
 )

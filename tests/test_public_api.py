@@ -25,7 +25,6 @@ PACKAGES = [
     "repro.scenegraph",
     "repro.netlogger",
     "repro.protocol",
-    "repro.mpc",
     "repro.backend",
     "repro.service",
     "repro.viewer",
@@ -199,8 +198,6 @@ TEST_ONLY_ALLOWLIST = {
     "netlogger.skew.correct_skew": "clock-skew fault detector",
     "netlogger.skew.causality_violations": "causality fault detector",
     "analysis.lint.lint_source": "the text-in-hand input to run_rules",
-    "analysis.threadsan.enable_thread_sanitizer": "lock-order detector",
-    "analysis.threadsan.disable_thread_sanitizer": "lock-order detector",
     "datagen.cosmology.cosmology_field": "the paper's SC99 dataset",
     "datagen.validate.check_combustion_like": "dataset validator",
     "datagen.validate.check_cosmology_like": "dataset validator",
