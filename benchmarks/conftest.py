@@ -11,8 +11,6 @@ them::
 
 from __future__ import annotations
 
-from typing import Optional
-
 import pytest
 
 

@@ -19,7 +19,6 @@ from repro.core.platforms import (
 )
 from repro.dpss import DpssClient, DpssDataset, DpssMaster, DpssServer
 from repro.netsim import Host, Link, Network, TcpParams
-from repro.simcore.events import Event
 from repro.util.units import MB, GIGABIT_ETHERNET, bytes_per_sec_to_mbps, mbps
 from repro.config import NetworkConfig
 from benchmarks.conftest import once

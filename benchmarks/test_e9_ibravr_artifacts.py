@@ -8,7 +8,6 @@ artifacts." Visapult's extension: per-frame best-axis selection keeps
 the view inside that cone.
 """
 
-import numpy as np
 import pytest
 
 from repro.datagen import CombustionConfig, combustion_field

@@ -36,7 +36,7 @@ class StripeConfig:
     placement and per-server fan-out, byte-identical ULM logs
     included. When enabled, datasets are laid out by a
     :class:`~repro.dpss.stripe.StripeMap` over ``n_data + n_parity``
-    servers and reads go through the redundant k-of-n requestor: a
+    servers and reads go through the k-of-n parity requestor: a
     slow or crashed server's blocks are reconstructed by XOR from the
     other servers' blocks plus parity instead of waiting out a
     timeout+retry round trip.
@@ -57,7 +57,7 @@ class StripeConfig:
 
     The straggler timer, the backstop deadline and the health score
     at which a server is read around are constants of
-    :mod:`repro.dpss.redundant`.
+    :mod:`repro.dpss.read`.
     """
 
     enabled: bool = False

@@ -20,7 +20,7 @@ import json
 import mmap
 import os
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -193,25 +193,30 @@ class SyntheticTimeSeries:
         self.meta = meta
         self._field_fn = field_fn
         self.dt = dt
-        self._cache: dict = {}
+        #: ``(step, voxels)`` of the last step materialised, or None
+        self._last: Optional[Tuple[int, np.ndarray]] = None
 
     def time_of(self, step: int) -> float:
         """Field-time coordinate of an integer timestep."""
         return step * self.dt
 
     def timestep(self, step: int) -> np.ndarray:
-        """Materialise one timestep (memoised)."""
+        """Materialise one timestep. Only the last one is kept: reads of
+        one step share it, and a long series never piles up in memory."""
         if not 0 <= step < self.meta.n_timesteps:
             raise IndexError(f"timestep {step} out of range")
-        if step not in self._cache:
-            field = self._field_fn(self.time_of(step))
-            if tuple(field.shape) != self.meta.shape:
-                raise ValueError(
-                    f"field_fn produced shape {field.shape}, "
-                    f"expected {self.meta.shape}"
-                )
-            self._cache[step] = np.asarray(field, dtype=self.meta.dtype)
-        return self._cache[step]
+        last = self._last
+        if last is not None and last[0] == step:
+            return last[1]
+        field = self._field_fn(self.time_of(step))
+        if tuple(field.shape) != self.meta.shape:
+            raise ValueError(
+                f"field_fn produced shape {field.shape}, "
+                f"expected {self.meta.shape}"
+            )
+        voxels = np.asarray(field, dtype=self.meta.dtype)
+        self._last = (step, voxels)
+        return voxels
 
     def slab(self, step: int, x_lo: int, x_hi: int) -> np.ndarray:
         """Slab view of one timestep along the x axis."""

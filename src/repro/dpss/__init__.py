@@ -13,10 +13,9 @@ disk, server, and network level" (section 2). The architecture
   (``dpss_open/read/write/lseek/close``); "the DPSS client library is
   multi-threaded, where the number of client threads is equal to the
   number of DPSS servers" -- each server gets its own TCP stream and
-  requests proceed in parallel. The client owns *transport*; what a
-  read fetches and what it does when a server stops answering is a
-  *strategy*: :mod:`~repro.dpss.fanout` (one share per server) or
-  :mod:`~repro.dpss.redundant` (k-of-n over parity stripes).
+  requests proceed in parallel. The client owns *transport*; a read
+  is one loop in :mod:`~repro.dpss.read`, fed by a replica requestor
+  (one share per server) or a parity requestor (k-of-n over stripes).
 
 Datasets are striped round-robin across servers in fixed-size logical
 blocks (:mod:`~repro.dpss.blocks`); servers keep a block-level RAM

@@ -9,14 +9,9 @@ the speed of the server" (section 3.5).
 This module owns *transport*: handles, the connection pool (one
 persistent TCP stream per direction and server), the request/transfer
 exchange and its cancellable process form, the write path and
-:class:`ReadStats`. *What to fetch, and what to do when a server stops
-answering*, is a read strategy that :meth:`DpssClient.read` picks from
-``self.config`` -- ``Strategy(client, block_map, offset, nbytes,
-label).run()`` is a generator returning :class:`ReadStats`:
-:class:`~repro.dpss.fanout.FanOutRead` (one share per server,
-fail-fast or under a :class:`~repro.faults.policy.RequestPolicy`) or
-:class:`~repro.dpss.redundant.RedundantRead` (k-of-n over a
-parity-striped dataset).
+:class:`ReadStats`. A read is one :class:`~repro.dpss.read.DpssRead`
+loop; its requestor, picked from ``self.config``, decides what to fetch
+and what to do when a server stops answering.
 """
 
 from __future__ import annotations
@@ -28,8 +23,7 @@ import numpy as np
 
 from repro.config import NetworkConfig
 from repro.dpss.blocks import BlockMap
-from repro.dpss.fanout import FanOutRead
-from repro.dpss.redundant import RedundantRead
+from repro.dpss.read import DpssRead
 from repro.dpss.stripe import XorCodec
 from repro.netlogger.events import Tags
 from repro.netlogger.logger import NetLogger
@@ -42,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.dpss.master import DpssMaster
     from repro.dpss.server import DpssServer
     from repro.netsim.topology import Network
+    from repro.simcore.process import Process
 
 
 @dataclass
@@ -51,9 +46,12 @@ class ReadStats:
     nbytes: float
     start: float
     end: float
+    #: delivered bytes, by the server that delivered them
     per_server_bytes: Dict[str, float] = field(default_factory=dict)
-    #: wall seconds each server stage took (request + transfer)
+    #: seconds from launch to arrival (request + transfer) of the
+    #: slowest share each server delivered
     per_server_seconds: Dict[str, float] = field(default_factory=dict)
+    #: requested blocks that arrived from a server's RAM cache
     cache_hit_blocks: int = 0
     total_blocks: int = 0
     #: bytes that actually crossed the network (< nbytes when wire
@@ -261,42 +259,37 @@ class DpssClient:
         read.
         """
         start_at = self._claim_range(handle, nbytes, offset, "read")
-        strategy_cls = RedundantRead if self._striped(handle) else FanOutRead
-        strategy = strategy_cls(
-            self, handle.block_map, start_at, nbytes, label
+        read = DpssRead(
+            self, handle.block_map, start_at, nbytes, label,
+            parity=self._striped(handle),
         )
-        return self.network.env.process(strategy.run())
+        return self.network.env.process(read.run())
 
     # -- shared transfer path -------------------------------------------
     def _launch_read(self, server: "DpssServer", wire: float,
-                     disk_fraction: float, label: str):
-        conn = self._lease(server.name)
-        return self.network.env.process(
-            self._single_read(conn, server, wire, disk_fraction, label)
-        )
+                     disk_fraction: float, label: str) -> "Process":
+        """Lease a connection and start one cancellable read on it.
 
-    def _single_read(self, conn: TcpConnection, server: "DpssServer",
-                     wire: float, disk_fraction: float, label: str):
-        """One cancellable transfer on a leased connection.
-
-        Returns ``None`` when torn down; releases the lease either way.
+        The process's value is the transfer's stats, or ``None`` once it
+        is interrupted; the lease is released either way.
         """
-        try:
-            transfer = yield from self._server_transfer(
-                conn, server, wire, disk_fraction, label,
-                lead=self._read_lead(server),
-            )
-            return transfer
-        except Interrupt:
-            conn.abort()  # tear down the in-flight send, if any
-            return None
-        finally:
-            self._release(conn)
-
-    def _read_lead(self, server: "DpssServer") -> float:
-        """Request latency before a server starts streaming a read."""
+        conn = self._lease(server.name)
         route = self.network.route(self.host_name, server.host.name)
-        return route.rtt / 2.0 + server.per_request_overhead
+        # The request's one-way trip and the server's handling overhead.
+        lead = route.rtt / 2.0 + server.per_request_overhead
+
+        def transfer():
+            try:
+                return (yield from self._server_transfer(
+                    conn, server, wire, disk_fraction, label, lead=lead
+                ))
+            except Interrupt:
+                conn.abort()  # tear down the in-flight send, if any
+                return None
+            finally:
+                self._release(conn)
+
+        return self.network.env.process(transfer())
 
     def _server_transfer(self, conn: TcpConnection, server: "DpssServer",
                          n_bytes: float, disk_fraction: float, label: str,

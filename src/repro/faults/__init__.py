@@ -42,7 +42,7 @@ from repro.faults.plan import (
     event_from_dict,
     event_to_dict,
 )
-from repro.faults.policy import ReadTimeout, RequestPolicy
+from repro.faults.policy import RequestPolicy
 
 __all__ = [
     "FaultDrill",
@@ -52,7 +52,6 @@ __all__ = [
     "LinkFlap",
     "LossSpike",
     "MasterStall",
-    "ReadTimeout",
     "RequestPolicy",
     "ServerCrash",
     "ServerSlowdown",

@@ -22,15 +22,6 @@ import numpy as np
 from repro.util.validation import check_non_negative, check_positive
 
 
-class ReadTimeout(ConnectionError):
-    """One read attempt exceeded the policy's per-attempt timeout."""
-
-    #: True when the deadline tore down a hedge that was still in
-    #: flight: the relaunch replaces the abandoned hedge, so the retry
-    #: accounting must not count it again.
-    hedge_abandoned: bool = False
-
-
 @dataclass(frozen=True)
 class RequestPolicy:
     """Client-side fault tolerance for DPSS block reads.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import select
 import socket
 import threading
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.datagen.amr import build_amr_hierarchy, grid_line_segments
 from repro.ibravr.axis import AxisChoice
@@ -78,10 +78,16 @@ class LiveBackEnd:
         # viewer feedback, everyone reads it after a barrier.
         self._axis_cell = AxisChoice(axis=0, flip=False)
         self._axis_lock = threading.Lock()
+        # step -> [voxels, takes left]: every PE (and rank 0's grid
+        # overlay) takes each step once, so a run materialises each step
+        # once and drops it at its last take.
+        self._steps: Dict[int, list] = {}
+        self._steps_lock = threading.Lock()
 
     # -- public ---------------------------------------------------------------
     def run(self, timeout: float = 120.0):
         """Execute the whole run; returns per-rank frame counts."""
+        self._steps.clear()
         return run_spmd(self.n_pes, self._pe_main, timeout=timeout)
 
     # -- PE body ---------------------------------------------------------------
@@ -109,6 +115,17 @@ class LiveBackEnd:
             return self.n_timesteps
         finally:
             sock.close()
+
+    def _take_timestep(self, step: int):
+        with self._steps_lock:
+            if step not in self._steps:
+                takes = self.n_pes + (1 if self.send_grid else 0)
+                self._steps[step] = [self.source.timestep(step), takes]
+            entry = self._steps[step]
+            entry[1] -= 1
+            if not entry[1]:
+                del self._steps[step]
+        return entry[0]
 
     def _current_axis(self) -> AxisChoice:
         with self._axis_lock:
@@ -138,7 +155,7 @@ class LiveBackEnd:
         sub = slab_decompose(
             self.meta.shape, self.n_pes, axis=axis_choice.axis
         )[rank]
-        return sub, sub.extract(self.source.timestep(frame))
+        return sub, sub.extract(self._take_timestep(frame))
 
     def _render_and_send(self, rank: int, frame: int, sub, voxels,
                          axis_choice: AxisChoice, sock: socket.socket,
@@ -146,7 +163,7 @@ class LiveBackEnd:
         grid = None
         if self.send_grid and rank == 0:
             boxes = build_amr_hierarchy(
-                self.source.timestep(frame), max_level=1
+                self._take_timestep(frame), max_level=1
             )
             grid = grid_line_segments(boxes, self.meta.shape)
         logger.log(Tags.BE_RENDER_START, frame=frame, rank=rank)
@@ -183,7 +200,9 @@ class LiveBackEnd:
                         sock: socket.socket, logger: NetLogger) -> None:
         pair = SemaphorePair()
         buffer = DoubleBuffer()
-        axis_choice = self._current_axis()
+        #: frame -> the axis its slab is cut along, set before the
+        #: reader is asked for it (the request's happens-before carries it)
+        axes: Dict[int, AxisChoice] = {}
 
         def reader() -> None:
             while True:
@@ -191,11 +210,18 @@ class LiveBackEnd:
                 if command is None or command == SemaphorePair.EXIT:
                     return
                 logger.log(Tags.BE_LOAD_START, frame=command, rank=rank)
-                buffer.write(
-                    command, self._load_slab(rank, command, axis_choice)
-                )
+                axis_choice = axes.pop(command)
+                buffer.write(command, (
+                    axis_choice,
+                    *self._load_slab(rank, command, axis_choice),
+                ))
                 logger.log(Tags.BE_LOAD_END, frame=command, rank=rank)
                 pair.post_data()
+
+        def request(frame: int) -> None:
+            self._poll_feedback(barrier, rank, sock)
+            axes[frame] = self._current_axis()
+            pair.request(frame)
 
         reader_thread = threading.Thread(
             target=reader, name=f"reader-{rank}", daemon=True
@@ -203,15 +229,15 @@ class LiveBackEnd:
         reader_thread.start()
 
         # Prime: request frame 0, wait for it.
-        pair.request(0)
+        request(0)
         if not pair.wait_data(timeout=60.0):
             raise TimeoutError("reader never produced frame 0")
 
         for frame in range(self.n_timesteps):
             logger.log(Tags.BE_FRAME_START, frame=frame, rank=rank)
             if frame + 1 < self.n_timesteps:
-                pair.request(frame + 1)
-            sub, voxels = buffer.read(frame)
+                request(frame + 1)
+            axis_choice, sub, voxels = buffer.read(frame)
             self._render_and_send(
                 rank, frame, sub, voxels, axis_choice, sock, logger
             )

@@ -1,7 +1,7 @@
 """Redundant k-of-n reads end to end through the simulated client.
 
-These drive the :class:`~repro.dpss.redundant.RedundantRead`
-over a live simulated network: eager and hedged policies, mid-read
+These drive :class:`~repro.dpss.read.ParityRequestor` through the read
+loop over a live simulated network: eager and hedged policies, mid-read
 crashes, straggler cancellation, double-fault deliver-absent, health
 biasing, and the striped write path.
 """
@@ -9,7 +9,7 @@ biasing, and the striped write path.
 import numpy as np
 import pytest
 
-import repro.dpss.redundant as redundant
+import repro.dpss.read as dpss_read
 from repro.config import NetworkConfig, StripeConfig
 from repro.dpss import DpssClient, DpssDataset, DpssMaster, DpssServer
 from repro.dpss.health import HealthTracker
@@ -154,7 +154,7 @@ class TestHedged:
 
 class TestDoubleFault:
     def test_double_crash_delivers_absent_quickly(self, monkeypatch):
-        monkeypatch.setattr(redundant, "READ_DEADLINE", 3.0)
+        monkeypatch.setattr(dpss_read, "READ_DEADLINE", 3.0)
         net, master, client, handle, daemon, _ = build(stripe=EAGER)
         inject(net, master, daemon, [
             ServerCrash(at=0.0, duration=60.0, server="s0"),

@@ -270,6 +270,10 @@ class TestReadAccounting:
             sum(stats.per_server_bytes.values()) + stats.reconstructed_bytes
             == pytest.approx(stats.nbytes - stats.missing_bytes)
         )
+        # Every loser's teardown has run once the instant settles: no
+        # connection lease outlives the read.
+        net.env.run(until=net.env.now)
+        assert not client._leased
 
     def test_winning_hedge_is_credited_with_its_own_cache_hits(self):
         policy = RequestPolicy(timeout=None, max_retries=0, hedge_after=0.05)

@@ -1,6 +1,7 @@
 """Integration tests: the live Visapult pipeline on localhost sockets."""
 
 import socket
+import sys
 import threading
 import time
 
@@ -13,6 +14,7 @@ from repro.datagen import (
     combustion_field,
 )
 from repro.ibravr import IbravrModel, render_payloads, rendering_from_payloads
+from repro.ibravr.axis import AxisChoice, best_view_axis
 from repro.live import LiveBackEnd, LiveViewer
 from repro.netlogger import NetLogDaemon, EventLog, Tags
 from repro.protocol import (
@@ -178,6 +180,42 @@ class TestExtensions:
         # so the loop must remain stable (no crash, frames keep
         # flowing) -- the semantically interesting axis change is
         # covered by unit tests on best_view_axis.
+
+    def test_overlapped_follows_feedback_like_serial(self):
+        """The overlapped reader cuts each slab along the axis polled
+        before its request, so both modes end on the viewer's choice.
+        A slow load gives frame 0's feedback time to reach rank 0
+        before the last poll, which comes two frames later."""
+        want = best_view_axis(Camera.orbit(15, 10).forward)
+        ends = []
+        for overlapped in (False, True):
+            viewer, _ = run_pipeline(
+                n_pes=2, steps=4, overlapped=overlapped, feedback=True,
+                on_materialise=lambda: time.sleep(0.2),
+            )
+            assert sorted(viewer.frames_assembled) == [0, 1, 2, 3]
+            ends.append({
+                AxisChoice(axis=r.axis, flip=r.flip)
+                for r in viewer.model._renderings
+            })
+        assert ends == [{want}, {want}]
+
+    @pytest.mark.parametrize("overlapped", [False, True])
+    def test_each_timestep_materialised_once(self, overlapped):
+        """Every PE thread and reader shares one materialisation per
+        step; a short switch interval makes a check-then-act race on the
+        shared steps show up as a second call."""
+        calls = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            run_pipeline(
+                n_pes=2, steps=4, overlapped=overlapped,
+                on_materialise=lambda: calls.append(1),
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(calls) == 4
 
     def test_pe_close_cannot_reset_unsent_payloads(self):
         # A viewer's last axis feedback can reach a PE that will never
