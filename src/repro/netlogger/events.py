@@ -7,8 +7,14 @@ follows the NetLogger convention of ``KEY=value`` fields with ``DATE``,
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Any, Dict
+
+from repro.util.compat import DATACLASS_SLOTS
+
+#: what ``str.isspace`` accepts: a ULM value is one token
+_WHITESPACE = re.compile(r"\s")
 
 
 class Tags:
@@ -216,7 +222,7 @@ ALLOC_TAGS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, **DATACLASS_SLOTS)
 class NetLogEvent:
     """One instrumentation event."""
 
@@ -232,24 +238,52 @@ class NetLogEvent:
         return self.data.get(key, default)
 
 
+def ulm_head(event: str, host: str, prog: str, level: str) -> str:
+    """The fixed fields of a ULM line after ``DATE``."""
+    return f"HOST={host} PROG={prog} LVL={level} NL.EVNT={event}"
+
+
+def ulm_value(key: str, value: Any) -> str:
+    """One data value as ULM text: floats to six places, else ``str``."""
+    text = f"{value:.6f}" if isinstance(value, float) else str(value)
+    if _WHITESPACE.search(text):
+        raise ValueError(
+            f"ULM values may not contain whitespace: {key}={text!r}"
+        )
+    return text
+
+
 def format_ulm(event: NetLogEvent) -> str:
     """Serialise an event as one ULM log line."""
-    parts = [
-        f"DATE={event.ts:.6f}",
-        f"HOST={event.host}",
-        f"PROG={event.prog}",
-        f"LVL={event.level}",
-        f"NL.EVNT={event.event}",
-    ]
-    for key in sorted(event.data):
-        value = event.data[key]
-        text = f"{value:.6f}" if isinstance(value, float) else str(value)
-        if any(ch.isspace() for ch in text):
-            raise ValueError(
-                f"ULM values may not contain whitespace: {key}={text!r}"
-            )
-        parts.append(f"{key.upper()}={text}")
-    return " ".join(parts)
+    data = event.data
+    fields = "".join(
+        f" {key.upper()}={ulm_value(key, data[key])}" for key in sorted(data)
+    )
+    head = ulm_head(event.event, event.host, event.prog, event.level)
+    return f"DATE={event.ts:.6f} {head}{fields}"
+
+
+def _parse_value(text: str) -> Any:
+    """The int, float or str that :func:`format_ulm` writes as ``text``.
+
+    A token is an int or a float exactly when formatting that number
+    gives the token back, so ``format_ulm(parse_ulm(line)) == line`` for
+    every line :func:`format_ulm` writes: ``4096.000000`` stays a float,
+    and ``007`` or ``1e5`` stay strings.
+    """
+    try:
+        number: Any = int(text)
+        if str(number) == text:
+            return number
+    except ValueError:
+        pass
+    try:
+        number = float(text)
+        if f"{number:.6f}" == text:
+            return number
+    except ValueError:
+        pass
+    return text
 
 
 def parse_ulm(line: str) -> NetLogEvent:
@@ -268,13 +302,7 @@ def parse_ulm(line: str) -> NetLogEvent:
         event = fields.pop("NL.EVNT")
     except KeyError as exc:
         raise ValueError(f"ULM line missing required field {exc}") from exc
-    data: Dict[str, Any] = {}
-    for key, value in fields.items():
-        try:
-            num = float(value)
-            data[key.lower()] = int(num) if num.is_integer() else num
-        except ValueError:
-            data[key.lower()] = value
+    data = {key.lower(): _parse_value(value) for key, value in fields.items()}
     return NetLogEvent(
         ts=ts, event=event, host=host, prog=prog, level=level, data=data
     )

@@ -2,19 +2,16 @@
 
 from __future__ import annotations
 
-import threading
 import time
-from typing import TYPE_CHECKING, Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
+from repro.netlogger.daemon import NetLogDaemon
 from repro.netlogger.events import NetLogEvent
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.netlogger.daemon import NetLogDaemon
 
 
 class NetLogger:
     """Stamps events against a clock and forwards them to a daemon,
-    or retains them itself when it has none.
+    or records them into a private one when it has none.
 
     ``clock`` is any zero-argument callable returning seconds --
     ``env.now`` accessor for simulated components, ``time.monotonic``
@@ -29,40 +26,31 @@ class NetLogger:
         prog: str,
         *,
         clock: Optional[Callable[[], float]] = None,
-        daemon: Optional["NetLogDaemon"] = None,
+        daemon: Optional[NetLogDaemon] = None,
     ):
         self.host = host
         self.prog = prog
         self.clock = clock if clock is not None else time.monotonic
         self.daemon = daemon
-        self._events: List[NetLogEvent] = []
-        self._lock = threading.Lock()
+        self._sink = daemon if daemon is not None else NetLogDaemon()
 
-    def log(self, event: str, level: str = "Usage", **data: Any) -> NetLogEvent:
-        """Record an event now; returns the record."""
-        record = NetLogEvent(
-            ts=float(self.clock()),
-            event=event,
-            host=self.host,
-            prog=self.prog,
-            level=level,
-            data=data,
+    def log(self, event: str, level: str = "Usage", **data: Any) -> None:
+        """Record an event now, as one row of the daemon's log.
+
+        Returns nothing and builds no event object: readers build them
+        from the rows (:attr:`NetLogDaemon.events`).
+        """
+        self._sink.record(
+            float(self.clock()), event, self.host, self.prog, level, data
         )
-        if self.daemon is not None:
-            self.daemon.submit(record)
-        else:
-            with self._lock:
-                self._events.append(record)
-        return record
 
     @property
     def events(self) -> List[NetLogEvent]:
         """Snapshot of locally retained events (a logger with a daemon
         retains none: the daemon holds the only copy)."""
-        with self._lock:
-            return list(self._events)
+        return [] if self.daemon is not None else self._sink.events
 
     def clear(self) -> None:
         """Drop locally retained events."""
-        with self._lock:
-            self._events.clear()
+        if self.daemon is None:
+            self._sink.clear()

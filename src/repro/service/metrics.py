@@ -14,6 +14,7 @@ from typing import Any, Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.util.compat import DATACLASS_SLOTS
 from repro.util.stats import percentile
 from repro.util.units import fmt_seconds
 
@@ -46,7 +47,7 @@ def result_payload(kind: str, metrics: Any, **sections: Any) -> Dict[str, Any]:
     return payload
 
 
-@dataclass
+@dataclass(**DATACLASS_SLOTS)
 class SessionRecord:
     """One viewer session's lifecycle timestamps and outcome."""
 

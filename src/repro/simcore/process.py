@@ -34,6 +34,7 @@ class Process(Event):
         init._ok = True
         init._value = None
         env._schedule(init)
+        self._init = init
 
     @property
     def is_alive(self) -> bool:
@@ -50,13 +51,21 @@ class Process(Event):
 
         The process stops waiting on its current target (which remains
         scheduled; its firing is simply ignored by this process) and
-        resumes with the exception.
+        resumes with the exception. A process that has not started yet
+        first runs to its first yield, so the exception lands inside its
+        body, where its own ``try``/``finally`` sees it (a generator
+        thrown into before its first step fails without running any of
+        it); if it finishes in that step, the interrupt is dropped.
         """
         if self.triggered:
             raise SimulationError("cannot interrupt a terminated process")
-        if self._target is None:
-            # Not started or mid-resume; deliver via a fresh failing event.
-            pass
+        if self._init.callbacks is not None:
+            def after_start(_ev: Event) -> None:
+                if not self.triggered:
+                    self.interrupt(cause)
+
+            self._init.callbacks.append(after_start)
+            return
         interrupt_ev = Event(self.env)
         interrupt_ev._ok = False
         interrupt_ev._value = Interrupt(cause)

@@ -102,6 +102,29 @@ class TestMasterRebalancing:
         assert "s0" not in stats.per_server_seconds
 
 
+class TestTearDownAtLaunch:
+    def test_hedge_torn_down_the_instant_it_launched(self):
+        """With ``hedge_after == timeout`` the hedge launches and the
+        deadline tears it down in one wake: the read still resolves, the
+        hedge counts as abandoned, and its connection lease comes back,
+        so a second read on the same connection proceeds."""
+        net, master, client, handle, daemon = build(
+            policy=RequestPolicy(timeout=0.5, max_retries=1, hedge_after=0.5)
+        )
+        inject(net, master, daemon,
+               ServerSlowdown(at=0.0, duration=100.0, server="s0",
+                              factor=0.01))
+        stats = read_at(net, client, handle, 4 * MB, t=1.0)
+        assert stats.complete and stats.missing_bytes == 0
+        assert stats.hedges == 1 and stats.hedges_abandoned == 1
+        assert client._leased == set()
+        again = read_at(net, client, handle, 4 * MB, t=net.env.now)
+        assert again.complete
+        # the second read reuses s0's one connection instead of growing
+        # the pool past a leaked lease
+        assert len(client._pool[("read", "s0")]) == 1
+
+
 class TestRetryAndFailover:
     POLICY = RequestPolicy(
         timeout=0.5, max_retries=3, backoff_base=0.1,

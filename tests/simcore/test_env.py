@@ -306,6 +306,48 @@ def test_interrupt_wakes_process():
     assert log == [("interrupted", 3.0, "wake up")]
 
 
+def test_interrupt_before_start_lands_inside_the_body():
+    # Interrupted at the instant it was created: the process first runs
+    # to its first yield, so its own handler and finally see the
+    # Interrupt instead of the generator failing unstarted.
+    env = Environment()
+    log = []
+
+    def victim(env):
+        try:
+            log.append("started")
+            yield env.timeout(5.0)
+            log.append("slept full")
+        except Interrupt as i:
+            log.append(("interrupted", env.now, i.cause))
+            return "torn down"
+        finally:
+            log.append("cleaned up")
+
+    def launcher(env):
+        yield env.timeout(2.0)
+        p = env.process(victim(env))
+        p.interrupt(cause="too late")
+        return (yield p)
+
+    assert env.run(until=env.process(launcher(env))) == "torn down"
+    assert log == [
+        "started", ("interrupted", 2.0, "too late"), "cleaned up",
+    ]
+
+
+def test_interrupt_before_start_dropped_if_first_step_finishes():
+    env = Environment()
+
+    def instant(env):
+        return "done"
+        yield  # pragma: no cover - makes this a generator
+
+    p = env.process(instant(env))
+    p.interrupt()
+    assert env.run(until=p) == "done"
+
+
 def test_interrupt_terminated_process_rejected():
     env = Environment()
 
