@@ -10,7 +10,7 @@ and knows how to emit them as NetLogger ``SAN_*`` events.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.netlogger.events import Tags
 
@@ -62,10 +62,6 @@ class SanitizerReport:
     def clean(self) -> bool:
         """True when the run produced no findings."""
         return not self.findings
-
-    def categories(self) -> Tuple[str, ...]:
-        """Sorted, de-duplicated categories present in the report."""
-        return tuple(sorted({f.category for f in self.findings}))
 
     def emit(self, logger: Optional["NetLogger"]) -> None:
         """Log one ``SAN_*`` event per finding plus a ``SAN_REPORT``.

@@ -105,11 +105,6 @@ class SimSanitizer:
         self.env.sanitizer = self
         return self
 
-    def detach(self) -> None:
-        """Stop observing; the run continues uninstrumented."""
-        if self.env.sanitizer is self:
-            self.env.sanitizer = None
-
     # -- naming -------------------------------------------------------
     def _name(self, obj: object) -> str:
         key = id(obj)

@@ -12,7 +12,7 @@ lives here under stable names::
 
 or, with fault injection::
 
-    plan = api.FaultPlan.from_json_file("examples/plans/sc99_flaky.json")
+    plan = api.load_drill("examples/plans/sc99_flaky.json").plan
     config = api.Campaign.sc99_showfloor().with_changes(
         faults=plan, policy=api.RequestPolicy.aggressive()
     )
@@ -132,7 +132,6 @@ def run_experiment(
     config: Union[ExperimentConfig, Campaign, ServiceCampaign, ShardCampaign],
     *,
     sanitize: Optional[bool] = None,
-    ulm_path: Optional[str] = None,
 ) -> Union[CampaignResult, ShardResult]:
     """Run one experiment end to end and reduce the results.
 
@@ -141,12 +140,10 @@ def run_experiment(
     concrete :class:`Campaign`, a :class:`ServiceCampaign` (returning
     a :class:`ServiceResult`), or a :class:`ShardCampaign` (returning
     a :class:`ShardResult`). ``sanitize`` overrides the config's
-    setting when given; ``ulm_path`` writes the ULM event log.
+    setting when given.
     """
     if isinstance(config, ExperimentConfig):
         if sanitize is None:
             sanitize = config.sanitize
         config = config.to_campaign_config()
-    return run_campaign(
-        config, sanitize=bool(sanitize), ulm_path=ulm_path
-    )
+    return run_campaign(config, sanitize=bool(sanitize))

@@ -51,6 +51,7 @@ from repro.simcore.fluid import FluidResource, FluidTask
 from repro.simcore.pipeline import Pipeline, PipelineSummary
 from repro.simcore.sync import SimBarrier
 from repro.util.rng import spawn_rngs
+from repro.viewer.sim import LIGHT_BYTES
 from repro.volren.decomposition import slab_decompose
 from repro.volren.renderer import RenderCostModel
 
@@ -541,7 +542,7 @@ class SimBackEnd:
         log.log(Tags.BE_LIGHT_SEND, frame=frame, rank=rank)
         yield self.viewer.deliver_light(rank, frame)
         log.log(Tags.BE_LIGHT_END, frame=frame, rank=rank)
-        self.timing.bytes_sent_to_viewer += self.viewer.light_bytes
+        self.timing.bytes_sent_to_viewer += LIGHT_BYTES
         if work.missing >= 1.0:
             skip = Tags.BE_HEAVY_SKIP if self.tile_plan is None else Tags.TILE_SKIP
             log.log(skip, frame=frame, rank=rank)

@@ -74,7 +74,11 @@ def cmd_campaign(args) -> int:
     if args.faults is not None:
         from repro.faults import load_drill
 
-        drill = load_drill(args.faults)
+        try:
+            drill = load_drill(args.faults)
+        except ValueError as exc:
+            print(f"{args.faults}: {exc}", file=sys.stderr)
+            return 2
     name = args.name or (drill.campaign if drill is not None else None)
     if name is None:
         print("no campaign named (positionally or in the drill file); "

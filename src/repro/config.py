@@ -16,13 +16,14 @@ back end. This module gathers them:
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, plan_from_data
 from repro.faults.policy import RequestPolicy
 from repro.netsim.tcp import TcpParams
 from repro.util.units import MB, mbps
+from repro.util.validation import check_non_negative, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a cycle through repro.dpss
     from repro.dpss.compression import CompressionModel
@@ -209,10 +210,7 @@ class SiteSpec:
         if not self.name:
             raise ValueError("site name must be non-empty")
         for attr in ("dpss_rate", "edge_rate", "cache_bytes"):
-            if getattr(self, attr) < 0:
-                raise ValueError(
-                    f"{attr} must be >= 0, got {getattr(self, attr)}"
-                )
+            check_non_negative(attr, getattr(self, attr))
         if self.max_sessions is not None and self.max_sessions < 0:
             raise ValueError(
                 f"max_sessions must be >= 0, got {self.max_sessions}"
@@ -240,8 +238,7 @@ class SiteLink:
             raise ValueError("link endpoints must be non-empty")
         if self.a == self.b:
             raise ValueError(f"link endpoints must differ, got {self.a!r}")
-        if self.rate <= 0:
-            raise ValueError(f"link rate must be > 0, got {self.rate}")
+        check_positive("link rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -266,10 +263,7 @@ class TopologyConfig:
         names = [s.name for s in self.sites]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate site names in {names}")
-        if self.core_rate < 0:
-            raise ValueError(
-                f"core_rate must be >= 0, got {self.core_rate}"
-            )
+        check_non_negative("core_rate", self.core_rate)
         known = set(names)
         seen_pairs = set()
         for link in self.links:
@@ -412,6 +406,24 @@ _JSON_SCALAR_TYPES: Dict[str, type] = {
 _JSON_TYPE_NAMES = {str: "string", bool: "boolean", int: "integer"}
 
 
+def _check_json_types(data: Dict[str, Any], what: str) -> None:
+    """Raise ``ValueError`` naming the first key of ``data`` in
+    :data:`_JSON_SCALAR_TYPES` whose value has another JSON type."""
+    for key, value in data.items():
+        kind = _JSON_SCALAR_TYPES.get(key)
+        # ``null`` keeps the default; bool is an int subclass in
+        # Python but not an integer in JSON.
+        if kind is None or value is None:
+            continue
+        if not isinstance(value, kind) or (
+            kind is int and isinstance(value, bool)
+        ):
+            raise ValueError(
+                f"{what} key {key!r} must be a JSON "
+                f"{_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}"
+            )
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One runnable experiment: a named campaign plus overrides.
@@ -468,22 +480,8 @@ class ExperimentConfig:
                 f"unknown experiment key(s) {', '.join(map(repr, unknown))}; "
                 f"accepted keys: {', '.join(accepted)}"
             )
-        for key, value in data.items():
-            kind = _JSON_SCALAR_TYPES.get(key)
-            # ``null`` keeps the default; bool is an int subclass in
-            # Python but not an integer in JSON.
-            if kind is None or value is None:
-                continue
-            if not isinstance(value, kind) or (
-                kind is int and isinstance(value, bool)
-            ):
-                raise ValueError(
-                    f"experiment key {key!r} must be a JSON "
-                    f"{_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)}"
-                )
+        _check_json_types(data, "experiment")
         faults = data.get("faults")
-        if faults is not None and not isinstance(faults, FaultPlan):
-            faults = FaultPlan.from_json(json.dumps(faults))
         return cls(
             campaign=data["campaign"],
             overlapped=bool(data.get("overlapped", False)),
@@ -491,43 +489,13 @@ class ExperimentConfig:
             scaled=bool(data.get("scaled", False)),
             seed=data.get("seed"),
             sanitize=bool(data.get("sanitize", False)),
-            faults=faults,
+            faults=None if faults is None else plan_from_data(faults),
             policy=policy_from_spec(data.get("policy")),
             tiles=bool(data.get("tiles", False)),
             tile_size=data.get("tile_size"),
             stripe=data.get("stripe"),
             topology=data.get("topology"),
         )
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "ExperimentConfig":
-        """Load an experiment from a JSON file."""
-        with open(path) as f:
-            return cls.from_json(f.read())
-
-    def to_json(self, *, indent: int = 2) -> str:
-        """Serialise to the JSON object form ``from_json`` accepts."""
-        out: Dict[str, Any] = {
-            "campaign": self.campaign,
-            "overlapped": self.overlapped,
-            "frames": self.frames,
-            "scaled": self.scaled,
-            "seed": self.seed,
-            "sanitize": self.sanitize,
-        }
-        if self.faults is not None:
-            out["faults"] = json.loads(self.faults.to_json())
-        if self.policy is not None:
-            out["policy"] = asdict(self.policy)
-        if self.tiles:
-            out["tiles"] = True
-        if self.tile_size is not None:
-            out["tile_size"] = self.tile_size
-        if self.stripe is not None:
-            out["stripe"] = self.stripe
-        if self.topology is not None:
-            out["topology"] = self.topology
-        return json.dumps(out, indent=indent)
 
     def to_campaign_config(self):
         """Resolve to the concrete campaign config the registry names:

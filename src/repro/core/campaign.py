@@ -182,7 +182,7 @@ class CampaignConfig:
         )
 
     @classmethod
-    def sc99_cosmology(cls, *, n_timesteps: int = 6, **kw) -> "CampaignConfig":
+    def sc99_cosmology(cls, **kw) -> "CampaignConfig":
         """SC99: cosmology data, LBL DPSS -> CPlant over NTON (the
         250 Mbps configuration), viewer on the show floor."""
         return cls(
@@ -190,7 +190,7 @@ class CampaignConfig:
             platform=Platforms.CPLANT,
             wan=Wans.NTON_1999,
             n_pes=8,
-            n_timesteps=n_timesteps,
+            n_timesteps=6,
             shape=(512, 256, 256),
             dataset_timesteps=64,
             viewer_remote=True,
@@ -566,14 +566,18 @@ def build_session(config: CampaignConfig):
     return world.net, backend, viewer, world.daemon
 
 
-def attach_alloc_logger(net, daemon, *, sample_every: int = 200):
+#: re-solve batches per sampled ``ALLOC_REALLOC`` event
+ALLOC_SAMPLE_EVERY = 200
+
+
+def attach_alloc_logger(net, daemon):
     """Attach ``ALLOC_*`` NetLogger counters to a network's scheduler.
 
     Samples one :data:`~repro.netlogger.events.Tags.ALLOC_REALLOC`
-    event per ``sample_every`` re-solve batches (the raw stream is one
-    per scheduler event -- far too hot to log). Returns a finalizer
-    that emits the end-of-run ``ALLOC_SUMMARY``; call it after the run,
-    before writing ULM.
+    event per :data:`ALLOC_SAMPLE_EVERY` re-solve batches (the raw
+    stream is one per scheduler event -- far too hot to log). Returns a
+    finalizer that emits the end-of-run ``ALLOC_SUMMARY``; call it after
+    the run, before writing ULM.
     """
     logger = NetLogger(
         "scheduler", "alloc", clock=lambda: net.env.now, daemon=daemon
@@ -582,7 +586,7 @@ def attach_alloc_logger(net, daemon, *, sample_every: int = 200):
 
     def observe(tag: str, data) -> None:
         seen["batches"] += 1
-        if seen["batches"] % sample_every == 1:
+        if seen["batches"] % ALLOC_SAMPLE_EVERY == 1:
             logger.log(tag, **data)
 
     net.sched.alloc_observer = observe

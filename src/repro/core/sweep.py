@@ -70,30 +70,23 @@ def sweep(
     base: CampaignConfig,
     parameter: str,
     values: Sequence[Any],
-    *,
-    metrics: Dict[str, Callable[[CampaignResult], float]] = None,
-    configure: Callable[[CampaignConfig, Any], CampaignConfig] = None,
 ) -> SweepResult:
-    """Run ``base`` once per value of ``parameter``.
+    """Run ``base`` once per value of ``parameter``, set with
+    ``with_changes``, and collect :data:`DEFAULT_METRICS`.
 
-    By default the parameter is set with ``with_changes``; pass
-    ``configure`` for derived changes (e.g. a platform rebuild). Each
-    variant gets a unique name so reports stay distinguishable.
+    Each variant gets a unique name so reports stay distinguishable.
     """
     if not values:
         raise ValueError("sweep needs at least one value")
-    metric_fns = dict(DEFAULT_METRICS if metrics is None else metrics)
     results: List[CampaignResult] = []
-    collected: Dict[str, List[float]] = {m: [] for m in metric_fns}
+    collected: Dict[str, List[float]] = {m: [] for m in DEFAULT_METRICS}
     for value in values:
-        if configure is not None:
-            cfg = configure(base, value)
-        else:
-            cfg = base.with_changes(**{parameter: value})
-        cfg = cfg.with_changes(name=f"{base.name}[{parameter}={value}]")
+        cfg = base.with_changes(
+            **{parameter: value, "name": f"{base.name}[{parameter}={value}]"}
+        )
         result = run_campaign(cfg)
         results.append(result)
-        for m, fn in metric_fns.items():
+        for m, fn in DEFAULT_METRICS.items():
             collected[m].append(float(fn(result)))
     return SweepResult(
         parameter=parameter,

@@ -40,11 +40,6 @@ class AMRBox:
     def shape(self) -> Tuple[int, int, int]:
         return tuple(h - l for l, h in zip(self.lo, self.hi))
 
-    @property
-    def n_cells(self) -> int:
-        s = self.shape
-        return s[0] * s[1] * s[2]
-
 
 def _gradient_magnitude(field: np.ndarray) -> np.ndarray:
     gx, gy, gz = np.gradient(field.astype(np.float64))
@@ -108,16 +103,15 @@ def build_amr_hierarchy(
     field: np.ndarray,
     *,
     max_level: int = 2,
-    base_threshold: float = 0.5,
-    threshold_growth: float = 2.0,
-    block: int = 8,
 ) -> List[AMRBox]:
     """Build a nested AMR hierarchy over ``field``.
 
     Level 0 is the whole domain; each deeper level tags blocks whose
     gradient magnitude exceeds a progressively higher threshold
     (normalised to the field's maximum gradient), producing the nested
-    patch structure real AMR combustion codes emit.
+    patch structure real AMR combustion codes emit. The deepest level
+    tags at half the maximum gradient, each level above at half the
+    threshold below it, in blocks of 8 halved per level (at least 2).
     """
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
@@ -126,10 +120,8 @@ def build_amr_hierarchy(
     if grad_max == 0.0:
         return boxes
     for level in range(1, max_level + 1):
-        thr = grad_max * base_threshold * (
-            threshold_growth ** (level - 1) / threshold_growth**max_level
-        )
-        level_block = max(block // (2 ** (level - 1)), 2)
+        thr = grad_max * 0.5 * (2.0 ** (level - 1) / 2.0**max_level)
+        level_block = max(8 // (2 ** (level - 1)), 2)
         for lo, hi in refine_boxes(field, thr, block=level_block):
             boxes.append(AMRBox(level, lo, hi))
     return boxes

@@ -36,10 +36,7 @@ class CosmologyConfig:
             raise ValueError("sigma must be > 0")
 
 
-def cosmology_field(
-    time: float = 0.0,
-    config: CosmologyConfig = CosmologyConfig(),
-) -> np.ndarray:
+def cosmology_field(time: float, config: CosmologyConfig) -> np.ndarray:
     """Evaluate the density field at ``time``; float32 in [0, 1].
 
     Time evolution sharpens contrast (structure growth) while keeping

@@ -217,10 +217,3 @@ class SyntheticTimeSeries:
         voxels = np.asarray(field, dtype=self.meta.dtype)
         self._last = (step, voxels)
         return voxels
-
-    def slab(self, step: int, x_lo: int, x_hi: int) -> np.ndarray:
-        """Slab view of one timestep along the x axis."""
-        nx = self.meta.shape[0]
-        if not 0 <= x_lo < x_hi <= nx:
-            raise IndexError(f"slab [{x_lo}, {x_hi}) outside [0, {nx})")
-        return self.timestep(step)[x_lo:x_hi]

@@ -6,11 +6,11 @@ disk, server, and network level" (section 2). The architecture
 (Figure 7) has three parts, all reproduced here:
 
 - :class:`~repro.dpss.master.DpssMaster` -- logical-to-physical block
-  lookup, access control, load balancing;
+  lookup and load balancing;
 - :class:`~repro.dpss.server.DpssServer` -- block servers with
   parallel disk pools and their own NICs;
 - :class:`~repro.dpss.client.DpssClient` -- the client library
-  (``dpss_open/read/write/lseek/close``); "the DPSS client library is
+  (``dpss_open/read/write/close``); "the DPSS client library is
   multi-threaded, where the number of client threads is equal to the
   number of DPSS servers" -- each server gets its own TCP stream and
   requests proceed in parallel. The client owns *transport*; a read
@@ -24,7 +24,7 @@ cache so hot data is served at NIC speed instead of disk speed.
 
 from repro.dpss.blocks import BlockMap, DpssDataset
 from repro.dpss.server import DpssServer
-from repro.dpss.master import AccessDenied, DpssMaster, ServerUnavailable
+from repro.dpss.master import DpssMaster, ServerUnavailable
 from repro.dpss.client import DpssClient, DpssHandle, ReadStats
 from repro.dpss.compression import CompressionModel
 from repro.dpss.health import HealthTracker, ServerHealth
@@ -35,7 +35,6 @@ __all__ = [
     "DpssDataset",
     "DpssServer",
     "DpssMaster",
-    "AccessDenied",
     "ServerUnavailable",
     "DpssClient",
     "DpssHandle",

@@ -92,11 +92,6 @@ class ReadStats:
         """Aggregate goodput in bytes/second."""
         return self.nbytes / self.duration if self.duration > 0 else float("inf")
 
-    @property
-    def complete(self) -> bool:
-        """True when every requested byte arrived."""
-        return self.missing_bytes <= 0.0
-
 
 @dataclass
 class DpssHandle:
@@ -209,18 +204,8 @@ class DpssClient:
 
     def _open_proc(self, dataset_name: str):
         yield self.network.env.timeout(self._master_round_trip())
-        block_map = self.master.lookup(dataset_name, self.host_name)
+        block_map = self.master.lookup(dataset_name)
         return DpssHandle(block_map=block_map)
-
-    def lseek(self, handle: DpssHandle, offset: float) -> float:
-        """Set the handle's position; returns the new position."""
-        self._check_open(handle)
-        if offset < 0 or offset > handle.size:
-            raise ValueError(
-                f"offset {offset} outside [0, {handle.size}]"
-            )
-        handle.position = float(offset)
-        return handle.position
 
     def _claim_range(self, handle: DpssHandle, nbytes: float,
                      offset: Optional[float], verb: str) -> float:
@@ -314,23 +299,19 @@ class DpssClient:
         self,
         handle: DpssHandle,
         nbytes: float,
-        *,
-        offset: Optional[float] = None,
-        label: str = "dpss-write",
     ) -> Event:
-        """Write ``nbytes`` at the current (or given) offset (dpssWrite).
+        """Write ``nbytes`` at the current offset (dpssWrite).
 
         Data flows client -> servers along the same striping; written
         blocks land in each server's RAM cache (they are the freshest
         copies). The handle's position advances past the write.
         """
-        start_at = self._claim_range(handle, nbytes, offset, "write")
+        start_at = self._claim_range(handle, nbytes, None, "write")
         return self.network.env.process(
-            self._write_proc(handle, start_at, nbytes, label)
+            self._write_proc(handle, start_at, nbytes)
         )
 
-    def _write_proc(self, handle: DpssHandle, offset: float, nbytes: float,
-                    label: str):
+    def _write_proc(self, handle: DpssHandle, offset: float, nbytes: float):
         """Send each server its blocks of the range, all at once.
 
         A striped write sends full data blocks plus the rotating parity
@@ -372,7 +353,7 @@ class DpssClient:
             cpu = self.codec.xor_seconds(xor_input)
             if cpu > 0:
                 host = self.network.hosts[self.host_name]
-                yield host.compute(cpu, label=f"{label}:parity")
+                yield host.compute(cpu, label="dpss-write:parity")
             blocks_of = dict(sorted(blocks_of.items()))
 
         def server_write(server_name: str, n_bytes: float):
@@ -381,7 +362,7 @@ class DpssClient:
             t0 = env.now
             try:
                 yield from self._server_transfer(
-                    conn, server, n_bytes, 1.0, label,
+                    conn, server, n_bytes, 1.0, "dpss-write",
                     lead=server.per_request_overhead,
                 )
             finally:

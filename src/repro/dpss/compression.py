@@ -50,11 +50,6 @@ class CompressionModel:
         return raw_bytes / self.decompress_rate
 
     @classmethod
-    def lossless(cls) -> "CompressionModel":
-        """A conservative lossless scheme (LZ-style on float fields)."""
-        return cls(ratio=1.8, decompress_rate=60e6, name="lossless-lz")
-
-    @classmethod
     def lossy(cls, quality: float = 0.5) -> "CompressionModel":
         """A lossy scheme whose ratio rises as quality drops.
 

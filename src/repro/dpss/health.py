@@ -62,27 +62,17 @@ class HealthTracker:
     """Fuses latency EWMAs and decayed fault penalties into a ranking.
 
     ``now`` is a zero-argument callable returning the current sim
-    time (pass ``lambda: env.now``); ``half_life`` is the fault
-    penalty's exponential half-life in sim seconds; ``alpha`` the
-    latency EWMA gain. ``logger`` (a NetLogger) gets ``HEALTH_FAULT``
-    events when fault observations arrive.
+    time (pass ``lambda: env.now``). ``logger`` (a NetLogger) gets
+    ``HEALTH_FAULT`` events when fault observations arrive.
     """
 
-    def __init__(
-        self,
-        *,
-        now: Callable[[], float],
-        half_life: float = 20.0,
-        alpha: float = 0.3,
-        logger=None,
-    ):
-        if half_life <= 0:
-            raise ValueError(f"half_life must be > 0, got {half_life}")
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    #: the fault penalty's exponential half-life in sim seconds
+    half_life = 20.0
+    #: the latency EWMA gain
+    alpha = 0.3
+
+    def __init__(self, *, now: Callable[[], float], logger=None):
         self._now = now
-        self.half_life = float(half_life)
-        self.alpha = float(alpha)
         self.logger = logger
         self.servers: Dict[str, ServerHealth] = {}
 

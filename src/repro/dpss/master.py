@@ -1,24 +1,15 @@
-"""The DPSS master: lookup, access control, load balancing."""
+"""The DPSS master: lookup and load balancing."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.dpss.blocks import BlockMap, DpssDataset
-from repro.util.validation import check_non_negative
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.config import StripeConfig
     from repro.dpss.server import DpssServer
     from repro.netsim.host import Host
-
-
-class AccessDenied(PermissionError):
-    """Raised when a client is not authorised for a dataset.
-
-    "access to DPSS systems is typically provided on an as-needed
-    basis" (section 5) -- the master enforces it.
-    """
 
 
 class ServerUnavailable(ConnectionError):
@@ -29,23 +20,21 @@ class ServerUnavailable(ConnectionError):
     """
 
 
+#: the master's request handling time (s) on top of the network round
+#: trip ("logical to physical block lookup, access control, load
+#: balancing", Figure 7)
+LOOKUP_LATENCY = 0.002
+
+
 class DpssMaster:
-    """Keeps the dataset registry and answers block-lookup requests.
+    """Keeps the dataset registry and answers block-lookup requests."""
 
-    ``lookup_latency`` models the master's request handling time on
-    top of the network round trip ("logical to physical block lookup,
-    access control, load balancing", Figure 7).
-    """
-
-    def __init__(self, host: "Host", *, lookup_latency: float = 0.002):
-        check_non_negative("lookup_latency", lookup_latency)
+    def __init__(self, host: "Host"):
         self.host = host
         self.name = host.name
-        self.lookup_latency = float(lookup_latency)
+        self.lookup_latency = LOOKUP_LATENCY
         self.servers: Dict[str, "DpssServer"] = {}
         self._maps: Dict[str, BlockMap] = {}
-        #: dataset -> allowed client host names; absent = world readable
-        self._acl: Dict[str, Set[str]] = {}
         #: sim time until which the master answers nothing (an injected
         #: :class:`~repro.faults.plan.MasterStall`); 0 = never stalled
         self.stalled_until: float = 0.0
@@ -65,12 +54,10 @@ class DpssMaster:
         self,
         dataset: DpssDataset,
         *,
-        servers: Optional[List[str]] = None,
-        allowed_clients: Optional[List[str]] = None,
         replicas: int = 1,
         stripe: Optional["StripeConfig"] = None,
     ) -> BlockMap:
-        """Stripe a dataset across servers (all of them by default).
+        """Stripe a dataset across every registered server, in name order.
 
         With ``stripe`` enabled the dataset is laid out by a RAID-5
         :class:`~repro.dpss.stripe.StripeMap` over the first
@@ -80,13 +67,9 @@ class DpssMaster:
         """
         if dataset.name in self._maps:
             raise ValueError(f"dataset {dataset.name!r} already registered")
-        if servers is None:
-            servers = sorted(self.servers)
+        servers = sorted(self.servers)
         if not servers:
             raise ValueError("no servers registered")
-        for name in servers:
-            if name not in self.servers:
-                raise KeyError(f"unknown server {name!r}")
         stripe_map = None
         if stripe is not None and stripe.enabled:
             from repro.dpss.stripe import StripeMap
@@ -110,20 +93,12 @@ class DpssMaster:
             dataset, servers, replicas=replicas, stripe=stripe_map
         )
         self._maps[dataset.name] = block_map
-        if allowed_clients is not None:
-            self._acl[dataset.name] = set(allowed_clients)
         return block_map
 
-    def lookup(self, dataset_name: str, client_host: str) -> BlockMap:
-        """Resolve a dataset for a client, enforcing the ACL."""
+    def lookup(self, dataset_name: str) -> BlockMap:
+        """Resolve a dataset's block map."""
         if dataset_name not in self._maps:
             raise KeyError(f"unknown dataset {dataset_name!r}")
-        acl = self._acl.get(dataset_name)
-        if acl is not None and client_host not in acl:
-            raise AccessDenied(
-                f"client {client_host!r} not authorised for "
-                f"{dataset_name!r}"
-            )
         return self._maps[dataset_name]
 
     def datasets(self) -> List[str]:

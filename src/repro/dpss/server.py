@@ -13,6 +13,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.netsim.host import Host
     from repro.netsim.topology import Network
 
+#: seconds a block server spends on each request before its first byte
+PER_REQUEST_OVERHEAD = 0.002
+
 
 class DpssServer:
     """One block server: a host, a disk pool, and a block cache.
@@ -36,19 +39,17 @@ class DpssServer:
         n_disks: int = 4,
         disk_rate: float = 10 * MB,
         cache_bytes: float = 256 * MB,
-        per_request_overhead: float = 0.002,
     ):
         if n_disks < 1:
             raise ValueError(f"n_disks must be >= 1, got {n_disks}")
         check_positive("disk_rate", disk_rate)
         check_non_negative("cache_bytes", cache_bytes)
-        check_non_negative("per_request_overhead", per_request_overhead)
         self.host = host
         self.name = host.name
         self.n_disks = n_disks
         self.disk_rate = float(disk_rate)
         self.cache_bytes = float(cache_bytes)
-        self.per_request_overhead = float(per_request_overhead)
+        self.per_request_overhead = PER_REQUEST_OVERHEAD
         self.disks = FluidResource(
             f"disks:{self.name}", n_disks * disk_rate
         )
@@ -100,13 +101,6 @@ class DpssServer:
             self._cache_used -= evicted
         self._cache[key] = nbytes
         self._cache_used += nbytes
-
-    @property
-    def cache_utilization(self) -> float:
-        """Fraction of the RAM cache in use."""
-        if self.cache_bytes == 0:
-            return 0.0
-        return self._cache_used / self.cache_bytes
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

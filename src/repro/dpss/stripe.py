@@ -117,12 +117,6 @@ class StripeMap:
         self._check_stripe(stripe)
         return self.dataset.n_blocks + stripe
 
-    def stripe_of_parity_id(self, block_id: int) -> int:
-        """Inverse of :meth:`parity_block_id`."""
-        stripe = block_id - self.dataset.n_blocks
-        self._check_stripe(stripe)
-        return stripe
-
     def block_bytes(self, block: int) -> float:
         """Actual size of a data block (the last one may be short)."""
         self._check_data_block(block)
@@ -161,13 +155,8 @@ class XorCodec:
     trip, which is the whole point.
     """
 
-    #: default XOR throughput: one memory-bandwidth-bound pass
-    DEFAULT_RATE = 2e9
-
-    def __init__(self, rate: float = DEFAULT_RATE):
-        if rate <= 0:
-            raise ValueError(f"xor rate must be > 0, got {rate}")
-        self.rate = float(rate)
+    #: XOR throughput: one memory-bandwidth-bound pass
+    rate = 2e9
 
     @staticmethod
     def parity(blocks: Sequence[bytes]) -> bytes:
@@ -216,9 +205,9 @@ class StripeStore:
     ``reconstruct-or-deliver-absent`` contract.
     """
 
-    def __init__(self, stripe_map: StripeMap, codec: Optional[XorCodec] = None):
+    def __init__(self, stripe_map: StripeMap):
         self.stripe_map = stripe_map
-        self.codec = codec or XorCodec()
+        self.codec = XorCodec()
         #: server name -> {block id: content}; parity ids included
         self.disks: Dict[str, Dict[int, bytes]] = {
             name: {} for name in stripe_map.server_names

@@ -27,7 +27,7 @@ for (``examples/plans/sc99_flaky.json``)::
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict, Optional, Union
 
 from repro.faults.injector import FaultInjector
@@ -40,7 +40,7 @@ from repro.faults.plan import (
     ServerCrash,
     ServerSlowdown,
     event_from_dict,
-    event_to_dict,
+    plan_from_data,
 )
 from repro.faults.policy import RequestPolicy
 
@@ -56,8 +56,8 @@ __all__ = [
     "ServerCrash",
     "ServerSlowdown",
     "event_from_dict",
-    "event_to_dict",
     "load_drill",
+    "plan_from_data",
     "policy_from_spec",
 ]
 
@@ -98,8 +98,17 @@ def policy_from_spec(
             f"unknown policy preset {spec!r}; expected 'default' or 'aggressive'"
         )
     if isinstance(spec, dict):
+        accepted = [f.name for f in fields(RequestPolicy)]
+        unknown = [key for key in spec if key not in accepted]
+        if unknown:
+            raise ValueError(
+                f"unknown policy key(s) {', '.join(map(repr, unknown))}; "
+                f"accepted keys: {', '.join(accepted)}"
+            )
         return RequestPolicy(**spec)
-    raise TypeError(f"cannot build a RequestPolicy from {type(spec).__name__}")
+    raise ValueError(
+        f"policy must be 'default', 'aggressive' or an object, got {spec!r}"
+    )
 
 
 def load_drill(path: str) -> FaultDrill:
@@ -107,17 +116,28 @@ def load_drill(path: str) -> FaultDrill:
 
     The file may be a bare event list (plan only), or an object with
     an ``events`` list plus any of ``campaign``, ``scaled``,
-    ``overlapped``, ``policy``, ``seed``.
+    ``overlapped``, ``policy``, ``seed``. An unknown key, a value of
+    the wrong JSON type or a bad event raises ``ValueError``.
     """
+    # repro.config imports this package, so its table loads late.
+    from repro.config import _check_json_types
+
     with open(path) as f:
         data = json.loads(f.read())
-    if isinstance(data, list):
-        return FaultDrill(plan=FaultPlan.of(event_from_dict(e) for e in data))
     if not isinstance(data, dict):
-        raise ValueError("fault drill JSON must be a list or object")
-    plan = FaultPlan.of(event_from_dict(e) for e in data.get("events", []))
+        return FaultDrill(plan=plan_from_data(data))
+    accepted = ["events"] + [
+        f.name for f in fields(FaultDrill) if f.name != "plan"
+    ]
+    unknown = [key for key in data if key not in accepted]
+    if unknown:
+        raise ValueError(
+            f"unknown drill key(s) {', '.join(map(repr, unknown))}; "
+            f"accepted keys: {', '.join(accepted)}"
+        )
+    _check_json_types(data, "drill")
     return FaultDrill(
-        plan=plan,
+        plan=plan_from_data(data.get("events", [])),
         campaign=data.get("campaign"),
         scaled=bool(data.get("scaled", False)),
         overlapped=bool(data.get("overlapped", False)),

@@ -4,7 +4,7 @@ A :class:`FaultPlan` is an immutable, time-sorted schedule of fault
 events -- server crashes and slowdowns, link flaps, loss spikes, and
 master stalls -- that the :class:`~repro.faults.injector.FaultInjector`
 replays against a simulated session. Plans are plain data: they can be
-round-tripped through JSON (``--faults plan.json`` on the CLI) and
+read from JSON (``--faults plan.json`` on the CLI) and
 carry no randomness of their own, so a given (plan, seed) pair always
 produces a bit-identical event stream.
 
@@ -17,8 +17,7 @@ competing traffic (section 4.4), and TCP collapsed under loss
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Any, ClassVar, Dict, Iterable, List, Tuple, Type, Union
 
 from repro.util.validation import check_non_negative, check_positive
@@ -136,22 +135,75 @@ _KINDS: Dict[str, Type[Any]] = {
 }
 
 
-def event_from_dict(data: Dict[str, Any]) -> FaultEvent:
-    """Build one fault event from its JSON dictionary form."""
+#: the JSON values each event field accepts, by its annotation
+_FIELD_TYPES: Dict[Any, Tuple[type, ...]] = {
+    "float": (int, float),
+    "str": (str,),
+}
+
+
+def event_from_dict(data: Any) -> FaultEvent:
+    """Build one fault event from its JSON dictionary form.
+
+    Anything but an object holding one kind's fields, each of its JSON
+    type, raises ``ValueError`` naming the kind.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"must be an object, got {data!r}")
     payload = dict(data)
     kind = payload.pop("kind", None)
     if kind not in _KINDS:
         raise ValueError(
             f"unknown fault kind {kind!r}; expected one of {sorted(_KINDS)}"
         )
-    return _KINDS[kind](**payload)
+    declared = {f.name: f for f in fields(_KINDS[kind])}
+    unknown = sorted(set(payload) - set(declared))
+    if unknown:
+        raise ValueError(
+            f"{kind}: unknown key(s) {unknown}; keys: {list(declared)}"
+        )
+    missing = [
+        name
+        for name, f in declared.items()
+        if f.default is MISSING and name not in payload
+    ]
+    if missing:
+        raise ValueError(f"{kind}: missing key(s) {missing}")
+    for name, value in payload.items():
+        kinds = _FIELD_TYPES[declared[name].type]
+        if not isinstance(value, kinds) or isinstance(value, bool):
+            noun = "number" if float in kinds else "string"
+            raise ValueError(
+                f"{kind}: key {name!r} must be a JSON {noun}, got {value!r}"
+            )
+    try:
+        return _KINDS[kind](**payload)
+    except ValueError as exc:
+        raise ValueError(f"{kind}: {exc}") from None
 
 
-def event_to_dict(event: FaultEvent) -> Dict[str, Any]:
-    """Serialise one fault event to its JSON dictionary form."""
-    out: Dict[str, Any] = {"kind": event.kind}
-    out.update(asdict(event))
-    return out
+def plan_from_data(data: Any) -> "FaultPlan":
+    """A plan from parsed JSON: a list of events or ``{"events": [...]}``.
+
+    Any other shape, and any bad event, raises ``ValueError``; an
+    event's error names its index.
+    """
+    if isinstance(data, dict):
+        unknown = sorted(set(data) - {"events"})
+        if unknown:
+            raise ValueError(
+                f"unknown fault plan key(s) {unknown}; keys: ['events']"
+            )
+        data = data.get("events", [])
+    if not isinstance(data, list):
+        raise ValueError("fault plan JSON must be a list or {'events': [...]}")
+    events = []
+    for index, item in enumerate(data):
+        try:
+            events.append(event_from_dict(item))
+        except ValueError as exc:
+            raise ValueError(f"fault event {index}: {exc}") from None
+    return FaultPlan.of(events)
 
 
 @dataclass(frozen=True)
@@ -184,30 +236,6 @@ class FaultPlan:
     def horizon(self) -> float:
         """Time at which the last fault window closes."""
         return max((ev.at + ev.duration for ev in self.events), default=0.0)
-
-    # -- JSON ----------------------------------------------------------
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        """Parse a plan from JSON: a list of events or ``{"events": [...]}``."""
-        data = json.loads(text)
-        if isinstance(data, dict):
-            data = data.get("events", [])
-        if not isinstance(data, list):
-            raise ValueError("fault plan JSON must be a list or {'events': []}")
-        return cls.of(event_from_dict(item) for item in data)
-
-    @classmethod
-    def from_json_file(cls, path: str) -> "FaultPlan":
-        """Load a plan from a JSON file."""
-        with open(path) as f:
-            return cls.from_json(f.read())
-
-    def to_json(self, *, indent: int = 2) -> str:
-        """Serialise the plan as a JSON ``{"events": [...]}`` document."""
-        return json.dumps(
-            {"events": [event_to_dict(ev) for ev in self.events]},
-            indent=indent,
-        )
 
     def targets(self) -> List[str]:
         """Distinct server/link names the plan touches (sorted)."""

@@ -15,7 +15,7 @@ seed always reproduces the same retry schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -78,12 +78,6 @@ class RequestPolicy:
         if self.jitter > 0 and rng is not None:
             delay *= 1.0 + self.jitter * float(rng.random())
         return delay
-
-    def backoff_schedule(
-        self, rng: Optional[np.random.Generator] = None
-    ) -> List[float]:
-        """The full sequence of backoff delays this policy would use."""
-        return [self.backoff_delay(i, rng) for i in range(self.max_retries)]
 
     @classmethod
     def aggressive(cls) -> "RequestPolicy":

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
-from repro.netsim.tcp import TcpConnection, TcpParams
+from repro.netsim.tcp import TcpConnection
 from repro.simcore.events import Event
 from repro.util.units import MB
 from repro.util.validation import check_non_negative, check_positive
@@ -71,7 +71,6 @@ class HpssArchive:
         name: str,
         dest_host: str,
         *,
-        tcp_params: Optional[TcpParams] = None,
         label: str = "hpss",
     ) -> Event:
         """Stream a whole file to ``dest_host``; value is TransferStats.
@@ -84,9 +83,7 @@ class HpssArchive:
 
         def proc():
             yield env.timeout(self.mount_latency)
-            conn = TcpConnection(
-                network, self.host.name, dest_host, tcp_params
-            )
+            conn = TcpConnection(network, self.host.name, dest_host)
             conn.set_host_cap(self.drive_rate)
             stats = yield conn.send(file.size, label=f"{label}:{name}")
             return stats

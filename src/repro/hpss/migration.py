@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING
 
 from repro.dpss.blocks import DpssDataset
 from repro.simcore.events import Event
@@ -38,18 +38,14 @@ def migrate_to_dpss(
     archive: "HpssArchive",
     file_name: str,
     master: "DpssMaster",
-    *,
-    block_size: float = 64 * KIB,
-    servers: Optional[List[str]] = None,
-    allowed_clients: Optional[List[str]] = None,
 ) -> Event:
     """Stage an archived file into the DPSS as a striped dataset.
 
     The file streams (whole, tape-rate-limited) from the archive host
     to the DPSS master's site, then is registered with the master,
-    striped across the block servers. The event's value is a
-    :class:`MigrationResult`; after it fires, clients can block-read
-    the dataset at DPSS speeds.
+    striped in 64 KiB blocks across every block server. The event's
+    value is a :class:`MigrationResult`; after it fires, clients can
+    block-read the dataset at DPSS speeds.
     """
     env = network.env
 
@@ -60,11 +56,9 @@ def migrate_to_dpss(
             network, file_name, master.host.name, label="migrate"
         )
         dataset = DpssDataset(
-            name=file_name, size=file.size, block_size=block_size
+            name=file_name, size=file.size, block_size=64 * KIB
         )
-        master.register_dataset(
-            dataset, servers=servers, allowed_clients=allowed_clients
-        )
+        master.register_dataset(dataset)
         return MigrationResult(
             dataset_name=file_name,
             nbytes=file.size,

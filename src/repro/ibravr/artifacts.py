@@ -30,8 +30,6 @@ def ground_truth_frame(
     camera: Camera,
     width: int,
     height: int,
-    *,
-    samples_per_voxel: float = 1.0,
 ) -> np.ndarray:
     """Ray-cast the full volume through ``camera``'s pixel rays.
 
@@ -39,8 +37,7 @@ def ground_truth_frame(
     pixel-aligned with the rasterized IBRAVR frame.
     """
     return render_tile(
-        volume, tf, camera, ScreenTile(0, 0, width, 0, height), width,
-        height, samples_per_voxel=samples_per_voxel,
+        volume, tf, camera, ScreenTile(0, 0, width, 0, height), width, height
     )
 
 

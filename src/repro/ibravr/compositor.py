@@ -8,11 +8,10 @@ interactive.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.ibravr.axis import AxisChoice, best_view_axis
 from repro.ibravr.slabs import make_slab_quad
 from repro.scenegraph.camera import Camera
 from repro.scenegraph.geometry import LineSet
@@ -20,6 +19,9 @@ from repro.scenegraph.node import Group
 from repro.scenegraph.raster import render as raster_render
 from repro.scenegraph.texture import Texture2D
 from repro.volren.renderer import SlabRendering
+
+#: RGBA of the AMR grid overlay lines (Figure 3)
+OVERLAY_COLOR = (0.4, 1.0, 0.4, 0.9)
 
 
 class IbravrModel:
@@ -39,13 +41,6 @@ class IbravrModel:
         self.root.add(self._overlay_group)
         self._renderings: List[SlabRendering] = []
         self.updates = 0
-
-    @property
-    def current_axis(self) -> Optional[int]:
-        """Slab axis of the most recent update, or None before any."""
-        if not self._renderings:
-            return None
-        return self._renderings[0].axis
 
     @property
     def texture_bytes(self) -> int:
@@ -76,21 +71,13 @@ class IbravrModel:
             self._slab_group.add(node)
         self.updates += 1
 
-    def set_overlay(self, segments: np.ndarray, color=(0.4, 1.0, 0.4, 0.9)) -> None:
+    def set_overlay(self, segments: np.ndarray) -> None:
         """Install AMR grid line geometry over the volume rendering."""
         self._overlay_group.children = []
         if len(segments):
-            self._overlay_group.add(LineSet(segments, color, name="amr-grid"))
-
-    def best_axis_for(self, camera: Camera) -> AxisChoice:
-        """The axis the viewer would request from the back end."""
-        return best_view_axis(camera.forward)
-
-    def needs_axis_switch(self, camera: Camera) -> bool:
-        """True when the camera has rotated onto a different best axis."""
-        if self.current_axis is None:
-            return False
-        return self.best_axis_for(camera).axis != self.current_axis
+            self._overlay_group.add(
+                LineSet(segments, OVERLAY_COLOR, name="amr-grid")
+            )
 
     def render_frame(
         self, camera: Camera, width: int = 256, height: int = 256

@@ -59,6 +59,10 @@ def slab_base_quad(
     )
 
 
+#: vertices per side of a depth-extension slab mesh
+MESH_RESOLUTION = 16
+
+
 def slab_quad_mesh(
     slab_lo: Tuple[float, float, float],
     slab_hi: Tuple[float, float, float],
@@ -66,12 +70,12 @@ def slab_quad_mesh(
     texture: Texture2D,
     depth_map: np.ndarray,
     *,
-    mesh_resolution: int = 16,
     name: str = "",
 ) -> QuadMesh:
     """The quad-mesh depth extension: displace the base quad by the
     renderer's opacity-weighted depth map, adding "a depth component to
-    each of the IBR images" (section 3.3).
+    each of the IBR images" (section 3.3), on a
+    :data:`MESH_RESOLUTION`-square vertex mesh.
     """
     corners = slab_base_quad(slab_lo, slab_hi, axis)
     lo = np.asarray(slab_lo, dtype=np.float64)
@@ -83,8 +87,8 @@ def slab_quad_mesh(
     if depth.ndim != 2:
         raise ValueError("depth_map must be 2-D")
     # Downsample the offset map to the mesh resolution.
-    r_idx = np.linspace(0, depth.shape[0] - 1, mesh_resolution).round().astype(int)
-    c_idx = np.linspace(0, depth.shape[1] - 1, mesh_resolution).round().astype(int)
+    r_idx = np.linspace(0, depth.shape[0] - 1, MESH_RESOLUTION).round().astype(int)
+    c_idx = np.linspace(0, depth.shape[1] - 1, MESH_RESOLUTION).round().astype(int)
     offsets = depth[np.ix_(r_idx, c_idx)]
     return QuadMesh.from_offsets(
         corners, offsets, normal, texture, amplitude=thickness, name=name

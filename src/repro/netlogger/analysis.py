@@ -8,7 +8,7 @@ per (host, prog, frame, rank) into spans, from which the paper's L
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,27 +40,9 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.events)
 
-    def filter(
-        self,
-        *,
-        event: Optional[str] = None,
-        prog: Optional[str] = None,
-        host: Optional[str] = None,
-        predicate: Optional[Callable[[NetLogEvent], bool]] = None,
-    ) -> "EventLog":
-        """Sub-log matching the given criteria."""
-        out = []
-        for ev in self.events:
-            if event is not None and ev.event != event:
-                continue
-            if prog is not None and ev.prog != prog:
-                continue
-            if host is not None and ev.host != host:
-                continue
-            if predicate is not None and not predicate(ev):
-                continue
-            out.append(ev)
-        return EventLog(out)
+    def filter(self, *, event: str) -> "EventLog":
+        """Sub-log of the events tagged ``event``."""
+        return EventLog(ev for ev in self.events if ev.event == event)
 
     def spans(self, start_tag: str, end_tag: str) -> List[Span]:
         """Pair start/end events by (host, prog, frame, rank).
@@ -99,18 +81,6 @@ class EventLog:
     def render_spans(self) -> List[Span]:
         """BE_RENDER_START..BE_RENDER_END spans (the paper's R)."""
         return self.spans(Tags.BE_RENDER_START, Tags.BE_RENDER_END)
-
-    def frame_spans(self, *, viewer: bool = False) -> List[Span]:
-        """Whole-frame spans for the back end or the viewer."""
-        if viewer:
-            return self.spans(Tags.V_FRAME_START, Tags.V_FRAME_END)
-        return self.spans(Tags.BE_FRAME_START, Tags.BE_FRAME_END)
-
-    def mean_duration(self, spans: Sequence[Span]) -> float:
-        """Mean span duration (0 if empty)."""
-        if not spans:
-            return 0.0
-        return float(np.mean([s.duration for s in spans]))
 
     def duration_stats(self, spans: Sequence[Span]) -> Dict[str, float]:
         """mean/std/min/max over span durations."""

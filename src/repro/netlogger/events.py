@@ -42,8 +42,6 @@ class Tags:
 
     # -- staged-pipeline framework (not in the paper's tables;
     # instruments the shared producer/consumer machinery) -------------
-    PIPE_STAGE_START = "PIPE_STAGE_START"
-    PIPE_STAGE_END = "PIPE_STAGE_END"
     PIPE_SUMMARY = "PIPE_SUMMARY"
     PIPE_BUFFER = "PIPE_BUFFER"
 

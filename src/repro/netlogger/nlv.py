@@ -11,7 +11,7 @@ etc.).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.netlogger.analysis import EventLog
 from repro.netlogger.events import (
@@ -26,42 +26,34 @@ from repro.netlogger.events import (
 )
 
 
-def lifeline_plot(
-    log: EventLog,
-    tags: Optional[Sequence[str]] = None,
-    *,
-    width: int = 100,
-    marker_even: str = "o",
-    marker_odd: str = "x",
-) -> str:
+def lifeline_plot(log: EventLog, *, width: int = 100) -> str:
     """ASCII event-lifeline plot in the style of Figures 10/12-17.
 
     Rows are event tags bottom-to-top in pipeline order; columns are
-    time. Events on even frames use one marker, odd frames the other,
+    time. Events on even frames are marked ``o``, odd frames ``x``,
     mirroring the red/blue alternation of the paper's NLV figures.
     """
     if width < 20:
         raise ValueError("width must be >= 20")
-    if tags is None:
-        present = {ev.event for ev in log.events}
-        # Service/cache lanes sit above the per-session pipeline lanes,
-        # mirroring how admission happens "above" the data path. Tile
-        # lanes span backend-to-viewer, so they sit between the viewer
-        # and cache groups rather than being dropped as unknown tags.
-        # Allocator-cost lanes sit at the bottom, under the data path
-        # whose events they account for; stripe/health lanes sit just
-        # above them, at the DPSS end of the pipeline.
-        lanes = (
-            SERVICE_TAGS[::-1]
-            + CACHE_TAGS[::-1]
-            + TILE_TAGS[::-1]
-            + VIEWER_TAGS[::-1]
-            + BACKEND_TAGS[::-1]
-            + STRIPE_TAGS[::-1]
-            + HEALTH_TAGS[::-1]
-            + ALLOC_TAGS[::-1]
-        )
-        tags = [t for t in lanes if t in present]
+    present = {ev.event for ev in log.events}
+    # Service/cache lanes sit above the per-session pipeline lanes,
+    # mirroring how admission happens "above" the data path. Tile
+    # lanes span backend-to-viewer, so they sit between the viewer
+    # and cache groups rather than being dropped as unknown tags.
+    # Allocator-cost lanes sit at the bottom, under the data path
+    # whose events they account for; stripe/health lanes sit just
+    # above them, at the DPSS end of the pipeline.
+    lanes = (
+        SERVICE_TAGS[::-1]
+        + CACHE_TAGS[::-1]
+        + TILE_TAGS[::-1]
+        + VIEWER_TAGS[::-1]
+        + BACKEND_TAGS[::-1]
+        + STRIPE_TAGS[::-1]
+        + HEALTH_TAGS[::-1]
+        + ALLOC_TAGS[::-1]
+    )
+    tags = [t for t in lanes if t in present]
     if not log.events or not tags:
         return "(empty log)"
 
@@ -79,7 +71,7 @@ def lifeline_plot(
             continue
         col = int((ev.ts - t0) / span * (plot_width - 1))
         frame = ev.get("frame", 0) or 0
-        marker = marker_even if frame % 2 == 0 else marker_odd
+        marker = "o" if frame % 2 == 0 else "x"
         rows[ev.event][col] = marker
 
     lines = []

@@ -9,12 +9,13 @@ This module estimates per-host offsets from the causality constraints
 inherent in the Visapult protocol -- a V_*PAYLOAD_END on the viewer
 can never truly precede its BE_*_SEND on a back end host, and can lag
 it by at most the observed span of the exchange -- and rewrites event
-timestamps onto the reference host's clock.
+timestamps onto the reference host's clock, the host whose name sorts
+first.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from repro.netlogger.events import NetLogEvent, Tags
 
@@ -25,12 +26,8 @@ _EXCHANGES: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def estimate_offsets(
-    events: Iterable[NetLogEvent],
-    *,
-    reference_host: Optional[str] = None,
-) -> Dict[str, float]:
-    """Per-host clock offsets relative to ``reference_host``.
+def estimate_offsets(events: Iterable[NetLogEvent]) -> Dict[str, float]:
+    """Per-host clock offsets relative to the reference host.
 
     For every (send, receive) exchange between host pair (A, B), the
     true one-way delay d satisfies ``t_B_recv - t_A_send = d + skew``
@@ -46,10 +43,7 @@ def estimate_offsets(
     if not events:
         return {}
     hosts = sorted({e.host for e in events})
-    if reference_host is None:
-        reference_host = hosts[0]
-    elif reference_host not in hosts:
-        raise KeyError(f"reference host {reference_host!r} not in log")
+    reference_host = hosts[0]
 
     # Collect min(t_recv - t_send) per (send_host, recv_host) pair.
     sends: Dict[Tuple[str, object, object, str], NetLogEvent] = {}
@@ -94,14 +88,10 @@ def estimate_offsets(
     return offsets
 
 
-def correct_skew(
-    events: Iterable[NetLogEvent],
-    *,
-    reference_host: Optional[str] = None,
-) -> List[NetLogEvent]:
+def correct_skew(events: Iterable[NetLogEvent]) -> List[NetLogEvent]:
     """Rewrite all timestamps onto the reference host's clock."""
     events = list(events)
-    offsets = estimate_offsets(events, reference_host=reference_host)
+    offsets = estimate_offsets(events)
     out = []
     for e in events:
         offset = offsets.get(e.host, 0.0)

@@ -38,18 +38,12 @@ class Host:
         period hardware is often well below the medium's line rate
         (e.g. ~90 Mbps through a gigabit NIC on a 336 MHz E4500).
     n_cpus:
-        Number of CPUs in the host's compute pool.
-    cpu_speed:
-        Relative per-CPU speed multiplier (1.0 = reference CPU).
-        Compute work is expressed in reference-CPU seconds.
+        Number of reference CPUs in the host's compute pool. Compute
+        work is expressed in reference-CPU seconds.
     shared_cpu_io:
         True on single-CPU cluster nodes where a reader thread and the
         render process contend for the same CPU (Appendix B /
         Figure 15 discussion).
-    io_cpu_fraction:
-        Fraction of one CPU consumed by network ingest at full NIC
-        rate; used to derate co-located computation and cap ingest
-        when ``shared_cpu_io`` and both are active.
     """
 
     def __init__(
@@ -58,27 +52,18 @@ class Host:
         *,
         nic_rate: float,
         n_cpus: int = 1,
-        cpu_speed: float = 1.0,
         shared_cpu_io: bool = False,
-        io_cpu_fraction: float = 0.3,
-        monitor: bool = False,
     ):
         check_positive("nic_rate", nic_rate)
         if n_cpus < 1:
             raise ValueError(f"n_cpus must be >= 1, got {n_cpus}")
-        check_positive("cpu_speed", cpu_speed)
-        check_in_range("io_cpu_fraction", io_cpu_fraction, 0.0, 1.0)
         self.name = name
         self.nic_rate = float(nic_rate)
         self.n_cpus = int(n_cpus)
-        self.cpu_speed = float(cpu_speed)
         self.shared_cpu_io = bool(shared_cpu_io)
-        self.io_cpu_fraction = float(io_cpu_fraction)
-        self.nic = FluidResource(f"nic:{name}", nic_rate, monitor=monitor)
+        self.nic = FluidResource(f"nic:{name}", nic_rate)
         # CPU pool capacity in *reference* CPU-seconds per second.
-        self.cpu = FluidResource(
-            f"cpu:{name}", n_cpus * cpu_speed, monitor=monitor
-        )
+        self.cpu = FluidResource(f"cpu:{name}", float(n_cpus))
         self.network: Optional["Network"] = None
 
     def attach(self, network: "Network") -> None:
@@ -97,10 +82,10 @@ class Host:
     ) -> Event:
         """Run ``cpu_seconds`` of reference-CPU work on one thread.
 
-        A single thread can use at most one physical CPU, i.e. a rate
-        cap of ``cpu_speed`` reference-seconds per second, scaled by
-        ``share`` when the thread is known to be contending with
-        co-scheduled I/O processing (the cluster overlapped mode).
+        A single thread can use at most one CPU, i.e. a rate cap of one
+        reference-second per second, scaled by ``share`` when the thread
+        is known to be contending with co-scheduled I/O processing (the
+        cluster overlapped mode).
         """
         check_non_negative("cpu_seconds", cpu_seconds)
         check_in_range("share", share, 0.0, 1.0)
@@ -110,32 +95,12 @@ class Host:
             f"{label}@{self.name}",
             work=cpu_seconds,
             usage={self.cpu: 1.0},
-            cap=self.cpu_speed * share,
+            cap=float(share),
         )
         return self.network.sched.submit(task)
-
-    def ingest_cap_during_compute(self) -> float:
-        """NIC rate achievable while a render shares this node's CPU.
-
-        On ``shared_cpu_io`` nodes, the reader thread only gets part of
-        the CPU, which bounds how fast it can service the NIC. On
-        other hosts the NIC rate is unaffected.
-        """
-        if not self.shared_cpu_io or self.io_cpu_fraction == 0:
-            return self.nic_rate
-        # The reader thread gets ~half the CPU when the render is
-        # runnable; ingest scales accordingly.
-        reader_share = 0.5
-        return self.nic_rate * min(reader_share / self.io_cpu_fraction, 1.0)
-
-    def compute_share_during_io(self) -> float:
-        """Fraction of a CPU left to the render while ingest runs."""
-        if not self.shared_cpu_io:
-            return 1.0
-        return max(1.0 - self.io_cpu_fraction, 0.0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"Host({self.name!r}, nic={bytes_per_sec_to_mbps(self.nic_rate):.0f} "
-            f"Mbps, cpus={self.n_cpus}x{self.cpu_speed:g})"
+            f"Mbps, cpus={self.n_cpus})"
         )

@@ -43,7 +43,7 @@ def _pair(a: str, b: str) -> Tuple[str, str]:
 class SiteFabric:
     """Fluid-resource realisation of a multi-site topology.
 
-    Owns (or joins) one :class:`~repro.simcore.fluid.FluidScheduler`
+    Owns one :class:`~repro.simcore.fluid.FluidScheduler`
     and registers every site's DPSS and edge resources plus the
     inter-site links. Purely structural -- sessions are submitted by
     the shard layer; the fabric only answers "which resources does a
@@ -55,11 +55,10 @@ class SiteFabric:
         topology: "TopologyConfig",
         *,
         env: Optional[Environment] = None,
-        sched: Optional[FluidScheduler] = None,
     ):
         self.topology = topology
         self.env = env if env is not None else Environment()
-        self.sched = sched if sched is not None else FluidScheduler(self.env)
+        self.sched = FluidScheduler(self.env)
         self.dpss: Dict[str, FluidResource] = {}
         self.edge: Dict[str, FluidResource] = {}
         self._links: Dict[Tuple[str, str], FluidResource] = {}

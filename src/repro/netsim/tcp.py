@@ -301,7 +301,3 @@ class TcpConnection:
             self._current_task = None
             self._current_proc = None
             self._busy = False
-
-    def total_delivered(self) -> float:
-        """Total bytes delivered over this connection's lifetime."""
-        return sum(s.nbytes for s in self.history)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.simcore.env import Environment
 from repro.simcore.fluid import FluidScheduler
@@ -15,8 +15,8 @@ from repro.netsim.link import Link
 class Route:
     """A one-way path between two hosts.
 
-    ``latency`` is the one-way propagation delay (sum of link
-    latencies unless overridden); ``rtt`` defaults to twice that.
+    ``latency`` is the one-way propagation delay (the sum of the link
+    latencies); ``rtt`` is twice that.
     """
 
     src: str
@@ -30,15 +30,15 @@ class Network:
     """Hosts + links + routes over one fluid scheduler.
 
     Routes are directional; :meth:`add_route` installs both directions
-    by default (WAN paths in the paper are symmetric). Each transfer's
+    (WAN paths in the paper are symmetric). Each transfer's
     fluid task touches the sender NIC, every link on the route, and
     the receiver NIC, so saturation at any of the three shows up
     exactly where the paper saw it (single shared SMP NIC, OC-12
     backbone, per-node cluster NICs).
     """
 
-    def __init__(self, env: Optional[Environment] = None):
-        self.env = env if env is not None else Environment()
+    def __init__(self):
+        self.env = Environment()
         self.sched = FluidScheduler(self.env)
         self.hosts: Dict[str, Host] = {}
         self.links: Dict[str, Link] = {}
@@ -66,12 +66,9 @@ class Network:
         src: str,
         dst: str,
         links: Sequence[Link],
-        *,
-        latency: Optional[float] = None,
-        rtt: Optional[float] = None,
-        bidirectional: bool = True,
     ) -> Route:
-        """Install a route from ``src`` to ``dst`` over ``links``."""
+        """Install a route from ``src`` to ``dst`` over ``links``, and
+        its reverse unless one is installed already."""
         if src not in self.hosts:
             raise KeyError(f"unknown host {src!r}")
         if dst not in self.hosts:
@@ -81,16 +78,13 @@ class Network:
         for link in links:
             if link.name not in self.links:
                 raise KeyError(f"link {link.name!r} not added to network")
-        one_way = (
-            latency if latency is not None else sum(l.latency for l in links)
-        )
-        round_trip = rtt if rtt is not None else 2.0 * one_way
+        one_way = sum(l.latency for l in links)
+        round_trip = 2.0 * one_way
         route = Route(src, dst, tuple(links), one_way, round_trip)
         self._routes[(src, dst)] = route
-        if bidirectional:
-            self._routes.setdefault(
-                (dst, src), Route(dst, src, tuple(links), one_way, round_trip)
-            )
+        self._routes.setdefault(
+            (dst, src), Route(dst, src, tuple(links), one_way, round_trip)
+        )
         return route
 
     # -- lookup ---------------------------------------------------------------

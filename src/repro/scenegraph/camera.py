@@ -79,20 +79,14 @@ class Camera:
         return np.stack([px, py, depth], axis=1)
 
     @classmethod
-    def orbit(
-        cls,
-        azimuth_deg: float,
-        elevation_deg: float,
-        *,
-        target=(0.5, 0.5, 0.5),
-        distance: float = 3.0,
-        extent: float = 1.6,
-    ) -> "Camera":
-        """Camera orbiting ``target``; azimuth/elevation like a trackball.
+    def orbit(cls, azimuth_deg: float, elevation_deg: float) -> "Camera":
+        """Camera orbiting the unit cube's centre at distance 3 with a
+        1.6 view extent; azimuth/elevation like a trackball.
 
         ``azimuth = elevation = 0`` looks down the -x axis toward the
         target (i.e. the +x face of the unit cube fills the view).
         """
+        target = (0.5, 0.5, 0.5)
         az = np.deg2rad(azimuth_deg)
         el = np.deg2rad(elevation_deg)
         direction = np.array(
@@ -102,5 +96,5 @@ class Camera:
                 np.sin(el),
             ]
         )
-        position = np.asarray(target) + distance * direction
-        return cls(position=position, target=target, up=(0, 0, 1), extent=extent)
+        position = np.asarray(target) + 3.0 * direction
+        return cls(position=position, target=target, up=(0, 0, 1), extent=1.6)

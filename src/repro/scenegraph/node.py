@@ -48,13 +48,6 @@ class Node:
         for child in self.children:
             yield from child.traverse(matrix)
 
-    def find(self, name: str) -> Optional["Node"]:
-        """First node with ``name`` in this subtree, or None."""
-        for node, _ in self.traverse():
-            if node.name == name:
-                return node
-        return None
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}({self.name!r}, children={len(self.children)})"
 

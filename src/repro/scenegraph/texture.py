@@ -16,7 +16,7 @@ value, and the result is within a few float32 ulps of a float64 lerp.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -47,11 +47,6 @@ class Texture2D:
     def shape(self) -> Tuple[int, int]:
         """(H, W) pixel dimensions."""
         return self._shape
-
-    @property
-    def nbytes_rgba8(self) -> int:
-        """Wire size when shipped as 8-bit RGBA."""
-        return self._shape[0] * self._shape[1] * 4
 
     def occupancy(self) -> np.ndarray:
         """(H, W) bool: whether any texel of the footprint whose top-left
@@ -121,12 +116,3 @@ class Texture2D:
         b *= f
         b += a
         return b
-
-    @classmethod
-    def solid(
-        cls, rgba: Sequence[float], shape: Tuple[int, int] = (2, 2)
-    ) -> "Texture2D":
-        """Uniform single-color texture."""
-        data = np.empty(shape + (4,), dtype=np.float32)
-        data[...] = np.asarray(rgba, dtype=np.float32)
-        return cls(data)

@@ -98,10 +98,10 @@ class ShardCampaign:
         cls,
         *,
         n_sessions: int = 10000,
-        arrival_rate: float = 100.0,
         **kw: Any,
     ) -> "ShardCampaign":
-        """The scale story: 10k sessions over four serve10k regions.
+        """The scale story: 10k sessions arriving at 100/s over four
+        serve10k regions.
 
         Four pinned analyst populations plus a roaming population that
         lands round-robin; the roaming viewers are what exercises
@@ -119,7 +119,7 @@ class ShardCampaign:
             topology=topology,
             workload=WorkloadSpec(
                 n_viewers=n_sessions,
-                arrival_rate=arrival_rate,
+                arrival_rate=100.0,
                 profiles=profiles,
             ),
             **kw,

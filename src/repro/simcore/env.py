@@ -83,7 +83,7 @@ class Environment:
         """An event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def timeout_at(self, when: float, value: Any = None) -> Event:
+    def timeout_at(self, when: float) -> Event:
         """An event firing at absolute time ``when``, exactly.
 
         ``timeout(when - now)`` fires at ``now + (when - now)``, which
@@ -94,7 +94,7 @@ class Environment:
             raise ValueError(f"when={when!r} is in the past (now={self._now!r})")
         event = Event(self)
         event._ok = True
-        event._value = value
+        event._value = None
         heapq.heappush(self._queue, (when, 1, next(self._counter), event))
         return event
 

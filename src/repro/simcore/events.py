@@ -92,13 +92,6 @@ class Event:
         self.env._schedule(self)
         return self
 
-    def trigger(self, event: "Event") -> None:
-        """Copy another event's outcome onto this one (callback helper)."""
-        if event._ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._value)
-
     def _mark_processed(self) -> List[Callable[["Event"], None]]:
         callbacks, self.callbacks = self.callbacks, None  # type: ignore[assignment]
         return callbacks

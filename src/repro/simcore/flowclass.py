@@ -1,7 +1,7 @@
 """Flow classes: aggregate same-profile sessions into one fluid flow.
 
 A :class:`FlowClass` describes a *profile* -- the per-member usage
-coefficients and rate cap shared by every session of that profile
+coefficients shared by every session of that profile
 (e.g. "home viewer behind a 45 Mb/s WAN path"). A
 :class:`FlowClassPool` admits individual member transfers against a
 class and serves them through **one** aggregate
@@ -77,25 +77,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class FlowClass:
-    """A session profile: per-member usage and rate cap."""
+    """A session profile: per-member usage coefficients."""
 
-    def __init__(
-        self,
-        name: str,
-        usage: Mapping[FluidResource, float],
-        cap: float = float("inf"),
-    ):
-        if cap < 0:
-            raise ValueError(f"cap must be >= 0, got {cap}")
+    def __init__(self, name: str, usage: Mapping[FluidResource, float]):
         for coeff in usage.values():
             if coeff < 0:
                 raise ValueError(f"usage must be >= 0, got {coeff}")
         self.name = name
         self.usage = dict(usage)
-        self.cap = float(cap)
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"FlowClass({self.name!r}, cap={self.cap:.3g})"
+        return f"FlowClass({self.name!r})"
 
 
 class _Member:
@@ -216,17 +208,6 @@ class FlowClassPool:
         self._pending: Dict[str, _ClassState] = {}
         self.stats = FlowClassStats()
 
-    # -- introspection -------------------------------------------------------
-    def active_members(self, class_name: str) -> int:
-        """Live member count of ``class_name`` (0 if idle/unknown)."""
-        state = self._classes.get(class_name)
-        return len(state.members) if state is not None else 0
-
-    def class_rate(self, class_name: str) -> float:
-        """Current per-member rate of ``class_name`` (0 if idle)."""
-        state = self._classes.get(class_name)
-        return state.rate if state is not None and state.agg is not None else 0.0
-
     # -- admission -----------------------------------------------------------
     def submit(self, spec: FlowClass, work: float, name: str) -> Event:
         """Admit one member transfer of ``work`` units against ``spec``.
@@ -288,15 +269,6 @@ class FlowClassPool:
             self._mark_pending(state)
         return member.done
 
-    def set_class_cap(self, spec: FlowClass, cap: float) -> None:
-        """Change a class's per-member cap for current and future members."""
-        if cap < 0:
-            raise ValueError(f"cap must be >= 0, got {cap}")
-        spec.cap = float(cap)
-        state = self._classes.get(spec.name)
-        if state is not None and state.agg is not None:
-            self.sched.set_cap(state.agg, self._member_cap(state))
-
     # -- internals -----------------------------------------------------------
     def _mark_pending(self, state: _ClassState) -> None:
         """Defer ``state``'s re-scaling to the end of this instant."""
@@ -334,7 +306,7 @@ class FlowClassPool:
             state = _ClassState(spec)
             self._classes[spec.name] = state
         elif state.spec is not spec:
-            if state.spec.usage != spec.usage or state.spec.cap != spec.cap:
+            if state.spec.usage != spec.usage:
                 raise ValueError(
                     f"flow class {spec.name!r} redefined with a different "
                     f"profile"
@@ -348,14 +320,12 @@ class FlowClassPool:
     def _member_cap(self, state: _ClassState) -> float:
         """Finite per-member cap, mirroring the fluid stand-in.
 
-        An uncapped per-session flow gets ``min(capacity/coeff)`` as
+        A per-session flow (uncapped) gets ``min(capacity/coeff)`` as
         its finite stand-in; the aggregate must carry the *per-member*
         number (its scaled coefficients would otherwise shrink the
         stand-in by ``k``), so the pool computes it here from current
         capacities at every membership change.
         """
-        if state.spec.cap != float("inf"):
-            return state.spec.cap
         best = float("inf")
         for res, coeff in state.spec.usage.items():
             if coeff > 0:

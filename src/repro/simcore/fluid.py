@@ -168,11 +168,6 @@ class FluidTask:
         self._fcap: Optional[float] = None  # cached finite-cap stand-in
         self._step_at = float("inf")  # schedule step a wake is armed for
 
-    @property
-    def progressed(self) -> float:
-        """Work completed so far."""
-        return self.work - self.remaining
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"FluidTask({self.name!r}, remaining={self.remaining:.3g}/"
@@ -263,11 +258,6 @@ class FluidScheduler:
     def resource(self, name: str) -> FluidResource:
         """Look up a registered resource by name."""
         return self._resources[name]
-
-    @property
-    def active_tasks(self) -> List[FluidTask]:
-        """Snapshot of currently running tasks."""
-        return list(self._active.values())
 
     # -- task lifecycle -------------------------------------------------------
     def submit(self, task: FluidTask) -> Event:
@@ -388,19 +378,6 @@ class FluidScheduler:
             task._flow = None
             task._fcap = None  # finite-cap stand-in depends on coefficients
             self._touch_task(task)
-        self._after_change()
-
-    def add_work(self, task: FluidTask, extra: float) -> None:
-        """Extend a running task with additional work."""
-        if extra < 0:
-            raise ValueError(f"extra must be >= 0, got {extra}")
-        if task.name not in self._active:
-            raise SimulationError(f"task {task.name!r} is not active")
-        self._bank(task)
-        task.work += extra
-        task.remaining += extra
-        task._eta_stale = True
-        self._touch_task(task)
         self._after_change()
 
     def withdraw(self, task: FluidTask) -> None:

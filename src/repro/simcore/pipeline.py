@@ -416,7 +416,6 @@ class Stage:
         source: Optional[Iterable[Any]] = None,
         inbound: Optional[BoundedBuffer] = None,
         outbound: Optional[BoundedBuffer] = None,
-        logger: Optional["NetLogger"] = None,
         daemon: bool = False,
     ):
         if (source is None) == (inbound is None):
@@ -427,7 +426,6 @@ class Stage:
         self.source = source
         self.inbound = inbound
         self.outbound = outbound
-        self.logger = logger
         #: daemon stages serve for the whole run and are expected to be
         #: blocked on get() when the simulation ends (e.g. the viewer's
         #: receive loops); the sanitizer does not flag them as hung.
@@ -467,10 +465,6 @@ class Stage:
         san = self.env.sanitizer
         if san is not None:
             san.on_stage_start(self)
-        if self.logger is not None:
-            from repro.netlogger.events import Tags
-
-            self.logger.log(Tags.PIPE_STAGE_START, stage=self.name)
         try:
             if self.source is not None:
                 for item in self.source:
@@ -505,10 +499,6 @@ class Stage:
             self.stats.finished_at = self.env.now
             if self.outbound is not None:
                 self.outbound.producer_done()
-            if self.logger is not None:
-                from repro.netlogger.events import Tags
-
-                self.logger.log(Tags.PIPE_STAGE_END, stage=self.name)
 
 
 @dataclass
@@ -539,12 +529,10 @@ class Pipeline:
         env: "Environment",
         *,
         name: str = "pipeline",
-        logger: Optional["NetLogger"] = None,
         daemon: bool = False,
     ):
         self.env = env
         self.name = name
-        self.logger = logger
         self.daemon = daemon
         self.stages: List[Stage] = []
         self.buffers: List[BoundedBuffer] = []
@@ -576,7 +564,6 @@ class Pipeline:
         source: Optional[Iterable[Any]] = None,
         inbound: Optional[BoundedBuffer] = None,
         outbound: Optional[BoundedBuffer] = None,
-        daemon: Optional[bool] = None,
     ) -> Stage:
         """Create and register a :class:`Stage`."""
         st = Stage(
@@ -586,8 +573,7 @@ class Pipeline:
             source=source,
             inbound=inbound,
             outbound=outbound,
-            logger=self.logger,
-            daemon=self.daemon if daemon is None else daemon,
+            daemon=self.daemon,
         )
         self.stages.append(st)
         return st
@@ -634,11 +620,8 @@ class Pipeline:
             buffers={buf.name: buf.stats for buf in self.buffers},
         )
 
-    def report(self, logger: Optional["NetLogger"] = None) -> None:
+    def report(self, log: "NetLogger") -> None:
         """Emit per-stage occupancy/stall/throughput NetLogger events."""
-        log = logger if logger is not None else self.logger
-        if log is None:
-            return
         from repro.netlogger.events import Tags
 
         summary = self.summary()

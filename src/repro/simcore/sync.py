@@ -86,19 +86,14 @@ class SimBarrier:
     once the last party arrives, then the barrier resets.
     """
 
-    def __init__(self, env: "Environment", parties: int, *, name: str = "barrier"):
+    def __init__(self, env: "Environment", parties: int):
         if parties < 1:
             raise ValueError(f"parties must be >= 1, got {parties}")
         self.env = env
         self.parties = parties
-        self.name = name
+        self.name = "barrier"
         self._waiting: List[Event] = []
         self._generation = 0
-
-    @property
-    def n_waiting(self) -> int:
-        """Number of parties currently blocked at the barrier."""
-        return len(self._waiting)
 
     def wait(self) -> Event:
         """Event firing when all ``parties`` have arrived this round."""

@@ -9,27 +9,23 @@ from __future__ import annotations
 import numpy as np
 
 
-def rgba_to_rgb(image: np.ndarray, background=(0.0, 0.0, 0.0)) -> np.ndarray:
-    """Composite a premultiplied RGBA float image onto a background.
+def rgba_to_rgb(image: np.ndarray) -> np.ndarray:
+    """Composite a premultiplied RGBA float image onto black.
 
     Returns an (H, W, 3) uint8 array.
     """
     image = np.asarray(image, dtype=np.float32)
     if image.ndim != 3 or image.shape[2] != 4:
         raise ValueError(f"image must be (H, W, 4), got {image.shape}")
-    bg = np.asarray(background, dtype=np.float32)
-    if bg.shape != (3,):
-        raise ValueError("background must be RGB")
-    alpha = image[..., 3:4]
-    rgb = image[..., :3] + bg[None, None, :] * (1.0 - alpha)
+    rgb = image[..., :3]
     return (np.clip(rgb, 0.0, 1.0) * 255.0 + 0.5).astype(np.uint8)
 
 
-def save_ppm(path: str, image: np.ndarray, background=(0.0, 0.0, 0.0)) -> str:
+def save_ppm(path: str, image: np.ndarray) -> str:
     """Write an RGBA float (premultiplied) or RGB uint8 image as PPM."""
     image = np.asarray(image)
     if image.ndim == 3 and image.shape[2] == 4:
-        rgb = rgba_to_rgb(image, background)
+        rgb = rgba_to_rgb(image)
     elif image.ndim == 3 and image.shape[2] == 3 and image.dtype == np.uint8:
         rgb = image
     else:

@@ -22,14 +22,8 @@ def check_non_negative(name: str, value: float) -> float:
     return value
 
 
-def check_in_range(
-    name: str, value: float, lo: float, hi: float, *, inclusive: bool = True
-) -> float:
-    """Require ``lo <= value <= hi`` (or strict, if not inclusive)."""
-    ok = lo <= value <= hi if inclusive else lo < value < hi
-    if not ok:
-        bracket = "[]" if inclusive else "()"
-        raise ValueError(
-            f"{name} must be in {bracket[0]}{lo}, {hi}{bracket[1]}, got {value!r}"
-        )
+def check_in_range(name: str, value: float, lo: float, hi: float) -> float:
+    """Require ``lo <= value <= hi``."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} must be in [{lo}, {hi}], got {value!r}")
     return value

@@ -7,11 +7,11 @@ multiple simultaneous network connections" (section 3.4).
 
 :mod:`~repro.viewer.sim` models the viewer's network half on the
 simulator (per-PE receiver connections, payload accounting, V_* event
-logging, and a decoupled render-thread frame-rate model);
+logging);
 :mod:`repro.live.viewer` is the real threaded implementation that
 builds scene graphs from actual textures.
 """
 
-from repro.viewer.sim import RenderLoopModel, SimViewer
+from repro.viewer.sim import SimViewer
 
-__all__ = ["RenderLoopModel", "SimViewer"]
+__all__ = ["SimViewer"]

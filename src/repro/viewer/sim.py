@@ -1,4 +1,4 @@
-"""Simulated viewer: per-PE receivers, payload accounting, render loop.
+"""Simulated viewer: per-PE receivers and payload accounting.
 
 The simulated viewer tracks what crosses the wire and when (to
 reproduce the paper's traffic-asymmetry and interactivity claims); the
@@ -8,7 +8,7 @@ pixel-level scene graph work lives in the live implementation and
 The paper's "N I/O service threads decoupled from one render thread"
 structure is expressed on the shared staged-pipeline framework: one
 receive stage per back end PE, all merging into a single scene-update
-stage that feeds the :class:`RenderLoopModel`.
+stage.
 """
 
 from __future__ import annotations
@@ -49,36 +49,8 @@ class _Delivery:
     detail: Dict[str, Any]
 
 
-@dataclass(frozen=True)
-class RenderLoopModel:
-    """The decoupled render thread.
-
-    Scene-graph updates arrive at whatever rate the pipeline delivers;
-    the render thread redraws at ``fps`` regardless ("the graphics
-    interactivity is effectively decoupled from the latency inherent
-    in network applications"). ``frame_cost`` is the redraw time for
-    the O(n^2) texture set; interactivity holds as long as
-    ``frame_cost <= 1/fps``.
-    """
-
-    fps: float = 30.0
-    frame_cost: float = 0.005
-
-    def __post_init__(self):
-        check_positive("fps", self.fps)
-        check_positive("frame_cost", self.frame_cost)
-
-    @property
-    def interactive(self) -> bool:
-        """True when the redraw budget fits the target frame rate."""
-        return self.frame_cost <= 1.0 / self.fps
-
-    def frames_rendered(self, wall_seconds: float) -> int:
-        """Frames the render thread draws in a wall-clock span."""
-        if wall_seconds < 0:
-            raise ValueError("wall_seconds must be >= 0")
-        rate = min(self.fps, 1.0 / self.frame_cost)
-        return int(wall_seconds * rate)
+#: Visualization metadata per light payload (section 3.4, ~256 bytes).
+LIGHT_BYTES = 256.0
 
 
 class SimViewer:
@@ -97,19 +69,12 @@ class SimViewer:
         host_name: str,
         *,
         daemon: Optional["NetLogDaemon"] = None,
-        light_bytes: float = 256.0,
         config: Optional[NetworkConfig] = None,
-        render_loop: Optional[RenderLoopModel] = None,
     ):
-        check_positive("light_bytes", light_bytes)
         self.config = config if config is not None else NetworkConfig()
         self.network = network
         self.host_name = host_name
-        self.light_bytes = float(light_bytes)
         self.tcp_params = self.config.tcp
-        self.render_loop = (
-            render_loop if render_loop is not None else RenderLoopModel()
-        )
         self.logger = NetLogger(
             host_name,
             "viewer",
@@ -163,17 +128,11 @@ class SimViewer:
         )
         self._pipeline.start()
 
-    @property
-    def n_connections(self) -> int:
-        """Receiver connections held (one per PE: the striped-socket,
-        one-I/O-thread-per-PE structure of section 3.4)."""
-        return len(self._conns)
-
     # -- delivery API used by the back end ---------------------------------
     def deliver_light(self, rank: int, frame: int) -> Event:
         """Ship visualization metadata (~256 bytes) from PE ``rank``."""
         return self._enqueue(
-            rank, frame, self.light_bytes, "light",
+            rank, frame, LIGHT_BYTES, "light",
             Tags.V_LIGHTPAYLOAD_START, Tags.V_LIGHTPAYLOAD_END, None,
         )
 

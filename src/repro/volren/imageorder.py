@@ -45,10 +45,6 @@ class ScreenTile:
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ValueError("empty tile")
 
-    @property
-    def n_pixels(self) -> int:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
 
 def tile_decompose(width: int, height: int, n: int) -> List[ScreenTile]:
     """Split the viewport into ``n`` near-equal horizontal bands."""

@@ -105,16 +105,6 @@ class TileGrid:
             )
         return tile_id % n_owners
 
-    def owned_tiles(self, rank: int, n_owners: int) -> Tuple[int, ...]:
-        """All tile IDs owned by ``rank`` under round-robin assignment."""
-        if n_owners < 1:
-            raise ValueError(f"n_owners must be >= 1, got {n_owners}")
-        if not 0 <= rank < n_owners:
-            raise ValueError(
-                f"rank {rank} out of range [0, {n_owners})"
-            )
-        return tuple(range(rank, self.n_tiles, n_owners))
-
     def tiles_in_rect(
         self, x0: float, y0: float, x1: float, y1: float
     ) -> Tuple[int, ...]:

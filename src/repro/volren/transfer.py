@@ -62,10 +62,6 @@ class TransferFunction:
         channel: ``out`` is ``(4,) + scalars.shape`` float32."""
         self._table.take(self._entries(scalars), axis=1, out=out, mode="clip")
 
-    def opacity(self, scalars: np.ndarray) -> np.ndarray:
-        """Alpha channel only (used by opacity-weighted compositing)."""
-        return self._table[3].take(self._entries(scalars))
-
     @staticmethod
     def _entries(scalars: np.ndarray) -> np.ndarray:
         """Table index of each scalar.  ``s * TABLE_STEPS`` is exact in
@@ -80,12 +76,12 @@ class TransferFunction:
 
     # -- presets ---------------------------------------------------------
     @classmethod
-    def grayscale(cls, max_alpha: float = 0.8) -> "TransferFunction":
-        """Linear gray ramp with linear opacity."""
+    def grayscale(cls) -> "TransferFunction":
+        """Linear gray ramp with linear opacity up to 0.8."""
         return cls(
             [
                 (0.0, 0.0, 0.0, 0.0, 0.0),
-                (1.0, 1.0, 1.0, 1.0, max_alpha),
+                (1.0, 1.0, 1.0, 1.0, 0.8),
             ]
         )
 
@@ -115,17 +111,5 @@ class TransferFunction:
                 (0.45, 0.8, 0.1, 0.0, 0.00),
                 (0.55, 1.0, 0.5, 0.0, 0.75),
                 (1.00, 1.0, 1.0, 0.8, 0.95),
-            ]
-        )
-
-    @classmethod
-    def cool(cls) -> "TransferFunction":
-        """Blue-cyan-white map suited to density data."""
-        return cls(
-            [
-                (0.00, 0.0, 0.0, 0.1, 0.00),
-                (0.35, 0.0, 0.2, 0.7, 0.10),
-                (0.70, 0.1, 0.6, 0.9, 0.40),
-                (1.00, 0.9, 1.0, 1.0, 0.80),
             ]
         )

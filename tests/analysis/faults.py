@@ -104,7 +104,7 @@ def task_done_imbalance(env: Environment) -> None:
 
 def barrier_understaffed(env: Environment) -> None:
     """A 3-party frame barrier only two PEs ever reach."""
-    barrier = SimBarrier(env, parties=3, name="frame-barrier")
+    barrier = SimBarrier(env, parties=3)
 
     def pe(env, barrier):
         yield barrier.wait()

@@ -22,7 +22,7 @@ class TestMpiOnlyMode:
         cfg, (net, backend, viewer, daemon) = tiny(n_pes=4)
         assert backend.n_render_pes == 2
         assert len(backend.subvolumes) == 2
-        assert viewer.n_connections == 2
+        assert len(viewer._conns) == 2
 
     def test_completes_all_frames(self):
         cfg, (net, backend, viewer, daemon) = tiny(n_pes=4, frames=3)

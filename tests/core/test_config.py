@@ -1,5 +1,6 @@
 """Consolidated-config tests: dataclasses, JSON, the facade."""
 
+import dataclasses
 import json
 
 import pytest
@@ -200,7 +201,18 @@ class TestExperimentConfig:
             ]),
             policy=RequestPolicy.aggressive(),
         )
-        assert ExperimentConfig.from_json(exp.to_json()) == exp
+        text = json.dumps({
+            "campaign": "sc99_showfloor",
+            "scaled": True,
+            "seed": 7,
+            "sanitize": True,
+            "faults": {"events": [
+                {"kind": "server_crash", "at": 1.0, "duration": 2.0,
+                 "server": "dpss0"},
+            ]},
+            "policy": dataclasses.asdict(RequestPolicy.aggressive()),
+        })
+        assert ExperimentConfig.from_json(text) == exp
 
     def test_from_json_requires_campaign(self):
         with pytest.raises(ValueError, match="campaign"):
@@ -274,7 +286,10 @@ class TestExperimentConfig:
             topology="serve10k",
             seed=3,
         )
-        assert ExperimentConfig.from_json(exp.to_json()) == exp
+        text = json.dumps(
+            {"campaign": "sc99-serve10k", "topology": "serve10k", "seed": 3}
+        )
+        assert ExperimentConfig.from_json(text) == exp
 
     def test_to_campaign_config_dispatches_shard_campaigns(self):
         from repro.service.shard import ShardCampaign

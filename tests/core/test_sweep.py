@@ -29,27 +29,6 @@ class TestSweep:
         assert "n_pes" in text
         assert "total_s" in text
 
-    def test_custom_metrics(self):
-        result = sweep(
-            tiny_base(),
-            "n_pes",
-            [1, 2],
-            metrics={"frames": lambda r: float(r.viewer_frames_complete)},
-        )
-        assert result.metrics["frames"] == [2.0, 2.0]
-
-    def test_configure_hook(self):
-        def set_overlap(cfg, value):
-            return cfg.with_changes(overlapped=value)
-
-        result = sweep(
-            tiny_base(), "overlapped", [False, True],
-            configure=set_overlap,
-        )
-        # The hook, not with_changes, must have configured the runs.
-        assert result.results[0].config.overlapped is False
-        assert result.results[1].config.overlapped is True
-
     def test_empty_values_rejected(self):
         with pytest.raises(ValueError):
             sweep(tiny_base(), "n_pes", [])

@@ -24,7 +24,7 @@ class TestAMRBox:
     def test_shape_and_cells(self):
         box = AMRBox(1, (0, 0, 0), (4, 6, 8))
         assert box.shape == (4, 6, 8)
-        assert box.n_cells == 192
+        assert np.prod(box.shape) == 192
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -94,7 +94,7 @@ class TestHierarchy:
         refined = [b for b in boxes if b.level == 1]
         assert refined, "flame fronts should trigger refinement"
         # Refinement is selective, not everywhere.
-        refined_cells = sum(b.n_cells for b in refined)
+        refined_cells = sum(np.prod(b.shape) for b in refined)
         assert refined_cells < field.size
 
     def test_validation(self):

@@ -165,14 +165,6 @@ class TestSynthetic:
         ts.timestep(0)
         assert calls == [0.0]
 
-    def test_slab_access(self):
-        meta = TimeSeriesMeta(name="s", shape=(8, 4, 4), n_timesteps=1)
-        full = np.arange(8 * 4 * 4, dtype=np.float32).reshape((8, 4, 4))
-        ts = SyntheticTimeSeries(meta, lambda t: full)
-        np.testing.assert_array_equal(ts.slab(0, 2, 6), full[2:6])
-        with pytest.raises(IndexError):
-            ts.slab(0, 6, 2)
-
     def test_shape_mismatch_rejected(self):
         meta = TimeSeriesMeta(name="s", shape=(4, 4, 4), n_timesteps=1)
         ts = SyntheticTimeSeries(

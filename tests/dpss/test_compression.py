@@ -55,7 +55,6 @@ class TestModel:
         assert model.decompress_seconds(400e6) == pytest.approx(4.0)
 
     def test_presets(self):
-        assert CompressionModel.lossless().ratio == pytest.approx(1.8)
         assert CompressionModel.lossy(0.5).ratio == pytest.approx(4.0)
         assert CompressionModel.lossy(0.25).ratio == pytest.approx(8.0)
 

@@ -83,7 +83,7 @@ class TestEager:
     def test_clean_read_completes_with_parity_on_the_wire(self):
         net, master, client, handle, daemon, _ = build(stripe=EAGER)
         stats = read(net, client, handle, 8 * MB)
-        assert stats.complete
+        assert stats.missing_bytes <= 0
         assert stats.missing_bytes == 0
         # all n shares launched: parity + fillers ride along
         assert stats.wire_bytes > 8 * MB
@@ -101,7 +101,7 @@ class TestEager:
             ServerCrash(at=0.0, duration=60.0, server="s1"),
         ])
         stats = read(net, client, handle, 8 * MB)
-        assert stats.complete
+        assert stats.missing_bytes <= 0
         assert stats.reconstructions > 0
         assert stats.retries == 0
         assert "s1" not in stats.per_server_seconds
@@ -121,7 +121,7 @@ class TestHedged:
     def test_clean_read_is_nearly_parity_free(self):
         net, master, client, handle, daemon, _ = build(stripe=HEDGED)
         stats = read(net, client, handle, 8 * MB)
-        assert stats.complete
+        assert stats.missing_bytes <= 0
         # no straggler -> no repair wave; only boundary trim remains
         assert stats.parity_wire_bytes < 0.1 * MB
         events = {e.event for e in daemon.events}
@@ -134,7 +134,7 @@ class TestHedged:
                            factor=0.01),
         ])
         stats = read(net, client, handle, 8 * MB)
-        assert stats.complete
+        assert stats.missing_bytes <= 0
         assert stats.reconstructions > 0
         assert stats.shares_cancelled >= 1
         events = {e.event for e in daemon.events}
@@ -146,7 +146,7 @@ class TestHedged:
             ServerCrash(at=0.0, duration=60.0, server="s0"),
         ])
         stats = read(net, client, handle, 8 * MB)
-        assert stats.complete
+        assert stats.missing_bytes <= 0
         assert stats.reconstructions > 0
         # no straggler wait: repairs fired at launch, read stays fast
         assert stats.duration < 1.0
@@ -161,7 +161,7 @@ class TestDoubleFault:
             ServerCrash(at=0.0, duration=60.0, server="s3"),
         ])
         stats = read(net, client, handle, 8 * MB)
-        assert not stats.complete
+        assert stats.missing_bytes > 0
         assert stats.missing_bytes > 0
         assert stats.retries == 0
         # deliver-absent, not deadline-stall: the hopeless blocks are
@@ -183,7 +183,7 @@ class TestDoubleFault:
         )
         injector.start()
         stats = read(net, client, handle, 8 * MB)
-        assert not stats.complete
+        assert stats.missing_bytes > 0
         assert stats.missing_bytes > 0
         # the liveness recheck notices the stall long before the 30 s
         # deadline and long before the 60 s recovery
@@ -204,7 +204,7 @@ class TestHealthBias:
         injector.observers.append(tracker.observe_fault)
         net.run(until=net.env.timeout(1.0))  # fault cleared; memory stays
         stats = read(net, client, handle, 8 * MB)
-        assert stats.complete
+        assert stats.missing_bytes <= 0
         assert stats.reconstructions > 0
         assert "s4" not in stats.per_server_seconds
         events = {e.event for e in daemon.events}
@@ -212,10 +212,10 @@ class TestHealthBias:
 
     def test_health_scores_decay_toward_forgiveness(self):
         clock = {"now": 0.0}
-        tracker = HealthTracker(now=lambda: clock["now"], half_life=10.0)
+        tracker = HealthTracker(now=lambda: clock["now"])
         tracker.observe_fault("inject", "server_crash", "s0")
         assert tracker.score("s0") == pytest.approx(1.0)
-        clock["now"] = 10.0
+        clock["now"] = tracker.half_life
         assert tracker.score("s0") == pytest.approx(0.5)
         assert tracker.rank(["s0", "s1"]) == ["s1", "s0"]
         assert tracker.worst(["s0", "s1"]) == "s0"
@@ -224,7 +224,7 @@ class TestHealthBias:
 class TestStripedWrite:
     def test_write_carries_parity_and_warm_caches_serve_reads(self):
         net, master, client, handle, daemon, _ = build(stripe=EAGER)
-        ev = client.write(handle, 8 * MB, offset=0)
+        ev = client.write(handle, 8 * MB)
         net.run(until=ev)
         wstats = ev.value
         assert wstats.wire_bytes > 8 * MB
@@ -232,7 +232,7 @@ class TestStripedWrite:
         events = {e.event for e in daemon.events}
         assert "STRIPE_WRITE" in events
         rstats = read(net, client, handle, 8 * MB)
-        assert rstats.complete
+        assert rstats.missing_bytes <= 0
         assert rstats.cache_hit_blocks > 0
 
 
@@ -240,7 +240,7 @@ class TestUnstripedParity:
     def test_disabled_stripe_keeps_the_classic_path(self):
         net, master, client, handle, daemon, _ = build(stripe=None)
         stats = read(net, client, handle, 8 * MB)
-        assert stats.complete
+        assert stats.missing_bytes <= 0
         assert stats.parity_wire_bytes == 0
         assert stats.reconstructions == 0
         events = {e.event for e in daemon.events}
@@ -256,7 +256,7 @@ class TestUnstripedParity:
             net, master, client, handle, daemon, _ = build(stripe=stripe)
             stats = read(net, client, handle, 6 * MB, offset=1 * MB)
             results[key] = stats
-            assert stats.complete, key
+            assert stats.missing_bytes <= 0, key
             assert stats.missing_bytes == 0, key
         delivered = {
             key: sum(s.per_server_bytes.values())

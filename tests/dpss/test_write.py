@@ -52,7 +52,7 @@ class TestWrite:
     def test_written_blocks_are_cache_hot(self):
         """Write-then-read hits the RAM cache, skipping the disks."""
         net, client, servers, handle = build(disk_rate=1 * MB)
-        w = client.write(handle, 8 * MB, offset=0)
+        w = client.write(handle, 8 * MB)
         net.run(until=w)
         r = client.read(handle, 8 * MB, offset=0)
         t0 = net.env.now
@@ -68,7 +68,7 @@ class TestWrite:
         with pytest.raises(ValueError):
             client.write(handle, 0)
         with pytest.raises(ValueError):
-            client.write(handle, 1 * MB, offset=64 * MB)
+            client.write(handle, handle.size + 1 * MB)
         client.close(handle)
         with pytest.raises(ValueError):
             client.write(handle, 1 * MB)

@@ -97,7 +97,7 @@ class TestMasterRebalancing:
         inject(net, master, daemon,
                ServerCrash(at=0.5, duration=30.0, server="s0"))
         stats = read_at(net, client, handle, 4 * MB, t=1.0)
-        assert stats.complete and stats.missing_bytes == 0
+        assert stats.missing_bytes <= 0 and stats.missing_bytes == 0
         assert stats.retries == 0
         assert "s0" not in stats.per_server_seconds
 
@@ -115,11 +115,11 @@ class TestTearDownAtLaunch:
                ServerSlowdown(at=0.0, duration=100.0, server="s0",
                               factor=0.01))
         stats = read_at(net, client, handle, 4 * MB, t=1.0)
-        assert stats.complete and stats.missing_bytes == 0
+        assert stats.missing_bytes <= 0 and stats.missing_bytes == 0
         assert stats.hedges == 1 and stats.hedges_abandoned == 1
         assert client._leased == set()
         again = read_at(net, client, handle, 4 * MB, t=net.env.now)
-        assert again.complete
+        assert again.missing_bytes <= 0
         # the second read reuses s0's one connection instead of growing
         # the pool past a leaked lease
         assert len(client._pool[("read", "s0")]) == 1
@@ -139,7 +139,7 @@ class TestRetryAndFailover:
         inject(net, master, daemon,
                ServerCrash(at=1.01, duration=30.0, server="s0"))
         stats = read_at(net, client, handle, 8 * MB, t=1.0)
-        assert stats.complete and stats.missing_bytes == 0
+        assert stats.missing_bytes <= 0 and stats.missing_bytes == 0
         assert stats.retries > 0
         seen = tags(daemon)
         assert "RETRY_TIMEOUT" in seen
@@ -155,7 +155,7 @@ class TestRetryAndFailover:
                ServerCrash(at=0.5, duration=60.0, server="s0"),
                ServerCrash(at=0.5, duration=60.0, server="s1"))
         stats = read_at(net, client, handle, 8 * MB, t=1.0)
-        assert not stats.complete
+        assert not stats.missing_bytes <= 0
         assert stats.missing_bytes > 0
         assert "s0" in stats.failed_servers
         assert "RETRY_GIVEUP" in tags(daemon)
@@ -171,7 +171,7 @@ class TestRetryAndFailover:
                               factor=0.01))
         t0 = net.env.now
         stats = read_at(net, client, handle, 8 * MB, t=1.0)
-        assert stats.complete and stats.hedges >= 1
+        assert stats.missing_bytes <= 0 and stats.hedges >= 1
         assert "RETRY_HEDGE" in tags(daemon)
         # The hedge finished long before the crawling primary would
         # have (2 MB at ~0.4 MB/s is ~5 s).
@@ -213,7 +213,7 @@ class TestOtherFaults:
             aliases={"wan": "lan"},
         )
         stats = read_at(net, client, handle, 2 * MB, t=1.0)
-        assert stats.complete
+        assert stats.missing_bytes <= 0
         assert injector.injected == 1 and injector.cleared == 1
 
     def test_unknown_target_raises(self):
@@ -248,7 +248,7 @@ class TestCapacityRestoration:
 #: strategy -> (build kwargs, crash (at, server) or None, what the
 #: case must exercise); every read is 8 MB issued at t=1.0
 ACCOUNTING_CASES = {
-    "fail-fast": (dict(policy=None), None, lambda s: s.complete),
+    "fail-fast": (dict(policy=None), None, lambda s: s.missing_bytes <= 0),
     "policy-give-up": (
         dict(policy=RequestPolicy(timeout=0.5, max_retries=1), replicas=1),
         (0.5, "s1"),
@@ -257,13 +257,13 @@ ACCOUNTING_CASES = {
     "policy-failover": (
         dict(policy=TestRetryAndFailover.POLICY),
         (1.01, "s0"),
-        lambda s: s.complete and s.retries > 0
+        lambda s: s.missing_bytes <= 0 and s.retries > 0
         and "s0" not in s.per_server_bytes,
     ),
     "stripe-hedged": (
         dict(stripe=StripeConfig(enabled=True, n_data=3), replicas=1),
         (0.5, "s1"),
-        lambda s: s.complete and s.reconstructed_bytes > 0,
+        lambda s: s.missing_bytes <= 0 and s.reconstructed_bytes > 0,
     ),
     "stripe-eager": (
         dict(
@@ -271,7 +271,7 @@ ACCOUNTING_CASES = {
             replicas=1,
         ),
         (0.5, "s1"),
-        lambda s: s.complete and s.reconstructed_bytes > 0,
+        lambda s: s.missing_bytes <= 0 and s.reconstructed_bytes > 0,
     ),
 }
 
@@ -308,7 +308,7 @@ class TestReadAccounting:
         read_at(net, client, handle, 64 * KIB, t=0.0)
         s0.online = True
         net.sched.set_capacity(s0.disks, 1e4)
-        client.lseek(handle, 0)
+        handle.position = 0.0
         stats = read_at(net, client, handle, 64 * KIB, t=0.0)
         assert stats.hedges == 1 and stats.hedges_abandoned == 0
         assert stats.cache_hit_blocks == stats.total_blocks == 1

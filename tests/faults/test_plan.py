@@ -1,5 +1,6 @@
 """FaultPlan and drill-file tests: validation, ordering, JSON."""
 
+import dataclasses
 import json
 
 import pytest
@@ -13,8 +14,8 @@ from repro.faults import (
     ServerCrash,
     ServerSlowdown,
     event_from_dict,
-    event_to_dict,
     load_drill,
+    plan_from_data,
     policy_from_spec,
 )
 
@@ -45,7 +46,8 @@ class TestEvents:
             MasterStall(at=4.0, duration=0.25),
         ]
         for ev in events:
-            assert event_from_dict(event_to_dict(ev)) == ev
+            data = {"kind": ev.kind, **dataclasses.asdict(ev)}
+            assert event_from_dict(data) == ev
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown fault kind"):
@@ -87,18 +89,24 @@ class TestPlan:
             ServerCrash(at=1.0, duration=2.0, server="dpss0"),
             LossSpike(at=3.0, duration=1.0, link="wan", factor=0.4),
         ])
-        assert FaultPlan.from_json(plan.to_json()) == plan
+        text = json.dumps({"events": [
+            {"kind": "server_crash", "at": 1.0, "duration": 2.0,
+             "server": "dpss0"},
+            {"kind": "loss_spike", "at": 3.0, "duration": 1.0,
+             "link": "wan", "factor": 0.4},
+        ]})
+        assert plan_from_data(json.loads(text)) == plan
 
     def test_json_accepts_bare_list(self):
         text = json.dumps([
             {"kind": "master_stall", "at": 1.0, "duration": 0.5}
         ])
-        plan = FaultPlan.from_json(text)
+        plan = plan_from_data(json.loads(text))
         assert len(plan) == 1 and plan.events[0].kind == "master_stall"
 
     def test_json_rejects_non_list(self):
         with pytest.raises(ValueError):
-            FaultPlan.from_json('"not a plan"')
+            plan_from_data("not a plan")
 
 
 class TestPolicySpec:
@@ -118,7 +126,7 @@ class TestPolicySpec:
         assert p.timeout == 5.0 and p.max_retries == 1
 
     def test_bad_type(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="42"):
             policy_from_spec(42)
 
 
@@ -154,3 +162,48 @@ class TestDrillFile:
         drill = load_drill("examples/plans/sc99_flaky.json")
         assert drill.campaign == "sc99_showfloor"
         assert len(drill.plan) == 5
+
+
+_CRASH = {"kind": "server_crash", "at": 0.0, "duration": 1.0, "server": "s"}
+
+
+@pytest.mark.parametrize(
+    "loader, document, named",
+    [
+        ("plan", [{k: v for k, v in _CRASH.items() if k != "server"}],
+         "fault event 0: server_crash: missing"),
+        ("drill", {"events": [_CRASH, {**_CRASH, "serve": "s"}]},
+         "fault event 1: server_crash: unknown key"),
+        ("plan", [{**_CRASH, "at": "0"}],
+         "fault event 0: server_crash: key 'at' must be a JSON number"),
+        ("drill", [5], "fault event 0: must be an object"),
+        ("experiment", {"campaign": "lan_e4500", "policy": 7},
+         "policy must be"),
+        ("experiment", {"campaign": "lan_e4500", "policy": {"bogus": 1}},
+         "unknown policy key.*'bogus'"),
+        # ``bool("false")`` is True: a drill must not load as another run
+        ("drill", {"scaled": "false", "events": []}, "drill key 'scaled'"),
+        ("drill", {"overlapped": "no", "events": []},
+         "drill key 'overlapped'"),
+        ("drill", {"seed": "7", "events": []}, "drill key 'seed'"),
+        ("drill", {"campaign": 5, "events": []}, "drill key 'campaign'"),
+        ("drill", {"sedd": 7, "events": []}, "unknown drill key.*'sedd'"),
+        ("drill", {"events": 5}, "must be a list"),
+    ],
+)
+def test_hostile_json_raises_value_error(tmp_path, loader, document, named):
+    """Malformed drills, events and policies raise ``ValueError`` naming
+    the key, or the event's index and kind -- never ``TypeError``, and
+    never a run of some other configuration."""
+    from repro.config import ExperimentConfig
+
+    text = json.dumps(document)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    load = {
+        "plan": lambda text: plan_from_data(json.loads(text)),
+        "drill": lambda _: load_drill(str(path)),
+        "experiment": ExperimentConfig.from_json,
+    }[loader]
+    with pytest.raises(ValueError, match=named):
+        load(text)

@@ -31,7 +31,8 @@ class TestBackoff:
             max_retries=5, backoff_base=0.25, backoff_factor=2.0,
             backoff_max=1.5, jitter=0.0,
         )
-        assert p.backoff_schedule() == [0.25, 0.5, 1.0, 1.5, 1.5]
+        delays = [p.backoff_delay(i) for i in range(p.max_retries)]
+        assert delays == [0.25, 0.5, 1.0, 1.5, 1.5]
 
     def test_no_rng_means_no_jitter(self):
         p = RequestPolicy(backoff_base=0.5, jitter=0.25)
@@ -46,10 +47,15 @@ class TestBackoff:
 
     def test_same_seed_same_schedule(self):
         p = RequestPolicy(max_retries=4, jitter=0.5)
-        a = p.backoff_schedule(np.random.default_rng(42))
-        b = p.backoff_schedule(np.random.default_rng(42))
+
+        def schedule(seed):
+            rng = np.random.default_rng(seed)
+            return [p.backoff_delay(i, rng) for i in range(p.max_retries)]
+
+        a = schedule(42)
+        b = schedule(42)
         assert a == b
-        c = p.backoff_schedule(np.random.default_rng(43))
+        c = schedule(43)
         assert a != c
 
     def test_negative_attempt_rejected(self):

@@ -93,17 +93,3 @@ class TestMigration:
         # whole-file HPSS retrieval could be.
         assert read_time < result.duration / 10
         assert read.value.nbytes == 16 * MB
-
-    def test_migration_respects_acl(self):
-        net, archive, master, client = build_world()
-        archive.store(ArchiveFile("private", size=10 * MB))
-        mig = migrate_to_dpss(
-            net, archive, "private", master,
-            allowed_clients=["someone-else"],
-        )
-        net.run(until=mig)
-        ev = client.open("private")
-        from repro.dpss import AccessDenied
-
-        with pytest.raises(AccessDenied):
-            net.run(until=ev)

@@ -16,10 +16,11 @@ from repro.ibravr import (
     slab_base_quad,
 )
 from repro.ibravr.slabs import make_slab_quad, slab_quad_mesh
-from repro.scenegraph import Camera, Texture2D
+from repro.scenegraph import Camera
 from repro.scenegraph.geometry import QuadMesh, TexturedQuad
 from repro.volren import TransferFunction, slab_decompose
 from repro.volren.renderer import VolumeRenderer
+from tests.helpers import solid_texture
 
 
 def small_volume(shape=(32, 32, 32)):
@@ -91,7 +92,7 @@ class TestSlabGeometry:
             slab_base_quad((0.5, 0, 0), (0.5, 1, 1), axis=0)
 
     def test_make_slab_quad_dispatch(self):
-        tex = Texture2D.solid((1, 1, 1, 1))
+        tex = solid_texture((1, 1, 1, 1))
         plain = make_slab_quad((0, 0, 0), (0.5, 1, 1), 0, tex)
         assert isinstance(plain, TexturedQuad)
         depth = np.random.default_rng(0).random((8, 8))
@@ -99,7 +100,7 @@ class TestSlabGeometry:
         assert isinstance(meshy, QuadMesh)
 
     def test_quad_mesh_displacement_bounded_by_thickness(self):
-        tex = Texture2D.solid((1, 1, 1, 1))
+        tex = solid_texture((1, 1, 1, 1))
         depth = np.random.default_rng(1).random((16, 16))
         mesh = slab_quad_mesh((0.0, 0, 0), (0.25, 1, 1), 0, tex, depth)
         # Displaced vertices stay within +-thickness/2 of the plane.
@@ -116,7 +117,6 @@ class TestModel:
         assert frame.shape == (48, 48, 4)
         assert frame[..., 3].max() > 0.1
         assert model.updates == 1
-        assert model.current_axis == 0
 
     def test_texture_bytes_is_squared_payload(self):
         """Viewer payload is O(n^2) per slab vs O(n^3) source."""
@@ -145,8 +145,9 @@ class TestModel:
         vol = small_volume()
         model = IbravrModel()
         model.update(renderings_for(vol, axis=0))
-        assert not model.needs_axis_switch(Camera.orbit(5, 0))
-        assert model.needs_axis_switch(Camera.orbit(80, 0))
+        assert {r.axis for r in model._renderings} == {0}
+        assert best_view_axis(Camera.orbit(5, 0).forward).axis == 0
+        assert best_view_axis(Camera.orbit(80, 0).forward).axis != 0
 
     def test_overlay_renders_lines(self):
         vol = small_volume()

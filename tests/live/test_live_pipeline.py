@@ -166,8 +166,12 @@ class TestOverlappedPipeline:
 class TestExtensions:
     def test_grid_overlay_flows_through(self):
         viewer, _ = run_pipeline(n_pes=2, steps=2, send_grid=True)
-        overlay = viewer.model.root.find("amr-grid")
-        assert overlay is not None
+        overlays = [
+            node for node, _ in viewer.model.root.traverse()
+            if node.name == "amr-grid"
+        ]
+        assert len(overlays) == 1
+        overlay = overlays[0]
         assert overlay.n_segments > 0
 
     def test_axis_feedback_loop(self):

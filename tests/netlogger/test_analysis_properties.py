@@ -66,4 +66,3 @@ def test_stats_consistent(stream):
     stats = log.duration_stats(spans)
     assert stats["min"] <= stats["mean"] <= stats["max"]
     assert stats["n"] == len(spans)
-    assert log.mean_duration(spans) == stats["mean"]

@@ -110,6 +110,22 @@ class TestTopologyValidation:
         with pytest.raises(ValueError, match="differ"):
             SiteLink("a", "a", mbps(100.0))
 
+    @pytest.mark.parametrize(
+        "build, named",
+        [
+            (lambda v: SiteLink("a", "b", v), "link rate"),
+            (lambda v: SiteSpec("a", dpss_rate=v), "dpss_rate"),
+            (lambda v: SiteSpec("a", edge_rate=v), "edge_rate"),
+            (lambda v: SiteSpec("a", cache_bytes=v), "cache_bytes"),
+            (lambda v: TopologyConfig(core_rate=v), "core_rate"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), -1.0])
+    def test_bad_rates_rejected(self, build, named, value):
+        """``x < 0`` is False for NaN: a NaN rate must not construct."""
+        with pytest.raises(ValueError, match=named):
+            build(value)
+
     def test_single_site_helper_overrides(self):
         topo = TopologyConfig.single_site(cache_bytes=1024.0)
         assert topo.site_names == ("local",)

@@ -39,8 +39,6 @@ def test_host_validation():
         Host("h", nic_rate=0)
     with pytest.raises(ValueError):
         Host("h", nic_rate=1.0, n_cpus=0)
-    with pytest.raises(ValueError):
-        Host("h", nic_rate=1.0, io_cpu_fraction=2.0)
 
 
 def test_route_latency_defaults_to_link_sum():
@@ -53,15 +51,6 @@ def test_route_latency_defaults_to_link_sum():
 def test_route_is_bidirectional_by_default():
     net, _ = simple_net()
     assert net.route("b", "a").dst == "a"
-
-
-def test_route_override_rtt():
-    net = Network()
-    net.add_host(Host("a", nic_rate=1e6))
-    net.add_host(Host("b", nic_rate=1e6))
-    l = net.add_link(Link("l", rate=1e6, latency=0.001))
-    net.add_route("a", "b", [l], rtt=0.050)
-    assert net.route("a", "b").rtt == pytest.approx(0.050)
 
 
 def test_missing_route_raises():
@@ -130,39 +119,9 @@ def test_host_compute_pool_contention():
     assert net.env.now == pytest.approx(4.0)
 
 
-def test_cpu_speed_scales_compute():
-    net = Network()
-    h = net.add_host(Host("fast", nic_rate=1e6, n_cpus=1, cpu_speed=2.0))
-    done = h.compute(4.0)
-    net.run(until=done)
-    assert net.env.now == pytest.approx(2.0)
-
-
 def test_compute_requires_attachment():
     h = Host("stray", nic_rate=1e6)
     with pytest.raises(RuntimeError):
         h.compute(1.0)
 
 
-def test_shared_cpu_io_host_caps():
-    h = Host(
-        "node",
-        nic_rate=mbps(1000),
-        shared_cpu_io=True,
-        io_cpu_fraction=0.5,
-    )
-    assert h.ingest_cap_during_compute() == pytest.approx(mbps(1000))
-    h2 = Host(
-        "node2",
-        nic_rate=mbps(1000),
-        shared_cpu_io=True,
-        io_cpu_fraction=0.8,
-    )
-    assert h2.ingest_cap_during_compute() == pytest.approx(mbps(1000) * 0.625)
-    assert h2.compute_share_during_io() == pytest.approx(0.2)
-
-
-def test_unshared_host_has_no_io_penalty():
-    h = Host("smp", nic_rate=mbps(1000), n_cpus=16, io_cpu_fraction=0.9)
-    assert h.ingest_cap_during_compute() == pytest.approx(mbps(1000))
-    assert h.compute_share_during_io() == 1.0

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from repro.core import CampaignConfig, campaign_names, run_campaign
 import repro.netsim.topology as topology
 from repro.netsim import Host, Link, Network, TcpConnection, TcpParams
-from repro.simcore import Environment
 from tests.quick import quick_campaign
 from tests.oracles.recompute_fluid import RecomputeFluidScheduler
 from tests.oracles.tcp_ticks import TickingTcpConnection
@@ -111,7 +110,7 @@ def draw_scenario(
 
 def simulate(conn_cls, sc: Scenario):
     """Run ``sc`` with ``conn_cls`` connections; return everything observable."""
-    net = Network(Environment())
+    net = Network()
     for i in range(sc.n_hosts):
         net.add_host(Host(f"s{i}", nic_rate=sc.nic_rate))
         net.add_host(Host(f"d{i}", nic_rate=sc.nic_rate))

@@ -20,7 +20,7 @@ class PerSessionPool(FlowClassPool):
     def submit(self, spec, work, name):
         if work < 0:
             raise ValueError(f"work must be >= 0, got {work}")
-        task = FluidTask(name, work, spec.usage, cap=spec.cap)
+        task = FluidTask(name, work, spec.usage)
         done = self.sched.submit(task)
         self.stats.members_submitted += 1
         return done

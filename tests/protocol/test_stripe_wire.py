@@ -26,7 +26,7 @@ def make_map(size=640 * KIB, block_size=64 * KIB, n_data=4):
 
 def make_block(smap, block_id, *, parity=False):
     if parity:
-        stripe = smap.stripe_of_parity_id(block_id)
+        stripe = block_id - smap.dataset.n_blocks
         length = int(smap.parity_bytes(stripe))
     else:
         stripe = smap.stripe_of_block(block_id)

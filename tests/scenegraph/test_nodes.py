@@ -12,6 +12,7 @@ from repro.scenegraph import (
     TexturedQuad,
 )
 from repro.scenegraph.node import transform_points
+from tests.helpers import solid_texture
 
 
 class TestNodes:
@@ -30,12 +31,6 @@ class TestNodes:
         hidden.visible = False
         names = [n.name for n, _ in root.traverse()]
         assert names == ["root"]
-
-    def test_find(self):
-        root = Group("root")
-        target = root.add(Group("x")).add(Group("needle"))
-        assert root.find("needle") is target
-        assert root.find("ghost") is None
 
     def test_self_child_rejected(self):
         n = Group("n")
@@ -56,7 +51,7 @@ class TestNodes:
 
 class TestGeometry:
     def test_textured_quad_must_be_a_parallelogram(self):
-        tex = Texture2D.solid((1, 0, 0, 1))
+        tex = solid_texture((1, 0, 0, 1))
         square = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], float)
         sheared = square @ np.array([[2.0, 0.5, 0.1], [0.3, 1.0, 0.7], [0, 0, 1]])
         for corners in (square, sheared + 10.0):
@@ -69,7 +64,7 @@ class TestGeometry:
             TexturedQuad(kite, tex)
 
     def test_quad_mesh_triangles_index_shared_vertices(self):
-        tex = Texture2D.solid((1, 1, 1, 1))
+        tex = solid_texture((1, 1, 1, 1))
         mesh = QuadMesh(np.zeros((2, 3, 3)), tex)
         indices = [tuple(idx) for idx, _ in mesh.triangles()]
         # cells (0, 1, 4) / (0, 4, 3) and (1, 2, 5) / (1, 5, 4)
@@ -78,18 +73,18 @@ class TestGeometry:
             assert uvs.shape == (3, 2)
 
     def test_quad_corner_validation(self):
-        tex = Texture2D.solid((1, 1, 1, 1))
+        tex = solid_texture((1, 1, 1, 1))
         with pytest.raises(ValueError):
             TexturedQuad(np.zeros((3, 3)), tex)
 
     def test_quad_mesh_triangle_count(self):
-        tex = Texture2D.solid((1, 1, 1, 1))
+        tex = solid_texture((1, 1, 1, 1))
         verts = np.zeros((3, 4, 3))
         mesh = QuadMesh(verts, tex)
         assert len(mesh.triangles()) == 2 * 2 * 3
 
     def test_quad_mesh_from_offsets_displaces_along_normal(self):
-        tex = Texture2D.solid((1, 1, 1, 1))
+        tex = solid_texture((1, 1, 1, 1))
         corners = np.array([[0, 0, 0.5], [1, 0, 0.5], [1, 1, 0.5], [0, 1, 0.5]], float)
         offsets = np.full((4, 4), 1.0)
         mesh = QuadMesh.from_offsets(
@@ -99,7 +94,7 @@ class TestGeometry:
         np.testing.assert_allclose(mesh.vertices[..., 2], 0.6, atol=1e-12)
 
     def test_quad_mesh_validation(self):
-        tex = Texture2D.solid((1, 1, 1, 1))
+        tex = solid_texture((1, 1, 1, 1))
         with pytest.raises(ValueError):
             QuadMesh(np.zeros((1, 4, 3)), tex)
         with pytest.raises(ValueError):
@@ -139,14 +134,10 @@ class TestTexture:
         np.testing.assert_allclose(mid, [0.5, 0, 0.5, 1], atol=1e-6)
 
     def test_sample_clamps(self):
-        tex = Texture2D.solid((0.3, 0.3, 0.3, 1.0))
+        tex = solid_texture((0.3, 0.3, 0.3, 1.0))
         np.testing.assert_allclose(
             tex.sample(np.array(-2.0), np.array(5.0)), [0.3, 0.3, 0.3, 1.0]
         )
-
-    def test_nbytes(self):
-        tex = Texture2D(np.zeros((16, 8, 4), np.float32))
-        assert tex.nbytes_rgba8 == 16 * 8 * 4
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ from repro.scenegraph import (
     TexturedQuad,
     render,
 )
+from tests.helpers import solid_texture
 
 
 def unit_quad_xy(z=0.5):
@@ -27,7 +28,7 @@ def front_camera():
 
 def test_solid_quad_fills_center():
     root = Group()
-    root.add(TexturedQuad(unit_quad_xy(), Texture2D.solid((1, 0, 0, 1))))
+    root.add(TexturedQuad(unit_quad_xy(), solid_texture((1, 0, 0, 1))))
     img = render(root, front_camera(), 64, 64)
     assert img[32, 32, 0] == pytest.approx(1.0)
     assert img[32, 32, 3] == pytest.approx(1.0)
@@ -40,7 +41,7 @@ def test_backfacing_quad_still_drawn():
     cam = Camera(position=(0.5, 0.5, -2.0), target=(0.5, 0.5, 0.5),
                  up=(0, 1, 0), extent=1.2)
     root = Group()
-    root.add(TexturedQuad(unit_quad_xy(), Texture2D.solid((0, 1, 0, 1))))
+    root.add(TexturedQuad(unit_quad_xy(), solid_texture((0, 1, 0, 1))))
     img = render(root, cam, 32, 32)
     assert img[16, 16, 1] == pytest.approx(1.0)
 
@@ -48,7 +49,7 @@ def test_backfacing_quad_still_drawn():
 def test_depth_sorted_alpha_blending():
     root = Group()
     # Far quad green, near quad half-transparent red.
-    root.add(TexturedQuad(unit_quad_xy(0.0), Texture2D.solid((0, 1, 0, 1))))
+    root.add(TexturedQuad(unit_quad_xy(0.0), solid_texture((0, 1, 0, 1))))
     red = np.zeros((2, 2, 4), np.float32)
     red[...] = [0.5, 0, 0, 0.5]  # premultiplied half red
     root.add(TexturedQuad(unit_quad_xy(1.0), Texture2D(red)))
@@ -61,7 +62,7 @@ def test_insertion_order_irrelevant():
     def build(order):
         root = Group()
         quads = {
-            "far": TexturedQuad(unit_quad_xy(0.0), Texture2D.solid((0, 1, 0, 1))),
+            "far": TexturedQuad(unit_quad_xy(0.0), solid_texture((0, 1, 0, 1))),
             "near": TexturedQuad(
                 unit_quad_xy(1.0),
                 Texture2D(np.full((2, 2, 4), 0.4, np.float32)),
@@ -94,7 +95,7 @@ def test_texture_orientation_on_screen():
 
 def test_lines_drawn_over_quads():
     root = Group()
-    root.add(TexturedQuad(unit_quad_xy(0.0), Texture2D.solid((0, 0, 1, 1))))
+    root.add(TexturedQuad(unit_quad_xy(0.0), solid_texture((0, 0, 1, 1))))
     segs = np.array([[[0.0, 0.5, 1.0], [1.0, 0.5, 1.0]]])
     root.add(LineSet(segs, (1, 1, 0, 1)))
     img = render(root, front_camera(), 64, 64)
@@ -112,7 +113,7 @@ def test_empty_scene_is_background():
 def test_degenerate_quad_ignored():
     root = Group()
     corners = np.zeros((4, 3))  # all corners identical
-    root.add(TexturedQuad(corners, Texture2D.solid((1, 0, 0, 1))))
+    root.add(TexturedQuad(corners, solid_texture((1, 0, 0, 1))))
     img = render(root, front_camera(), 16, 16)
     assert np.allclose(img, 0.0)
 
@@ -120,7 +121,7 @@ def test_degenerate_quad_ignored():
 def test_offscreen_geometry_ignored():
     root = Group()
     far_away = unit_quad_xy() + np.array([100.0, 100.0, 0.0])
-    root.add(TexturedQuad(far_away, Texture2D.solid((1, 0, 0, 1))))
+    root.add(TexturedQuad(far_away, solid_texture((1, 0, 0, 1))))
     img = render(root, front_camera(), 16, 16)
     assert np.allclose(img, 0.0)
 
@@ -135,6 +136,6 @@ def test_edge_on_quad_invisible():
     cam = Camera(position=(3.0, 0.5, 0.5), target=(0.5, 0.5, 0.5),
                  up=(0, 0, 1), extent=1.2)
     root = Group()
-    root.add(TexturedQuad(unit_quad_xy(0.5), Texture2D.solid((1, 0, 0, 1))))
+    root.add(TexturedQuad(unit_quad_xy(0.5), solid_texture((1, 0, 0, 1))))
     img = render(root, cam, 32, 32)
     assert img[..., 3].sum() < 32 * 2  # at most a sliver

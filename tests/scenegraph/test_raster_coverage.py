@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.scenegraph import Camera, Group, QuadMesh, Texture2D, TexturedQuad, render
+from repro.scenegraph import Camera, Group, QuadMesh, TexturedQuad, render
+from tests.helpers import solid_texture
 
-_HALF = Texture2D.solid((0.5, 0.25, 0.0, 0.5))
+_HALF = solid_texture((0.5, 0.25, 0.0, 0.5))
 
 
 def _camera_and_size(seed: int):
@@ -23,8 +24,7 @@ def _camera_and_size(seed: int):
     # elevation at least 20 degrees off the z = 0.5 plane the geometry
     # lies in, so it is never seen edge-on
     elevation = float(rng.choice([-1.0, 1.0]) * rng.uniform(20, 90))
-    camera = Camera.orbit(float(rng.uniform(-180, 180)), elevation,
-                          target=(0.5, 0.5, 0.5))
+    camera = Camera.orbit(float(rng.uniform(-180, 180)), elevation)
     return camera, int(rng.integers(16, 64)), int(rng.integers(16, 64))
 
 

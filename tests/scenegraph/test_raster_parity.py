@@ -29,6 +29,7 @@ from tests.oracles.scalar_kernels import (
     _raster_quad_scalar,
     _raster_triangle_scalar,
 )
+from tests.helpers import solid_texture
 
 
 def _patch_oracles(patch) -> None:
@@ -66,7 +67,7 @@ def _random_scene(seed: int) -> Group:
     ) @ (np.eye(3) + rng.normal(scale=0.1, size=(3, 3))) + rng.normal(
         scale=0.1, size=3
     )
-    root.add(TexturedQuad(quad, Texture2D.solid((0.2, 0.6, 1.0, 0.5))))
+    root.add(TexturedQuad(quad, solid_texture((0.2, 0.6, 1.0, 0.5))))
     root.add(LineSet(rng.random((5, 2, 3)) * 2.0 - 1.0,
                      color=(1.0, 0.3, 0.1, 0.9)))
     return root
@@ -96,7 +97,7 @@ def test_partially_offscreen_scene_matches(render_scalar):
         [[-3.0, -0.5, 0.0], [1.0, -0.5, 0.0], [1.0, 3.0, 0.0],
          [-3.0, 3.0, 0.0]]
     )
-    root.add(TexturedQuad(quad, Texture2D.solid((1.0, 0.4, 0.0, 0.8))))
+    root.add(TexturedQuad(quad, solid_texture((1.0, 0.4, 0.0, 0.8))))
     camera = Camera(position=(0, 0, 3), target=(0, 0, 0), up=(0, 1, 0),
                     extent=1.5)
     vec = render(root, camera, 32, 32)
@@ -132,7 +133,7 @@ def _sparse_scene(texture: Texture2D, mesh: bool) -> Group:
         [[-1.2, -1.2, -0.5], [1.2, -1.2, -0.5], [1.2, 1.2, -0.5],
          [-1.2, 1.2, -0.5]]
     )
-    root.add(TexturedQuad(back, Texture2D.solid((0.3, 0.2, 0.1, 0.6))))
+    root.add(TexturedQuad(back, solid_texture((0.3, 0.2, 0.1, 0.6))))
     if mesh:
         gx, gy = np.meshgrid(
             np.linspace(-1.1, 0.9, 4), np.linspace(-0.9, 1.1, 4), indexing="ij"

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.scenegraph import Texture2D
+from tests.helpers import solid_texture
 
 
 def _reference(data: np.ndarray, u: float, v: float) -> np.ndarray:
@@ -47,7 +48,7 @@ def test_bilinear_matches_float64_reference(shape, seed):
 
 def test_flat_footprint_samples_exactly():
     # a + (b - a) * f: four equal texels give their value, not an ulp off
-    tex = Texture2D.solid((0.5, 0.25, 0.1, 0.3), shape=(5, 7))
+    tex = solid_texture((0.5, 0.25, 0.1, 0.3), shape=(5, 7))
     u, v = np.random.default_rng(3).random((2, 500))
     got = tex.sample(u, v)
     assert (got == np.float32([0.5, 0.25, 0.1, 0.3])).all()

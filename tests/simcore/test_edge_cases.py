@@ -48,15 +48,6 @@ class TestEnvironmentEdges:
         with pytest.raises(SimulationError):
             _ = ev.ok
 
-    def test_trigger_copies_outcome(self):
-        env = Environment()
-        src = env.event()
-        dst = env.event()
-        src._ok = True
-        src._value = 42
-        dst.trigger(src)
-        assert dst.value == 42
-
     def test_time_never_regresses(self):
         env = Environment()
         stamps = []
@@ -171,4 +162,4 @@ class TestInterruptEdges:
         env.process(killer(env, victim))
         env.run()
         assert outcome == [("interrupted", 2.0)]
-        assert sched.active_tasks == []
+        assert not sched._active

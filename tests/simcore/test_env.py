@@ -453,12 +453,12 @@ def test_timeout_at_fires_at_the_exact_absolute_time():
     fired = []
 
     def waiter(env):
-        value = yield env.timeout_at(when, "v")
+        value = yield env.timeout_at(when)
         fired.append((env.now, value))
 
     env.process(waiter(env))
     env.run()
-    assert fired == [(when, "v")]
+    assert fired == [(when, None)]
 
 
 def test_timeout_at_rejects_the_past():

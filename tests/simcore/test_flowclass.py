@@ -103,38 +103,7 @@ def test_class_redefinition_rejected():
     pool = FlowClassPool(env, sched)
     pool.submit(FlowClass("fc", {wan: 1.0}), 5.0, name="a")
     with pytest.raises(ValueError, match="redefined"):
-        pool.submit(FlowClass("fc", {wan: 1.0}, cap=3.0), 5.0, name="b")
-
-
-def test_cap_is_per_member():
-    """A capped class serves every member at the cap, not cap/k."""
-    env = Environment()
-    sched = FluidScheduler(env)
-    wan = sched.add_resource(FluidResource("wan", 1000.0))
-    pool = FlowClassPool(env, sched)
-    spec = FlowClass("capped", {wan: 1.0}, cap=10.0)
-    done = []
-    for i in range(4):
-        done.append(pool.submit(spec, 100.0, name=f"m{i}"))
-    env.run(until=env.now)
-    assert pool.class_rate("capped") == 10.0
-    env.run()
-    # 100 units at 10/s each: all four finish together at t=10.
-    assert [ev.value for ev in done] == [10.0] * 4
-
-
-def test_set_class_cap_retunes_live_members():
-    env = Environment()
-    sched = FluidScheduler(env)
-    wan = sched.add_resource(FluidResource("wan", 1000.0))
-    pool = FlowClassPool(env, sched)
-    spec = FlowClass("capped", {wan: 1.0}, cap=10.0)
-    done = pool.submit(spec, 100.0, name="m0")
-    pool.set_class_cap(spec, 50.0)
-    env.run(until=env.now)
-    assert pool.class_rate("capped") == 50.0
-    env.run()
-    assert done.value == 2.0  # 100 units at 50/s from t=0
+        pool.submit(FlowClass("fc", {wan: 2.0}), 5.0, name="b")
 
 
 def test_oracle_mode_uses_one_flow_per_member():
@@ -143,7 +112,7 @@ def test_oracle_mode_uses_one_flow_per_member():
     for i in range(8):
         pool.submit(classes[0], 10.0, name=f"m{i}")
     assert pool.stats.classes == 0
-    assert pool.active_members("bulk") == 0
+    assert not pool._classes
     env.run()
 
 
@@ -235,10 +204,10 @@ def test_same_instant_leave_and_rejoin_costs_no_solve():
     solves = sched.stats.components_solved
     segments = pool.stats.disaggregations
     env.run(until=0.5)  # m0 leaves and m2 joins at t=0.2
-    assert len(rejoined) == 1 and pool.active_members("bulk") == 2
+    assert len(rejoined) == 1 and len(pool._classes["bulk"].members) == 2
     assert sched.stats.components_solved == solves
     assert pool.stats.disaggregations == segments
-    assert pool.class_rate("bulk") == 50.0
+    assert pool._classes["bulk"].rate == 50.0
     assert pool._next_wake == 0.2 + 40.0 / 50.0
     env.run()
     assert rejoined[0].value == 0.2 + 40.0 / 50.0
@@ -258,7 +227,7 @@ def test_two_classes_on_one_resource_settle_in_one_solve():
     assert pool.sched.stats.components_solved == solves  # both pending
     env.run(until=1.5)
     assert pool.sched.stats.components_solved == solves + 1
-    assert pool.class_rate("bulk") == pool.class_rate("interactive") == 25.0
+    assert pool._classes["bulk"].rate == pool._classes["interactive"].rate == 25.0
 
 
 def test_batched_rescale_schedules_at_most_one_wake():
@@ -276,7 +245,7 @@ def test_batched_rescale_schedules_at_most_one_wake():
     env.run(until=0.2)
     wakes = pool.stats.wakes_scheduled
     env.run(until=1.0)  # m0 leaves: 3 -> 2 members, 33.3 -> 50 each
-    assert pool.class_rate("bulk") == 50.0
+    assert pool._classes["bulk"].rate == 50.0
     assert pool.stats.wakes_scheduled - wakes <= 1
     env.run()
     assert pool.stats.stale_wakes == 0

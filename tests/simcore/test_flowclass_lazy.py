@@ -11,7 +11,7 @@ counter the two share.
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import pytest
 from hypothesis import given, settings
@@ -35,8 +35,8 @@ HORIZON = 5000.0
 @dataclass
 class Scenario:
     capacities: List[float]
-    #: (resource indices, per-member cap or None) per class
-    classes: List[Tuple[Tuple[int, ...], Optional[float]]]
+    #: resource indices per class
+    classes: List[Tuple[int, ...]]
     #: (time, class index, work), sorted by time
     arrivals: List[Tuple[float, int, float]]
     #: (time, kind, target index, value), any order
@@ -50,13 +50,9 @@ def draw_scenario(
     capacities = [rng.choice([40.0, 100.0, 155.5]) for _ in range(n_resources)]
     classes = []
     for _ in range(n_classes):
-        used = tuple(sorted(rng.sample(
+        classes.append(tuple(sorted(rng.sample(
             range(n_resources), rng.randint(1, n_resources)
-        )))
-        # A cap far below any fair share pins the rate: joins and
-        # completions then close no segment at all.
-        cap = rng.choice([None, None, 0.05, rng.uniform(1.0, 60.0)])
-        classes.append((used, cap))
+        ))))
     instants = [rng.uniform(0.0, 20.0) for _ in range(4)]
     arrivals = []
     for _ in range(n_members):
@@ -71,16 +67,10 @@ def draw_scenario(
     actions = []
     for _ in range(n_actions):
         at = rng.uniform(0.5, 40.0)
-        if rng.random() < 0.5:
-            # Drop to zero and restore: a zero-rate segment is logged.
-            res = rng.randrange(n_resources)
-            actions.append((at, "capacity", res, rng.choice([0.0, 0.0, 0.3])))
-            actions.append((at + rng.uniform(0.1, 5.0), "capacity", res, 1.0))
-        else:
-            actions.append((
-                at, "class_cap", rng.randrange(n_classes),
-                rng.choice([0.05, 2.0, 25.0, float("inf")]),
-            ))
+        # Drop to zero and restore: a zero-rate segment is logged.
+        res = rng.randrange(n_resources)
+        actions.append((at, "capacity", res, rng.choice([0.0, 0.0, 0.3])))
+        actions.append((at + rng.uniform(0.1, 5.0), "capacity", res, 1.0))
     return Scenario(capacities, classes, arrivals, actions)
 
 
@@ -94,11 +84,8 @@ def simulate(make_pool, sc: Scenario):
     ]
     pool = make_pool(env, sched)
     specs = [
-        FlowClass(
-            f"c{i}", {resources[r]: 1.0 for r in used},
-            cap=float("inf") if cap is None else cap,
-        )
-        for i, (used, cap) in enumerate(sc.classes)
+        FlowClass(f"c{i}", {resources[r]: 1.0 for r in used})
+        for i, used in enumerate(sc.classes)
     ]
     finished = {}
     wakes = []
@@ -122,10 +109,7 @@ def simulate(make_pool, sc: Scenario):
 
     def act(at, kind, target, value):
         yield env.timeout(at)
-        if kind == "capacity":
-            sched.set_capacity(resources[target], sc.capacities[target] * value)
-        else:
-            pool.set_class_cap(specs[target], value)
+        sched.set_capacity(resources[target], sc.capacities[target] * value)
 
     env.process(arrive())
     for action in sc.actions:
@@ -176,8 +160,7 @@ def test_lazy_banking_matches_eager_sweep(
         # unedited against this pool); across this space it is exact
         # max-min to float noise -- at the parent commit too (seed 2064
         # with caps, seed 2862 without: a handful of members an ulp
-        # off). set_class_cap reaches live members only through the
-        # aggregate, hence no actions.
+        # off).
         per_session = simulate(PerSessionPool, sc)["finished"]
         assert lazy["finished"].keys() == per_session.keys()
         for name, (at, _value) in lazy["finished"].items():
@@ -187,7 +170,7 @@ def test_lazy_banking_matches_eager_sweep(
 def test_drained_class_starts_a_fresh_log():
     """Re-activation must not replay the previous activation's segments."""
     sc = Scenario(
-        [100.0], [((0,), None)],
+        [100.0], [(0,)],
         [(0.0, 0, 30.0), (0.1, 0, 10.0), (50.0, 0, 30.0), (50.1, 0, 10.0)],
     )
     lazy = simulate(FlowClassPool, sc)
@@ -212,11 +195,13 @@ def test_rate_change_folds_the_head_only():
     env = Environment()
     sched = FluidScheduler(env)
     wan = sched.add_resource(FluidResource("wan", 1000.0))
+    pin = sched.add_resource(FluidResource("pin", 1.0))
     pool = FlowClassPool(env, sched)
     big = FlowClass("big", {wan: 1.0})
-    # Pinned at its cap: a join takes 1.0 off the WAN -- one bitwise
-    # rate change for ``big`` -- and leaves its own class's rate alone.
-    pinned = FlowClass("pinned", {wan: 1.0}, cap=1.0)
+    # Pinned at 1.0 by ``pin``, which grows by 1.0 with each join: a
+    # join takes 1.0 off the WAN -- one bitwise rate change for ``big``
+    # -- and leaves its own class's rate alone.
+    pinned = FlowClass("pinned", {wan: 1.0, pin: 1.0})
     pool.submit(big, 1e6, name="b0")
     env.run(until=env.now)  # ``big`` activates: segment 1
     for i in range(1, 200):
@@ -230,6 +215,7 @@ def test_rate_change_folds_the_head_only():
     for i in range(1, n + 1):
         env.run(until=float(i))
         pool.submit(pinned, 1e9, name=f"p{i}")
+        sched.set_capacity(pin, i + 1.0)
     env.run(until=n + 1.0)
     after = pool.stats.to_dict()
     assert after["disaggregations"] - before["disaggregations"] == n

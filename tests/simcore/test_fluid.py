@@ -107,20 +107,6 @@ def test_set_cap_on_finished_task_is_noop():
     sched.set_cap(task, 5.0)  # must not raise
 
 
-def test_add_work_extends_task():
-    env, sched, link = make_sched(("link", 100.0))
-    task = FluidTask("xfer", work=100.0, usage={link: 1.0})
-    done = sched.submit(task)
-
-    def extender(env, sched, task):
-        yield env.timeout(0.5)
-        sched.add_work(task, 100.0)
-
-    env.process(extender(env, sched, task))
-    env.run(until=done)
-    assert env.now == pytest.approx(2.0)
-
-
 def test_cancel_fails_done_event():
     env, sched, link = make_sched(("link", 100.0))
     task = FluidTask("xfer", work=1000.0, usage={link: 1.0})
@@ -216,7 +202,7 @@ def test_task_progress_tracking():
     sched.submit(task)
     env.run(until=0.5)
     sched._advance()
-    assert task.progressed == pytest.approx(50.0)
+    assert task.work - task.remaining == pytest.approx(50.0)
 
 
 def test_validation_errors():
@@ -231,8 +217,6 @@ def test_validation_errors():
     sched.submit(task)
     with pytest.raises(ValueError):
         sched.set_cap(task, -1.0)
-    with pytest.raises(ValueError):
-        sched.add_work(task, -5.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -36,9 +36,9 @@ def _random_script(rng: random.Random):
     for _ in range(rng.randint(10, 24)):
         ops.append(
             rng.choices(
-                ["submit", "set_cap", "set_capacity", "add_work",
+                ["submit", "set_cap", "set_capacity",
                  "withdraw", "cancel", "wait"],
-                weights=[6, 4, 2, 2, 1, 1, 4],
+                weights=[6, 4, 2, 1, 1, 4],
             )[0]
         )
     return capacities, ops
@@ -69,7 +69,7 @@ def _run_script(seed: int, sched_cls):
                 env.now,
                 tuple(
                     (t.name, t.rate, t._eta)
-                    for t in sorted(sched.active_tasks, key=lambda t: t.name)
+                    for t in sorted(sched._active.values(), key=lambda t: t.name)
                 ),
             )
         )
@@ -77,7 +77,7 @@ def _run_script(seed: int, sched_cls):
     def apply(op: str) -> None:
         active = [t for t in tasks if t.name in sched._active]
         if op == "submit" or not active and op in (
-            "set_cap", "add_work", "withdraw", "cancel"
+            "set_cap", "withdraw", "cancel"
         ):
             k = rng.randint(0, min(3, len(resources)))
             usage = {
@@ -108,8 +108,6 @@ def _run_script(seed: int, sched_cls):
                 rng.choice(resources),
                 rng.choice([0.0, 15.0, 60.0, 250.0]),
             )
-        elif op == "add_work":
-            sched.add_work(rng.choice(active), rng.choice([5.0, 100.0]))
         elif op == "withdraw":
             sched.withdraw(rng.choice(active))
         elif op == "cancel":

@@ -94,12 +94,12 @@ class TestBarrierReuse:
         env = Environment()
         barrier = SimBarrier(env, 2)
         barrier.wait()
-        assert barrier.n_waiting == 1
+        assert len(barrier._waiting) == 1
         barrier.wait()
-        assert barrier.n_waiting == 0
+        assert len(barrier._waiting) == 0
         # Reusable: the next arrival queues afresh.
         barrier.wait()
-        assert barrier.n_waiting == 1
+        assert len(barrier._waiting) == 1
 
     def test_straggler_does_not_join_previous_generation(self):
         """A party arriving after a release waits for a full new round."""

@@ -44,6 +44,18 @@ class TestCampaign:
         assert main(["campaign", "nope"]) == 2
         assert "unknown campaign" in capsys.readouterr().err
 
+    def test_bad_drill_file_refused(self, capsys, tmp_path):
+        """A drill key of the wrong JSON type is one stderr line and
+        exit 2, not a traceback and not a silently scaled run."""
+        drill = tmp_path / "bad.json"
+        drill.write_text(
+            '{"campaign": "lan_e4500", "scaled": "false", "events": []}'
+        )
+        assert main(["campaign", "--faults", str(drill)]) == 2
+        captured = capsys.readouterr()
+        assert "'scaled'" in captured.err
+        assert not captured.out
+
 
 class TestServeSim:
     def test_scaled_service_run_with_json(self, capsys, tmp_path):

@@ -14,6 +14,7 @@ from repro.volren import (
     slab_decompose,
 )
 from repro.volren.compositing import composite_over
+from tests.helpers import solid_texture
 
 
 # ------------------------------------------------------------- camera
@@ -74,7 +75,7 @@ def test_camera_depth_orders_points_along_view(azimuth, elevation):
     v=st.floats(min_value=-1, max_value=2),
 )
 def test_solid_texture_samples_constant_everywhere(rgba, u, v):
-    tex = Texture2D.solid(rgba)
+    tex = solid_texture(rgba)
     sample = tex.sample(np.array(u), np.array(v))
     np.testing.assert_allclose(sample, rgba, atol=1e-6)
 

@@ -226,8 +226,7 @@ def _public_names_and_uses():
     defined, used = {}, set()
     for path in files:
         in_src = src in path.parents
-        parts = path.relative_to(src).with_suffix("").parts if in_src else ()
-        module = ".".join(p for p in parts if p != "__init__")
+        module = _module_of(src, path) if in_src else ""
         for stmt in ast.parse(path.read_text(), str(path)).body:
             names = {
                 node.id if isinstance(node, ast.Name) else node.attr
@@ -410,3 +409,421 @@ def test_every_config_field_has_a_production_setter():
         "allowlist entries that no longer exist or now have a "
         f"production setter: {stale}"
     )
+
+
+def _module_of(src, path):
+    """``"pkg.module"`` of a file under ``src/repro``."""
+    parts = path.relative_to(src).with_suffix("").parts
+    return ".".join(p for p in parts if p != "__init__")
+
+
+def _is_visitor(cls, bases_of):
+    """True when ``cls`` subclasses ``ast.NodeVisitor`` (by name)."""
+    seen, todo = set(), [cls]
+    while todo:
+        name = todo.pop()
+        if name == "NodeVisitor":
+            return True
+        if name not in seen:
+            seen.add(name)
+            todo.extend(bases_of.get(name, ()))
+    return False
+
+
+def _base_names(node):
+    return [
+        base.id if isinstance(base, ast.Name) else base.attr
+        for base in node.bases
+        if isinstance(base, (ast.Name, ast.Attribute))
+    ]
+
+
+def _public_methods(sources):
+    """``{"module.Class.method": "method"}`` over ``{module: tree}``.
+
+    Every public method, property, classmethod and staticmethod of a
+    public top-level class, except the ``visit_*`` methods of an
+    ``ast.NodeVisitor`` subclass, which are dispatched by name.
+    """
+    classes = [
+        (module, stmt)
+        for module, tree in sources.items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.ClassDef)
+    ]
+    bases_of = {stmt.name: _base_names(stmt) for _, stmt in classes}
+    methods = {}
+    for module, cls in classes:
+        if cls.name.startswith("_"):
+            continue
+        visitor = _is_visitor(cls.name, bases_of)
+        for stmt in cls.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if stmt.name.startswith("_"):
+                continue
+            if visitor and stmt.name.startswith("visit_"):
+                continue
+            methods[f"{module}.{cls.name}.{stmt.name}"] = stmt.name
+    return methods
+
+
+class _Uses(ast.NodeVisitor):
+    """Every name a tree uses: ``ast.Name`` ids, ``ast.Attribute``
+    attrs and identifier-shaped string constants (``getattr`` by name),
+    except a use of a function's own name inside its own ``def``."""
+
+    def __init__(self):
+        self.inside = []
+        self.used = set()
+
+    def _use(self, name):
+        if name not in self.inside:
+            self.used.add(name)
+
+    def visit_FunctionDef(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        self._use(node.id)
+
+    def visit_Attribute(self, node):
+        self._use(node.attr)
+        self.generic_visit(node)
+
+    def visit_Constant(self, node):
+        if isinstance(node.value, str) and node.value.isidentifier():
+            self._use(node.value)
+
+
+def _unused_methods(sources, consumers):
+    """Keys of ``_public_methods(sources)`` no tree in ``consumers``
+    names outside the method's own ``def``."""
+    uses = _Uses()
+    for tree in consumers:
+        uses.visit(tree)
+    return {
+        key
+        for key, name in _public_methods(sources).items()
+        if name not in uses.used
+    }
+
+
+def _production_sources():
+    """``({module: tree} for src/repro, [every production tree])``."""
+    src, files = _production_files()
+    sources, trees = {}, []
+    for path in files:
+        tree = ast.parse(path.read_text(), str(path))
+        trees.append(tree)
+        if src in path.parents:
+            sources[_module_of(src, path)] = tree
+    return sources, trees
+
+
+#: Public methods and properties no production code names, each kept
+#: for the one reason given: a reference tests compare against, a test
+#: seam, the paper's quad-mesh depth extension, a named ROADMAP item's
+#: use, or a CI step's use.
+METHOD_ALLOWLIST = {
+    "config.ExperimentConfig.from_json":
+        "ROADMAP item 8: its codec must pass the from_json tests unmodified",
+    "netlogger.daemon.NetLogDaemon.read_ulm":
+        "CI: the shard ULM round-trip step reads logs back through it",
+    "protocol.messages.TilePayload.is_reference":
+        "ROADMAP item 5: the wire-fuzz harness builds on the wire types",
+}
+
+
+def test_no_public_method_only_tests_use():
+    """Every public method of a public class in ``src/`` is named by
+    production code, or has an allowlist entry saying why tests alone
+    may use it."""
+    sources, trees = _production_sources()
+    unused = _unused_methods(sources, trees)
+    unlisted = sorted(unused - METHOD_ALLOWLIST.keys())
+    stale = sorted(METHOD_ALLOWLIST.keys() - unused)
+    assert not unlisted, (
+        "public methods only tests use; delete each with its tests, or "
+        f"allowlist it with a reason: {unlisted}"
+    )
+    assert not stale, (
+        "allowlist entries that no longer exist or now have a "
+        f"production use: {stale}"
+    )
+
+
+def _keyword_defaults(sources):
+    """``{callee name: [(key, positional params, defaulted params)]}``.
+
+    One entry per public function, public method and public class's
+    ``__init__`` (callee name: the class) in ``{module: tree}``.
+    ``positional`` lists the parameters a call fills by position, past
+    ``self`` / ``cls``; ``defaulted`` every parameter with a default.
+    """
+    out = {}
+
+    def add(key, callee, func, bound):
+        args = func.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        if bound:
+            positional = positional[1:]
+        n_pos = len(args.posonlyargs + args.args)
+        defaulted = [
+            a.arg for a in (args.posonlyargs + args.args)[
+                n_pos - len(args.defaults):
+            ]
+        ] + [
+            a.arg
+            for a, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+        if defaulted:
+            out.setdefault(callee, []).append((key, positional, defaulted))
+
+    for module, tree in sources.items():
+        for stmt in tree.body:
+            if getattr(stmt, "name", "_").startswith("_"):
+                continue
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                add(f"{module}.{stmt.name}", stmt.name, stmt, False)
+            elif isinstance(stmt, ast.ClassDef):
+                for sub in stmt.body:
+                    if not isinstance(
+                        sub, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ):
+                        continue
+                    key = f"{module}.{stmt.name}.{sub.name}"
+                    bound = not any(
+                        getattr(d, "id", None) == "staticmethod"
+                        for d in sub.decorator_list
+                    )
+                    if sub.name == "__init__":
+                        add(key, stmt.name, sub, True)
+                    elif not sub.name.startswith("_"):
+                        add(key, sub.name, sub, bound)
+    return out
+
+
+class _PassedKeywords(_FieldSetters):
+    """Collects ``"key.param"`` for every defaulted parameter a call
+    passes, matching calls to definitions by callee name.
+
+    A parameter is passed by keyword, by position, by a ``*args`` at or
+    before its position, or by a ``**name`` splat: the string keys of
+    the dict ``name`` built in the same function when there are any,
+    else every keyword. ``cls(...)`` calls the enclosing class,
+    ``super().__init__(...)`` its bases, and a name imported ``as``
+    another calls the original.
+    """
+
+    def __init__(self, defaults):
+        super().__init__({})
+        self.defaults = defaults
+        self.bases = []
+        self.aliases = {}
+
+    def visit_Module(self, node):
+        self.aliases = {
+            alias.asname: alias.name
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.ImportFrom)
+            for alias in sub.names
+            if alias.asname
+        }
+        self.generic_visit(node)
+
+    def visit_ClassDef(self, node):
+        outer, self.bases = self.bases, _base_names(node)
+        super().visit_ClassDef(node)
+        self.bases = outer
+
+    def _callees(self, func):
+        name = getattr(func, "id", None) or getattr(func, "attr", None)
+        if name == "cls":
+            return [self.owner]
+        if (
+            name == "__init__"
+            and isinstance(func.value, ast.Call)
+            and getattr(func.value.func, "id", None) == "super"
+        ):
+            return self.bases
+        return [self.aliases.get(name, name)]
+
+    def visit_Call(self, node):
+        entries = [
+            entry
+            for callee in self._callees(node.func)
+            for entry in self.defaults.get(callee, ())
+        ]
+        for key, positional, defaulted in entries:
+            passed = set()
+            for keyword in node.keywords:
+                if keyword.arg is not None:
+                    passed.add(keyword.arg)
+                elif (
+                    isinstance(keyword.value, ast.Name)
+                    and self.keys.get(keyword.value.id)
+                ):
+                    passed |= self.keys[keyword.value.id]
+                else:
+                    passed |= set(defaulted)
+            for i, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    passed |= set(positional[i:])
+                    break
+                if i < len(positional):
+                    passed.add(positional[i])
+            self.found.update(
+                f"{key}.{p}" for p in defaulted if p in passed
+            )
+        self.generic_visit(node)
+
+
+def _unpassed_keywords(sources, consumers):
+    """``"key.param"`` for every defaulted parameter in ``sources`` no
+    call in ``consumers`` passes."""
+    defaults = _keyword_defaults(sources)
+    visitor = _PassedKeywords(defaults)
+    for tree in consumers:
+        visitor.visit(tree)
+    every = {
+        f"{key}.{p}"
+        for entries in defaults.values()
+        for key, _, defaulted in entries
+        for p in defaulted
+    }
+    return every - visitor.found
+
+
+#: Defaulted parameters no production call passes, each kept for the
+#: one reason given (the same five reasons as ``METHOD_ALLOWLIST``).
+KEYWORD_ALLOWLIST = {
+    "core.campaign.CampaignConfig.esnet_anl_smp.n_timesteps":
+        "ROADMAP item 12: the 265-step ESnet sweep",
+    "dpss.stripe.StripeStore.read.erased":
+        "reference: the byte-true striped read the stripe tests compare "
+        "reconstructs against",
+    "ibravr.compositor.IbravrModel.__init__.use_depth_meshes":
+        "the paper's quad-mesh depth extension (PAPER.md section 1)",
+    "volren.renderer.VolumeRenderer.__init__.with_depth":
+        "the paper's quad-mesh depth extension (PAPER.md section 1)",
+    "protocol.messages.StripePayload.decode.stripe_map":
+        "ROADMAP item 5: the wire-fuzz harness builds on the wire types",
+    "protocol.messages.TilePayload.decode.grid":
+        "ROADMAP item 5: the wire-fuzz harness builds on the wire types",
+    "scenegraph.raster.render.background":
+        "seam: the raster parity tests preset the framebuffer the "
+        "kernels blend over",
+    "simcore.env.Environment.__init__.initial_time":
+        "seam: tests start the clock at a chosen time",
+    "volren.compositing.composite_stack.front_to_back":
+        "reference: the Porter-Duff compositing identity tests compare "
+        "against",
+    "volren.raycast.render_view.image_size":
+        "reference: the ground-truth ray caster tests compare against",
+    "volren.raycast.render_view.samples_per_voxel":
+        "reference: the ground-truth ray caster tests compare against",
+}
+
+
+def test_every_keyword_parameter_has_a_production_caller():
+    """Every defaulted parameter of a public function, public method or
+    public class's ``__init__`` is passed by production code, or has an
+    allowlist entry saying why its default is all that runs."""
+    sources, trees = _production_sources()
+    unpassed = _unpassed_keywords(sources, trees)
+    unlisted = sorted(unpassed - KEYWORD_ALLOWLIST.keys())
+    stale = sorted(KEYWORD_ALLOWLIST.keys() - unpassed)
+    assert not unlisted, (
+        "defaulted parameters no production call passes; make each a "
+        "constant and delete the code only its other values reach, or "
+        f"allowlist it with a reason: {unlisted}"
+    )
+    assert not stale, (
+        "allowlist entries that no longer exist or now have a "
+        f"production caller: {stale}"
+    )
+
+
+def _planted(source):
+    return {"planted": ast.parse(source)}
+
+
+_PLANTED_DEFS = """
+import ast
+
+def fetch(path, retries=3, timeout=1.0, verbose=False):
+    pass
+
+class Store:
+    def __init__(self, root, cache=None):
+        pass
+
+    def get(self, key, default=None):
+        return key
+
+    def only_tests_call(self):
+        return self.only_tests_call
+
+class Walker(ast.NodeVisitor):
+    def visit_Name(self, node):
+        pass
+"""
+
+
+def test_keyword_census_flags_a_keyword_nothing_passes():
+    caller = ast.parse("fetch('p', 5)\nStore('r')\n")
+    unpassed = _unpassed_keywords(_planted(_PLANTED_DEFS), [caller])
+    assert "planted.fetch.retries" not in unpassed  # by position
+    assert {
+        "planted.fetch.timeout",
+        "planted.fetch.verbose",
+        "planted.Store.__init__.cache",
+        "planted.Store.get.default",
+    } <= unpassed
+
+
+def test_keyword_census_counts_star_args_and_splats():
+    caller = ast.parse(
+        "def run(*args, **kwargs):\n"
+        "    fetch('p', *args)\n"
+        "    options = {'verbose': True}\n"
+        "    fetch('p', **options)\n"
+        "    Store('r', **kwargs)\n"
+        "    Store('r').get('k', 'fallback')\n"
+    )
+    unpassed = _unpassed_keywords(_planted(_PLANTED_DEFS), [caller])
+    assert unpassed == set()
+
+
+def test_keyword_census_resolves_super_and_import_aliases():
+    defs = _planted(
+        "class Base:\n"
+        "    def __init__(self, name=''):\n"
+        "        pass\n"
+        "def render(scene, width=8):\n"
+        "    pass\n"
+    )
+    caller = ast.parse(
+        "from planted import render as draw\n"
+        "class Child(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__('child')\n"
+        "draw(None, 16)\n"
+    )
+    assert _unpassed_keywords(defs, [caller]) == set()
+
+
+def test_method_census_flags_a_method_only_tests_call():
+    sources = _planted(_PLANTED_DEFS)
+    production = ast.parse("store = Store('r')\nstore.get('k')\n")
+    unused = _unused_methods(sources, [sources["planted"], production])
+    # a use inside its own def does not count; visit_* is dispatched
+    assert unused == {"planted.Store.only_tests_call"}
+    by_name = ast.parse("getattr(store, 'only_tests_call')()\n")
+    assert _unused_methods(sources, [production, by_name]) == set()

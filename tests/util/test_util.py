@@ -70,7 +70,7 @@ class TestValidation:
         assert check_in_range("x", 0.5, 0, 1) == 0.5
         assert check_in_range("x", 0.0, 0, 1) == 0.0
         with pytest.raises(ValueError):
-            check_in_range("x", 0.0, 0, 1, inclusive=False)
+            check_in_range("x", -0.1, 0, 1)
         with pytest.raises(ValueError):
             check_in_range("x", 2.0, 0, 1)
 
@@ -107,9 +107,9 @@ class TestImage:
     def test_rgba_to_rgb_composites_background(self):
         img = np.zeros((2, 2, 4), np.float32)
         img[0, 0] = [1, 0, 0, 1]  # opaque red
-        rgb = rgba_to_rgb(img, background=(0, 0, 1))
+        rgb = rgba_to_rgb(img)
         np.testing.assert_array_equal(rgb[0, 0], [255, 0, 0])
-        np.testing.assert_array_equal(rgb[1, 1], [0, 0, 255])
+        np.testing.assert_array_equal(rgb[1, 1], [0, 0, 0])
 
     def test_save_ppm_roundtrip_header(self, tmp_path):
         img = np.random.default_rng(0).random((4, 6, 4)).astype(np.float32)

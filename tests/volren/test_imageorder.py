@@ -32,7 +32,7 @@ class TestTiles:
     def test_decompose_covers_viewport(self):
         tiles = tile_decompose(64, 48, 4)
         assert len(tiles) == 4
-        assert sum(t.n_pixels for t in tiles) == 64 * 48
+        assert sum((t.x1 - t.x0) * (t.y1 - t.y0) for t in tiles) == 64 * 48
         assert tiles[0].y0 == 0 and tiles[-1].y1 == 48
         for a, b in zip(tiles, tiles[1:]):
             assert a.y1 == b.y0

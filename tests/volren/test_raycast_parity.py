@@ -19,6 +19,7 @@ from tests.oracles.scalar_kernels import (
     render_slab_scalar,
     render_view_scalar,
 )
+from tests.helpers import COOL_POINTS
 
 
 def _random_volume(shape, seed):
@@ -132,7 +133,7 @@ class TestStreamingSlabShapes:
         shape = [6, 5, 4]
         shape[axis] = 1
         vol = _random_volume(tuple(shape), 32)
-        self._assert_parity(vol, TransferFunction.cool(), axis=axis)
+        self._assert_parity(vol, TransferFunction(COOL_POINTS), axis=axis)
 
     @pytest.mark.parametrize("axis", [0, 1, 2])
     def test_non_square_slices(self, axis):

@@ -53,22 +53,10 @@ class TestOwners:
         for tid in grid.all_tiles():
             assert grid.owner_of(tid, 4) == tid % 4
 
-    def test_owned_tiles_partition_the_grid(self):
-        grid = TileGrid(width=128, height=96, tile_size=32)
-        n_owners = 3
-        seen = []
-        for rank in range(n_owners):
-            owned = grid.owned_tiles(rank, n_owners)
-            assert all(grid.owner_of(t, n_owners) == rank for t in owned)
-            seen.extend(owned)
-        assert sorted(seen) == list(grid.all_tiles())
-
     def test_owner_validation(self):
         grid = TileGrid(width=64, height=64)
         with pytest.raises(ValueError):
             grid.owner_of(0, 0)
-        with pytest.raises(ValueError):
-            grid.owned_tiles(2, 2)
 
 
 class TestFrustumRect:

@@ -28,17 +28,11 @@ class TestTransferFunction:
         scalars = np.zeros((3, 4, 5))
         assert tf(scalars).shape == (3, 4, 5, 4)
 
-    def test_opacity_matches_alpha_channel(self):
-        tf = TransferFunction.fire()
-        s = np.linspace(0, 1, 16)
-        np.testing.assert_allclose(tf.opacity(s), tf(s)[..., 3], atol=1e-6)
-
     def test_presets_valid(self):
         for preset in (
             TransferFunction.grayscale(),
             TransferFunction.fire(),
             TransferFunction.opaque_fire(),
-            TransferFunction.cool(),
         ):
             rgba = preset(np.linspace(0, 1, 8))
             assert rgba.min() >= 0.0 and rgba.max() <= 1.0

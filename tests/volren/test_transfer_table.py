@@ -67,15 +67,6 @@ def test_table_matches_per_scalar_reference(name, dtype):
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("name", sorted(_PRESETS))
-def test_opacity_is_the_alpha_channel_bit_for_bit(name):
-    tf = TransferFunction(_PRESETS[name])
-    scalars = np.resize(_scalars(_PRESETS[name]), (8, 50))  # 2-D input
-    alpha = tf.opacity(scalars)
-    assert alpha.dtype == np.float32 and alpha.shape == scalars.shape
-    assert alpha.tobytes() == np.ascontiguousarray(tf(scalars)[..., 3]).tobytes()
-
-
 def test_scalar_on_a_knot_reads_the_knots_colour():
     points = _PRESETS["off_grid"]
     tf = TransferFunction(points)
