@@ -18,8 +18,8 @@ its simulation honest:
 ``VIS104`` (undeclared event name)
     NetLogger event names must come from the declared vocabulary in
     :mod:`repro.netlogger.events` (the ``BE_*``/``V_*``/``DPSS_*``/
-    ``PIPE_*``/``SAN_*`` tags); and every tag declared on a ``Tags``
-    class must carry one of the known prefixes.
+    ``SAN_*``/... tags); and every tag declared on a ``Tags`` class
+    must carry one of the known prefixes.
 ``VIS105`` (bare except)
     ``except:`` swallows ``KeyboardInterrupt`` and kernel-level
     simulation errors alike; name the exception.

@@ -1,15 +1,15 @@
 """A tsan-for-the-DES: runtime concurrency sanitizer for sim runs.
 
 The paper's correctness story rests on a small set of handshake
-disciplines -- Appendix B's semaphore pair over a double buffer, the
-per-server DPSS reader threads, the barrier closing each back-end
-frame -- which PR 1 generalised into :mod:`repro.simcore.pipeline`.
-This module machine-checks those disciplines. It is **opt-in**: the
-primitives consult ``env.sanitizer`` (``None`` by default) at each
-hook point, so an un-sanitized run executes exactly the same event
-sequence with a single attribute test of overhead per operation, and
-a sanitized run only *observes* (it never schedules events, so sim
-timings are bit-identical either way).
+disciplines -- Appendix B's semaphore pair over a double buffer (the
+back end's reader and render loop over a
+:class:`~repro.simcore.sync.BoundedBuffer`), the barrier closing each
+back-end frame. This module machine-checks those disciplines. It is
+**opt-in**: the primitives consult ``env.sanitizer`` (``None`` by
+default) at each hook point, so an un-sanitized run executes exactly
+the same event sequence with a single attribute test of overhead per
+operation, and a sanitized run only *observes* (it never schedules
+events, so sim timings are bit-identical either way).
 
 Detectors and their finding categories:
 
@@ -18,15 +18,13 @@ Detectors and their finding categories:
     waits its producer which waits the consumer, ...).
 ``hang``
     Blocked at event exhaustion with no cycle: a consumer whose
-    producers all terminated without closing the buffer, a producer
-    stalled on a slot no consumer will ever free.
+    producers all terminated, a producer stalled on a slot no consumer
+    will ever free.
 ``credit-leak``
     A production slot was reserved (Appendix B semaphore A granted)
-    but the holder terminated without committing or releasing it.
+    but the holder terminated without committing it.
 ``protocol``
-    Buffer-protocol violations: commit without reserve, releasing a
-    credit never held, ``get`` after SHUTDOWN was delivered,
-    ``task_done`` beyond the items actually consumed.
+    A buffer-protocol violation: commit without reserve.
 ``lost-wakeup``
     A semaphore still has blocked waiters at sim end -- some ``post``
     was dropped or never issued.
@@ -48,9 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.netlogger.logger import NetLogger
     from repro.simcore.env import Environment
     from repro.simcore.events import Event
-    from repro.simcore.pipeline import BoundedBuffer, Stage
     from repro.simcore.process import Process
-    from repro.simcore.sync import SimBarrier, SimSemaphore
+    from repro.simcore.sync import BoundedBuffer, SimBarrier, SimSemaphore
 
 
 @dataclass
@@ -70,11 +67,8 @@ class _BufState:
     def __init__(self) -> None:
         self.producers: Dict["Process", None] = {}  # insertion-ordered set
         self.consumers: Dict["Process", None] = {}
-        #: reserve credits granted but not yet committed/released
+        #: reserve credits granted but not yet committed
         self.outstanding: Dict[Optional["Process"], int] = {}
-        self.delivered = 0
-        self.task_done = 0
-        self.shutdown_seen: Set[int] = set()  # id(proc)
 
 
 class SimSanitizer:
@@ -94,7 +88,6 @@ class SimSanitizer:
         self._buffers: Dict["BoundedBuffer", _BufState] = {}
         self._sem_posters: Dict["SimSemaphore", Dict["Process", None]] = {}
         self._barrier_parties: Dict["SimBarrier", Dict["Process", None]] = {}
-        self._stages: Dict["Process", "Stage"] = {}
         self._proc_names: Dict["Process", str] = {}
         self._prim_names: Dict[int, str] = {}
         self._name_counts: Dict[str, int] = {}
@@ -122,9 +115,6 @@ class SimSanitizer:
     def _proc_name(self, proc: Optional["Process"]) -> str:
         if proc is None:
             return "<no-process>"
-        stage = self._stages.get(proc)
-        if stage is not None:
-            return stage.name
         if proc not in self._proc_names:
             self._proc_names[proc] = f"proc#{len(self._proc_names)}"
         return self._proc_names[proc]
@@ -151,14 +141,7 @@ class SimSanitizer:
         event.callbacks.append(self._unblocked)
 
     def _unblocked(self, event: "Event") -> None:
-        wait = self._waits.pop(event, None)
-        if wait is None:
-            return
-        if wait.kind == "get":
-            from repro.simcore.pipeline import SHUTDOWN
-
-            if event._value is SHUTDOWN:
-                self.on_shutdown(wait.primitive, wait.proc)
+        self._waits.pop(event, None)
 
     # -- hooks: semaphores and barriers -------------------------------
     def on_sem_post(self, sem: "SimSemaphore") -> None:
@@ -201,8 +184,6 @@ class SimSanitizer:
         state = self._buf(buffer)
         if proc is not None:
             state.producers[proc] = None
-        if buffer.depth is None:
-            return
         held = state.outstanding.get(proc, 0)
         if held <= 0:
             self._record(
@@ -214,77 +195,12 @@ class SimSanitizer:
         else:
             state.outstanding[proc] = held - 1
 
-    def on_release(
-        self, buffer: "BoundedBuffer", proc: Optional["Process"]
-    ) -> None:
-        """An unused reserved slot was returned."""
-        state = self._buf(buffer)
-        if buffer.depth is None:
-            return
-        held = state.outstanding.get(proc, 0)
-        if held <= 0:
-            self._record(
-                "protocol",
-                f"buffer:{self._name(buffer)}",
-                f"{self._proc_name(proc)} released a credit it never "
-                "reserved",
-            )
-        else:
-            state.outstanding[proc] = held - 1
-
     def on_get(
         self, buffer: "BoundedBuffer", proc: Optional["Process"]
     ) -> None:
         """A consumer asked for the next item."""
-        state = self._buf(buffer)
         if proc is not None:
-            state.consumers[proc] = None
-            # vis: allow[VIS202] identity membership on live process
-            # objects within one sanitized run; never logged/iterated.
-            if id(proc) in state.shutdown_seen:
-                self._record(
-                    "protocol",
-                    f"buffer:{self._name(buffer)}",
-                    f"{self._proc_name(proc)} called get() again after "
-                    "receiving SHUTDOWN (get after close)",
-                )
-
-    def on_delivered(self, buffer: "BoundedBuffer") -> None:
-        """An item reached a consumer."""
-        self._buf(buffer).delivered += 1
-
-    def on_shutdown(
-        self, buffer: "BoundedBuffer", proc: Optional["Process"]
-    ) -> None:
-        """SHUTDOWN was delivered to a consumer."""
-        if proc is not None:
-            self._buf(buffer).shutdown_seen.add(id(proc))  # vis: allow[VIS202]
-
-    def on_task_done(
-        self, buffer: "BoundedBuffer", proc: Optional["Process"]
-    ) -> None:
-        """A consumer finished an item under the ``on_done`` discipline."""
-        state = self._buf(buffer)
-        state.task_done += 1
-        if state.task_done > state.delivered:
-            self._record(
-                "protocol",
-                f"buffer:{self._name(buffer)}",
-                f"{self._proc_name(proc)} called task_done() more times "
-                "than items were consumed (task_done imbalance)",
-            )
-
-    # -- hooks: stages -------------------------------------------------
-    def on_stage_start(self, stage: "Stage") -> None:
-        """Bind a pipeline stage to its process; pre-register wiring."""
-        proc = stage.process
-        if proc is None:
-            return
-        self._stages[proc] = stage
-        if stage.outbound is not None:
-            self._buf(stage.outbound).producers[proc] = None
-        if stage.inbound is not None:
-            self._buf(stage.inbound).consumers[proc] = None
+            self._buf(buffer).consumers[proc] = None
 
     # -- end-of-run analysis ------------------------------------------
     def on_exhausted(self) -> None:
@@ -305,10 +221,6 @@ class SimSanitizer:
                 continue
             live.append(wait)
         return live
-
-    def _is_daemon(self, proc: Optional["Process"]) -> bool:
-        stage = self._stages.get(proc) if proc is not None else None
-        return bool(stage is not None and stage.daemon)
 
     def _edges(
         self, waits: List[_Wait]
@@ -416,7 +328,7 @@ class SimSanitizer:
                 sem_hangs.setdefault(wait.primitive, []).append(wait)
             elif wait.kind == "barrier":
                 barrier_hangs.setdefault(wait.primitive, []).append(wait)
-            elif not self._is_daemon(wait.proc):
+            else:
                 self._hang_finding(wait)
 
         for sem, blocked in sem_hangs.items():
@@ -450,12 +362,8 @@ class SimSanitizer:
                     + ",".join(self._proc_name(p) for p in alive)
                     + " are still alive but blocked"
                 )
-            elif getattr(buffer, "closed", False):
-                detail = "buffer closed but SHUTDOWN never reached it"
             else:
-                detail = (
-                    "all producers terminated without closing the buffer"
-                )
+                detail = "all producers terminated"
             self._record(
                 "hang",
                 f"buffer:{self._name(buffer)}",
@@ -471,28 +379,15 @@ class SimSanitizer:
 
     def _leak_checks(self) -> None:
         for buffer, state in self._buffers.items():
-            if buffer.depth is not None:
-                for proc, held in state.outstanding.items():
-                    if held > 0 and (proc is None or proc.triggered):
-                        self._record(
-                            "credit-leak",
-                            f"buffer:{self._name(buffer)}",
-                            f"{self._proc_name(proc)} terminated holding "
-                            f"{held} reserved slot(s) it never committed "
-                            "(reserve without commit)",
-                        )
-            if (
-                buffer.depth is not None
-                and buffer.release == "on_done"
-                and state.task_done < state.delivered
-            ):
-                self._record(
-                    "protocol",
-                    f"buffer:{self._name(buffer)}",
-                    f"{state.delivered - state.task_done} consumed "
-                    "item(s) never acknowledged with task_done() "
-                    "(task_done imbalance)",
-                )
+            for proc, held in state.outstanding.items():
+                if held > 0 and (proc is None or proc.triggered):
+                    self._record(
+                        "credit-leak",
+                        f"buffer:{self._name(buffer)}",
+                        f"{self._proc_name(proc)} terminated holding "
+                        f"{held} reserved slot(s) it never committed "
+                        "(reserve without commit)",
+                    )
 
     # -- reporting -----------------------------------------------------
     def report(self) -> SanitizerReport:

@@ -15,15 +15,15 @@ the claim outcome, the led units and the fraction of the slab a faulty
 read gave up on from leg to leg; the back end keeps no per-frame state
 of its own. Tile geometry lives in :mod:`repro.backend.tiles`.
 
-The **overlapped** mode reproduces Appendix B: a reader stage hands
-frames to the render loop across a bounded buffer whose depth-2
-instance *is* the paper's double buffer plus semaphore pair ("while
-the data for frame N is being rendered, data for frame N+1 is being
-loaded"). The handshake itself lives in the shared
-:mod:`repro.simcore.pipeline` framework; the back end only wires the
-reader -> render -> transmit stages and supplies their work functions.
+The **overlapped** mode reproduces Appendix B: a reader process hands
+frames to the PE's render-then-send loop across a
+:class:`~repro.simcore.sync.BoundedBuffer` whose depth-2 instance *is*
+the paper's double buffer plus semaphore pair ("while the data for
+frame N is being rendered, data for frame N+1 is being loaded").
 ``overlap_depth`` generalises the double buffer: at depth k the reader
-may run up to k-1 frames ahead of the render loop.
+may run up to k-1 frames ahead of the render loop. The rejected
+MPI-only design has the same shape, with the reader on a partner rank
+and a slab hand-off over the interconnect.
 """
 
 from __future__ import annotations
@@ -48,8 +48,7 @@ from repro.dpss.client import DpssClient
 from repro.netlogger.events import Tags
 from repro.netlogger.logger import NetLogger
 from repro.simcore.fluid import FluidResource, FluidTask
-from repro.simcore.pipeline import Pipeline, PipelineSummary
-from repro.simcore.sync import SimBarrier
+from repro.simcore.sync import BoundedBuffer, SimBarrier
 from repro.util.rng import spawn_rngs
 from repro.viewer.sim import LIGHT_BYTES
 from repro.volren.decomposition import slab_decompose
@@ -262,8 +261,6 @@ class SimBackEnd:
         self.timing = BackEndTiming(
             n_timesteps=self.n_timesteps, n_pes=self.n_pes
         )
-        #: per-rank staged-pipeline accounting (overlapped modes only)
-        self.pipeline_summaries: Dict[int, PipelineSummary] = {}
         self._itemsize = meta.bytes_per_timestep / meta.n_voxels
         # Streams [0, n_pes) drive load/render jitter exactly as they
         # always have; [n_pes, 2*n_pes) are reserved for the DPSS
@@ -630,60 +627,50 @@ class SimBackEnd:
             yield self._barrier.wait()
         return rank
 
-    def _run_pipeline(
+    def _pe_double_buffered(
         self,
         rank: int,
         log: NetLogger,
         load: Callable[[_FrameWork], Generator],
     ):
-        """Run one PE's reader -> render -> transmit pipeline to the end.
+        """Run one PE's Appendix B loop to the end.
 
-        The slab buffer at depth 2 with the ``on_get`` discipline is
-        Appendix B's double buffer + semaphore pair; the depth-1
-        ``on_done`` rendezvous between render and transmit expresses
-        the strictly serial ``render; send`` body of the Appendix B
-        loop, so the per-frame event sequence is unchanged.
+        A reader process loads each frame under a reserved slot of the
+        slab buffer and commits it; this process takes the frames in
+        order and does ``render; send`` in line, as Appendix B writes
+        it. The loop takes frame N only once it has sent frame N-1,
+        and taking N frees the slot for frame N + depth - 1. So at
+        depth 2 load N+1 starts at the later of "load N done" and "send
+        N-1 done", and at any depth the reader runs at most ``depth -
+        1`` frames ahead. The counted loop takes exactly the frames the
+        reader commits, so neither side needs an end-of-stream marker.
         """
-        pipe = Pipeline(self.network.env, name=f"pe{rank}")
-        slabs = pipe.buffer(
-            self.overlap_depth, name=f"slabs[{rank}]", release="on_get"
-        )
-        rendered = pipe.buffer(1, name=f"rendered[{rank}]", release="on_done")
+        env = self.network.env
+        slabs = BoundedBuffer(env, self.overlap_depth, name=f"slabs[{rank}]")
 
-        def load_work(work: _FrameWork):
-            yield from load(work)
-            return work
+        def reader():
+            for frame in range(self.n_timesteps):
+                yield slabs.reserve()
+                work = _FrameWork(rank, frame)
+                yield from load(work)
+                slabs.commit(work)
 
-        def render_work(work: _FrameWork):
-            log.log(Tags.BE_FRAME_START, frame=work.frame, rank=rank)
+        env.process(reader())
+        for frame in range(self.n_timesteps):
+            work = yield slabs.get()
+            log.log(Tags.BE_FRAME_START, frame=frame, rank=rank)
             yield from self._finish(work, log)
-            return work
-
-        def send_work(work: _FrameWork):
             yield from self._send_results(work, log)
-            log.log(Tags.BE_FRAME_END, frame=work.frame, rank=rank)
-
-        pipe.stage(
-            f"reader[{rank}]",
-            load_work,
-            source=(_FrameWork(rank, f) for f in range(self.n_timesteps)),
-            outbound=slabs,
-        )
-        pipe.stage(
-            f"render[{rank}]", render_work, inbound=slabs, outbound=rendered
-        )
-        pipe.stage(f"transmit[{rank}]", send_work, inbound=rendered)
-        self.pipeline_summaries[rank] = yield pipe.run()
-        pipe.report(log)
+            log.log(Tags.BE_FRAME_END, frame=frame, rank=rank)
         yield self._barrier.wait()
         return rank
 
     def _pe_overlapped(self, rank: int):
-        """Appendix B as a staged pipeline: reader/render/transmit."""
+        """Appendix B: a reader process, the slab buffer, render; send."""
         log = self._loggers[rank]
         client, open_ev = self._open_client(rank)
         handle = yield open_ev
-        return (yield from self._run_pipeline(
+        return (yield from self._pe_double_buffered(
             rank, log, lambda work: self._acquire(work, client, handle, log)
         ))
 
@@ -692,7 +679,7 @@ class SimBackEnd:
 
         Render rank ``rank`` runs on ``pe_hosts[rank]``; its partner
         reader rank runs on ``pe_hosts[n_render_pes + rank]``. The
-        reader stage loads a slab from the DPSS and then must
+        reader loads a slab from the DPSS and then must
         *transmit* it to the render process over the message-passing
         fabric -- "the need to transmit large amounts of scientific
         data between reader and render processes", the cost the
@@ -706,7 +693,7 @@ class SimBackEnd:
         def load(work: _FrameWork):
             # BE_LOAD spans the DPSS read; the MPI hand-off that
             # follows additionally gates the render process (the
-            # extra pipeline stage this design pays for).
+            # extra transfer this design pays for).
             yield from self._load(work, client, handle, reader_log)
             task = FluidTask(
                 f"mpi-xfer[{rank}]",
@@ -717,5 +704,5 @@ class SimBackEnd:
             yield self.network.sched.submit(task)
 
         # Render and reader live on separate nodes: no CPU contention,
-        # full share -- the render/transmit stages use the render log.
-        return (yield from self._run_pipeline(rank, self._loggers[rank], load))
+        # full share -- the render / send loop uses the render log.
+        return (yield from self._pe_double_buffered(rank, self._loggers[rank], load))

@@ -40,11 +40,6 @@ class Tags:
     V_HEAVYPAYLOAD_END = "V_HEAVYPAYLOAD_END"
     V_FRAME_END = "V_FRAME_END"
 
-    # -- staged-pipeline framework (not in the paper's tables;
-    # instruments the shared producer/consumer machinery) -------------
-    PIPE_SUMMARY = "PIPE_SUMMARY"
-    PIPE_BUFFER = "PIPE_BUFFER"
-
     # -- concurrency sanitizer (repro.analysis): one tag per finding
     # category, plus the end-of-run summary record ---------------------
     SAN_DEADLOCK = "SAN_DEADLOCK"
@@ -133,7 +128,7 @@ class Tags:
 #: the prefixes a tag may legally carry; ``visapult lint`` enforces
 #: that every declared tag and every literal event name matches.
 TAG_PREFIXES = (
-    "BE_", "V_", "DPSS_", "PIPE_", "SAN_", "FAULT_", "RETRY_",
+    "BE_", "V_", "DPSS_", "SAN_", "FAULT_", "RETRY_",
     "SVC_", "CACHE_", "TILE_", "ALLOC_", "STRIPE_", "HEALTH_",
 )
 

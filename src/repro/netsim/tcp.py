@@ -27,7 +27,7 @@ process itself just waits for the transfer to finish.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.simcore.events import Event, Interrupt
 from repro.simcore.fluid import FluidResource, FluidTask
@@ -170,7 +170,6 @@ class TcpConnection:
         self._cwnd = self.params.init_cwnd
         self._established = False
         self._busy = False
-        self.history: List[TransferStats] = []
         #: optional external cap (bytes/s) from host-side effects, e.g.
         #: a reader thread pinned to half a CPU; inf = unconstrained.
         self.host_cap: float = float("inf")
@@ -279,16 +278,13 @@ class TcpConnection:
             # Last byte still has to propagate to the receiver.
             if self.route.latency > 0:
                 yield env.timeout(self.route.latency)
-            stats = TransferStats(
+            return TransferStats(
                 nbytes=float(nbytes), start=start, sent=sent, delivered=env.now
             )
-            self.history.append(stats)
-            return stats
         except Interrupt:
             # abort(): withdraw the fluid task (its done event succeeds,
             # so abandoned waiters never see an undefused failure) and
-            # reset the connection. Aborted transfers do not enter
-            # ``history``; the bytes never fully arrived.
+            # reset the connection.
             if self._current_task is not None:
                 sched.withdraw(self._current_task)
             self._established = False

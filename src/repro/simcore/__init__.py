@@ -24,7 +24,7 @@ from repro.simcore.events import (
 )
 from repro.simcore.process import Process
 from repro.simcore.env import Environment
-from repro.simcore.sync import SimBarrier, SimSemaphore
+from repro.simcore.sync import BoundedBuffer, SimBarrier, SimSemaphore
 from repro.simcore.fairshare import FlowSpec, ResourceSpec, max_min_allocation
 from repro.simcore.fluid import (
     AllocStats,
@@ -33,17 +33,6 @@ from repro.simcore.fluid import (
     FluidTask,
 )
 from repro.simcore.flowclass import FlowClass, FlowClassPool, FlowClassStats
-from repro.simcore.pipeline import (
-    DROP,
-    SHUTDOWN,
-    BoundedBuffer,
-    BufferClosed,
-    BufferStats,
-    Pipeline,
-    PipelineSummary,
-    Stage,
-    StageStats,
-)
 
 __all__ = [
     "AllOf",
@@ -54,6 +43,7 @@ __all__ = [
     "Timeout",
     "Process",
     "Environment",
+    "BoundedBuffer",
     "SimBarrier",
     "SimSemaphore",
     "FlowSpec",
@@ -66,13 +56,4 @@ __all__ = [
     "FlowClass",
     "FlowClassPool",
     "FlowClassStats",
-    "DROP",
-    "SHUTDOWN",
-    "BoundedBuffer",
-    "BufferClosed",
-    "BufferStats",
-    "Pipeline",
-    "PipelineSummary",
-    "Stage",
-    "StageStats",
 ]

@@ -1,7 +1,8 @@
 """Synchronisation primitives for simulated processes.
 
 :class:`SimSemaphore` mirrors the SysV counting semaphores the paper
-uses for the reader-thread/render-process handshake (Appendix B), and
+uses for the reader-thread/render-process handshake (Appendix B),
+:class:`BoundedBuffer` is that handshake's double buffer, and
 :class:`SimBarrier` mirrors the MPI barrier at the end of each back-end
 frame.
 """
@@ -9,7 +10,7 @@ frame.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, List
+from typing import TYPE_CHECKING, Any, Deque, List
 
 from repro.simcore.events import Event
 
@@ -61,13 +62,6 @@ class SimSemaphore:
                 san.on_block("sem", self, ev)
         return ev
 
-    def try_acquire(self) -> bool:
-        """Take a unit immediately if one is free (sem_trywait)."""
-        if self._value > 0 and not self._waiters:
-            self._value -= 1
-            return True
-        return False
-
     def post(self) -> None:
         """Release one unit (sem_post)."""
         san = self.env.sanitizer
@@ -111,4 +105,73 @@ class SimBarrier:
         else:
             if san is not None:
                 san.on_block("barrier", self, ev)
+        return ev
+
+
+class BoundedBuffer:
+    """Appendix B's double buffer, generalised to depth *k*.
+
+    A producer reserves a slot (:meth:`reserve`) *before* it starts
+    producing -- the paper's "reader may proceed" semaphore A -- and
+    commits the finished item (:meth:`commit`, "data ready", semaphore
+    B). A slot is recycled the moment :meth:`get` hands an item to the
+    consumer, so ``depth - 1`` production credits circulate: at depth
+    2 the producer may work on item N+1 while the consumer holds item
+    N, and its request for item N+2 cannot be granted before the
+    consumer takes item N+1.
+    """
+
+    def __init__(self, env: "Environment", depth: int, *, name: str):
+        if depth < 2:
+            raise ValueError(f"a bounded buffer needs depth >= 2, got {depth}")
+        self.env = env
+        self.name = name
+        self._items: Deque[Any] = deque()
+        self._getters: Deque[Event] = deque()
+        # opaque: the buffer carries its own sanitizer hooks, so the
+        # embedded credit semaphore must not double-report.
+        self._credits = SimSemaphore(
+            env, depth - 1, name=f"{name}.credits", opaque=True
+        )
+
+    def reserve(self) -> Event:
+        """Event granting one production slot (Appendix B semaphore A)."""
+        ev = self._credits.wait()
+        san = self.env.sanitizer
+        if san is not None:
+            proc = self.env.active_process
+            san.on_producer(self, proc)
+            if ev.triggered:
+                san.on_reserve_granted(self, proc)
+            else:
+                san.on_block("reserve", self, ev, proc)
+                ev.callbacks.append(
+                    lambda _e: san.on_reserve_granted(self, proc)
+                )
+        return ev
+
+    def commit(self, item: Any) -> None:
+        """Deposit an item produced under a reserved slot (semaphore B)."""
+        san = self.env.sanitizer
+        if san is not None:
+            san.on_commit(self, self.env.active_process)
+        if self._getters:
+            self._getters.popleft().succeed(item)
+            self._credits.post()
+        else:
+            self._items.append(item)
+
+    def get(self) -> Event:
+        """Event carrying the next item."""
+        san = self.env.sanitizer
+        if san is not None:
+            san.on_get(self, self.env.active_process)
+        ev = Event(self.env)
+        if self._items:
+            ev.succeed(self._items.popleft())
+            self._credits.post()
+        else:
+            self._getters.append(ev)
+            if san is not None:
+                san.on_block("get", self, ev)
         return ev

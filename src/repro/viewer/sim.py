@@ -6,14 +6,16 @@ pixel-level scene graph work lives in the live implementation and
 :mod:`repro.ibravr`.
 
 The paper's "N I/O service threads decoupled from one render thread"
-structure is expressed on the shared staged-pipeline framework: one
-receive stage per back end PE, all merging into a single scene-update
-stage.
+structure becomes one receive process per payload: it logs, pulls the
+payload over the sending PE's :class:`TcpConnection` and, for a
+texture, swaps it into the scene in line. A PE never has two payloads
+in flight -- the back end waits for each delivery before it starts the
+next -- so the receive processes of one rank never overlap; the
+connection raises if they ever do.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional, Set, Tuple
 
 from repro.config import NetworkConfig
@@ -21,32 +23,11 @@ from repro.netlogger.events import Tags
 from repro.netlogger.logger import NetLogger
 from repro.netsim.tcp import TcpConnection
 from repro.simcore.events import Event
-from repro.simcore.pipeline import DROP, BoundedBuffer, Pipeline
 from repro.util.validation import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.netlogger.daemon import NetLogDaemon
     from repro.netsim.topology import Network
-
-
-@dataclass
-class _Delivery:
-    """One queued payload hand-off from a back end PE."""
-
-    rank: int
-    frame: int
-    nbytes: float
-    #: names the transfer: "light", "heavy", or "tile"
-    label: str
-    done: Event
-    #: tags stamped when the payload starts and ends on the wire and
-    #: when it lands in the scene graph (``None``: metadata never
-    #: touches the scene graph; the delivery completes on receipt)
-    start_tag: str
-    end_tag: str
-    scene_tag: Optional[str]
-    #: extra fields of the start event (a tile batch's counts)
-    detail: Dict[str, Any]
 
 
 #: Visualization metadata per light payload (section 3.4, ~256 bytes).
@@ -57,10 +38,11 @@ class SimViewer:
     """Viewer-side endpoint: one receiver connection per back end PE.
 
     The back end registers each PE with :meth:`register_pe`, then
-    calls :meth:`deliver_light` / :meth:`deliver_heavy`; both return
-    events that fire when the viewer holds the payload. The viewer
-    stamps its own V_* NetLogger events (Table 1) and counts
-    scene-graph updates.
+    calls :meth:`deliver_light` / :meth:`deliver_heavy` /
+    :meth:`deliver_tiles`; each returns the receive process, which
+    fires when the viewer holds the payload. One rank's deliveries
+    must not overlap. The viewer stamps its own V_* NetLogger events
+    (Table 1) and records which ranks completed each frame.
     """
 
     def __init__(
@@ -84,8 +66,6 @@ class SimViewer:
         self._pe_hosts: Dict[int, str] = {}
         self._conns: Dict[int, TcpConnection] = {}
         self._started_frames: Set[Tuple[int, int]] = set()
-        self.scene_updates = 0
-        self.bytes_received = 0.0
         self.frames_completed: Dict[int, Set[int]] = {}
         #: frame -> sim time its last registered PE's texture (or
         #: recorded hole) landed in the scene; the serving layer reads
@@ -94,23 +74,10 @@ class SimViewer:
         #: (rank, frame) pairs whose texture never arrived; the scene
         #: keeps the slab's previous texture (or a hole on frame 0)
         self.missing_slabs: Set[Tuple[int, int]] = set()
-        # Receive stages (one per PE) merge into the scene-update
-        # stage, which performs the texture swap into the scene graph.
-        # daemon=True: receive/scene stages serve for the whole run and
-        # are legitimately parked on get() when the simulation ends.
-        self._pipeline = Pipeline(
-            network.env, name=f"viewer:{host_name}", daemon=True
-        )
-        self._inboxes: Dict[int, BoundedBuffer] = {}
-        self._scene_buf = self._pipeline.buffer(None, name="scene-updates")
-        self._pipeline.stage(
-            "scene-update", self._scene_work, inbound=self._scene_buf
-        )
-        self._pipeline.start()
 
     # -- wiring -----------------------------------------------------------
     def register_pe(self, rank: int, host_name: str) -> None:
-        """Create the receiver connection and stage for one back end PE."""
+        """Create the receiver connection for one back end PE."""
         if rank in self._conns:
             raise ValueError(f"rank {rank} already registered")
         self._pe_hosts[rank] = host_name
@@ -118,20 +85,11 @@ class SimViewer:
             self.network, host_name, self.host_name, self.tcp_params
         )
         self._conns[rank] = conn
-        inbox = self._pipeline.buffer(None, name=f"inbox[{rank}]")
-        self._inboxes[rank] = inbox
-        self._pipeline.stage(
-            f"receive[{rank}]",
-            self._receive_work,
-            inbound=inbox,
-            outbound=self._scene_buf,
-        )
-        self._pipeline.start()
 
     # -- delivery API used by the back end ---------------------------------
     def deliver_light(self, rank: int, frame: int) -> Event:
         """Ship visualization metadata (~256 bytes) from PE ``rank``."""
-        return self._enqueue(
+        return self._receive(
             rank, frame, LIGHT_BYTES, "light",
             Tags.V_LIGHTPAYLOAD_START, Tags.V_LIGHTPAYLOAD_END, None,
         )
@@ -139,7 +97,7 @@ class SimViewer:
     def deliver_heavy(self, rank: int, frame: int, nbytes: float) -> Event:
         """Ship a slab texture (plus optional geometry) from PE ``rank``."""
         check_positive("nbytes", nbytes)
-        return self._enqueue(
+        return self._receive(
             rank, frame, nbytes, "heavy", Tags.V_HEAVYPAYLOAD_START,
             Tags.V_HEAVYPAYLOAD_END, Tags.V_FRAME_END,
         )
@@ -162,7 +120,7 @@ class SimViewer:
                 f"tile batch counts must satisfy nfull + nref == ntiles "
                 f">= 0, got ntiles={ntiles} nfull={nfull} nref={nref}"
             )
-        return self._enqueue(
+        return self._receive(
             rank, frame, nbytes, "tile",
             Tags.TILE_RECV, Tags.TILE_RECV_END, Tags.TILE_FRAME_END,
             ntiles=ntiles, nfull=nfull, nref=nref,
@@ -183,50 +141,46 @@ class SimViewer:
         done.succeed(None)
         return done
 
-    def _enqueue(
+    def _receive(
         self, rank: int, frame: int, nbytes: float, label: str,
         start_tag: str, end_tag: str, scene_tag: Optional[str],
         **detail: Any,
     ) -> Event:
+        """Start the receive process for one payload of ``nbytes``.
+
+        ``start_tag`` / ``end_tag`` are stamped when the payload starts
+        and ends on the wire, ``scene_tag`` when it lands in the scene
+        graph (``None``: metadata never touches the scene graph);
+        ``detail`` adds fields to the start event (a tile batch's
+        counts).
+        """
         if rank not in self._conns:
             raise KeyError(f"PE rank {rank} not registered with viewer")
-        done = Event(self.network.env)
-        self._inboxes[rank].put(
-            _Delivery(
-                rank, frame, float(nbytes), label, done,
-                start_tag, end_tag, scene_tag, detail,
-            )
-        )
-        return done
+        return self.network.env.process(self._receive_proc(
+            rank, frame, float(nbytes), label, start_tag, end_tag,
+            scene_tag, detail,
+        ))
 
-    # -- pipeline stages ----------------------------------------------------
-    def _receive_work(self, req: _Delivery):
-        """One I/O service thread's unit of work: pull a payload."""
-        conn = self._conns[req.rank]
-        key = (req.rank, req.frame)
-        if key not in self._started_frames:
-            self._started_frames.add(key)
-            self.logger.log(Tags.V_FRAME_START, frame=req.frame, rank=req.rank)
-        self.logger.log(req.start_tag, frame=req.frame, rank=req.rank, **req.detail)
-        stats = yield conn.send(req.nbytes, label=f"{req.label}[{req.rank}]")
-        self.logger.log(req.end_tag, frame=req.frame, rank=req.rank)
-        self.bytes_received += req.nbytes
-        if req.scene_tag is None:
-            req.done.succeed(stats)
-            return DROP
-        return (req, stats)
-
-    def _scene_work(self, item):
-        """The render thread's ingest: swap a texture into the scene."""
-        req, stats = item
-        self.scene_updates += 1
-        ranks = self.frames_completed.setdefault(req.frame, set())
-        ranks.add(req.rank)
-        if len(ranks) >= len(self._conns):
-            self.frame_complete_times[req.frame] = self.network.env.now
-        self.logger.log(req.scene_tag, frame=req.frame, rank=req.rank)
-        req.done.succeed(stats)
-        return DROP
+    def _receive_proc(
+        self, rank: int, frame: int, nbytes: float, label: str,
+        start_tag: str, end_tag: str, scene_tag: Optional[str],
+        detail: Dict[str, Any],
+    ):
+        """One I/O service thread pulling one payload, then the render
+        thread's ingest: swap the texture into the scene."""
+        if (rank, frame) not in self._started_frames:
+            self._started_frames.add((rank, frame))
+            self.logger.log(Tags.V_FRAME_START, frame=frame, rank=rank)
+        self.logger.log(start_tag, frame=frame, rank=rank, **detail)
+        stats = yield self._conns[rank].send(nbytes, label=f"{label}[{rank}]")
+        self.logger.log(end_tag, frame=frame, rank=rank)
+        if scene_tag is not None:
+            ranks = self.frames_completed.setdefault(frame, set())
+            ranks.add(rank)
+            if len(ranks) >= len(self._conns):
+                self.frame_complete_times[frame] = self.network.env.now
+            self.logger.log(scene_tag, frame=frame, rank=rank)
+        return stats
 
     # -- results ------------------------------------------------------------
     def complete_frames(self, n_pes: int) -> int:

@@ -1,16 +1,14 @@
 """Seeded concurrency bugs the sanitizer must catch.
 
-Each builder wires an intentionally broken pipeline into a fresh
+Each builder wires an intentionally broken handshake into a fresh
 environment; ``FAULTS`` maps its name to the finding category the
 sanitizer is required to report. These double as regression armor for
-``simcore.sync``/``pipeline``: if a refactor changes the primitives'
-blocking behaviour, the seeded bugs stop reproducing and the tests
-fail loudly.
+``simcore.sync``: if a refactor changes the primitives' blocking
+behaviour, the seeded bugs stop reproducing and the tests fail loudly.
 """
 
 from repro.simcore.env import Environment
-from repro.simcore.pipeline import SHUTDOWN, BoundedBuffer, Pipeline
-from repro.simcore.sync import SimBarrier, SimSemaphore
+from repro.simcore.sync import BoundedBuffer, SimBarrier, SimSemaphore
 
 
 def reader_never_commits(env: Environment) -> None:
@@ -23,10 +21,7 @@ def reader_never_commits(env: Environment) -> None:
         # ... crashes before commit: the credit is never returned.
 
     def renderer(env, buf):
-        while True:
-            item = yield buf.get()
-            if item is SHUTDOWN:
-                break
+        yield buf.get()
 
     env.process(reader(env, buf))
     env.process(renderer(env, buf))
@@ -49,14 +44,19 @@ def dropped_semaphore_post(env: Environment) -> None:
 
 
 def circular_pipeline(env: Environment) -> None:
-    """Two stages feeding each other with nothing in flight: each
+    """Two processes feeding each other with nothing in flight: each
     blocks in get() waiting for the other to produce first."""
-    pipe = Pipeline(env, name="loop")
-    ab = pipe.buffer(2, name="ab")
-    ba = pipe.buffer(2, name="ba")
-    pipe.stage("forward", lambda x: x, inbound=ab, outbound=ba)
-    pipe.stage("backward", lambda x: x, inbound=ba, outbound=ab)
-    pipe.start()
+    ab = BoundedBuffer(env, 2, name="ab")
+    ba = BoundedBuffer(env, 2, name="ba")
+
+    def relay(env, inbound, outbound):
+        while True:
+            yield outbound.reserve()
+            item = yield inbound.get()
+            outbound.commit(item)
+
+    env.process(relay(env, ab, ba))
+    env.process(relay(env, ba, ab))
 
 
 def commit_without_reserve(env: Environment) -> None:
@@ -71,34 +71,6 @@ def commit_without_reserve(env: Environment) -> None:
         yield buf.get()
 
     env.process(rogue(env, buf))
-    env.process(consumer(env, buf))
-
-
-def get_after_shutdown(env: Environment) -> None:
-    """A consumer ignores the SHUTDOWN sentinel and asks again."""
-    buf = BoundedBuffer(env, depth=2, name="slabs")
-    buf.close()
-
-    def consumer(env, buf):
-        first = yield buf.get()
-        assert first is SHUTDOWN
-        yield buf.get()  # protocol violation: the stream ended
-
-    env.process(consumer(env, buf))
-
-
-def task_done_imbalance(env: Environment) -> None:
-    """An ``on_done`` consumer that never acknowledges its item."""
-    buf = BoundedBuffer(env, depth=1, name="rendered", release="on_done")
-
-    def producer(env, buf):
-        yield buf.put("frame-0")
-
-    def consumer(env, buf):
-        yield buf.get()
-        # missing buf.task_done(): the slot is never recycled
-
-    env.process(producer(env, buf))
     env.process(consumer(env, buf))
 
 
@@ -119,7 +91,5 @@ FAULTS = {
     "dropped_semaphore_post": (dropped_semaphore_post, "lost-wakeup"),
     "circular_pipeline": (circular_pipeline, "deadlock"),
     "commit_without_reserve": (commit_without_reserve, "protocol"),
-    "get_after_shutdown": (get_after_shutdown, "protocol"),
-    "task_done_imbalance": (task_done_imbalance, "protocol"),
     "barrier_understaffed": (barrier_understaffed, "barrier-stuck"),
 }

@@ -39,9 +39,14 @@ def test_campaign_bit_identical_with_sanitizer(overlapped):
     assert event_stream(sanitized) == event_stream(baseline)
 
 
-@pytest.mark.parametrize("overlapped", [False, True])
+@pytest.mark.parametrize("overlapped", [False, True, "mpi-pair"])
 def test_campaign_reports_zero_findings(overlapped):
-    result = run_campaign(small_config(overlapped), sanitize=True)
+    """Serial, overlapped and Appendix B's MPI-only reader pairs."""
+    if overlapped == "mpi-pair":
+        config = small_config(False).with_changes(mpi_only_overlap=True)
+    else:
+        config = small_config(overlapped)
+    result = run_campaign(config, sanitize=True)
     assert result.sanitizer_findings == []
 
 

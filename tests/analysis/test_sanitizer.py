@@ -7,8 +7,7 @@ from repro.netlogger.events import format_ulm
 from repro.netlogger.logger import NetLogger
 from repro.simcore.env import Environment
 from repro.simcore.events import Interrupt
-from repro.simcore.pipeline import SHUTDOWN, BoundedBuffer, Pipeline
-from repro.simcore.sync import SimSemaphore
+from repro.simcore.sync import BoundedBuffer, SimSemaphore
 
 from tests.analysis.faults import FAULTS
 
@@ -27,80 +26,47 @@ def test_seeded_fault_detected_with_correct_category(name):
 
 
 def test_clean_pipeline_produces_no_findings():
+    """Appendix B's shape: a reader over a double buffer and a counted
+    consumer loop; neither side needs an end-of-stream marker."""
     env = Environment()
     sanitizer = attach_sanitizer(env)
-    pipe = Pipeline(env, name="clean")
-    buf = pipe.buffer(2, name="hand-off")
+    buf = BoundedBuffer(env, 2, name="hand-off")
     out = []
-    pipe.stage("src", lambda x: x * 2, source=range(8), outbound=buf)
-    pipe.stage("sink", out.append, inbound=buf)
-    done = pipe.run()
-    env.run(done)
+
+    def reader(env):
+        for x in range(8):
+            yield buf.reserve()
+            yield env.timeout(1.0)
+            buf.commit(x * 2)
+
+    def sink(env):
+        for _ in range(8):
+            out.append((yield buf.get()))
+            yield env.timeout(2.0)
+
+    env.process(reader(env))
+    env.process(sink(env))
     env.run()
     assert sanitizer.report().clean
     assert out == [x * 2 for x in range(8)]
 
 
-def test_clean_on_done_rendezvous_produces_no_findings():
-    env = Environment()
-    sanitizer = attach_sanitizer(env)
-    buf = BoundedBuffer(env, depth=1, name="rendezvous", release="on_done")
-
-    def producer(env, buf):
-        for i in range(4):
-            yield buf.put(i)
-        buf.close()
-
-    got = []
-
-    def consumer(env, buf):
-        while True:
-            item = yield buf.get()
-            if item is SHUTDOWN:
-                break
-            got.append(item)
-            buf.task_done()
-
-    env.process(producer(env, buf))
-    env.process(consumer(env, buf))
-    env.run()
-    assert sanitizer.report().clean
-    assert got == [0, 1, 2, 3]
-
-
-def test_daemon_stages_exempt_from_hang_findings():
-    env = Environment()
-    sanitizer = attach_sanitizer(env)
-    pipe = Pipeline(env, name="service", daemon=True)
-    buf = pipe.buffer(None, name="inbox")
-    pipe.stage("server", lambda x: None, inbound=buf)
-    pipe.start()
-
-    def client(env, buf):
-        yield buf.put("request")
-
-    env.process(client(env, buf))
-    env.run()
-    assert sanitizer.report().clean
-
-
 def test_interrupted_stage_is_not_reported_as_blocked():
     env = Environment()
     sanitizer = attach_sanitizer(env)
-    pipe = Pipeline(env, name="cancelled")
-    buf = pipe.buffer(2, name="feed")
-    pipe.stage("starved", lambda x: x, inbound=buf)
+    buf = BoundedBuffer(env, 2, name="feed")
 
-    def supervisor(env, pipe):
-        done = pipe.run()
-        yield env.timeout(1.0)
-        pipe.cancel()
+    def starved(env):
         try:
-            yield done
+            yield buf.get()
         except Interrupt:
             pass
 
-    env.process(supervisor(env, pipe))
+    def supervisor(env, proc):
+        yield env.timeout(1.0)
+        proc.interrupt("cancelled")
+
+    env.process(supervisor(env, env.process(starved(env))))
     env.run()
     assert sanitizer.report().clean
 

@@ -169,9 +169,18 @@ class TestViewer:
         # 3 of 4 slabs present: not complete at full PE count...
         assert viewer.complete_frames(4) == 0
         # ...but the compositor had every slab it was promised.
-        assert viewer.scene_updates == 3
         log = EventLog(daemon.events)
+        assert len(log.filter(event=Tags.V_FRAME_END).events) == 3
         assert len(log.filter(event=Tags.V_SLAB_MISSING).events) == 1
+
+    def test_overlapping_deliveries_on_one_rank_raise(self):
+        """The back end waits for each delivery before it starts the
+        next; a second payload on a rank's wire is a bug, not a queue."""
+        cfg, (net, backend, viewer, daemon) = tiny_session()
+        first = viewer.deliver_heavy(0, 0, 1024.0)
+        viewer.deliver_light(0, 1)
+        with pytest.raises(RuntimeError, match="already has a send"):
+            net.run(until=first)
 
     def test_deliver_absent_unregistered_rank_rejected(self):
         cfg, (net, backend, viewer, daemon) = tiny_session()

@@ -1,5 +1,7 @@
 """FaultInjector behaviour against a small live DPSS world."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.faults import (
 from repro.netlogger.daemon import NetLogDaemon
 from repro.netlogger.logger import NetLogger
 from repro.netsim import Host, Link, Network, TcpParams
+from repro.netsim.tcp import TcpConnection
 from repro.util.units import KIB, MB, mbps
 
 N_SERVERS = 4
@@ -348,7 +351,17 @@ class TestReadAccounting:
 
 
 class TestConnectionPool:
-    def test_sequential_reads_reuse_one_connection_per_server(self):
+    def test_sequential_reads_reuse_one_connection_per_server(
+        self, monkeypatch
+    ):
+        sends = Counter()
+        real_send = TcpConnection.send
+
+        def counting_send(conn, nbytes, **kw):
+            sends[conn.id] += 1
+            return real_send(conn, nbytes, **kw)
+
+        monkeypatch.setattr(TcpConnection, "send", counting_send)
         net, master, client, handle, _ = build(slow_start=True)
         read_at(net, client, handle, 4 * MB, t=0.0)
         first = {key: list(pool) for key, pool in client._pool.items()}
@@ -360,7 +373,7 @@ class TestConnectionPool:
         assert client._pool == first  # the same connection objects
         for key, (conn,) in first.items():
             # cwnd carried over: the window never fell back to init_cwnd
-            assert conn.cwnd >= warm[key] and len(conn.history) == 2
+            assert conn.cwnd >= warm[key] and sends[conn.id] == 2
 
     def test_a_hedge_grows_the_pool_by_one_and_the_next_read_reuses_it(self):
         # Every share is still in flight at 10 ms, so each is hedged onto

@@ -54,11 +54,9 @@ class TickingTcpConnection(TcpConnection):
             sent = env.now
             if self.route.latency > 0:
                 yield env.timeout(self.route.latency)
-            stats = TransferStats(
+            return TransferStats(
                 nbytes=float(nbytes), start=start, sent=sent, delivered=env.now
             )
-            self.history.append(stats)
-            return stats
         except Interrupt:
             if self._current_task is not None:
                 sched.withdraw(self._current_task)

@@ -24,7 +24,8 @@ def run_random_graph(seed: int, n_procs: int, n_steps: int):
     """A random producer/consumer/compute mesh; returns its trace."""
     rng = np.random.default_rng(seed)
     env = Environment()
-    buffer = BoundedBuffer(env, None)
+    # Enough slots that a producer never waits: one per producer, + 1.
+    buffer = BoundedBuffer(env, n_procs // 2 + 1, name="mesh")
     barrier = SimBarrier(env, n_procs)
     trace = []
 
@@ -33,7 +34,8 @@ def run_random_graph(seed: int, n_procs: int, n_steps: int):
             yield env.timeout(d)
             trace.append(("tick", pid, step, round(env.now, 9)))
             if pid % 2 == 0:
-                yield buffer.put((pid, step))
+                yield buffer.reserve()
+                buffer.commit((pid, step))
             else:
                 item = yield buffer.get()
                 trace.append(("got", pid, item))

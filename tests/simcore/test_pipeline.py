@@ -1,46 +1,33 @@
-"""Tests for the staged-pipeline framework (Appendix B, generalised).
+"""Tests for Appendix B's double buffer and the back end loop it feeds.
 
-The depth-2 ``on_get`` buffer must reproduce the paper's double-buffer
-handshake event for event; the depth-1 ``on_done`` buffer must act as
-a strict rendezvous; and the full campaign-level test at the bottom
-shows depth >= 3 changes pipeline occupancy while the overlapped
-makespan stays bounded below by the per-stage busy time.
+The depth-2 :class:`BoundedBuffer` must reproduce the paper's
+double-buffer handshake event for event, and a deeper buffer lets the
+producer run further ahead. The campaign-level tests at the bottom
+read the same facts off an overlapped back end's NetLogger events: the
+reader never runs more than ``depth - 1`` frames ahead of the render /
+send loop, and each PE's makespan is bounded below by its busiest leg.
 """
 
 import pytest
 
-from repro.simcore import (
-    BoundedBuffer,
-    BufferClosed,
-    DROP,
-    Environment,
-    Pipeline,
-    SHUTDOWN,
-)
+from repro.netlogger.analysis import EventLog
+from repro.netlogger.events import Tags
+from repro.simcore import BoundedBuffer, Environment
 
 
 class TestBoundedBufferValidation:
     def test_on_get_requires_depth_two(self):
         env = Environment()
         with pytest.raises(ValueError, match="depth >= 2"):
-            BoundedBuffer(env, 1, release="on_get")
+            BoundedBuffer(env, 1, name="slabs")
 
-    def test_on_done_requires_depth_one(self):
-        env = Environment()
-        with pytest.raises(ValueError, match="depth >= 1"):
-            BoundedBuffer(env, 0, release="on_done")
 
-    def test_unknown_release_discipline(self):
-        env = Environment()
-        with pytest.raises(ValueError, match="release"):
-            BoundedBuffer(env, 2, release="on_fire")
-
-    def test_reserve_on_closed_buffer_raises(self):
-        env = Environment()
-        buf = BoundedBuffer(env, 2)
-        buf.close()
-        with pytest.raises(BufferClosed):
-            buf.reserve()
+def _produce(env, buf, load_starts, n=4, load=1.0):
+    for frame in range(n):
+        yield buf.reserve()
+        load_starts.append(env.now)
+        yield env.timeout(load)
+        buf.commit(frame)
 
 
 class TestAppendixBSchedule:
@@ -52,24 +39,14 @@ class TestAppendixBSchedule:
         buf = BoundedBuffer(env, 2, name="slabs")
         load_starts, render_spans = [], []
 
-        def producer(env):
-            for frame in range(4):
-                yield buf.reserve()
-                load_starts.append(env.now)
-                yield env.timeout(1.0)
-                buf.commit(frame)
-            buf.close()
-
         def consumer(env):
-            while True:
-                frame = yield buf.get()
-                if frame is SHUTDOWN:
-                    return
+            for _ in range(4):
+                yield buf.get()
                 t0 = env.now
                 yield env.timeout(2.0)
                 render_spans.append((t0, env.now))
 
-        env.process(producer(env))
+        env.process(_produce(env, buf, load_starts))
         env.process(consumer(env))
         env.run()
         assert load_starts == pytest.approx([0.0, 1.0, 3.0, 5.0])
@@ -84,241 +61,138 @@ class TestAppendixBSchedule:
         buf = BoundedBuffer(env, 4, name="slabs")
         load_starts = []
 
-        def producer(env):
-            for frame in range(4):
-                yield buf.reserve()
-                load_starts.append(env.now)
-                yield env.timeout(1.0)
-                buf.commit(frame)
-            buf.close()
-
         def consumer(env):
-            while True:
-                frame = yield buf.get()
-                if frame is SHUTDOWN:
-                    return
+            for frame in range(4):
+                assert (yield buf.get()) == frame
                 yield env.timeout(2.0)
 
-        env.process(producer(env))
+        env.process(_produce(env, buf, load_starts))
         env.process(consumer(env))
         env.run()
-        # Three credits circulate: loads 0-2 are back to back.
+        # Three credits circulate: loads 0-2 are back to back, and the
+        # fourth is granted when the consumer takes frame 1 at t=3.
         assert load_starts == pytest.approx([0.0, 1.0, 2.0, 3.0])
         # Same makespan: the consumer is the bottleneck either way.
         assert env.now == pytest.approx(9.0)
-        assert buf.stats.peak_occupancy >= 2
-
-    def test_on_done_rendezvous_serialises_consumer_work(self):
-        """Depth-1 on_done: the producer's next reserve waits for
-        task_done, i.e. ``render; send`` stays strictly serial."""
-        env = Environment()
-        buf = BoundedBuffer(env, 1, release="on_done", name="rendered")
-        reserve_times = []
-
-        def producer(env):
-            for frame in range(3):
-                yield buf.reserve()
-                reserve_times.append(env.now)
-                buf.commit(frame)
-            buf.close()
-
-        def consumer(env):
-            while True:
-                frame = yield buf.get()
-                if frame is SHUTDOWN:
-                    return
-                yield env.timeout(5.0)
-                buf.task_done()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert reserve_times == pytest.approx([0.0, 5.0, 10.0])
-
-
-class TestBufferShutdownSemantics:
-    def test_put_failing_if_closed_between_reserve_and_commit(self):
-        env = Environment()
-        buf = BoundedBuffer(env, 2, name="b")
-        # Exhaust the single credit so the next put blocks in reserve.
-        first = buf.put("a")
-        blocked = buf.put("b")
-        buf.close()
-        env.run()
-        assert first.triggered and first.ok
-        assert blocked.triggered and not blocked.ok
-        assert isinstance(blocked.value, BufferClosed)
-
-    def test_producer_done_auto_closes(self):
-        env = Environment()
-        buf = BoundedBuffer(env, None, name="b")
-        buf.add_producer()
-        buf.add_producer()
-        buf.producer_done()
-        assert not buf.closed
-        buf.producer_done()
-        assert buf.closed
 
 
 class TestPipelineWiring:
     def test_three_stage_chain_counts_and_timing(self):
-        """source -> work -> sink over generator work functions."""
+        """reader -> render; send, wired as the back end wires it: a
+        reader process over the double buffer and a counted loop."""
         env = Environment()
-        pipe = Pipeline(env, name="p")
-        slabs = pipe.buffer(2, name="slabs")
-        rendered = pipe.buffer(1, name="rendered", release="on_done")
+        slabs = BoundedBuffer(env, 2, name="slabs")
         sent = []
 
-        def load(frame):
-            yield env.timeout(1.0)
-            return frame
+        def reader(env):
+            for frame in range(3):
+                yield slabs.reserve()
+                yield env.timeout(1.0)
+                slabs.commit(frame)
 
-        def render(frame):
-            yield env.timeout(2.0)
-            return frame
+        def render_then_send(env):
+            for _ in range(3):
+                frame = yield slabs.get()
+                yield env.timeout(2.0)
+                yield env.timeout(1.0)
+                sent.append(frame)
 
-        def send(frame):
-            yield env.timeout(1.0)
-            sent.append(frame)
-
-        pipe.stage("load", load, source=range(3), outbound=slabs)
-        pipe.stage("render", render, inbound=slabs, outbound=rendered)
-        pipe.stage("send", send, inbound=rendered)
-        summary = env.run(until=pipe.run())
+        env.process(reader(env))
+        env.run(until=env.process(render_then_send(env)))
         assert sent == [0, 1, 2]
         # render+send is the serial bottleneck: 1 + 3*(2+1).
         assert env.now == pytest.approx(10.0)
-        assert summary.stage("load").items_out == 3
-        assert summary.stage("render").busy_seconds == pytest.approx(6.0)
-        assert summary.stage("send").items_in == 3
-        assert summary.buffer("slabs").puts == 3
-
-    def test_plain_function_work_and_drop(self):
-        env = Environment()
-        pipe = Pipeline(env, name="p")
-        buf = pipe.buffer(None, name="b")
-        kept = []
-
-        def classify(n):
-            return DROP if n % 2 else n
-
-        def sink(n):
-            kept.append(n)
-
-        pipe.stage("classify", classify, source=range(6), outbound=buf)
-        pipe.stage("sink", sink, inbound=buf)
-        summary = env.run(until=pipe.run())
-        assert kept == [0, 2, 4]
-        assert summary.stage("classify").items_in == 6
-        assert summary.stage("classify").items_out == 3
-
-    def test_fan_in_merges_multiple_producers(self):
-        """The buffer closes only after every feeding stage is done."""
-        env = Environment()
-        pipe = Pipeline(env, name="p")
-        buf = pipe.buffer(None, name="merge")
-        seen = []
-
-        def produce(tag):
-            def work(n):
-                yield env.timeout(1.0 + 0.1 * n)
-                return f"{tag}{n}"
-            return work
-
-        pipe.stage("a", produce("a"), source=range(2), outbound=buf)
-        pipe.stage("b", produce("b"), source=range(2), outbound=buf)
-        pipe.stage("sink", seen.append, inbound=buf)
-        env.run(until=pipe.run())
-        assert sorted(seen) == ["a0", "a1", "b0", "b1"]
-
-    def test_stage_failure_propagates_and_cancels(self):
-        env = Environment()
-        pipe = Pipeline(env, name="p")
-        buf = pipe.buffer(2, name="b")
-
-        def boom(n):
-            if n == 1:
-                raise ValueError("kapow")
-            return n
-
-        def sink(n):
-            yield env.timeout(100.0)
-
-        pipe.stage("boom", boom, source=range(3), outbound=buf)
-        pipe.stage("sink", sink, inbound=buf)
-        with pytest.raises(ValueError, match="kapow"):
-            env.run(until=pipe.run())
-        summary = pipe.summary()
-        assert isinstance(summary.stage("boom").error, ValueError)
 
     def test_backpressure_accounted_as_stall(self):
-        """A slow consumer shows up as producer stall time."""
+        """A slow consumer shows up as producer time blocked in
+        reserve()."""
         env = Environment()
-        pipe = Pipeline(env, name="p")
-        buf = pipe.buffer(2, name="b")
+        buf = BoundedBuffer(env, 2, name="b")
+        stalls = []
 
-        def fast(n):
-            yield env.timeout(0.1)
-            return n
+        def fast(env):
+            for n in range(5):
+                t0 = env.now
+                yield buf.reserve()
+                stalls.append(env.now - t0)
+                yield env.timeout(0.1)
+                buf.commit(n)
 
-        def slow(n):
-            yield env.timeout(1.0)
+        def slow(env):
+            for _ in range(5):
+                yield buf.get()
+                yield env.timeout(1.0)
 
-        pipe.stage("fast", fast, source=range(5), outbound=buf)
-        pipe.stage("slow", slow, inbound=buf)
-        summary = env.run(until=pipe.run())
-        assert summary.stage("fast").stall_seconds > 0.0
-        assert summary.buffer("b").reserve_wait > 0.0
+        env.process(fast(env))
+        env.process(slow(env))
+        env.run()
+        assert stalls[:2] == [0.0, 0.0]
+        assert all(stall > 0.0 for stall in stalls[2:])
+
+
+def _overlapped_run(depth, n_timesteps=5):
+    from repro.core.campaign import CampaignConfig, build_session
+
+    cfg = CampaignConfig.lan_e4500(overlapped=True).with_changes(
+        shape=(64, 32, 32), dataset_timesteps=8, n_timesteps=n_timesteps,
+        overlap_depth=depth,
+    )
+    net, backend, viewer, daemon = build_session(cfg)
+    net.run(until=backend.run())
+    return backend, viewer, daemon.events
+
+
+def _reader_lead(events, rank):
+    """How far past frame N the reader on ``rank`` has started loading
+    when BE_FRAME_START(N) is logged: the largest k with
+    BE_LOAD_START(N + k) logged before it, maximised over N."""
+    loaded, lead = 0, 0
+    for ev in events:
+        if ev.get("rank") != rank:
+            continue
+        if ev.event == Tags.BE_LOAD_START:
+            loaded = ev.get("frame") + 1
+        elif ev.event == Tags.BE_FRAME_START:
+            lead = max(lead, loaded - 1 - ev.get("frame"))
+    return lead
 
 
 class TestCampaignOverlapDepth:
-    """Acceptance: depth >= 3 changes occupancy, not correctness."""
+    """Acceptance: the depth bounds the reader's lead, not correctness."""
 
-    def _run(self, depth):
-        from repro.core.campaign import CampaignConfig, build_session
-
-        cfg = CampaignConfig.lan_e4500(overlapped=True).with_changes(
-            shape=(64, 32, 32), dataset_timesteps=8, n_timesteps=5,
-            overlap_depth=depth,
-        )
-        net, backend, viewer, daemon = build_session(cfg)
-        net.run(until=backend.run())
-        return backend, viewer
-
-    def test_depth_three_raises_slab_occupancy(self):
-        be2, v2 = self._run(2)
-        be4, v4 = self._run(4)
-        occ2 = [
-            s.mean_occupancy(f"slabs[{r}]")
-            for r, s in sorted(be2.pipeline_summaries.items())
-        ]
-        occ4 = [
-            s.mean_occupancy(f"slabs[{r}]")
-            for r, s in sorted(be4.pipeline_summaries.items())
-        ]
-        # The deeper buffer lets readers run further ahead on every PE.
-        assert sum(occ4) > sum(occ2)
-        assert max(
-            s.buffer(f"slabs[{r}]").peak_occupancy
-            for r, s in be4.pipeline_summaries.items()
-        ) > max(
-            s.buffer(f"slabs[{r}]").peak_occupancy
-            for r, s in be2.pipeline_summaries.items()
-        )
-        # Same frames delivered either way.
-        assert v2.complete_frames(be2.n_pes) == 5
-        assert v4.complete_frames(be4.n_pes) == 5
+    def test_reader_runs_at_most_depth_minus_one_frames_ahead(self):
+        leads = {}
+        for depth in (2, 3, 4):
+            backend, viewer, events = _overlapped_run(depth)
+            assert viewer.complete_frames(backend.n_pes) == 5
+            per_pe = [_reader_lead(events, r) for r in range(backend.n_pes)]
+            # BE_LOAD_START(N + depth - 1) never precedes
+            # BE_FRAME_START(N): the slot for frame N + depth - 1 is
+            # freed by the loop taking frame N.
+            assert max(per_pe) <= depth - 2, (depth, per_pe)
+            leads[depth] = per_pe
+        # The deeper buffer lets the reader run further ahead.
+        assert max(leads[4]) > max(leads[2])
+        assert sum(leads[4]) > sum(leads[2])
 
     def test_makespan_bounded_below_by_stage_busy_time(self):
-        """To >= N*max(L, R) in its per-PE form: the pipeline cannot
-        finish before its busiest stage's total work, at any depth."""
+        """To >= N*max(L, R) in its per-PE form: a PE cannot finish
+        before its busiest leg's total work, at any depth."""
         for depth in (2, 4):
-            backend, _ = self._run(depth)
-            for rank, summary in backend.pipeline_summaries.items():
-                busiest = max(
-                    st.busy_seconds for st in summary.stages.values()
+            backend, _, events = _overlapped_run(depth)
+            log = EventLog(events)
+            for rank in range(backend.n_pes):
+                loads = [s for s in log.load_spans() if s.rank == rank]
+                renders = [s for s in log.render_spans() if s.rank == rank]
+                assert len(loads) == len(renders) == 5
+                makespan = max(s.end for s in renders) - min(
+                    s.start for s in loads
                 )
-                assert summary.elapsed >= busiest - 1e-9
+                busiest = max(
+                    sum(s.duration for s in loads),
+                    sum(s.duration for s in renders),
+                )
+                assert makespan >= busiest - 1e-9
 
     def test_config_rejects_depth_below_two(self):
         from repro.core.campaign import CampaignConfig
@@ -327,3 +201,28 @@ class TestCampaignOverlapDepth:
             CampaignConfig.lan_e4500(overlapped=True).with_changes(
                 overlap_depth=1
             )
+
+
+class TestReaderFailure:
+    @pytest.mark.parametrize("mpi", [False, True])
+    def test_reader_exception_escapes_net_run(self, monkeypatch, mpi):
+        """A PE's reader is a process nobody waits on: its failure
+        must still stop the run rather than strand the render loop."""
+        from repro.backend.sim import SimBackEnd
+        from repro.core.campaign import CampaignConfig, build_session
+
+        def broken_load(self, work, client, handle, log):
+            if work.frame == 1:
+                raise RuntimeError("slab read exploded")
+            return (yield from real_load(self, work, client, handle, log))
+
+        real_load = SimBackEnd._load
+        monkeypatch.setattr(SimBackEnd, "_load", broken_load)
+        base = CampaignConfig.nton_cplant(n_pes=4)
+        cfg = base.with_changes(
+            shape=(64, 32, 32), dataset_timesteps=8, n_timesteps=3,
+            overlapped=not mpi, mpi_only_overlap=mpi,
+        )
+        net, backend, viewer, daemon = build_session(cfg)
+        with pytest.raises(RuntimeError, match="slab read exploded"):
+            net.run(until=backend.run())

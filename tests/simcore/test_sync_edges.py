@@ -2,19 +2,12 @@
 
 The paper's Appendix B handshake depends on SysV semaphore semantics
 being exact: a post with no waiter must bank a unit (release before
-acquire), the frame barrier is reused every timestep, and pipeline
-shutdown must wake consumers blocked mid-``get``.
+acquire), and the frame barrier is reused every timestep.
 """
 
 import pytest
 
-from repro.simcore import (
-    BoundedBuffer,
-    Environment,
-    SHUTDOWN,
-    SimBarrier,
-    SimSemaphore,
-)
+from repro.simcore import Environment, SimBarrier, SimSemaphore
 
 
 class TestSemaphoreReleaseBeforeAcquire:
@@ -111,66 +104,6 @@ class TestBarrierReuse:
         env.run()
         assert a.triggered and b.triggered
         assert not late.triggered
-
-
-class TestBufferShutdownWhileBlocked:
-    def test_close_wakes_consumer_blocked_on_get(self):
-        env = Environment()
-        buf = BoundedBuffer(env, 2, name="b")
-        seen = []
-
-        def consumer(env):
-            item = yield buf.get()
-            seen.append(item)
-
-        def closer(env):
-            yield env.timeout(5.0)
-            buf.close()
-
-        env.process(consumer(env))
-        env.process(closer(env))
-        env.run()
-        assert seen == [SHUTDOWN]
-        assert env.now == pytest.approx(5.0)
-
-    def test_close_wakes_every_blocked_consumer(self):
-        env = Environment()
-        buf = BoundedBuffer(env, None, name="b")
-        seen = []
-
-        def consumer(env):
-            item = yield buf.get()
-            seen.append(item)
-
-        for _ in range(3):
-            env.process(consumer(env))
-
-        def closer(env):
-            yield env.timeout(1.0)
-            buf.close()
-
-        env.process(closer(env))
-        env.run()
-        assert seen == [SHUTDOWN, SHUTDOWN, SHUTDOWN]
-
-    def test_queued_items_drain_before_shutdown(self):
-        """close() lets committed items be consumed first."""
-        env = Environment()
-        buf = BoundedBuffer(env, None, name="b")
-        buf.put("x")
-        buf.close()
-        seen = []
-
-        def consumer(env):
-            while True:
-                item = yield buf.get()
-                seen.append(item)
-                if item is SHUTDOWN:
-                    return
-
-        env.process(consumer(env))
-        env.run()
-        assert seen == ["x", SHUTDOWN]
 
 
 # ------------------------------------------------------------- Semaphore
