@@ -30,8 +30,8 @@ _RULE_DESCRIPTIONS: Dict[str, str] = {
     "VIS203": "unseeded RNG (random.Random(), module-global random/"
               "numpy.random functions)",
     "VIS204": "wall-clock value flows into a seed or name",
-    "VIS210": "BoundedBuffer reserve() without commit()/cancel() in "
-              "scope (or vice versa)",
+    "VIS210": "BoundedBuffer reserve() without commit() in scope (or "
+              "vice versa)",
     "VIS211": "render-cache begin() without publish()+abandon() legs "
               "in scope",
     "VIS212": "connection opened but never closed, stored or handed "

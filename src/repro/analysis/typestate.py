@@ -6,8 +6,9 @@ the broken path.  This pass proves the pairing statically:
 
 ``VIS210`` (reserve/commit pairing)
     Every scope that calls ``<buffer>.reserve()`` must also discharge
-    the credit on that buffer -- ``commit(...)``, ``cancel()`` or
-    ``release_credit()`` -- and vice versa.  Split-phase protocols are
+    the credit on that buffer with ``commit(...)`` -- the one way
+    ``simcore.sync.BoundedBuffer`` releases a reserved slot -- and vice
+    versa.  Split-phase protocols are
     honoured: the *scope* is the enclosing class (or the module's
     free functions), so a stage that reserves in ``_run`` and commits
     in ``_emit`` is balanced.
@@ -45,7 +46,7 @@ from repro.analysis.staticbase import CheckFinding, ParsedModule
 #: method name -> (protocol kind, role); role "source" opens an
 #: obligation, the listed discharge names close it
 _RESERVE_SOURCES = frozenset({"reserve"})
-_RESERVE_DISCHARGES = frozenset({"commit", "cancel", "release_credit"})
+_RESERVE_DISCHARGES = frozenset({"commit"})
 _CLAIM_SOURCES = frozenset({"begin"})
 _CLAIM_DISCHARGES = frozenset({"publish", "abandon"})
 
@@ -232,7 +233,7 @@ def check_buffer_protocols(module: ParsedModule) -> List[CheckFinding]:
                 scope.reserve_discharges,
                 "VIS210",
                 "a buffer credit",
-                "commit()/cancel()/release_credit()",
+                "commit()",
             )
         )
         findings.extend(

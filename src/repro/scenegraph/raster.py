@@ -30,9 +30,11 @@ Only inside pixels get a float64 ``(u, v)``, and of those only the ones
 whose bilinear footprint has a non-zero texel are sampled -- the rest
 sample to exactly ``0`` and ``0 + dest * (1 - 0)`` is ``dest``
 (:mod:`repro.scenegraph.texture` has the one caveat, a ``-0.0``
-destination).  Texels arrive channel-planar ``(4, N)``, so the float32
-blend (:func:`_blend`, shared by both primitives) runs over the long
-axis, through flat frame indices.
+destination).  A quad first narrows its box to the screen image of the
+texture's occupied box, so the pixels that could only sample an empty
+footprint are never computed.  Texels arrive as ``(N, 4)`` RGBA, and the
+float32 blend (:func:`_blend`, shared by both primitives) gathers and
+scatters frame pixels as 16-byte items through flat frame indices.
 
 The per-pixel walks this replaced live in
 ``tests/oracles/scalar_kernels.py``; the parity tests swap them in for
@@ -52,7 +54,7 @@ import numpy as np
 from repro.scenegraph.camera import Camera
 from repro.scenegraph.geometry import LineSet, QuadMesh, TexturedQuad
 from repro.scenegraph.node import Node, transform_points
-from repro.scenegraph.texture import Texture2D
+from repro.scenegraph.texture import Texture2D, scale_rows
 
 
 def render(
@@ -67,7 +69,7 @@ def render(
     if width < 1 or height < 1:
         raise ValueError("viewport must be at least 1x1")
     frame = np.empty((height, width, 4), dtype=np.float32)
-    frame[...] = np.asarray(background, dtype=np.float32)
+    _as_items(frame)[...] = _as_items(np.asarray(background, dtype=np.float32))
 
     # each drawable with the index of its first vertex
     nodes: List[Tuple[Union[TexturedQuad, QuadMesh], int]] = []
@@ -144,9 +146,17 @@ def _raster_quad(frame: np.ndarray, proj: np.ndarray, texture: Texture2D) -> Non
     height, width = frame.shape[:2]
     p0, p1, _, p3 = proj[:, :2]
     det = _edge_grid(p0, p1, p3)
+    box = texture.occupied_box()
+    if abs(det) < 1e-12 or box is None:
+        return  # degenerate in screen space, or nothing to draw
     lo_x, hi_x, lo_y, hi_y = _bbox(proj[:, :2], width, height)
-    if abs(det) < 1e-12 or lo_x >= hi_x or lo_y >= hi_y:
-        return  # degenerate in screen space, or wholly off it
+    occ_lo_x, occ_hi_x, occ_lo_y, occ_hi_y = _occupied_window(
+        proj[:, :2], det, box, texture.shape, width, height
+    )
+    lo_x, hi_x = max(lo_x, occ_lo_x), min(hi_x, occ_hi_x)
+    lo_y, hi_y = max(lo_y, occ_lo_y), min(hi_y, occ_hi_y)
+    if lo_x >= hi_x or lo_y >= hi_y:
+        return  # wholly off screen
     xs, ys = _pixel_centres(lo_x, hi_x, lo_y, hi_y)
     eu = _edge_rows_cols(p0, p3, xs, ys)  # u = eu / -det
     ev = _edge_rows_cols(p0, p1, xs, ys)  # v = ev / det
@@ -162,6 +172,47 @@ def _raster_quad(frame: np.ndarray, proj: np.ndarray, texture: Texture2D) -> Non
     v = ev.ravel().take(inside)
     v /= det
     _blend(frame, inside, lo_x, hi_x, lo_y, u, v, texture)
+
+
+def _occupied_window(
+    pts: np.ndarray,
+    det: float,
+    box: Tuple[int, int, int, int],
+    shape: Tuple[int, int],
+    width: int,
+    height: int,
+) -> Tuple[int, int, int, int]:
+    """The pixel box outside which the quad on screen corners ``pts``,
+    ``p0 + u * d1 + v * d3``, can only sample empty footprints of a
+    texture of ``shape``: the screen image of the occupied ``box``,
+    widened by one texel in ``(u, v)`` and one pixel on screen.
+
+    A pixel's float ``(u, v)`` is off by about ``eps * reach * |d1| *
+    |d3| / |det|`` pixels on screen; where that could approach a pixel
+    (a quad seen nearly edge-on along its skew), the window is the
+    whole screen.
+    """
+    p0 = pts[0]
+    d1, d3 = pts[1] - p0, pts[3] - p0
+    len1, len3 = float(np.hypot(*d1)), float(np.hypot(*d3))
+    reach = float(np.abs(p0).max()) + width + height + len1 + len3
+    if abs(det) * 2.0**40 < len1 * len3 * reach:
+        return 0, width, 0, height
+    u_lo, u_hi = _texel_span(box[2], box[3], shape[1])
+    v_lo, v_hi = _texel_span(box[0], box[1], shape[0])
+    corners = p0 + np.outer([u_lo, u_hi, u_lo, u_hi], d1)
+    corners += np.outer([v_lo, v_lo, v_hi, v_hi], d3)
+    lo_x, hi_x, lo_y, hi_y = _bbox(corners, width, height)
+    return lo_x - 1, hi_x + 1, lo_y - 1, hi_y + 1
+
+
+def _texel_span(first: int, last: int, size: int) -> Tuple[float, float]:
+    """The texture coordinates, clipped to ``[0, 1]``, whose footprints
+    start at texels ``first`` .. ``last`` of ``size``, widened by one
+    texel each way."""
+    if size == 1:
+        return 0.0, 1.0
+    return max((first - 1) / (size - 1), 0.0), min((last + 2) / (size - 1), 1.0)
 
 
 def _raster_triangle(
@@ -196,19 +247,25 @@ def _blend(
     kept, texels = texture.sample_occupied(u, v)
     if not kept.size:
         return  # nothing inside, or every footprint empty
-    rows, cols = np.divmod(inside.take(kept), hi_x - lo_x)
-    pixel = (rows + lo_y) * frame.shape[1] + (cols + lo_x)
-    pixels = frame.reshape(-1, 4)
-    out = np.empty_like(texels)
-    np.multiply(pixels.take(pixel, axis=0).T, 1.0 - texels[3], out=out)
+    # box index ``at = r * box_width + c`` is frame pixel ``at + r *
+    # (width - box_width) + lo_y * width + lo_x``: one division, no divmod
+    at = inside.take(kept)
+    pixel = at // (hi_x - lo_x)
+    pixel *= frame.shape[1] - (hi_x - lo_x)
+    pixel += at
+    pixel += lo_y * frame.shape[1] + lo_x
+    # gathered and scattered as one 16-byte item per pixel: a bit copy,
+    # and far cheaper than moving (N, 4) rows through a fancy index
+    items = _as_items(frame)
+    out = items.take(pixel).view(np.float32).reshape(-1, 4)
+    scale_rows(out, 1.0 - texels[:, 3])
     out += texels
-    # scattered as one 16-byte item per pixel: a bit copy, and far
-    # cheaper than assigning (N, 4) rows through a fancy index
-    _as_items(pixels)[pixel] = _as_items(np.ascontiguousarray(out.T))
+    items[pixel] = _as_items(out)
 
 
 def _as_items(rgba: np.ndarray) -> np.ndarray:
-    """A C-contiguous ``(N, 4)`` float32 array as ``N`` 16-byte items."""
+    """A C-contiguous float32 array of RGBA (last axis 4) as one
+    16-byte item per pixel."""
     return rgba.view(np.complex128).reshape(-1)
 
 

@@ -46,7 +46,7 @@ from typing import (
     Tuple,
 )
 
-from repro.simcore.events import Event, Interrupt, SimulationError
+from repro.simcore.events import Event, SimulationError
 from repro.simcore.fairshare import (
     FlowSpec,
     ResourceSpec,
@@ -383,12 +383,11 @@ class FluidScheduler:
     def withdraw(self, task: FluidTask) -> None:
         """Remove a running task, *succeeding* its done event.
 
-        The cooperative variant of :meth:`cancel` for callers that
-        handle the abort themselves (e.g. a TCP send torn down by
-        :meth:`~repro.netsim.tcp.TcpConnection.abort`): waiters that
-        were already abandoned must not receive a failure nobody will
-        defuse. The event value is the withdrawal time, like a normal
-        completion.
+        For callers that handle the abort themselves (e.g. a TCP send
+        torn down by :meth:`~repro.netsim.tcp.TcpConnection.abort`):
+        waiters that were already abandoned must not receive a failure
+        nobody will defuse. The event value is the withdrawal time, like
+        a normal completion. A task that is not running is ignored.
         """
         if task.name not in self._active:
             return
@@ -397,18 +396,6 @@ class FluidScheduler:
         task.rate = 0.0
         assert task.done is not None  # active tasks were submitted
         task.done.succeed(self.env.now)
-        self._after_change()
-
-    def cancel(self, task: FluidTask) -> None:
-        """Abort a running task; its done event fails with Interrupt."""
-        if task.name not in self._active:
-            return
-        self._bank(task)
-        self._detach(task)
-        task.rate = 0.0
-        assert task.done is not None  # active tasks were submitted
-        task.done.fail(Interrupt("cancelled"))
-        task.done._defused = True
         self._after_change()
 
     # -- engine ---------------------------------------------------------------

@@ -17,10 +17,10 @@ accumulator and a per-ray transparency in float32: ``accum += (c * a)
 ``tests/oracles/scalar_kernels.py``, which the parity tests compare
 against bit for bit: each pixel sees the same operations in the same
 order, a whole slice at a time.  :func:`render_slab` keeps one slice in
-flight -- the transfer function (elementwise, so indifferent to
-batching) fills a channel-planar ``(4, H, W)`` buffer, every update runs
-over contiguous planes, and no array is larger than one slice however
-deep the slab.
+flight -- the transfer function's premultiplied table (elementwise, so
+indifferent to batching) fills a channel-planar ``(4, H, W)`` buffer
+with ``(c * a, a)``, every update runs over contiguous planes, and no
+array is larger than one slice however deep the slab.
 """
 
 from __future__ import annotations
@@ -123,10 +123,9 @@ def render_slab(
     depth_den = np.zeros(out_shape, dtype=np.float32) if return_depth else None
     inv_span = 1.0 / max(n_slices - 1, 1)
     for position in range(n_slices):
-        tf.planar(vol_view[position], rgba)
+        tf.premultiplied(vol_view[position], rgba)  # (c * a, a)
         # taken before ``alpha`` (a plane of ``rgba``) becomes a * t
         np.subtract(1.0, alpha, out=one_minus_alpha)
-        rgba[:3] *= alpha
         rgba *= transp
         accum += rgba
         if depth_num is not None and depth_den is not None:

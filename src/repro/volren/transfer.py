@@ -49,6 +49,10 @@ class TransferFunction:
             [np.interp(grid, entries / TABLE_STEPS, arr[:, c]) for c in range(1, 5)],
             dtype=np.float32,
         )
+        #: the same with colour premultiplied by opacity, ``(r * a, g * a,
+        #: b * a, a)``: each ``c * a`` is one float32 product
+        self._premultiplied = self._table.copy()
+        self._premultiplied[:3] *= self._table[3]
 
     def __call__(self, scalars: np.ndarray) -> np.ndarray:
         """Map an array of scalars to RGBA; output shape = input + (4,)."""
@@ -61,6 +65,14 @@ class TransferFunction:
         """:meth:`__call__` into a caller-owned buffer, one plane per
         channel: ``out`` is ``(4,) + scalars.shape`` float32."""
         self._table.take(self._entries(scalars), axis=1, out=out, mode="clip")
+
+    def premultiplied(self, scalars: np.ndarray, out: np.ndarray) -> None:
+        """:meth:`planar` with colour premultiplied by opacity: ``out[:3]``
+        reads ``c * a``, the float32 product of the entry's colour and
+        opacity, and ``out[3]`` reads ``a``."""
+        self._premultiplied.take(
+            self._entries(scalars), axis=1, out=out, mode="clip"
+        )
 
     @staticmethod
     def _entries(scalars: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 
 class LeakyStage:
     def push(self, item):
-        self.buffer.reserve()  # VIS210: no commit/cancel in scope
+        self.buffer.reserve()  # VIS210: no commit in scope
         self.staged.append(item)
 
 
@@ -20,3 +20,11 @@ class SplitPhaseStage:
 class TokenBucketUser:
     def admit(self, cost, now):
         return self.bucket.reserve(cost, now)  # clean: different API
+
+
+class CancelOnlyStage:
+    """cancel() is no discharge: BoundedBuffer has only commit()."""
+
+    def push(self, item):
+        self.buffer.reserve()  # VIS210: cancel() does not release it
+        self.buffer.cancel()

@@ -34,7 +34,7 @@ FIXTURE_EXPECTATIONS = {
     "det_identity.py": [(6, "VIS202"), (11, "VIS202"), (13, "VIS202")],
     "det_unseeded_rng.py": [(7, "VIS203"), (11, "VIS203")],
     "det_wall_clock.py": [(8, "VIS204")],
-    "ts_reserve.py": [(6, "VIS210")],
+    "ts_reserve.py": [(6, "VIS210"), (29, "VIS210")],
     "ts_claim.py": [(6, "VIS211")],
     "ts_conn.py": [(7, "VIS212")],
     "ts_msgtype.py": [(6, "VIS213")],
@@ -71,6 +71,17 @@ def test_nested_def_is_its_own_scope():
     assert credits[0].startswith("self.out.commit() discharges")
     assert credits[1].startswith("buf.reserve() opens")
     assert all("class LeakyAcrossDefs" in m for m in credits)
+
+
+def test_cancel_does_not_discharge_a_reserve():
+    """ts_reserve: BoundedBuffer releases a reserved slot by commit()
+    only, so a reserve() followed by cancel() alone is a leak."""
+    result = check_fixture("ts_reserve.py")
+    [leak] = [f for f in result.findings if f.line == 29]
+    assert leak.message == (
+        "self.buffer.reserve() opens a buffer credit but class "
+        "CancelOnlyStage never calls commit() on it"
+    )
 
 
 def test_allow_pragma_suppresses_at_source():

@@ -10,10 +10,13 @@ from repro.netlogger.events import Tags
 from repro.config import BackendConfig
 
 
-def tiny_session(overlapped=False, n_pes=4, frames=3, platform=None):
+def tiny_session(overlapped=False, n_pes=None, frames=3, platform=None):
+    """A small ``lan_e4500`` session; ``n_pes=None`` keeps its 8 PEs."""
     cfg = CampaignConfig.lan_e4500(overlapped=overlapped).with_changes(
         shape=(64, 32, 32), dataset_timesteps=8, n_timesteps=frames,
     )
+    if n_pes is not None:
+        cfg = cfg.with_changes(n_pes=n_pes)
     if platform is not None:
         cfg = cfg.with_changes(platform=platform)
     return cfg, build_session(cfg)
@@ -22,6 +25,7 @@ def tiny_session(overlapped=False, n_pes=4, frames=3, platform=None):
 class TestBackEndGeometry:
     def test_slab_bytes_sum_to_timestep(self):
         cfg, (net, backend, viewer, daemon) = tiny_session(n_pes=4)
+        assert backend.n_pes == 4
         total = sum(
             backend.slab_bytes(r) for r in range(backend.n_pes)
         )
@@ -153,7 +157,7 @@ class TestViewer:
 
     def test_connection_per_pe(self):
         cfg, (net, backend, viewer, daemon) = tiny_session(n_pes=4)
-        assert len(viewer._conns) == backend.n_pes
+        assert len(viewer._conns) == backend.n_pes == 4
 
     def test_deliver_absent_composites_remaining_slabs(self):
         """A missing slab is logged and skipped; the other PEs' slabs

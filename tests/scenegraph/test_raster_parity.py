@@ -10,6 +10,8 @@ replace only the per-primitive stage: both engines run behind
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
@@ -250,3 +252,114 @@ def test_occupancy_is_the_brute_force_footprint_test(shape, seed):
             y1, x1 = min(y0 + 1, h - 1), min(x0 + 1, w - 1)
             footprint = data[[y0, y0, y1, y1], [x0, x1, x0, x1]]
             assert occ[y0, x0] == bool((footprint != 0).any()), (y0, x0)
+
+
+# -- the occupied-box clip ----------------------------------------------------
+#
+# A quad draws only the screen image of its texture's occupied box
+# (widened by a texel and a pixel).  The cases put that box anywhere:
+# a random sub-rectangle, one texel wide along each edge, one texel in
+# each corner, and the quad nearly edge-on, where a pixel's (u, v) is
+# least certain.
+
+_BOX_KINDS = ["box", "top", "bottom", "left", "right"] + [
+    f"corner{r}{c}" for r in (0, 1) for c in (0, 1)
+]
+
+
+@st.composite
+def _boxed_texture(draw, kind: str) -> np.ndarray:
+    """An (H, W, 4) texture, 2-40 texels a side, zero outside one box."""
+    h, w = draw(st.integers(2, 40)), draw(st.integers(2, 40))
+
+    def span(n: int) -> Tuple[int, int]:
+        lo = draw(st.integers(0, n - 1))
+        return lo, draw(st.integers(lo, n - 1))
+
+    (r0, r1), (c0, c1) = span(h), span(w)
+    if kind == "top":
+        r0 = r1 = 0
+    elif kind == "bottom":
+        r0 = r1 = h - 1
+    elif kind == "left":
+        c0 = c1 = 0
+    elif kind == "right":
+        c0 = c1 = w - 1
+    elif kind.startswith("corner"):
+        r0 = r1 = (h - 1) * int(kind[-2])
+        c0 = c1 = (w - 1) * int(kind[-1])
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    data = np.zeros((h, w, 4), dtype=np.float32)
+    data[r0:r1 + 1, c0:c1 + 1] = rng.uniform(
+        0.05, 1.0, (r1 - r0 + 1, c1 - c0 + 1, 4)
+    )
+    return data
+
+
+def _edge_on_scene(
+    texture: Texture2D, forward: np.ndarray, tilt_deg: float, a: float, b: float
+) -> Group:
+    """A parallelogram about the orbit target whose plane holds the view
+    direction ``forward`` but for ``tilt_deg``, edges at angles ``a``
+    and ``b`` in that plane, over a backdrop facing the camera."""
+    g = np.cross(forward, (0.3, 0.5, 0.8))
+    g /= np.linalg.norm(g)
+    across = np.cross(forward, g)
+    t = np.deg2rad(tilt_deg)
+    e2 = np.cross(across * np.cos(t) + forward * np.sin(t), g)
+    d1 = 1.4 * (np.cos(a) * g + np.sin(a) * e2)
+    d3 = 1.2 * (np.cos(b) * g + np.sin(b) * e2)
+    c0 = np.full(3, 0.5) - (d1 + d3) / 2
+    root = Group()
+    back = np.full(3, 0.5) + 0.6 * forward
+    root.add(TexturedQuad(
+        np.array([back - g - across, back + g - across, back + g + across,
+                  back - g + across]),
+        solid_texture((0.3, 0.2, 0.1, 0.6)),
+    ))
+    root.add(TexturedQuad(np.array([c0, c0 + d1, c0 + d1 + d3, c0 + d3]),
+                          texture))
+    return root
+
+
+@pytest.mark.parametrize("kind", _BOX_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(
+    data=st.data(),
+    azimuth=st.floats(-180.0, 180.0),
+    elevation=st.floats(-80.0, 80.0),
+    tilt=st.one_of(
+        st.just(0.0), st.floats(-1e-11, 1e-11), st.floats(-1e-6, 1e-6),
+        st.floats(-8.0, 8.0),
+    ),
+    angles=st.tuples(st.floats(0.0, 3.0), st.floats(0.1, 3.0)),
+    size=st.tuples(st.integers(4, 28), st.integers(4, 28)),
+    background=st.sampled_from(_BACKGROUNDS),
+)
+def test_occupied_box_clip_parity_property(
+    kind, data, azimuth, elevation, tilt, angles, size, background
+):
+    texture = Texture2D(data.draw(_boxed_texture(kind)))
+    camera = Camera.orbit(azimuth, elevation)
+    a, gap = angles
+    scene = _edge_on_scene(texture, camera.forward, tilt, a, a + gap)
+    vec = render(scene, camera, *size, background=background)
+    with pytest.MonkeyPatch.context() as patch:
+        _patch_oracles(patch)
+        ref = render(scene, camera, *size, background=background)
+    assert vec.tobytes() == ref.tobytes()
+
+
+def test_occupied_window_is_the_screen_for_an_ill_conditioned_quad():
+    def window(d3):
+        pts = np.array([[0.0, 0.0], [100.0, 0.0], [100.0, 0.0] + d3, d3])
+        det = raster._edge_grid(pts[0], pts[1], pts[3])
+        return raster._occupied_window(pts, det, (0, 0, 0, 0), (9, 9), 64, 48)
+
+    # edges 100 pixels long, 1e-13 rad apart: a pixel's (u, v) is not
+    # good to a pixel, so nothing may be clipped
+    assert window(100.0 * np.array([np.cos(1e-13), np.sin(1e-13)])) == (
+        0, 64, 0, 48
+    )
+    # footprints 0 and 1 of 9 (u, v up to 2 / 8), a pixel either side
+    assert window(np.array([0.0, 100.0])) == (-1, 27, -1, 27)

@@ -1,8 +1,8 @@
-"""Float32 channel-planar bilinear sampling vs a float64 reference.
+"""Float32 bilinear sampling over RGBA items vs a float64 reference.
 
 The reference reads the texture's (H, W, 4) texels one sample at a
 time, with GL_CLAMP_TO_EDGE clamps and the four-term float64 weighted
-sum.  ``Texture2D`` gathers per channel and lerps in float32, so the two
+sum.  ``Texture2D`` gathers whole texels and lerps in float32, so the two
 agree to float32 rounding, and exactly wherever the footprint is flat.
 """
 
@@ -54,11 +54,19 @@ def test_flat_footprint_samples_exactly():
     assert (got == np.float32([0.5, 0.25, 0.1, 0.3])).all()
 
 
-def test_planes_are_one_float32_copy():
-    data = np.random.default_rng(4).random((3, 5, 4))  # float64, interleaved
-    tex = Texture2D(data)
-    assert tex.planes.shape == (4, 15) and tex.planes.dtype == np.float32
-    assert tex.planes.flags.c_contiguous
-    np.testing.assert_array_equal(
-        tex.planes, data.astype(np.float32).reshape(-1, 4).T
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_texels_are_one_owned_float32_item_copy(dtype, order):
+    data = np.asarray(
+        np.random.default_rng(4).random((3, 5, 4)), dtype=dtype, order=order
     )
+    want = data.astype(np.float32).copy()
+    tex = Texture2D(data)
+    items = tex._items
+    assert items.shape == (15,) and items.dtype == np.complex128
+    assert not np.shares_memory(items, data)
+    # item y * W + x is texel [y, x], channels in the input's RGBA order
+    texels = items.view(np.float32).reshape(3, 5, 4)
+    assert texels.tobytes() == want.tobytes()
+    data[...] = 0.0
+    assert texels.tobytes() == want.tobytes()

@@ -107,12 +107,13 @@ class TestFluidEdges:
         # 50 done, 2 s outage, 50 more: finishes at 3.0.
         assert env.now == pytest.approx(3.0)
 
-    def test_cancel_unsubmitted_task_is_noop(self):
+    def test_withdraw_unsubmitted_task_is_noop(self):
         env = Environment()
         sched = FluidScheduler(env)
         link = sched.add_resource(FluidResource("link", 10.0))
         task = FluidTask("t", work=10.0, usage={link: 1.0})
-        sched.cancel(task)  # never submitted; silently ignored
+        sched.withdraw(task)  # never submitted; silently ignored
+        assert task.done is None and not sched._active
 
     def test_monitor_records_zero_after_drain(self):
         env = Environment()
@@ -151,7 +152,7 @@ class TestInterruptEdges:
             try:
                 yield done
             except Interrupt:
-                sched.cancel(task)
+                sched.withdraw(task)
                 outcome.append(("interrupted", env.now))
 
         def killer(env, victim):

@@ -10,7 +10,7 @@ from repro.simcore import (
     FluidScheduler,
     FluidTask,
 )
-from repro.simcore.events import Interrupt, SimulationError
+from repro.simcore.events import SimulationError
 
 
 def make_sched(*resources):
@@ -107,41 +107,37 @@ def test_set_cap_on_finished_task_is_noop():
     sched.set_cap(task, 5.0)  # must not raise
 
 
-def test_cancel_fails_done_event():
+def test_withdraw_succeeds_done_event_at_withdrawal_time():
     env, sched, link = make_sched(("link", 100.0))
     task = FluidTask("xfer", work=1000.0, usage={link: 1.0})
     outcome = []
 
     def waiter(env, sched, task):
-        done = sched.submit(task)
-        try:
-            yield done
-        except Interrupt:
-            outcome.append(("cancelled", env.now))
+        outcome.append((yield sched.submit(task)))
 
-    def canceller(env, sched, task):
+    def withdrawer(env, sched, task):
         yield env.timeout(2.0)
-        sched.cancel(task)
+        sched.withdraw(task)
 
     env.process(waiter(env, sched, task))
-    env.process(canceller(env, sched, task))
+    env.process(withdrawer(env, sched, task))
     env.run()
-    assert outcome == [("cancelled", 2.0)]
+    assert outcome == [2.0]
+    assert task.rate == 0.0 and not sched._active
 
 
-def test_cancel_releases_bandwidth():
+def test_withdraw_releases_bandwidth():
     env, sched, link = make_sched(("link", 100.0))
     t1 = FluidTask("dies", work=1000.0, usage={link: 1.0})
     t2 = FluidTask("lives", work=150.0, usage={link: 1.0})
-    d1 = sched.submit(t1)
-    d1._defused = True
+    sched.submit(t1)
     d2 = sched.submit(t2)
 
-    def canceller(env, sched, t1):
+    def withdrawer(env, sched, t1):
         yield env.timeout(1.0)
-        sched.cancel(t1)
+        sched.withdraw(t1)
 
-    env.process(canceller(env, sched, t1))
+    env.process(withdrawer(env, sched, t1))
     env.run(until=d2)
     # t2: 50 in the shared second, then 100 at full rate -> t=2.
     assert env.now == pytest.approx(2.0)

@@ -36,9 +36,8 @@ def _random_script(rng: random.Random):
     for _ in range(rng.randint(10, 24)):
         ops.append(
             rng.choices(
-                ["submit", "set_cap", "set_capacity",
-                 "withdraw", "cancel", "wait"],
-                weights=[6, 4, 2, 1, 1, 4],
+                ["submit", "set_cap", "set_capacity", "withdraw", "wait"],
+                weights=[6, 4, 2, 2, 4],
             )[0]
         )
     return capacities, ops
@@ -77,7 +76,7 @@ def _run_script(seed: int, sched_cls):
     def apply(op: str) -> None:
         active = [t for t in tasks if t.name in sched._active]
         if op == "submit" or not active and op in (
-            "set_cap", "withdraw", "cancel"
+            "set_cap", "withdraw"
         ):
             k = rng.randint(0, min(3, len(resources)))
             usage = {
@@ -110,8 +109,6 @@ def _run_script(seed: int, sched_cls):
             )
         elif op == "withdraw":
             sched.withdraw(rng.choice(active))
-        elif op == "cancel":
-            sched.cancel(rng.choice(active))
 
     def driver():
         for op in ops:

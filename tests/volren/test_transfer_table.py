@@ -91,3 +91,19 @@ def test_knots_that_snap_together_are_refused():
     # half a step apart, on either side of a tie: distinct entries
     TransferFunction([(0.0, 0, 0, 0, 0), (0.5, 1, 1, 1, 1),
                       (0.5 + 0.6 / TABLE_STEPS, 0, 0, 0, 0)])
+
+
+@pytest.mark.parametrize("name", sorted(_PRESETS))
+def test_premultiplied_is_colour_times_opacity_bitwise(name):
+    # render_slab reads (c * a, a) from the premultiplied table; each
+    # product must be the float32 one the per-pixel oracle forms
+    tf = TransferFunction(_PRESETS[name])
+    scalars = np.concatenate(
+        [np.linspace(-0.2, 1.2, 3001), [np.nan, 0.5, 1.0]]
+    ).astype(np.float32)
+    straight = np.empty((4,) + scalars.shape, dtype=np.float32)
+    tf.planar(scalars, straight)
+    pre = np.empty_like(straight)
+    tf.premultiplied(scalars, pre)
+    assert pre[3].tobytes() == straight[3].tobytes()
+    assert pre[:3].tobytes() == (straight[:3] * straight[3]).tobytes()
