@@ -28,9 +28,8 @@ not move without a deprecation cycle.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.analysis import CheckFinding, CheckResult, run_check
 from repro.backend.sim import SimBackEnd
 from repro.config import (
     BackendConfig,
@@ -76,6 +75,9 @@ from repro.service import (
 from repro.simcore import FlowClass, FlowClassPool
 from repro.viewer.sim import SimViewer
 from repro.volren.tiles import TileGrid
+
+if TYPE_CHECKING:
+    from repro.analysis import CheckFinding, CheckResult, run_check
 
 __all__ = [
     "AdmissionPolicy",
@@ -147,3 +149,14 @@ def run_experiment(
             sanitize = config.sanitize
         config = config.to_campaign_config()
     return run_campaign(config, sanitize=bool(sanitize))
+
+
+def __getattr__(name: str) -> object:
+    """Load the static analyzer (:mod:`repro.analysis`) on first use of
+    one of its three re-exported names (PEP 562): a run that never
+    checks code does not compile it."""
+    if name in ("CheckFinding", "CheckResult", "run_check"):
+        import repro.analysis
+
+        return getattr(repro.analysis, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -162,6 +162,7 @@ class ShardedSessionManager:
                 else None
             )
         self._classes: Dict[Tuple[str, str, str, bool], FlowClass] = {}
+        self._site_names = config.topology.site_names
         self._next_sid = 0
         self._rr = 0
         self._outstanding = 0
@@ -204,7 +205,7 @@ class ShardedSessionManager:
     def _home_of(self, profile: ViewerProfile) -> str:
         if profile.region is not None:
             return profile.region
-        names = self.config.topology.site_names
+        names = self._site_names
         home = names[self._rr % len(names)]
         self._rr += 1
         return home
@@ -220,7 +221,7 @@ class ShardedSessionManager:
         if self.slots[home].has_slot:
             return home, AdmissionVerdict.LOCAL
         best: Optional[str] = None
-        for name in self.config.topology.site_names:
+        for name in self._site_names:
             slot = self.slots[name]
             if (
                 name == home

@@ -46,13 +46,13 @@ dropped when the class drains.
 
 Membership settles once per simulated instant. A join to a live class,
 or a completion that leaves members behind, only queues the class's
-head at the standing rate and marks the class pending. At the end of
-the instant (:meth:`~repro.simcore.env.Environment.at_instant_end`)
-the pool re-scales every pending class and drops those whose usage and
-cap came back bitwise unchanged. A session that leaves and is replaced
-at one instant costs no solve. The rest go to the allocator as one
-:meth:`~repro.simcore.fluid.FluidScheduler.set_usage` batch, so two
-classes on one resource cost one solve (DESIGN.md section 15.1). Class
+head at the standing rate and marks the class pending. The scheduler's
+end-of-instant settle calls :meth:`FlowClassPool.settle` first: it
+re-scales every pending class and drops those whose usage and cap came
+back bitwise unchanged, so a session that leaves and is replaced at one
+instant costs no solve. The rest join that settle's solve as one
+``set_usage`` batch, so two classes on one resource cost one solve, and
+the settle then arms the pool's wake (DESIGN.md section 15.1). Class
 activation and drain stay immediate.
 """
 
@@ -195,6 +195,9 @@ class FlowClassPool:
     """
 
     def __init__(self, env: "Environment", sched: FluidScheduler):
+        if sched.pool is not None:
+            raise ValueError("a FluidScheduler serves one FlowClassPool")
+        sched.pool = self
         self.env = env
         self.sched = sched
         self._classes: Dict[str, _ClassState] = {}
@@ -271,17 +274,16 @@ class FlowClassPool:
 
     # -- internals -----------------------------------------------------------
     def _mark_pending(self, state: _ClassState) -> None:
-        """Defer ``state``'s re-scaling to the end of this instant."""
-        if not self._pending:
-            self.env.at_instant_end(self._settle)
+        """Defer ``state``'s re-scaling to the scheduler's settle."""
         self._pending[state.spec.name] = state
+        self.sched.request_settle()
 
-    def _settle(self) -> None:
+    def settle(self) -> None:
         """Re-scale every class whose membership changed, in one solve.
 
-        A class that lost and regained a member (or whose changes
-        cancel out otherwise) ends with its usage and cap bitwise where
-        they began: it is dropped, and costs no solve and no segment.
+        Runs first in the scheduler's settle. A class that lost and
+        regained a member ends with its usage and cap bitwise where they
+        began: it is dropped, and costs no solve and no segment.
         """
         pending = self._pending
         self._pending = {}
@@ -298,7 +300,6 @@ class FlowClassPool:
             batch.append((agg, usage))
         if batch:
             self.sched.set_usage(batch)
-        self._arm_after_settle()
 
     def _state_of(self, spec: FlowClass) -> _ClassState:
         state = self._classes.get(spec.name)
@@ -340,7 +341,7 @@ class FlowClassPool:
         Members catch up from the log when they head the completion
         order (:meth:`_sync`). Runs from inside the allocator's solve
         (the ``on_rate`` hook), so it must not mutate the scheduler --
-        it only touches pool state and arms the pool's own wake timeout.
+        it only touches pool state; the scheduler's settle arms the wake.
         """
         state.rate = new
         dt = now - state.p_synced
@@ -356,7 +357,6 @@ class FlowClassPool:
         state.epoch += 1
         self.stats.disaggregations += 1
         self._push_head(state)
-        self._arm_wake()
 
     def _sync(self, member: _Member, state: _ClassState) -> None:
         """Bank ``member`` through every segment it has not seen.
@@ -403,22 +403,10 @@ class FlowClassPool:
             (t0 + horizon, self._push_ids, head, state.epoch, horizon, t0),
         )
 
-    def _arm_after_settle(self) -> None:
-        """Arm the wake once the allocator has settled this instant.
-
-        While the allocator's settle is queued, the heads sit at rates
-        it is about to change: ``_on_agg_rate`` re-queues them there,
-        so a wake armed now could be superseded before time moves.
-        """
-        if self.sched._settle_armed:
-            self.env.at_instant_end(self._arm_wake)
-        else:
-            self._arm_wake()
-
-    def _arm_wake(self) -> None:
+    def arm_wake(self) -> None:
         """One outstanding timeout covering the earliest member ETA.
 
-        Identical discipline to ``FluidScheduler._arm_wake``: lazy
+        Armed only by the scheduler's settle, after its solve: lazy
         deletion of superseded entries, re-arm only when the earliest
         completion moved earlier, and the raw horizon reused when
         arming at the anchor instant so the wake lands exactly on
@@ -460,8 +448,7 @@ class FlowClassPool:
                 break
             heapq.heappop(heap)
             self._complete_member(member, now)
-        if not self._pending:
-            self._arm_after_settle()  # otherwise the settle arms it
+        self.sched.request_settle()  # which re-arms the wake
 
     def _complete_member(self, member: _Member, now: float) -> None:
         state = member.state

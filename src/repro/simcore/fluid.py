@@ -8,7 +8,8 @@ finished, or a cap updated -- e.g. TCP slow-start opening a window)
 only marks what it touched; at the end of the simulated instant one
 settle recomputes the allocation and reschedules the next completion
 (DESIGN.md section 12.7), so rates read mid-instant are those of the
-last settle.
+last settle. A flow-class pool on the scheduler re-scales inside that
+settle, before the solve, and arms its wake after the allocator's.
 
 The same scheduler serves network links, NICs, disk pools and CPU
 pools, so cross-domain contention (the paper's reader-thread vs render
@@ -56,6 +57,7 @@ from repro.simcore.fairshare import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simcore.env import Environment
+    from repro.simcore.flowclass import FlowClassPool
 
 #: Work below this is considered complete (dimension: task units).
 _WORK_EPS = 1e-9
@@ -242,6 +244,7 @@ class FluidScheduler:
         self._wake_token = 0
         self._next_wake = float("inf")  # fire time of the live wake
         self._settle_armed = False  # a settle is queued for this instant
+        self.pool: Optional["FlowClassPool"] = None  # re-scaled in _settle
         self.stats = AllocStats()
         self.alloc_observer: Optional[AllocObserver] = None
 
@@ -448,17 +451,26 @@ class FluidScheduler:
         task._eta = float("inf")
 
     def _after_change(self) -> None:
-        """Queue one settle for the end of this instant (DESIGN.md 12.7)."""
+        """Count one change and queue this instant's settle."""
         self.stats.events += 1
+        self.request_settle()
+
+    def request_settle(self) -> None:
+        """Queue this instant's settle (DESIGN.md 12.7); counts no change."""
         if not self._settle_armed:
             self._settle_armed = True
             self.env.at_instant_end(self._settle)
 
     def _settle(self) -> None:
-        """Solve every component dirtied this instant; re-arm the wake."""
+        """The end-of-instant phase: pool membership, one flush, wakes."""
+        pool = self.pool
+        if pool is not None:
+            pool.settle()  # still armed: its set_usage batch joins this flush
         self._settle_armed = False
         self._flush()
         self._arm_wake()
+        if pool is not None:
+            pool.arm_wake()
 
     def _flush(self) -> None:
         now = self.env.now

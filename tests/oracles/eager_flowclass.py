@@ -4,8 +4,10 @@ members, banks each at the outgoing rate and recomputes each one's ETA
 -- although only the head of the completion order is ever armed.
 
 Membership changes take the production path: they are marked pending
-and settled once at the end of the instant (``FlowClassPool._settle``),
-so the two pools solve at the same instants with the same usage.
+and settled once at the end of the instant (``FlowClassPool.settle``),
+so the two pools solve at the same instants with the same usage. Wakes
+are armed only by that settle, once the solve is done, as in
+production.
 
 ``tests/simcore/test_flowclass_lazy.py`` runs it beside the production
 pool and demands identical bits. ``swept`` counts the per-member
@@ -119,7 +121,6 @@ class EagerFlowClassPool(FlowClassPool):
             self.swept += 1
         self.stats.disaggregations += 1
         self._push_head(state)
-        self._arm_wake()
 
     def _refresh_member(self, member, rate, now):
         member.eta_seq += 1
@@ -147,7 +148,7 @@ class EagerFlowClassPool(FlowClassPool):
              head.eta_horizon, head.eta_anchor),
         )
 
-    def _arm_wake(self):
+    def arm_wake(self):
         heap = self._heap
         while heap:
             _eta, _pid, member, eta_seq, _horizon, _t0 = heap[0]
@@ -184,8 +185,7 @@ class EagerFlowClassPool(FlowClassPool):
                 break
             heapq.heappop(heap)
             self._complete_member(member, now)
-        if not self._pending:
-            self._arm_after_settle()
+        self.sched.request_settle()
 
     def _complete_member(self, member, now):
         member.eta_seq += 1

@@ -230,6 +230,52 @@ def test_two_classes_on_one_resource_settle_in_one_solve():
     assert pool._classes["bulk"].rate == pool._classes["interactive"].rate == 25.0
 
 
+def test_drain_and_join_on_one_resource_settle_in_one_phase(monkeypatch):
+    """One class drains (its aggregate is withdrawn) while another on
+    the same resource gains a member at that instant: the pool's
+    membership settles inside the allocator's settle, so the instant
+    registers one end-of-instant callback and solves the component
+    once."""
+    callbacks = []
+    at_instant_end = Environment.at_instant_end
+
+    def counting_at_instant_end(env, callback):
+        callbacks.append(env.now)
+        at_instant_end(env, callback)
+
+    solves = []
+    solve = FluidScheduler._solve
+
+    def counting_solve(sched, comp, now):
+        solves.append(now)
+        solve(sched, comp, now)
+
+    monkeypatch.setattr(Environment, "at_instant_end", counting_at_instant_end)
+    monkeypatch.setattr(FluidScheduler, "_solve", counting_solve)
+    env, pool, classes = _build_pool()
+    bulk, interactive, _local = classes
+    drained = []
+
+    def join(ev):
+        drained.append(ev.value)
+        pool.submit(interactive, 500.0, name="i1")
+
+    pool.submit(bulk, 10.0, name="b0").callbacks.append(join)
+    pool.submit(interactive, 500.0, name="i0")
+    env.run(until=1.0)
+    (at,) = drained
+    assert pool._classes["bulk"].agg is None
+    assert len(pool._classes["interactive"].members) == 2
+    assert solves.count(at) == 1
+    assert callbacks.count(at) == 1
+
+
+def test_scheduler_serves_one_pool():
+    env, pool, _classes = _build_pool()
+    with pytest.raises(ValueError, match="one FlowClassPool"):
+        FlowClassPool(env, pool.sched)
+
+
 def test_batched_rescale_schedules_at_most_one_wake():
     """A completion that speeds the class up re-scales it at the end of
     the instant; the pool arms once, after the allocator has solved the

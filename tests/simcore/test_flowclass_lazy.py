@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 from typing import List, Tuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simcore.env import Environment
@@ -136,6 +136,12 @@ def shared_stats(pool):
     n_members=st.integers(1, 300),
     n_actions=st.integers(0, 4),
     shared_instants=st.booleans(),
+)
+# Three classes on one link: an oracle that still arms a wake at each
+# rate change, not once in the scheduler's settle, records other wakes.
+@example(
+    seed=1, n_classes=3, n_resources=1, n_members=8, n_actions=0,
+    shared_instants=False,
 )
 def test_lazy_banking_matches_eager_sweep(
     seed, n_classes, n_resources, n_members, n_actions, shared_instants

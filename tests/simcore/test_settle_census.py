@@ -6,7 +6,8 @@ solves them (DESIGN.md section 12.7). A resource set solved twice at
 one instant is a wasted solve: whichever ran first was superseded
 before time moved. These campaigns cover the single-session pipeline
 over a LAN, a WAN with an opening TCP window, the serial schedule, the
-fault plan's retries and the shared-WAN service path.
+fault plan's retries, the shared-WAN service path and the flow-class
+pool, whose membership settles inside the allocator's settle.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ CAMPAIGNS = [
     ("nton_cplant4", False),
     ("sc99-flaky", True),
     ("sc99-multiviewer", False),
+    ("sc99-serve10k", False),
 ]
 
 

@@ -167,12 +167,13 @@ def test_src_never_imports_tests():
 
 
 def test_import_loads_no_scipy():
-    """A fresh ``import repro.api`` leaves no ``scipy*`` module loaded."""
+    """A fresh ``import repro.api`` leaves no ``scipy*`` module loaded,
+    and no module of the static analyzer, which loads on first use."""
     import repro
 
     code = (
-        "import sys, repro.api; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        "import sys, repro.api; print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy', 'repro.analysis'))))"
     )
     src = str(Path(repro.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
