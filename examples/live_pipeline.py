@@ -57,7 +57,7 @@ def run(overlapped: bool) -> None:
     wall = time.monotonic() - t0
     viewer.stop()
 
-    log = EventLog(daemon.sorted_events())
+    log = EventLog(daemon)
     render_stats = log.duration_stats(log.render_spans())
     print(
         f"{steps} timesteps x 4 PEs in {wall:.2f} s wall; "

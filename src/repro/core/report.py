@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Sequence, Tuple, Type, TypeVa
 import numpy as np
 
 from repro.netlogger.analysis import EventLog
+from repro.netlogger.events import Tags
 from repro.util.stats import percentile
 from repro.util.units import bytes_per_sec_to_mbps, fmt_seconds
 
@@ -132,7 +133,7 @@ class CampaignResult:
         """Reduce the merged event stream and the back ends' timings of
         a finished run -- one back end for a campaign, one per admitted
         session for a service. ``extra`` carries a subclass's fields."""
-        log = EventLog(daemon.events)
+        log = EventLog(daemon)
         load_spans = log.load_spans()
         render_spans = log.render_spans()
         per_frame_load = log.per_frame_makespan(load_spans)
@@ -154,14 +155,9 @@ class CampaignResult:
             else 0.0
         )
 
-        inject_ts = [
-            e.ts for e in log.events if e.event == "FAULT_INJECT"
-        ]
-        fault_ts = [
-            e.ts for e in log.events
-            if e.event.startswith(("FAULT_", "RETRY_"))
-        ]
-        recovery = max(fault_ts) - min(inject_ts) if inject_ts else 0.0
+        inject_ts = log.times(lambda tag: tag == Tags.FAULT_INJECT)
+        fault_ts = log.times(lambda tag: tag.startswith(("FAULT_", "RETRY_")))
+        recovery = fault_ts[-1] - inject_ts[0] if inject_ts else 0.0
 
         # Back-end timings add up by name: the two byte totals are
         # renamed on the result, the feature counters keep their names.

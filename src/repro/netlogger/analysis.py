@@ -3,15 +3,23 @@
 This is the analysis NLV supports visually: pairing START/END events
 per (host, prog, frame, rank) into spans, from which the paper's L
 (load time), R (render time) and per-frame timings are read off.
+
+An :class:`EventLog` reads the daemon's rows (DESIGN §18) and keeps no
+second copy of the log: a query selects rows by their shape's tag, and
+event objects are built only for the rows a caller asks for.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
+from repro.netlogger.daemon import NetLogDaemon
 from repro.netlogger.events import NetLogEvent, Tags
 
 
@@ -32,45 +40,67 @@ class Span:
 
 
 class EventLog:
-    """Queryable view over a list of NetLogger events."""
+    """Queryable view over a snapshot of a daemon's rows.
 
-    def __init__(self, events: Iterable[NetLogEvent]):
-        self.events = sorted(events, key=lambda e: e.ts)
+    ``EventLog(daemon)`` sees the rows recorded so far and none
+    appended later. ``EventLog(events)`` records event objects into a
+    fresh daemon of its own. Either way the log is the rows plus their
+    stable timestamp order.
+    """
+
+    def __init__(self, source: Union[NetLogDaemon, Iterable[NetLogEvent]]):
+        if not isinstance(source, NetLogDaemon):
+            daemon = NetLogDaemon()
+            for event in source:
+                daemon.submit(event)
+            source = daemon
+        self._rows = source._rows()
+        self._order = self._rows.time_order()
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self._order)
+
+    @property
+    def events(self) -> List[NetLogEvent]:
+        """The events as fresh objects, in timestamp order."""
+        return NetLogDaemon._build(self._rows, self._order)
+
+    def _select(self, match: Callable[[str], bool]) -> List[int]:
+        """The rows, in time order, whose tag satisfies ``match``."""
+        shapes = {
+            i for i, shape in enumerate(self._rows.shapes) if match(shape[0])
+        }
+        shape_of = self._rows.shape_of
+        return [i for i in self._order if shape_of[i] in shapes]
 
     def filter(self, *, event: str) -> "EventLog":
         """Sub-log of the events tagged ``event``."""
-        return EventLog(ev for ev in self.events if ev.event == event)
+        sub = copy.copy(self)
+        sub._order = self._select(event.__eq__)
+        return sub
+
+    def times(self, match: Callable[[str], bool]) -> List[float]:
+        """Timestamps, in order, of the events whose tag satisfies
+        ``match``."""
+        ts = self._rows.ts
+        return [ts[i] for i in self._select(match)]
 
     def spans(self, start_tag: str, end_tag: str) -> List[Span]:
         """Pair start/end events by (host, prog, frame, rank).
 
         Unmatched events are ignored (a run cut short mid-frame leaves
-        a dangling START, exactly as in real NetLogger traces).
+        a dangling START, exactly as in real NetLogger traces). Only
+        the rows of the two tags are built as objects.
         """
-        open_spans: Dict[Tuple, NetLogEvent] = {}
+        open_spans: Dict[Tuple, float] = {}
         spans: List[Span] = []
-        for ev in self.events:
-            tag = ev.event
-            if tag != start_tag and tag != end_tag:
-                continue
+        rows = self._select(lambda tag: tag in (start_tag, end_tag))
+        for ev in NetLogDaemon._build(self._rows, rows):
             key = (ev.host, ev.prog, ev.get("frame"), ev.get("rank"))
-            if tag == start_tag:
-                open_spans[key] = ev
+            if ev.event == start_tag:
+                open_spans[key] = ev.ts
             elif key in open_spans:
-                start_ev = open_spans.pop(key)
-                spans.append(
-                    Span(
-                        start=start_ev.ts,
-                        end=ev.ts,
-                        host=ev.host,
-                        prog=ev.prog,
-                        frame=ev.get("frame"),
-                        rank=ev.get("rank"),
-                    )
-                )
+                spans.append(Span(open_spans.pop(key), ev.ts, *key))
         return spans
 
     # -- Visapult-specific conveniences ------------------------------
@@ -115,20 +145,3 @@ class EventLog:
             f: max(s.end for s in ss) - min(s.start for s in ss)
             for f, ss in frames.items()
         }
-
-    def elapsed(self) -> float:
-        """Total wall span of the log."""
-        if not self.events:
-            return 0.0
-        return self.events[-1].ts - self.events[0].ts
-
-    def throughput(
-        self, spans: Sequence[Span], bytes_per_span: float
-    ) -> float:
-        """Aggregate bytes/second across spans of equal payload."""
-        if not spans:
-            return 0.0
-        total = bytes_per_span * len(spans)
-        start = min(s.start for s in spans)
-        end = max(s.end for s in spans)
-        return total / (end - start) if end > start else float("inf")

@@ -60,16 +60,12 @@ class NetLogDaemon:
 
     Appends take the lock and extend all the row columns together,
     so a row count read under the lock only covers complete rows.
-    Rows are never changed once appended, and :meth:`clear` swaps in
-    new columns rather than emptying the old ones, so a reader indexes
-    the columns it took under the lock without holding it.
+    Rows are never changed once appended, so a reader indexes the
+    columns it took under the lock without holding it.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._reset()
-
-    def _reset(self) -> None:
         self._shapes: List[Shape] = []
         self._shape_ids: Dict[Shape, int] = {}
         self._ts = array("d")
@@ -133,11 +129,6 @@ class NetLogDaemon:
     def __len__(self) -> int:
         with self._lock:
             return len(self._ts)
-
-    def clear(self) -> None:
-        """Drop everything (between campaign runs)."""
-        with self._lock:
-            self._reset()
 
     # -- persistence -------------------------------------------------
     def write_ulm(self, path: str) -> int:

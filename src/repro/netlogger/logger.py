@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Optional
 
 from repro.netlogger.daemon import NetLogDaemon
-from repro.netlogger.events import NetLogEvent
 
 
 class NetLogger:
@@ -31,7 +30,6 @@ class NetLogger:
         self.host = host
         self.prog = prog
         self.clock = clock if clock is not None else time.monotonic
-        self.daemon = daemon
         self._sink = daemon if daemon is not None else NetLogDaemon()
 
     def log(self, event: str, level: str = "Usage", **data: Any) -> None:
@@ -43,14 +41,3 @@ class NetLogger:
         self._sink.record(
             float(self.clock()), event, self.host, self.prog, level, data
         )
-
-    @property
-    def events(self) -> List[NetLogEvent]:
-        """Snapshot of locally retained events (a logger with a daemon
-        retains none: the daemon holds the only copy)."""
-        return [] if self.daemon is not None else self._sink.events
-
-    def clear(self) -> None:
-        """Drop locally retained events."""
-        if self.daemon is None:
-            self._sink.clear()

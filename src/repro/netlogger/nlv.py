@@ -35,7 +35,8 @@ def lifeline_plot(log: EventLog, *, width: int = 100) -> str:
     """
     if width < 20:
         raise ValueError("width must be >= 20")
-    present = {ev.event for ev in log.events}
+    events = log.events
+    present = {ev.event for ev in events}
     # Service/cache lanes sit above the per-session pipeline lanes,
     # mirroring how admission happens "above" the data path. Tile
     # lanes span backend-to-viewer, so they sit between the viewer
@@ -54,11 +55,11 @@ def lifeline_plot(log: EventLog, *, width: int = 100) -> str:
         + ALLOC_TAGS[::-1]
     )
     tags = [t for t in lanes if t in present]
-    if not log.events or not tags:
+    if not tags:
         return "(empty log)"
 
-    t0 = log.events[0].ts
-    t1 = log.events[-1].ts
+    t0 = events[0].ts
+    t1 = events[-1].ts
     span = max(t1 - t0, 1e-9)
     label_width = max(len(t) for t in tags) + 1
     plot_width = width - label_width - 1
@@ -66,7 +67,7 @@ def lifeline_plot(log: EventLog, *, width: int = 100) -> str:
     rows: Dict[str, List[str]] = {
         tag: [" "] * plot_width for tag in tags
     }
-    for ev in log.events:
+    for ev in events:
         if ev.event not in rows:
             continue
         col = int((ev.ts - t0) / span * (plot_width - 1))

@@ -15,7 +15,7 @@ first.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 from repro.netlogger.events import NetLogEvent, Tags
 
@@ -24,6 +24,34 @@ _EXCHANGES: Tuple[Tuple[str, str], ...] = (
     (Tags.BE_LIGHT_SEND, Tags.V_LIGHTPAYLOAD_END),
     (Tags.BE_HEAVY_SEND, Tags.V_HEAVYPAYLOAD_END),
 )
+
+
+def _exchanges(
+    events: List[NetLogEvent],
+) -> Iterator[Tuple[NetLogEvent, NetLogEvent]]:
+    """(send, receive) pairs matched by exchange, rank and frame.
+
+    Viewer events carry no session id, so in a log of more than one
+    session every session's frame 0 would pair with every other's: a
+    log whose receives come from more than one viewer host raises
+    ``ValueError``.
+    """
+    send_of = {recv_tag: send_tag for send_tag, recv_tag in _EXCHANGES}
+    viewers = sorted({e.host for e in events if e.event in send_of})
+    if len(viewers) > 1:
+        raise ValueError(
+            f"receive events come from {len(viewers)} viewer hosts "
+            f"({', '.join(viewers)}); skew is read from one session's log"
+        )
+    sends = {
+        (e.event, e.get("rank"), e.get("frame")): e
+        for e in events if e.event in send_of.values()
+    }
+    for e in events:
+        if e.event in send_of:
+            send = sends.get((send_of[e.event], e.get("rank"), e.get("frame")))
+            if send is not None:
+                yield send, e
 
 
 def estimate_offsets(events: Iterable[NetLogEvent]) -> Dict[str, float]:
@@ -38,6 +66,7 @@ def estimate_offsets(events: Iterable[NetLogEvent]) -> Dict[str, float]:
 
     Returns ``{host: offset}`` where ``corrected = ts - offset``.
     Hosts with no exchange against the reference keep offset 0.
+    Raises ``ValueError`` on a log of more than one viewer session.
     """
     events = list(events)
     if not events:
@@ -46,25 +75,12 @@ def estimate_offsets(events: Iterable[NetLogEvent]) -> Dict[str, float]:
     reference_host = hosts[0]
 
     # Collect min(t_recv - t_send) per (send_host, recv_host) pair.
-    sends: Dict[Tuple[str, object, object, str], NetLogEvent] = {}
-    for e in events:
-        for send_tag, _ in _EXCHANGES:
-            if e.event == send_tag:
-                sends[(send_tag, e.get("rank"), e.get("frame"), e.host)] = e
     pair_min: Dict[Tuple[str, str], float] = {}
-    for e in events:
-        for send_tag, recv_tag in _EXCHANGES:
-            if e.event != recv_tag:
-                continue
-            for (tag, rank, frame, send_host), s in sends.items():
-                if tag != send_tag:
-                    continue
-                if rank != e.get("rank") or frame != e.get("frame"):
-                    continue
-                diff = e.ts - s.ts
-                key = (send_host, e.host)
-                if key not in pair_min or diff < pair_min[key]:
-                    pair_min[key] = diff
+    for send, recv in _exchanges(events):
+        diff = recv.ts - send.ts
+        key = (send.host, recv.host)
+        if key not in pair_min or diff < pair_min[key]:
+            pair_min[key] = diff
 
     # Offsets: assume the true minimal one-way delay is ~0, so the
     # minimal observed difference IS the receiver's skew relative to
@@ -109,19 +125,8 @@ def correct_skew(events: Iterable[NetLogEvent]) -> List[NetLogEvent]:
 
 
 def causality_violations(events: Iterable[NetLogEvent]) -> int:
-    """Count receive-before-send pairs (the skew symptom)."""
-    events = list(events)
-    count = 0
-    sends: Dict[Tuple[str, object, object], float] = {}
-    for e in events:
-        for send_tag, recv_tag in _EXCHANGES:
-            if e.event == send_tag:
-                sends[(send_tag, e.get("rank"), e.get("frame"))] = e.ts
-    for e in events:
-        for send_tag, recv_tag in _EXCHANGES:
-            if e.event != recv_tag:
-                continue
-            key = (send_tag, e.get("rank"), e.get("frame"))
-            if key in sends and e.ts < sends[key] - 1e-12:
-                count += 1
-    return count
+    """Count receive-before-send pairs (the skew symptom) in one
+    session's log; raises ``ValueError`` on a log of more than one."""
+    return sum(
+        recv.ts < send.ts - 1e-12 for send, recv in _exchanges(list(events))
+    )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.analysis import SimSanitizer, attach_sanitizer
+from repro.netlogger.daemon import NetLogDaemon
 from repro.netlogger.events import format_ulm
 from repro.netlogger.logger import NetLogger
 from repro.simcore.env import Environment
@@ -91,7 +92,10 @@ def test_semaphore_satisfied_later_is_not_a_lost_wakeup():
 
 def test_findings_emitted_as_san_events():
     env = Environment()
-    logger = NetLogger("san-host", "sanitizer", clock=lambda: env.now)
+    daemon = NetLogDaemon()
+    logger = NetLogger(
+        "san-host", "sanitizer", clock=lambda: env.now, daemon=daemon
+    )
     sanitizer = attach_sanitizer(env, logger=logger)
     sem = SimSemaphore(env, name="ready")
 
@@ -102,11 +106,11 @@ def test_findings_emitted_as_san_events():
     env.run()
     report = sanitizer.report()
     assert not report.clean
-    tags = [e.event for e in logger.events]
+    tags = [e.event for e in daemon.events]
     assert "SAN_LOST_WAKEUP" in tags
     assert tags[-1] == "SAN_REPORT"
     # Every SAN event must serialise as a legal ULM line.
-    for event in logger.events:
+    for event in daemon.events:
         assert "NL.EVNT=SAN_" in format_ulm(event)
 
 

@@ -34,7 +34,7 @@ class TestMpiOnlyMode:
         render ranks' hosts: no CPU contention by construction."""
         cfg, (net, backend, viewer, daemon) = tiny(n_pes=4, frames=2)
         net.run(until=backend.run())
-        log = EventLog(daemon.events)
+        log = EventLog(daemon)
         load_hosts = {s.host for s in log.load_spans()}
         render_hosts = {s.host for s in log.render_spans()}
         assert load_hosts.isdisjoint(render_hosts)
@@ -42,7 +42,7 @@ class TestMpiOnlyMode:
     def test_pipeline_overlaps_load_and_render(self):
         cfg, (net, backend, viewer, daemon) = tiny(n_pes=4, frames=4)
         net.run(until=backend.run())
-        log = EventLog(daemon.events)
+        log = EventLog(daemon)
         loads = {(s.rank, s.frame): s for s in log.load_spans()}
         renders = {(s.rank, s.frame): s for s in log.render_spans()}
         overlap = False

@@ -55,7 +55,7 @@ class TestBackEndModes:
     def test_serial_frames_ordered_per_pe(self):
         cfg, (net, backend, viewer, daemon) = tiny_session(overlapped=False)
         net.run(until=backend.run())
-        log = EventLog(daemon.events)
+        log = EventLog(daemon)
         for rank in range(backend.n_pes):
             starts = [
                 e for e in log.events
@@ -68,7 +68,7 @@ class TestBackEndModes:
         """In serial mode a PE never loads while rendering."""
         cfg, (net, backend, viewer, daemon) = tiny_session(overlapped=False)
         net.run(until=backend.run())
-        log = EventLog(daemon.events)
+        log = EventLog(daemon)
         for rank in range(backend.n_pes):
             sub = EventLog(e for e in log.events if e.get("rank") == rank)
             spans = sorted(
@@ -83,7 +83,7 @@ class TestBackEndModes:
         render (the Appendix B pipeline)."""
         cfg, (net, backend, viewer, daemon) = tiny_session(overlapped=True)
         net.run(until=backend.run())
-        log = EventLog(daemon.events)
+        log = EventLog(daemon)
         overlap_found = False
         for rank in range(backend.n_pes):
             sub = EventLog(e for e in log.events if e.get("rank") == rank)
@@ -102,7 +102,7 @@ class TestBackEndModes:
             overlapped=True, frames=4
         )
         net.run(until=backend.run())
-        log = EventLog(daemon.events)
+        log = EventLog(daemon)
         for rank in range(backend.n_pes):
             sub = EventLog(e for e in log.events if e.get("rank") == rank)
             loads = {s.frame: s for s in sub.load_spans()}
@@ -173,7 +173,7 @@ class TestViewer:
         # 3 of 4 slabs present: not complete at full PE count...
         assert viewer.complete_frames(4) == 0
         # ...but the compositor had every slab it was promised.
-        log = EventLog(daemon.events)
+        log = EventLog(daemon)
         assert len(log.filter(event=Tags.V_FRAME_END).events) == 3
         assert len(log.filter(event=Tags.V_SLAB_MISSING).events) == 1
 
@@ -194,7 +194,7 @@ class TestViewer:
     def test_viewer_events_follow_backend_events(self):
         cfg, (net, backend, viewer, daemon) = tiny_session(frames=2)
         net.run(until=backend.run())
-        log = EventLog(daemon.events)
+        log = EventLog(daemon)
         heavies = log.filter(event=Tags.V_HEAVYPAYLOAD_END).events
         sends = log.filter(event=Tags.BE_HEAVY_SEND).events
         assert len(heavies) == len(sends)

@@ -140,7 +140,7 @@ class TestOverlappedPipeline:
                 threading.current_thread().name
             ),
         )
-        log = EventLog(daemon.sorted_events())
+        log = EventLog(daemon)
 
         def stamps(tag):
             return {
@@ -256,7 +256,7 @@ class TestNetLoggerIntegration:
     def test_live_events_collected(self):
         daemon = NetLogDaemon()
         run_pipeline(n_pes=2, steps=2, daemon=daemon)
-        log = EventLog(daemon.sorted_events())
+        log = EventLog(daemon)
         assert len(log.render_spans()) == 4  # 2 PEs x 2 frames
         assert len(log.filter(event=Tags.V_HEAVYPAYLOAD_END)) == 4
         stats = log.duration_stats(log.render_spans())

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.core.campaign import build_session, named_campaign
 from repro.netlogger import (
+    EventLog,
     NetLogDaemon,
     NetLogEvent,
     NetLogger,
@@ -54,6 +55,35 @@ class TestWriteUlmOracle:
         manager.env.run(until=manager.run())
         assert len(manager.daemon) > 5000
         assert_rows_match_objects(manager.daemon, tmp_path)
+
+
+class TestEventLogSnapshot:
+    def test_rows_and_objects_give_the_same_log(self):
+        net, backend, _viewer, daemon = build_session(
+            named_campaign("sc99-flaky")
+        )
+        net.run(until=backend.run())
+        rows, objects = EventLog(daemon), EventLog(daemon.events)
+        assert len(rows) == len(objects) == len(daemon)
+        assert rows.events == objects.events
+        assert rows.load_spans() == objects.load_spans()
+        assert rows.render_spans() == objects.render_spans()
+        assert rows.per_frame_load_times() == objects.per_frame_load_times()
+        faults = rows.filter(event=Tags.FAULT_INJECT).events
+        assert faults
+        assert faults == objects.filter(event=Tags.FAULT_INJECT).events
+
+    def test_rows_recorded_later_are_not_seen(self):
+        daemon = NetLogDaemon()
+        logger = NetLogger("h", "p", clock=lambda: 1.0, daemon=daemon)
+        logger.log(Tags.BE_LOAD_START, frame=0)
+        log = EventLog(daemon)
+        logger.log(Tags.BE_LOAD_END, frame=0)
+        logger.log("X")
+        assert len(log) == 1
+        assert [e.event for e in log.events] == [Tags.BE_LOAD_START]
+        assert log.load_spans() == []
+        assert len(EventLog(daemon).load_spans()) == 1
 
 
 identifiers = st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True)
@@ -142,9 +172,10 @@ class TestRowStore:
         assert kept / self.N <= 160
 
     def test_log_returns_nothing(self):
-        logger = NetLogger("h", "p", clock=lambda: 0.0)
+        daemon = NetLogDaemon()
+        logger = NetLogger("h", "p", clock=lambda: 0.0, daemon=daemon)
         assert logger.log("A", frame=1) is None
-        assert [(e.event, e.data) for e in logger.events] == [
+        assert [(e.event, e.data) for e in daemon.events] == [
             ("A", {"frame": 1})
         ]
 

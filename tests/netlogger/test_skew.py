@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.config import ExperimentConfig
+from repro.core.campaign import CampaignConfig, run_campaign
 from repro.netlogger import (
     NetLogEvent,
     Tags,
@@ -91,3 +93,27 @@ class TestViolationCounter:
 
     def test_counts_each_violation(self):
         assert causality_violations(exchange_events(skew=-5.0)) == 3
+
+
+class TestOneSession:
+    def test_multi_viewer_log_is_refused(self):
+        # Two sessions both send and receive frame 0 of rank 0: paired
+        # by (rank, frame) alone they give false violations and false
+        # offsets, so both readers refuse the log.
+        config = ExperimentConfig(
+            campaign="sc99-multiviewer", scaled=True, frames=2
+        ).to_campaign_config()
+        config = config.with_changes(
+            workload=config.workload.with_changes(n_viewers=2)
+        )
+        events = run_campaign(config).event_log.events
+        with pytest.raises(ValueError, match="2 viewer hosts"):
+            causality_violations(events)
+        with pytest.raises(ValueError, match="2 viewer hosts"):
+            estimate_offsets(events)
+
+    def test_single_session_run_has_no_violations(self):
+        result = run_campaign(
+            CampaignConfig.nton_cplant(n_pes=4, n_timesteps=4)
+        )
+        assert causality_violations(result.event_log.events) == 0
